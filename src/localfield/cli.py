@@ -36,7 +36,7 @@ from .field import FieldConfig
 from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
-from .operators import TruncationSpec, apply_truncated
+from .operators import apply_truncated, output_spec
 from .verify import (DEFAULT_SRT_LIST, emit_report, exact_checks_pass,
                      run_verification)
 
@@ -150,6 +150,10 @@ def _merge_file(base: dict, data: dict):
             base[key] = val
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _validate(raw: dict, override_window_cap: bool) -> RunConfig:
     p = raw["field"].get("p")
     mode = raw["field"].get("mode")
@@ -174,6 +178,16 @@ def _validate(raw: dict, override_window_cap: bool) -> RunConfig:
             "pass --override-window-cap to proceed"
         )
 
+    corpus = raw["corpus"]
+    if not _is_int(corpus["count"]) or corpus["count"] < 1:
+        raise ConfigError(f"corpus.count: expected an integer >= 1, got {corpus['count']!r}")
+    if not _is_int(corpus["seed"]) or corpus["seed"] < 0:
+        raise ConfigError(f"corpus.seed: expected an integer >= 0, got {corpus['seed']!r}")
+    resolutions = corpus["kernel_resolutions"]
+    if not isinstance(resolutions, list) or not all(_is_int(m) and m >= 1 for m in resolutions):
+        raise ConfigError(
+            f"corpus.kernel_resolutions: expected a list of integers >= 1, got {resolutions!r}")
+
     checks = raw["checks"]
     for name in checks:
         if name not in CHECK_NAMES:
@@ -190,7 +204,7 @@ def _validate(raw: dict, override_window_cap: bool) -> RunConfig:
     return RunConfig(
         field=field,
         window=(a, l),
-        corpus=dict(raw["corpus"]),
+        corpus=dict(corpus),
         checks=tuple(checks),
         truncations=dict(raw["truncations"]),
         parameters=dict(raw["parameters"]),
@@ -446,19 +460,13 @@ def _cmd_transform(cfg: RunConfig, args) -> tuple[dict, list]:
     return artifact, checks
 
 
-def _operator_window(f: TestFunction, m: int, k: int) -> TruncationSpec:
-    # one scale of spill room; resolution fine enough for every shell stage
-    out_a = f.a - 1
-    return TruncationSpec(k, out_a, max(f.l, m - (k + 1), out_a))
-
-
 def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
     f = _load_function(args.input, cfg.field)
     kern = _load_kernel(args.kernel, f.config)
     outputs = []
     if kern.is_mean_zero:  # operator precondition; a FAIL check, not a crash
         for k in cfg.k_list:
-            spec = _operator_window(f, kern.m, k)
+            spec = output_spec(f, kern.m, k)
             g = apply_truncated(f, kern, spec)
             outputs.append({"k": k, "spec": spec.to_dict(), "result": g.to_dict()})
     checks = [{"name": "kernel_mean_zero", "claimed": True,

@@ -27,15 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Ball, FieldConfig, Window
+from .field import Ball, FieldConfig, Window, q_power
 from .fourier import SpectralFunction, forward, inverse, p_type_derivative, spectral_valuation_levels
 from .functions import TestFunction, linf_norm, lr_norm, refine
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +149,8 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
         lam=float(lam),
         balls=balls,
         ball_averages=averages,
-        bad_part=TestFunction(f.config, g.a, g.l, _frozen(bad)),
-        good_part=TestFunction(f.config, g.a, g.l, _frozen(good)),
+        bad_part=TestFunction(f.config, g.a, g.l, bad),
+        good_part=TestFunction(f.config, g.a, g.l, good),
         exceptional_measure=sum((b.measure for b in balls), Fraction(0)),
     )
 
@@ -285,7 +279,7 @@ def littlewood_paley(f: TestFunction, j: int) -> LPBlock:
     g = _padded(f)
     if j > max(g.l, 0):
         zeros = np.zeros(g.values.size, dtype=np.complex128)
-        return LPBlock(j, TestFunction(g.config, g.a, g.l, _frozen(zeros)))
+        return LPBlock(j, TestFunction(g.config, g.a, g.l, zeros))
     F = forward(g)
     (mask,) = _shell_masks(F, [j])
     return LPBlock(j, inverse(SpectralFunction(F.config, F.l, F.a, F.values * mask)))
@@ -354,7 +348,7 @@ def triebel_lizorkin_norm(f: TestFunction, s: float, r: float, t: float) -> Norm
     )
     pointwise = np.sum(stacked, axis=0) ** (r / t)
     l = blocks[0].block.l
-    value = (math.fsum(pointwise) * float(Fraction(f.config.q) ** (-l))) ** (1.0 / r)
+    value = (math.fsum(pointwise) * q_power(f.config.q, -l)) ** (1.0 / r)
     return NormReport("F", float(s), float(r), float(t), value)
 
 
@@ -384,9 +378,7 @@ def verify_unity_decomposition(config: FieldConfig, a: int, l: int, s: float) ->
         )
     if a > l:
         raise ValueError(f"invalid window: a = {a} > l = {l}")
-    probe = TestFunction(
-        config, a, l, _frozen(np.zeros(config.q ** (l - a), dtype=np.complex128))
-    )
+    probe = TestFunction(config, a, l, np.zeros(config.q ** (l - a), dtype=np.complex128))
     F = forward(probe)
     levels = spectral_valuation_levels(F)
     js = range(max(l, 0) + 1)

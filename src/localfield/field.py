@@ -13,6 +13,7 @@ character values, which are points on the unit circle, live in floating point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -164,6 +165,12 @@ def abs_value(x: FieldElement) -> Fraction:
     if x.level is None:
         return Fraction(0)
     return Fraction(x.config.q) ** (-x.level)
+
+
+@functools.lru_cache(maxsize=None)
+def q_power(q: int, e: int) -> float:
+    """q^e as the correctly rounded float, for Haar measures entering float sums."""
+    return float(Fraction(q) ** e)
 
 
 def add(x: FieldElement, y: FieldElement) -> FieldElement:
@@ -425,6 +432,22 @@ class Window:
             return (idx[:, None] - idx[None, :]) % self.size
         dm = self.digit_matrix()
         return self._recompose((dm[:, None, :] - dm[None, :, :]) % self.config.p)
+
+    def dft(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Unnormalised DFT of the quotient group over the cell values.
+
+        padic: the group is cyclic Z/p^n, so a plain length-p^n DFT; laurent:
+        it is (Z/p)^n, so an n-fold tensor DFT over the (p, ..., p) cube of
+        cell digits (least significant first, hence F order).  The inverse
+        carries no 1/N factor.
+        """
+        if self.config.mode == "padic":
+            return np.fft.ifft(values) * self.size if inverse else np.fft.fft(values)
+        if self.n == 0:
+            return np.array(values, dtype=np.complex128)
+        cube = values.reshape((self.config.p,) * self.n, order="F")
+        out = np.fft.ifftn(cube) * self.size if inverse else np.fft.fftn(cube)
+        return out.ravel(order="F")
 
     def valuation_levels(self) -> np.ndarray:
         """Per cell: valuation of every element in the cell, l for the zero cell.

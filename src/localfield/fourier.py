@@ -5,32 +5,24 @@ in the character group ball Gamma^l and constant on Gamma^a-cosets; the
 spectral grid is indexed exactly like enumerate_cosets(-l, -a) through the
 lambda <-> chi_lambda identification.
 
-The fast path rides numpy's FFT: the padic quotient group P^a / P^l is
-cyclic of order p^n, so the transform is a plain DFT; the laurent quotient
-is (Z/p)^n, so it is an n-fold tensor DFT (fftn over a (p, ..., p) cube)
-followed by a digit-reversal permutation, because the pairing couples digit
-i of the point with digit n-1-i of the frequency.  The O(N^2) definition
-sums (forward_naive / inverse_naive) are kept as an independent route.
+The fast path is the quotient-group DFT of field.Window.dft plus the Haar
+scaling; in laurent mode a digit-reversal permutation follows the tensor
+DFT, because the pairing couples digit i of the point with digit n-1-i of
+the frequency.  The O(N^2) definition sums (forward_naive / inverse_naive)
+are kept as an independent route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .field import FieldConfig, Window
-from .functions import TestFunction, refine
+from .field import FieldConfig, Window, q_power
+from .functions import TestFunction, _finite_values, _frozen, refine
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,46 +52,30 @@ class SpectralFunction:
 
     @staticmethod
     def from_dict(config: FieldConfig, d: dict) -> "SpectralFunction":
-        vals = np.array([complex(re, im) for re, im in d["values"]])
-        return SpectralFunction(config, int(d["l"]), int(d["a"]), vals)
+        return SpectralFunction(config, int(d["l"]), int(d["a"]), _finite_values(d["values"]))
 
 
-def _scale(config: FieldConfig, e: int) -> float:
-    return float(Fraction(config.q) ** e)
-
-
-def _reversed_tensor(config: FieldConfig, values: np.ndarray, n: int) -> np.ndarray:
-    """Reshape to the p-ary cube, reverse the digit axes, flatten back."""
-    if n == 0:
+def _pairing_order(w: Window, values: np.ndarray) -> np.ndarray:
+    """Match group-DFT order to the character pairing: the identity in padic
+    mode; in laurent mode reverse the digit axes of the p-ary cube."""
+    if w.config.mode == "padic" or w.n == 0:
         return values
-    shape = (config.p,) * n
-    cube = values.reshape(shape, order="F")
-    return np.transpose(cube, axes=tuple(reversed(range(n)))).ravel(order="F")
+    cube = values.reshape((w.config.p,) * w.n, order="F")
+    return np.transpose(cube, axes=tuple(reversed(range(w.n)))).ravel(order="F")
 
 
 def forward(f: TestFunction) -> SpectralFunction:
     """fhat(xi) = q^{-l} sum_cells value * conj(chi_xi(cell)), fast path."""
-    n = f.l - f.a
-    if f.config.mode == "padic":
-        spec = np.fft.fft(f.values)
-    else:
-        shape = (f.config.p,) * n
-        cube = np.fft.fftn(f.values.reshape(shape, order="F")) if n else f.values.copy()
-        spec = _reversed_tensor(f.config, cube.ravel(order="F"), n)
-    return SpectralFunction(f.config, f.l, f.a, spec * _scale(f.config, -f.l))
+    w = f.window
+    spec = _pairing_order(w, w.dft(f.values))
+    return SpectralFunction(f.config, f.l, f.a, spec * q_power(f.config.q, -f.l))
 
 
 def inverse(F: SpectralFunction) -> TestFunction:
     """Inverse transform back onto the function window (a, l) = (F.a, F.l)."""
-    n = F.l - F.a
-    N = F.config.p**n
-    if F.config.mode == "padic":
-        vals = np.fft.ifft(F.values) * N
-    else:
-        rev = _reversed_tensor(F.config, F.values, n)
-        shape = (F.config.p,) * n
-        vals = (np.fft.ifftn(rev.reshape(shape, order="F")) * N).ravel(order="F") if n else rev
-    return TestFunction(F.config, F.a, F.l, vals * _scale(F.config, F.a))
+    w = Window(F.config, F.a, F.l)
+    vals = w.dft(_pairing_order(w, F.values), inverse=True)
+    return TestFunction(F.config, F.a, F.l, vals * q_power(F.config.q, F.a))
 
 
 def forward_naive(f: TestFunction) -> SpectralFunction:
@@ -119,7 +95,7 @@ def forward_naive(f: TestFunction) -> SpectralFunction:
         for u in range(N):
             phase = (digits @ digits[u, ::-1]) % p
             out[u] = proots[phase] @ f.values
-    return SpectralFunction(f.config, f.l, f.a, out * _scale(f.config, -f.l))
+    return SpectralFunction(f.config, f.l, f.a, out * q_power(f.config.q, -f.l))
 
 
 def inverse_naive(F: SpectralFunction) -> TestFunction:
@@ -138,7 +114,7 @@ def inverse_naive(F: SpectralFunction) -> TestFunction:
         for m in range(N):
             phase = (digits @ digits[m, ::-1]) % p
             out[m] = proots[phase] @ F.values
-    return TestFunction(F.config, F.a, F.l, out * _scale(F.config, F.a))
+    return TestFunction(F.config, F.a, F.l, out * q_power(F.config.q, F.a))
 
 
 def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
@@ -204,4 +180,4 @@ def p_type_integral(f: TestFunction, alpha: float) -> TestFunction:
 def spectral_l2_norm(F: SpectralFunction) -> float:
     """L^2 norm of the spectral data under dual Haar measure |Gamma^a| = q^a."""
     s = math.fsum(F.values.real**2) + math.fsum(F.values.imag**2)
-    return (s * _scale(F.config, F.a)) ** 0.5
+    return (s * q_power(F.config.q, F.a)) ** 0.5

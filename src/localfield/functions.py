@@ -14,16 +14,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Ball, FieldConfig, FieldElement, Window, truncate, valuation
-
-# direct summation below this many cells, FFT pointwise-multiply above
-DIRECT_CONV_CELL_LIMIT = 256
+from .field import Ball, FieldConfig, FieldElement, Window, q_power, truncate, valuation
 
 
 def _frozen(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     arr.setflags(write=False)
     return arr
+
+
+def _finite_values(pairs) -> np.ndarray:
+    """Complex cell values from serialized [re, im] pairs; NaN and inf are refused."""
+    vals = np.array([complex(re, im) for re, im in pairs])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"non-finite value at cell {int(bad[0])}")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +67,7 @@ class TestFunction:
 
     @staticmethod
     def from_dict(config: FieldConfig, d: dict) -> "TestFunction":
-        vals = np.array([complex(re, im) for re, im in d["values"]])
-        return TestFunction(config, int(d["a"]), int(d["l"]), vals)
+        return TestFunction(config, int(d["a"]), int(d["l"]), _finite_values(d["values"]))
 
 
 def from_indicator_combo(config: FieldConfig, terms: list) -> TestFunction:
@@ -162,7 +167,7 @@ def lr_norm(f: TestFunction, r: float) -> float:
         s = math.fsum(mags)
     else:
         s = math.fsum(mags**r)
-    return (s * float(Fraction(f.config.q) ** (-f.l))) ** (1.0 / r)
+    return (s * q_power(f.config.q, -f.l)) ** (1.0 / r)
 
 
 def linf_norm(f: TestFunction) -> float:
@@ -182,7 +187,7 @@ def weak_level_measure(f: TestFunction, lam: float) -> Fraction:
 def integral(f: TestFunction) -> complex:
     """int f dHaar = q^{-l} sum of cell values."""
     s = complex(math.fsum(f.values.real), math.fsum(f.values.imag))
-    return s * float(Fraction(f.config.q) ** (-f.l))
+    return s * q_power(f.config.q, -f.l)
 
 
 def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:
@@ -202,30 +207,19 @@ def pointwise_combine(f: TestFunction, op: str, other) -> TestFunction:
     raise ValueError(f"unknown pointwise op {op!r}")
 
 
-def _group_convolve(config: FieldConfig, w: Window, fv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """sum_j fv[j] * gv[i - j] over the quotient group P^a / P^l."""
-    if w.size <= DIRECT_CONV_CELL_LIMIT:
-        return gv[w.sub_table()] @ fv
-    if config.mode == "padic":
-        return np.fft.ifft(np.fft.fft(fv) * np.fft.fft(gv))
-    shape = (config.p,) * w.n
-    ft = np.fft.fftn(fv.reshape(shape, order="F"))
-    gt = np.fft.fftn(gv.reshape(shape, order="F"))
-    return np.fft.ifftn(ft * gt).ravel(order="F")
-
-
 def convolve(f: TestFunction, g: TestFunction) -> TestFunction:
     """Exact group convolution (f * g)(x) = int f(y) g(x - y) dy.
 
     Both factors are supported in P^{min(a_f, a_g)}, a subgroup, so the
     quotient-group convolution at the common refinement needs no wraparound
-    correction.  Small windows use a direct gather-sum, larger ones the
-    transform path.
+    correction.  The quotient-group sum runs through the group DFT: pointwise
+    product of the transforms, then the inverse.
     """
     rf, rg = common_refinement(f, g)
     w = rf.window
-    vals = _group_convolve(f.config, w, rf.values, rg.values)
-    return TestFunction(f.config, rf.a, rf.l, vals * float(Fraction(f.config.q) ** (-rf.l)))
+    vals = w.dft(w.dft(rf.values) * w.dft(rg.values), inverse=True)
+    # cell measure q^{-l} times the 1/N = q^{a-l} the unnormalised inverse omits
+    return TestFunction(f.config, rf.a, rf.l, vals * q_power(f.config.q, rf.a - 2 * rf.l))
 
 
 def max_difference(f: TestFunction, g: TestFunction) -> float:

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import FieldConfig, FieldElement, Window, angular_part, prime_shift
-from .functions import TestFunction
+from .field import FieldConfig, FieldElement, Window, angular_part, prime_shift, q_power
+from .functions import TestFunction, _finite_values, _frozen
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
 _GRID_BITS = 48
@@ -29,12 +29,6 @@ _GRID_BITS = 48
 
 def sphere_cell_count(config: FieldConfig, m: int) -> int:
     return (config.p - 1) * config.p ** (m - 1)
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
 
 
 def _component_sum(xs) -> Fraction:
@@ -67,8 +61,7 @@ class AngularKernel:
 
     @staticmethod
     def from_dict(config: FieldConfig, d: dict) -> "AngularKernel":
-        vals = np.array([complex(re, im) for re, im in d["values"]])
-        return make_kernel(config, vals, int(d["m"]))
+        return make_kernel(config, _finite_values(d["values"]), int(d["m"]))
 
 
 def make_kernel(config: FieldConfig, values, m: int) -> AngularKernel:
@@ -340,7 +333,7 @@ def taibleson_modulus(k: AngularKernel, J: int) -> float:
     kw = kernel_window_indices(k.config, k.m)
     back = np.full(w.size, -1, dtype=np.int64)
     back[kw] = np.arange(kw.size)
-    meas = float(Fraction(k.config.q) ** (-k.m))
+    meas = q_power(k.config.q, -k.m)
     best = 0.0
     for y_cell in kw:
         terms = []

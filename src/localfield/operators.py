@@ -1,4 +1,4 @@
-"""Truncated rough convolution operator, its per-atom version, and shell pieces.
+"""Truncated rough convolution operator and its per-atom version.
 
 The truncated operator integrates f(x - y) against the homogeneous extension
 of an angular kernel over |y| > q^k, weighted by |y|^{-1}.  On a declared
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .field import FieldElement, add, negate
+from .field import FieldElement, add, negate, q_power
 from .fourier import forward
 from .functions import (
     TestFunction,
@@ -61,34 +60,36 @@ class TruncationSpec:
         return TruncationSpec(int(d["k"]), int(d["out_a"]), int(d["out_l"]))
 
 
-@dataclass(frozen=True, eq=False)
-class SphereKernelPiece:
-    """One dyadic piece: the extended kernel on the shell of radius q^{j+1}."""
-
-    j: int
-    function: TestFunction
-
-
-def shell_function(kernel: AngularKernel, j: int, resolution: int | None = None) -> SphereKernelPiece:
-    return SphereKernelPiece(j, shell_piece(kernel, j, resolution))
-
-
-def _as_angular_atom(a: AngularKernel | TestFunction) -> AngularKernel:
-    if isinstance(a, AngularKernel):
-        return a
-    m = max(a.l, 1)
-    g = refine(a, min(a.a, 0), m)
-    if np.any(g.values[g.window.valuation_levels() != 0] != 0):
-        raise ValueError("atom support must lie in the unit sphere")
-    # cells inside the unit ball sit at indices divisible by the pad stride
-    stride = a.config.p ** (-g.a)
-    return make_kernel(a.config, g.values[kernel_window_indices(a.config, m) * stride], m)
-
-
 def tail_cutoff(out_a: int, f_a: int) -> int:
     """Largest shell index that can touch the output window: beyond it,
     |x - y| = |y| exceeds the support of f for every represented x."""
     return -min(out_a, f_a) - 1
+
+
+def output_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
+    """The output window the CLI and the harness give T_k f for a resolution-m kernel.
+
+    One scale of spill room beyond the support window; resolution fine
+    enough that no stage of the shell sum is coarsened lossily.
+    """
+    out_a = f.a - 1
+    return TruncationSpec(k, out_a, max(f.l, m - (k + 1), out_a))
+
+
+def _checked_atom(a: AngularKernel | TestFunction) -> AngularKernel:
+    """The atom as an angular kernel; ValueError unless all three atom conditions hold."""
+    if isinstance(a, TestFunction):
+        m = max(a.l, 1)
+        g = refine(a, min(a.a, 0), m)
+        if np.any(g.values[g.window.valuation_levels() != 0] != 0):
+            raise ValueError("atom support must lie in the unit sphere")
+        # cells inside the unit ball sit at indices divisible by the pad stride
+        stride = a.config.p ** (-g.a)
+        a = make_kernel(a.config, g.values[kernel_window_indices(a.config, m) * stride], m)
+    chk = validate_atom(a)
+    if not chk.valid:
+        raise ValueError(f"invalid atom: {chk.violation} condition fails")
+    return a
 
 
 def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElement) -> complex:
@@ -102,7 +103,7 @@ def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElem
     level = max(f.l, kernel.m - (j + 1))
     piece = shell_piece(kernel, j, resolution=level)
     w = piece.window
-    meas = float(Fraction(f.config.q) ** (-level))
+    meas = q_power(f.config.q, -level)
     re, im = [], []
     for idx in np.flatnonzero(piece.values != 0):
         y = w.element(int(idx))
@@ -121,7 +122,7 @@ def truncation_kernel(kernel: AngularKernel, k: int, jmax: int) -> TestFunction:
     total = np.zeros(kernel.config.p ** (l - a), dtype=np.complex128)
     for j in range(k, jmax + 1):
         piece = refine(shell_piece(kernel, j), a, l)
-        total += float(Fraction(kernel.config.q) ** (-(j + 1))) * piece.values
+        total += q_power(kernel.config.q, -(j + 1)) * piece.values
     return TestFunction(kernel.config, a, l, total)
 
 
@@ -145,15 +146,6 @@ def _fit_window(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
     return g
 
 
-def _apply_shell_sum(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec) -> TestFunction:
-    jmax = tail_cutoff(spec.out_a, f.a)
-    if spec.k > jmax:
-        size = f.config.p ** (spec.out_l - spec.out_a)
-        return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(size, dtype=np.complex128))
-    conv = convolve(f, truncation_kernel(kernel, spec.k, jmax))
-    return _fit_window(conv, spec.out_a, spec.out_l)
-
-
 def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec) -> TestFunction:
     """The truncated operator on the declared output window.
 
@@ -164,18 +156,17 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
         raise ValueError("function and kernel live on different fields")
     if not kernel.is_mean_zero:
         raise ValueError("truncated operator requires a mean-zero kernel")
-    return _apply_shell_sum(f, kernel, spec)
+    jmax = tail_cutoff(spec.out_a, f.a)
+    if spec.k > jmax:
+        size = f.config.p ** (spec.out_l - spec.out_a)
+        return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(size, dtype=np.complex128))
+    conv = convolve(f, truncation_kernel(kernel, spec.k, jmax))
+    return _fit_window(conv, spec.out_a, spec.out_l)
 
 
 def apply_atom_operator(f: TestFunction, atom: AngularKernel | TestFunction, spec: TruncationSpec) -> TestFunction:
     """The per-atom operator: same shell sum, but the kernel must be a valid atom."""
-    kern = _as_angular_atom(atom)
-    chk = validate_atom(kern)
-    if not chk.valid:
-        raise ValueError(f"invalid atom: {chk.violation} condition fails")
-    if f.config != kern.config:
-        raise ValueError("function and atom live on different fields")
-    return _apply_shell_sum(f, kern, spec)
+    return apply_truncated(f, _checked_atom(atom), spec)
 
 
 @dataclass(frozen=True)
@@ -193,10 +184,7 @@ class SpectralSupPair:
 
 def shell_spectral_sup(atom: AngularKernel | TestFunction, j: int) -> SpectralSupPair:
     """Exact sup of the transform modulus over the spectral window, both readings."""
-    kern = _as_angular_atom(atom)
-    chk = validate_atom(kern)
-    if not chk.valid:
-        raise ValueError(f"invalid atom: {chk.violation} condition fails")
+    kern = _checked_atom(atom)
     spec_a = forward(shell_piece(kern, j))
     spec_b = forward(kernel_as_test_function(kern))
     return SpectralSupPair(

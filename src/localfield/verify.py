@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .decomp import besov_norm, triebel_lizorkin_norm
-from .field import Ball, FieldConfig, FieldElement
+from .field import Ball, FieldConfig, FieldElement, q_power
 from .functions import (
     TestFunction,
     convolve,
@@ -53,7 +53,7 @@ from .kernels import (
     sphere_cell_count,
     taibleson_modulus,
 )
-from .operators import TruncationSpec, apply_atom_operator, apply_truncated, tail_cutoff
+from .operators import TruncationSpec, apply_atom_operator, apply_truncated, output_spec, tail_cutoff
 
 log = logging.getLogger(__name__)
 
@@ -185,13 +185,6 @@ def k_stability(estimate: OperatorNormEstimate, factor: float = 4.0,
     }
 
 
-def _output_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
-    # one scale of spill room beyond the support window; resolution fine
-    # enough that no stage of the shell sum is coarsened lossily
-    out_a = f.a - 1
-    return TruncationSpec(k, out_a, max(f.l, m - (k + 1), out_a))
-
-
 def _entry_id(fi: int, ki: int) -> str:
     return f"f{fi}.w{ki}"
 
@@ -213,8 +206,8 @@ def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstima
         norms_f = {r: lr_norm(f, r) for r in r_list}
         for ki, kern in enumerate(corpus.kernels):
             for k in k_list:
-                tkf = apply_truncated(f, kern, _output_spec(f, kern.m, k))
-                scale = float(Fraction(q) ** (-k)) * h1s[ki]
+                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                scale = q_power(q, -k) * h1s[ki]
                 for r in r_list:
                     if norms_f[r] == 0:
                         log.info("skipping degenerate entry %s: ||f||_%s = 0",
@@ -260,8 +253,8 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
         }
         for ki, kern in enumerate(corpus.kernels):
             for k in k_list:
-                tkf = apply_truncated(f, kern, _output_spec(f, kern.m, k))
-                scale = float(Fraction(q) ** (-k)) * h1s[ki]
+                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                scale = q_power(q, -k) * h1s[ki]
                 for srt in srt_list:
                     for space in ("B", "F"):
                         nf = norms_f[(space, srt)]
@@ -336,12 +329,12 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
                 log.info("skipping zero corpus function %d", fi)
                 continue
             for k in k_list:
-                spec = _output_spec(f, atom.m, k)
+                spec = output_spec(f, atom.m, k)
                 for reading, bf in (
                     ("A", apply_atom_operator(f, atom, spec)),
                     ("B", _reading_b_operator(f, atom, spec)),
                 ):
-                    claimed_l2 = float(Fraction(q) ** (-k)) / (q - 1)
+                    claimed_l2 = q_power(q, -k) / (q - 1)
                     l2_ratio = lr_norm(bf, 2) / (claimed_l2 * l2_f)
                     worst[("l2", reading)] = max(worst[("l2", reading)], l2_ratio)
                     rows.append(
@@ -402,7 +395,7 @@ def check_taibleson_class(corpus: Corpus) -> dict:
             nf = lr_norm(f, 2)
             if nf == 0:
                 continue
-            tkf = apply_truncated(f, kern, _output_spec(f, kern.m, 0))
+            tkf = apply_truncated(f, kern, output_spec(f, kern.m, 0))
             sup_l2 = max(sup_l2, lr_norm(tkf, 2) / nf)
         rows.append(
             {

@@ -51,12 +51,12 @@ from localfield.operators import (
     TruncationSpec,
     apply_atom_operator,
     apply_truncated,
+    output_spec,
     tail_cutoff,
 )
 from localfield.verify import (
     Corpus,
     _first_atoms,
-    _output_spec,
     check_l2_and_weak11,
     k_stability,
     run_verification,
@@ -164,7 +164,7 @@ def test_criterion_02_discretization_identity(capsys):
         m = int(rng.integers(1, 3)) if config.p == 3 else 2
         kern = random_kernel(rng, config, m)
         k = int(rng.integers(-2, 2))
-        spec = _output_spec(f, kern.m, k)
+        spec = output_spec(f, kern.m, k)
         got = apply_truncated(f, kern, spec)
         want = naive_truncated(f, kern, spec)
         worst = max(worst, max_difference(got, want))
@@ -189,7 +189,7 @@ def test_criterion_03_atomic_machinery(capsys):
             recon = dec.reconstruction(config, m)
             worst_recon = max(worst_recon, float(np.max(np.abs(recon - kern.values))))
         f = random_fn(rng, config, -1, 2)
-        spec = _output_spec(f, kern.m, 0)
+        spec = output_spec(f, kern.m, 0)
         whole = apply_truncated(f, kern, spec)
         parts = np.zeros(whole.values.shape, dtype=complex)
         for lam, atom in atomic_decompose(kern, "haar").terms:
@@ -319,7 +319,7 @@ def test_criterion_08_proof_constant_instrumentation(capsys):
     for fi, (f, kern, k) in enumerate(fixtures):
         corpus = Corpus(f.config, 0, (f.a, f.l), (f,), (kern,), f"fixture {fi}")
         atom = _first_atoms(corpus)[0][1]
-        spec = _output_spec(f, atom.m, k)
+        spec = output_spec(f, atom.m, k)
         oracles = {"A": naive_truncated(f, atom, spec),
                    "B": _reading_b_oracle(f, atom, spec)}
         sup_out = max(float(np.max(np.abs(g.values))) for g in oracles.values())

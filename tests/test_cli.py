@@ -93,6 +93,25 @@ def test_bad_window_and_checks_rejected():
         parse_config(overrides={"parameters.srt_list": [[0.5, 2.0]]})
 
 
+@pytest.mark.parametrize("corpus, key", [
+    ({"count": "abc"}, "corpus.count"),
+    ({"count": 0}, "corpus.count"),
+    ({"count": 2.5}, "corpus.count"),
+    ({"count": True}, "corpus.count"),
+    ({"seed": "7"}, "corpus.seed"),
+    ({"seed": 1.5}, "corpus.seed"),
+    ({"seed": -1}, "corpus.seed"),
+    ({"kernel_resolutions": [0]}, "corpus.kernel_resolutions"),
+    ({"kernel_resolutions": [2, "3"]}, "corpus.kernel_resolutions"),
+    ({"kernel_resolutions": 3}, "corpus.kernel_resolutions"),
+])
+def test_bad_corpus_keys_exit_2_with_key_path(tmp_path, capsys, corpus, key):
+    path = write_json(tmp_path / "cfg.json", {"corpus": corpus})
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/cfg.json")
@@ -210,6 +229,28 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["transform", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("transform", "function"),
+    ("apply-tk", "function"),
+    ("apply-tk", "kernel"),
+    ("atoms", "kernel"),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, command, bad):
+    fn = json.loads(Path(unit_ball_file(tmp_path)).read_text())
+    kern = json.loads((DATA / "kern_q2.json").read_text())
+    (fn if bad == "function" else kern)["values"][1][0] = float("nan")
+    fpath = write_json(tmp_path / "f.json", fn)
+    kpath = write_json(tmp_path / "k.json", kern)
+    out = tmp_path / "out"
+    args = {"transform": ["transform", fpath],
+            "apply-tk": ["apply-tk", fpath, "--kernel", kpath, "--k", "0"],
+            "atoms": ["atoms", kpath]}[command]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: ") and "non-finite value at cell 1" in err
+    assert not out.exists()
 
 
 # -- verify determinism and exit policy

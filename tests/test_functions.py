@@ -221,11 +221,12 @@ class TestConvolve:
             want = sum(evaluate(f, y) * evaluate(g, add(x, negate(y, 2))) for y in cells) * meas
             assert evaluate(h, x) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("config", CONFIGS[:2], ids=lambda c: f"{c.mode}{c.p}")
-    def test_fft_path_matches_direct(self, config):
-        # window big enough that convolve switches to the transform route
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+    def test_convolve_matches_sub_table_oracle(self, config, size):
+        # the gather-sum over the quotient group's subtraction table, by definition
         rng = np.random.default_rng(33)
-        a, l = (-2, 7) if config.p == 2 else (-2, 4)
+        a, l = (-1, 2) if size == "small" else (-2, 7) if config.p == 2 else (-2, 4)
         f = random_function(rng, config, a=a, l=l)
         g = random_function(rng, config, a=a, l=l)
         h = convolve(f, g)

@@ -28,7 +28,6 @@ from localfield.operators import (
     TruncationSpec,
     apply_atom_operator,
     apply_truncated,
-    shell_function,
     shell_spectral_sup,
     sphere_integral,
     tail_cutoff,
@@ -147,16 +146,16 @@ def test_sphere_integral_linearity():
 # -- shell pieces as operator building blocks
 
 
-def test_shell_function_invariants():
+def test_shell_piece_invariants():
     rng = np.random.default_rng(34)
     for config in CONFIGS:
         kern = random_kernel(rng, config, 2)
         for j in (-2, 0, 1):
-            piece = shell_function(kern, j)
-            levels = piece.function.window.valuation_levels()
-            off = piece.function.values[levels != -(j + 1)]
+            piece = shell_piece(kern, j)
+            levels = piece.window.valuation_levels()
+            off = piece.values[levels != -(j + 1)]
             assert off.size == 0 or np.all(off == 0)
-            assert integral(piece.function) == 0
+            assert integral(piece) == 0
 
 
 def test_truncation_kernel_matches_pieces():

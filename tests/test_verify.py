@@ -24,7 +24,7 @@ from localfield.kernels import (
     shell_piece,
     sphere_cell_count,
 )
-from localfield.operators import TruncationSpec, apply_atom_operator, apply_truncated
+from localfield.operators import TruncationSpec, apply_atom_operator, apply_truncated, output_spec
 from localfield.verify import (
     Corpus,
     OperatorNormEstimate,
@@ -151,13 +151,11 @@ def test_lebesgue_fixture_ratios_match_naive_oracle():
     est = check_lebesgue_theorem(corpus, [-1, 0], [2.0])
     table = {(row[0], row[1]): row[3] for row in est.ratio_table}
     from localfield.kernels import h1_upper_bound
-    from localfield.verify import _output_spec
-
     for fi, f in enumerate(corpus.functions):
         for ki, kern in enumerate(corpus.kernels):
             h1 = h1_upper_bound(kern)
             for k in (-1, 0):
-                spec = _output_spec(f, kern.m, k)
+                spec = output_spec(f, kern.m, k)
                 oracle = naive_truncated(f, kern, spec)
                 denom = float(Fraction(Q2.q) ** (-k)) * h1 * lr_norm(f, 2)
                 want = lr_norm(oracle, 2) / denom
@@ -286,9 +284,7 @@ def test_l2_weak_fixture_against_brute_force():
     rows = report["rows"]
     reading_a_l2 = [r for r in rows if r["check"] == "l2" and r["reading"] == "A"]
     assert len(reading_a_l2) == 1
-    from localfield.verify import _output_spec
-
-    spec = _output_spec(f, atom.m, 0)
+    spec = output_spec(f, atom.m, 0)
     oracle = naive_truncated(f, atom, spec)
     claimed = float(Fraction(Q2.q) ** 0) / (Q2.q - 1)
     want = lr_norm(oracle, 2) / (claimed * lr_norm(f, 2))
