@@ -193,6 +193,13 @@ def _validate(raw: dict, override_window_cap: bool) -> RunConfig:
         if name not in CHECK_NAMES:
             raise ConfigError(f"checks: unknown check name {name!r}; expected from {CHECK_NAMES}")
 
+    lambdas = raw["parameters"]["lambda_list"]
+    if not isinstance(lambdas, (list, tuple)) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            and 0 < x <= sys.float_info.max for x in lambdas):
+        raise ConfigError(
+            f"parameters.lambda_list: expected a list of finite reals > 0, got {lambdas!r}")
+
     for trip in raw["parameters"]["srt_list"]:
         if not isinstance(trip, (list, tuple)) or len(trip) != 3:
             raise ConfigError(f"parameters.srt_list: expected s:r:t triples, got {trip!r}")
@@ -262,11 +269,11 @@ def _parse_ints(text: str) -> list:
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def _parse_floats(text: str) -> list:
+def _parse_floats(text: str, key: str) -> list:
     try:
         return [float(x) for x in text.split(",") if x != ""]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}") from None
+        raise ConfigError(f"{key}: expected a comma-separated number list, got {text!r}") from None
 
 
 def _parse_srt(text: str) -> list:
@@ -348,9 +355,10 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "output.formats": _FORMAT_CHOICES[args.format] if args.format else None,
         "checks": args.checks.split(",") if args.checks else None,
         "truncations.k_list": _parse_ints(args.k) if args.k else None,
-        "parameters.r_list": _parse_floats(args.r) if args.r else None,
+        "parameters.r_list": _parse_floats(args.r, "parameters.r_list") if args.r else None,
         "parameters.srt_list": _parse_srt(args.srt) if args.srt else None,
-        "parameters.lambda_list": _parse_floats(args.lambda_list) if args.lambda_list else None,
+        "parameters.lambda_list": (_parse_floats(args.lambda_list, "parameters.lambda_list")
+                                   if args.lambda_list else None),
     }
 
 

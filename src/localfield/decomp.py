@@ -1,13 +1,14 @@
 """Calderon-Zygmund decomposition, Littlewood-Paley blocks, and B/F norms.
 
 The CZ stopping time walks the q-ary coset tree below a starting ball and
-selects the maximal cosets whose average exceeds the threshold.  Ball
-averages of float cell values are exact rationals that floats almost never
-represent, so the decomposition keeps its exact core (per-ball averages as
-Fractions) next to the float TestFunction views of the good and bad parts;
-the views are correctly rounded per cell, and check_cz_clauses evaluates
-every lemma clause against the rational core, with no float comparisons
-except for the stored-view rounding identities.
+selects the maximal cosets whose average exceeds the threshold.  The split
+and check_cz_clauses work on the cell values as integers over a common
+power of two, so sums, deviations, squares and comparisons are exact.  Ball
+averages, which floats almost never represent, are one Fraction per ball,
+kept next to the float TestFunction views of the good and bad parts; the
+views are correctly rounded per cell, and the audit evaluates every lemma
+clause exactly, with no float comparisons except for the stored-view
+rounding identities.
 
 Littlewood-Paley blocks are spectral-indicator multipliers: block 0 keeps
 every frequency of absolute value at most 1, block j >= 1 keeps the shell
@@ -29,7 +30,7 @@ import numpy as np
 
 from .field import Ball, FieldConfig, Window, q_power
 from .fourier import SpectralFunction, forward, inverse, p_type_derivative, spectral_valuation_levels
-from .functions import TestFunction, linf_norm, lr_norm, refine
+from .functions import TestFunction, dyadic_ints, linf_norm, lr_norm, refine
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,30 @@ def _node_cells(total: int, q: int, depth: int, residue: int) -> np.ndarray:
     return residue + step * np.arange(total // step)
 
 
+def _ball_cells(w: Window, ball: Ball) -> np.ndarray:
+    # the window cells of a ball; two such balls meet iff they share a cell
+    n = w.index_of(ball.center)
+    if n is None or not w.a < ball.scale <= w.l:
+        raise ValueError(
+            f"ball at scale {ball.scale} is not a proper coset of the window ({w.a}, {w.l}): "
+            f"it needs {w.a} < scale <= {w.l} and a center inside P^{w.a}"
+        )
+    depth = ball.scale - w.a
+    return _node_cells(w.size, w.config.q, depth, n % w.config.q**depth)
+
+
+def _over_common_denominator(ints, den: int, averages, ball_cells) -> tuple:
+    """Cell values ints/den and ball averages as numerators over one denominator M.
+
+    Returns M, the cell numerators, the ball cells concatenated ball by ball,
+    and next to each of those the numerator of its ball's average.
+    """
+    m = math.lcm(den, *(avg.denominator for avg in averages))
+    nums = np.array([avg.numerator * (m // avg.denominator) for avg in averages], dtype=object)
+    cat = np.concatenate([np.zeros(0, dtype=np.int64), *ball_cells])
+    return m, ints * (m // den), cat, np.repeat(nums, [c.size for c in ball_cells])
+
+
 def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     """Split a nonnegative f at threshold lam > 0.
 
@@ -90,9 +115,8 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     get good_part = ball average and bad_part = f - average; elsewhere
     good_part = f and bad_part = 0.
     """
-    lam_fr = Fraction(lam)
-    if lam_fr <= 0:
-        raise ValueError(f"threshold lambda = {lam} must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"threshold lambda = {lam} must be a finite real > 0")
     if start_scale > f.a:
         raise ValueError(
             f"starting ball at scale {start_scale} does not contain the support "
@@ -102,49 +126,42 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     vals = _real_nonneg_values(g)
     q = f.config.q
     depth_total = g.l - g.a
-    n_cells = vals.size
+    ints, den = dyadic_ints(vals)
 
     # exact subtree sums, bottom up; level d has q^d nodes keyed by residue mod q^d
-    sums = [None] * (depth_total + 1)
-    sums[depth_total] = [Fraction(x) for x in vals]
-    for d in range(depth_total - 1, -1, -1):
-        step = q**d
-        below = sums[d + 1]
-        sums[d] = [sum(below[t + c * step] for c in range(q)) for t in range(step)]
-
-    def node_average(d: int, t: int) -> Fraction:
-        return sums[d][t] * Fraction(q) ** (g.a + d - g.l)
-
-    root_avg = node_average(0, 0)
-    if root_avg > lam_fr:
+    sums = [ints]
+    for _ in range(depth_total):
+        sums.insert(0, sums[0].reshape(q, -1).sum(axis=0))
+    # node (d, t) averages sums[d][t] / (den q^(depth_total - d)); it exceeds lam
+    # iff the integer sums[d][t] exceeds the floor of lam den q^(depth_total - d)
+    lam_fr = Fraction(lam)
+    above = [s > math.floor(lam_fr * den * q ** (depth_total - d)) for d, s in enumerate(sums)]
+    if above[0][0]:
+        root_avg = Fraction(sums[0][0], den * q**depth_total)
         raise ValueError(
             f"average {float(root_avg):.6g} over the starting ball exceeds lambda = "
             f"{float(lam_fr):.6g}; enlarge the starting ball or raise the threshold"
         )
 
+    # stopping time: select a node above lam unless a selected ancestor covers it
+    nodes = []
+    covered = np.zeros(1, dtype=bool)
+    for d in range(1, depth_total + 1):
+        covered = np.tile(covered, q)
+        chosen = above[d] & ~covered
+        nodes.extend((int(t), d) for t in np.flatnonzero(chosen))
+        covered |= chosen
+    nodes.sort()
+
     w = Window(f.config, g.a, g.l)
-    balls, averages = [], []
-    stack = [(0, 0)]
-    while stack:
-        d, t = stack.pop()
-        if d > 0 and node_average(d, t) > lam_fr:
-            balls.append(Ball(w.element(t), g.a + d))
-            averages.append(node_average(d, t))
-            continue
-        if d < depth_total:
-            step = q**d
-            stack.extend((d + 1, t + c * step) for c in range(q))
-
-    bad = np.zeros(n_cells, dtype=np.complex128)
+    averages = tuple(Fraction(sums[d][t], den * q ** (depth_total - d)) for t, d in nodes)
+    cells = [_node_cells(vals.size, q, d, t) for t, d in nodes]
+    m, nums, cat, avg_nums = _over_common_denominator(ints, den, averages, cells)
     good = np.array(g.values, dtype=np.complex128)
-    for ball, avg in zip(balls, averages):
-        cells = _node_cells(n_cells, q, ball.scale - g.a, _node_residue(w, ball))
-        good[cells] = float(avg)
-        bad[cells] = [float(Fraction(vals[n]) - avg) for n in cells]
-
-    order = np.argsort([w.index_of(b.center) for b in balls])
-    balls = tuple(balls[i] for i in order)
-    averages = tuple(averages[i] for i in order)
+    good[cat] = avg_nums / m
+    bad = np.zeros(vals.size, dtype=np.complex128)
+    bad[cat] = (nums[cat] - avg_nums) / m
+    balls = tuple(Ball(w.element(t), g.a + d) for t, d in nodes)
     return CZDecomposition(
         lam=float(lam),
         balls=balls,
@@ -155,77 +172,58 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     )
 
 
-def _node_residue(w: Window, ball: Ball) -> int:
-    # the tree node of a selected ball: its cell index modulo q^depth
-    return w.index_of(ball.center) % w.config.q ** (ball.scale - w.a)
-
-
 def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
-    """Exact-rational audit of every lemma clause and remark clause.
+    """Exact audit of every lemma clause and remark clause.
 
-    Returns (clauses, metrics): clauses maps clause names to exact booleans,
-    metrics carries the measured quantities (as floats) behind them.
+    Every sum, deviation, square and comparison is integer arithmetic over
+    one common denominator.  Returns (clauses, metrics): clauses maps clause
+    names to exact booleans, metrics carries the measured quantities (as
+    floats) behind them.  Raises ValueError for a ball that is not a proper
+    coset of the decomposition's window.
     """
     if f.config != dec.bad_part.config:
         raise ValueError("decomposition belongs to a different field configuration")
     g = refine(f, dec.bad_part.a, dec.bad_part.l)
     vals = _real_nonneg_values(g)
-    frs = [Fraction(x) for x in vals]
     q = f.config.q
     lam_fr = Fraction(dec.lam)
     w = Window(f.config, g.a, g.l)
-    n_cells = vals.size
-    measure = Fraction(q) ** (-g.l)
-
-    ball_cells = [
-        _node_cells(n_cells, q, b.scale - g.a, _node_residue(w, b)) for b in dec.balls
-    ]
-    on_union = np.zeros(n_cells, dtype=bool)
-    for cells in ball_cells:
-        on_union[cells] = True
-    off = np.flatnonzero(~on_union)
-
-    f_l1 = sum((frs[n] for n in range(n_cells)), Fraction(0)) * measure
-    bad_l1 = Fraction(0)
-    good_sq = sum((frs[n] ** 2 for n in off), Fraction(0))
-    good_l1 = sum((frs[n] for n in off), Fraction(0))
-    mean_zero = True
-    views_rounded = True
-    for cells, avg in zip(ball_cells, dec.ball_averages):
-        ball_sum = sum((frs[n] for n in cells), Fraction(0))
-        mean_zero = mean_zero and ball_sum == len(cells) * avg
-        bad_l1 += sum((abs(frs[n] - avg) for n in cells), Fraction(0)) * measure
-        good_sq += len(cells) * avg**2
-        good_l1 += len(cells) * avg
-        fa = float(avg)
-        views_rounded = views_rounded and all(
-            dec.good_part.values[n] == fa
-            and dec.bad_part.values[n] == float(frs[n] - avg)
-            for n in cells
-        )
-    good_sq *= measure
-    good_l1 *= measure
-    good_sup = max(
-        [abs(frs[n]) for n in off] + [abs(a) for a in dec.ball_averages],
-        default=Fraction(0),
+    cells = [_ball_cells(w, b) for b in dec.balls]
+    m, nums, cat, avg_nums = _over_common_denominator(
+        *dyadic_ints(vals), dec.ball_averages, cells
     )
+    cover = np.bincount(cat, minlength=vals.size)
+    off = cover == 0
+    dev = nums[cat] - avg_nums
+    sizes = np.array([c.size for c in cells], dtype=np.int64)
+
+    off_nums = nums[off]
+    unit = g.cell_measure / m  # one cell's Haar measure over the common denominator
+    f_l1 = nums.sum() * unit
+    bad_l1 = np.abs(dev).sum() * unit
+    good_l1 = (off_nums.sum() + avg_nums.sum()) * unit
+    good_sq = ((off_nums**2).sum() + (avg_nums**2).sum()) * unit / m
+    off_sup = Fraction(off_nums.max(initial=0), m)
+    avg_sup = Fraction(np.abs(avg_nums).max(initial=0), m)
+    good_sup = max(off_sup, avg_sup)
 
     off_match = bool(
         np.all(dec.good_part.values[off] == g.values[off])
         and np.all(dec.bad_part.values[off] == 0)
     )
+    views_rounded = bool(
+        np.all(dec.good_part.values[cat] == (avg_nums / m).astype(np.float64))
+        and np.all(dec.bad_part.values[cat] == (dev / m).astype(np.float64))
+    )
     clauses = {
-        "balls_disjoint": all(
-            not a.intersects(b)
-            for i, a in enumerate(dec.balls)
-            for b in dec.balls[i + 1 :]
-        ),
+        "balls_disjoint": int(cover.max(initial=0)) <= 1,
         "measure_bound": not dec.balls or dec.exceptional_measure < f_l1 / lam_fr,
-        "small_off_union": all(abs(frs[n]) <= lam_fr for n in off),
-        "good_bounded_on_union": all(abs(a) <= q * lam_fr for a in dec.ball_averages),
+        "small_off_union": off_sup <= lam_fr,
+        "good_bounded_on_union": avg_sup <= q * lam_fr,
         "good_matches_f_off": off_match,
         "bad_vanishes_off": bool(np.all(dec.bad_part.values[off] == 0)),
-        "bad_mean_zero_per_ball": mean_zero,
+        # per ball, the deviations from the declared average sum to zero
+        "bad_mean_zero_per_ball": not any(np.add.reduceat(dev, np.cumsum(sizes) - sizes)),
         "sum_identity": views_rounded,
         "remark_bad_l1_at_most_double": bad_l1 <= 2 * f_l1,
         "remark_bad_l1_within_f_l1": bad_l1 <= f_l1,
@@ -234,7 +232,7 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
     }
     float_dev = (
         float(np.max(np.abs(g.values - dec.bad_part.values - dec.good_part.values)))
-        if n_cells
+        if vals.size
         else 0.0
     )
     metrics = {

@@ -32,6 +32,22 @@ def _finite_values(pairs) -> np.ndarray:
     return vals
 
 
+def dyadic_ints(values) -> tuple[np.ndarray, int]:
+    """Integers n (a Python-int object array) and one power of two d with values == n / d.
+
+    Each double is m 2^(e-53) with an integer m below 2^53, so one shift per
+    entry puts every entry over the common denominator d; sums, products and
+    comparisons of the integers are then exact at any size.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("exact arithmetic needs finite values")
+    mant, exp = np.frexp(vals)
+    shift = 53 - exp.astype(np.int64)
+    k = int(shift.max(initial=0))
+    return (mant * 2.0**53).astype(np.int64).astype(object) << (k - shift), 1 << k
+
+
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     __test__ = False  # keep pytest from collecting this as a test case

@@ -7,9 +7,9 @@ leading digit c_0 runs from 1 to q-1 outermost, then the remaining digits
 Evaluation anywhere off 0 routes through the angular part, which makes the
 scale invariance structural rather than numerical.
 
-Mean-zero and atom conditions are checked in exact rational arithmetic over
-the stored doubles; the projection and atom constructions snap results onto
-a dyadic grid so those exact checks genuinely pass.
+Mean-zero and atom conditions are checked exactly, in integers over a common
+power of two; the projection and atom constructions snap results onto a
+dyadic grid so those exact checks genuinely pass.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import FieldConfig, FieldElement, Window, angular_part, prime_shift, q_power
-from .functions import TestFunction, _finite_values, _frozen
+from .functions import TestFunction, _finite_values, _frozen, dyadic_ints
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
 _GRID_BITS = 48
@@ -31,12 +31,16 @@ def sphere_cell_count(config: FieldConfig, m: int) -> int:
     return (config.p - 1) * config.p ** (m - 1)
 
 
-def _component_sum(xs) -> Fraction:
-    return sum((Fraction(float(x)) for x in xs), Fraction(0))
+def _component_sums(values: np.ndarray) -> tuple[int, int, int]:
+    """Exact real and imaginary sums of values as integers over one denominator."""
+    ints, den = dyadic_ints(np.stack([values.real, values.imag]))
+    re, im = ints.sum(axis=1)
+    return re, im, den
 
 
 def _exactly_mean_zero(values: np.ndarray) -> bool:
-    return _component_sum(values.real) == 0 and _component_sum(values.imag) == 0
+    re, im, _ = _component_sums(values)
+    return re == 0 and im == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +162,9 @@ def mean_zero_project(k: AngularKernel) -> AngularKernel:
     """Subtract the sphere average; exact zero integral, idempotent."""
     if k.is_mean_zero:
         return k
-    n = k.values.size
-    # exact rational mean so constant kernels land exactly on zero
-    mean = complex(
-        float(_component_sum(k.values.real) / n), float(_component_sum(k.values.imag) / n)
-    )
+    # exact rational mean, correctly rounded, so constant kernels land exactly on zero
+    re, im, den = _component_sums(k.values)
+    mean = complex(re / (den * k.values.size), im / (den * k.values.size))
     out = make_kernel(k.config, _snap_zero_sum(k.values - mean), k.m)
     assert out.is_mean_zero
     return out
@@ -178,11 +180,10 @@ class AtomCheck:
 
 
 def _sup_bound_holds(values: np.ndarray, config: FieldConfig) -> bool:
-    b2 = Fraction(config.q, config.q - 1) ** 2
-    return all(
-        Fraction(float(re)) ** 2 + Fraction(float(im)) ** 2 <= b2
-        for re, im in zip(values.real, values.imag)
-    )
+    # |z|^2 <= (q/(q-1))^2 with z = (re + i im)/den, cleared of denominators
+    (re, im), den = dyadic_ints(np.stack([values.real, values.imag]))
+    q = config.q
+    return bool(np.all((re**2 + im**2) * (q - 1) ** 2 <= (q * den) ** 2))
 
 
 def validate_atom(a: AngularKernel | TestFunction) -> AtomCheck:

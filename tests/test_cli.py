@@ -112,6 +112,24 @@ def test_bad_corpus_keys_exit_2_with_key_path(tmp_path, capsys, corpus, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, in_file", [
+    ("inf", None), ("nan", None), ("-1", None), ("0", None), ("1,-inf", None), ("abc", None),
+    (None, [True]), (None, ["0.5"]), (None, [float("nan")]), (None, [0]), (None, [10**400]),
+    (None, 1.0),
+])
+def test_bad_lambda_exits_2_with_key_path(tmp_path, capsys, flag, in_file):
+    # the input is never read: the threshold list is refused first
+    args = ["cz-decompose", str(tmp_path / "unread.json"), "--out", str(tmp_path / "o")]
+    if flag is not None:
+        args.append(f"--lambda={flag}")
+    else:
+        cfg = write_json(tmp_path / "cfg.json", {"parameters": {"lambda_list": in_file}})
+        args += ["--config", cfg]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: parameters.lambda_list: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/cfg.json")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from localfield.functions import (
     refine,
 )
 
+import cz_oracle
 from util import CONFIGS
 
 
@@ -99,6 +101,9 @@ def test_cz_rejections():
         cz_decompose(f, 0.0, 0)
     with pytest.raises(ValueError):
         cz_decompose(f, -1.0, 0)
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            cz_decompose(f, lam, 0)
     neg = TestFunction(config, 0, 1, [-1.0, 0.5])
     with pytest.raises(ValueError):
         cz_decompose(neg, 1.0, 0)
@@ -206,6 +211,186 @@ def test_cz_serialization_is_json_ready():
     assert parsed["lambda"] == 1.0
     assert parsed["ball_averages"] == [[q, 1]]
     assert parsed["exceptional_measure"] == [1, q]
+
+
+# -- the integer core against the Fraction oracle and adversarial inputs
+
+
+def assert_same_split(new: CZDecomposition, old: CZDecomposition):
+    assert new.lam == old.lam
+    assert new.balls == old.balls
+    assert new.ball_averages == old.ball_averages
+    assert all(type(avg) is Fraction for avg in new.ball_averages)
+    assert new.exceptional_measure == old.exceptional_measure
+    for new_part, old_part in ((new.bad_part, old.bad_part), (new.good_part, old.good_part)):
+        assert (new_part.a, new_part.l) == (old_part.a, old_part.l)
+        assert new_part.values.tobytes() == old_part.values.tobytes()
+
+
+def assert_matches_oracle(f: TestFunction, lam: float, start_scale: int) -> CZDecomposition:
+    dec = cz_decompose(f, lam, start_scale)
+    assert_same_split(dec, cz_oracle.cz_decompose(f, lam, start_scale))
+    clauses, metrics = check_cz_clauses(f, dec)
+    assert all(type(v) is bool for v in clauses.values())
+    assert (clauses, metrics) == cz_oracle.check_cz_clauses(f, dec)
+    return dec
+
+
+def test_cz_matches_fraction_oracle_on_criterion_4_inputs():
+    # the generator of acceptance criterion 4, draw for draw
+    rng = np.random.default_rng(1004)
+    factors = (1.02, 1.3, 3.0)
+    selections = 0
+    for config in CONFIGS:
+        for i in range(50):
+            a = int(rng.integers(-1, 1))
+            l = a + 2 + int(config.p == 2)
+            f = TestFunction(config, a, l, rng.uniform(0.2, 1.0, config.p ** (l - a)))
+            mean = sum(Fraction(v) for v in f.values.real) / f.values.size
+            selections += len(assert_matches_oracle(f, float(mean) * factors[i % 3], a).balls)
+    assert selections > 50
+
+
+def sweep_values(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "sparse":  # mostly zeros: spikes select small balls next to empty ones
+        return rng.random(n) * (rng.random(n) < 0.2)
+    if kind == "dyadic":  # small integers: ball averages hit lambda exactly
+        return rng.integers(0, 4, n).astype(np.float64)
+    if kind == "heavy":
+        return rng.pareto(1.5, n)
+    if kind == "powers":  # sparse powers of two: lambda one ulp below 1/8 is finer than the cells
+        return 2.0 ** -rng.integers(1, 4, n) * (rng.random(n) < 0.15)
+    # tiny next to large: the common denominator spans the whole double range
+    vals = rng.random(n)
+    vals[rng.integers(n, size=3)] = 5e-324
+    vals[rng.integers(n, size=3)] = 1e-300
+    vals[rng.integers(n)] = 1.0
+    vals[rng.integers(n)] = 0.0
+    return vals
+
+
+def hits_threshold(f: TestFunction, lam: float) -> bool:
+    # some coset below the root averages exactly lam: the strict comparison decides
+    vals, q = f.values.real, f.config.q
+    return any(np.any(vals.reshape(-1, q**d).mean(axis=0) == lam) for d in range(1, f.l - f.a + 1))
+
+
+def test_cz_matches_fraction_oracle_on_seeded_sweep():
+    rng = np.random.default_rng(20260611)
+    windows = {CONFIGS[0]: (-3, 4), CONFIGS[1]: (-2, 3), CONFIGS[2]: (0, 6), CONFIGS[3]: (-1, 3)}
+    kinds = ("uniform", "sparse", "dyadic", "heavy", "powers", "tiny")
+    selections = ties = 0
+    for config in CONFIGS:
+        a, l = windows[config]
+        for kind in kinds:
+            for _ in range(4):
+                f = TestFunction(config, a, l, sweep_values(rng, config.q ** (l - a), kind))
+                mean = float(integral(f).real) * config.q**a  # average over P^a
+                for lam in (mean * 1.05, mean * 2.5, 1.5, 2.0, np.nextafter(0.125, 0)):
+                    if lam <= 0 or lam < mean:
+                        continue
+                    dec = assert_matches_oracle(f, lam, a)
+                    selections += len(dec.balls)
+                    ties += hits_threshold(f, lam)
+    assert selections > 500 and ties > 10
+
+
+def test_cz_matches_fraction_oracle_with_larger_starting_ball():
+    rng = np.random.default_rng(5)
+    for config in CONFIGS:
+        f = TestFunction(config, 0, 3, sweep_values(rng, config.q**3, "tiny"))
+        assert_matches_oracle(f, 0.3, -2)
+
+
+def audited_split():
+    f = TestFunction(CONFIGS[0], -2, 4, np.random.default_rng(17).random(64))
+    dec = cz_decompose(f, 0.9, -2)
+    clauses, _ = check_cz_clauses(f, dec)
+    assert len(dec.balls) >= 2 and all(clauses.values())
+    return f, dec, clauses
+
+
+def test_cz_audit_flags_duplicated_and_nested_balls():
+    f, dec, _ = audited_split()
+    first, avg = dec.balls[0], dec.ball_averages[0]
+    assert first.scale > f.a + 1
+    parent = Ball(first.center, first.scale - 1)
+    for extra in (first, parent):
+        bad = replace(dec, balls=dec.balls + (extra,), ball_averages=dec.ball_averages + (avg,))
+        got, _ = check_cz_clauses(f, bad)
+        assert got["balls_disjoint"] is False
+        assert got == cz_oracle.check_cz_clauses(f, bad)[0]
+
+
+def test_cz_audit_flags_tampered_ball_average():
+    f, dec, _ = audited_split()
+    avgs = (dec.ball_averages[0] + Fraction(1, 10**30),) + dec.ball_averages[1:]
+    tampered = replace(dec, ball_averages=avgs)
+    got, _ = check_cz_clauses(f, tampered)
+    assert got["bad_mean_zero_per_ball"] is False
+    assert got == cz_oracle.check_cz_clauses(f, tampered)[0]
+
+
+def test_cz_audit_flags_good_view_one_ulp_off():
+    f, dec, clauses = audited_split()
+    w = Window(f.config, dec.good_part.a, dec.good_part.l)
+    cell = w.index_of(dec.balls[0].center)
+    good = np.array(dec.good_part.values)
+    good[cell] = np.nextafter(good[cell].real, np.inf)
+    tampered = replace(dec, good_part=TestFunction(f.config, w.a, w.l, good))
+    got, metrics = check_cz_clauses(f, tampered)
+    assert (got, metrics) == cz_oracle.check_cz_clauses(f, tampered)
+    assert got == {**clauses, "sum_identity": False}
+
+
+def random_balls(rng: np.random.Generator, w: Window, count: int) -> tuple:
+    return tuple(
+        Ball(w.element(int(rng.integers(w.size))), int(rng.integers(w.a + 1, w.l + 1)))
+        for _ in range(count)
+    )
+
+
+def test_cz_coverage_count_matches_pairwise_intersects():
+    rng = np.random.default_rng(404)
+    outcomes = set()
+    for config in CONFIGS:
+        a, l = -1, 3
+        w = Window(config, a, l)
+        f = TestFunction(config, a, l, rng.random(w.size))
+        dec = cz_decompose(f, 1.0, a)  # selects nothing; the balls come from the sweep
+        for _ in range(60):
+            balls = random_balls(rng, w, int(rng.integers(1, 6)))
+            pairwise = all(
+                not b1.intersects(b2) for i, b1 in enumerate(balls) for b2 in balls[i + 1:]
+            )
+            fake = replace(dec, balls=balls, ball_averages=(Fraction(1, 2),) * len(balls))
+            got, _ = check_cz_clauses(f, fake)
+            assert got["balls_disjoint"] is pairwise
+            outcomes.add(pairwise)
+    assert outcomes == {True, False}
+
+
+def test_cz_audit_never_compares_ball_pairs(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("the audit compared a pair of balls")
+
+    monkeypatch.setattr(Ball, "intersects", refuse)
+    config = CONFIGS[0]
+    f = TestFunction(config, -7, 7, np.random.default_rng(0).random(16384))
+    dec = cz_decompose(f, 0.9, -7)
+    clauses, metrics = check_cz_clauses(f, dec)
+    assert all(clauses.values()) and metrics["ball_count"] > 1000
+
+
+def test_cz_audit_rejects_balls_the_window_cannot_represent():
+    f, dec, _ = audited_split()  # window (-2, 4)
+    zero = FieldElement.zero(f.config)
+    outside = FieldElement.make(f.config, -3, [1])  # center outside P^-2
+    for ball in (Ball(outside, 0), Ball(zero, 5), Ball(zero, -2)):
+        with pytest.raises(ValueError, match="proper coset"):
+            check_cz_clauses(f, replace(dec, balls=(ball,), ball_averages=(Fraction(1),)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from localfield.functions import (
     canonicalize,
     coarsen_resolution,
     convolve,
+    dyadic_ints,
     evaluate,
     from_indicator_combo,
     functions_agree,
@@ -295,3 +296,20 @@ class TestMinkowskiCountingForm:
                 pointwise = (mags**r).sum(axis=0) ** (1 / r)
                 rhs = pointwise.sum() * meas
                 assert lhs <= rhs * (1 + 1e-9)
+
+
+def test_dyadic_ints_are_exact():
+    rng = np.random.default_rng(12)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -2.5, 2.0**60, 1.7976931348623157e308]
+    spread = rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-300, 300, (3, 7))
+    for vals in (np.array(edge), spread):
+        ints, den = dyadic_ints(vals)
+        assert ints.shape == vals.shape and ints.dtype == object
+        assert den & (den - 1) == 0  # a power of two
+        assert all(type(n) is int and Fraction(n, den) == Fraction(x)
+                   for n, x in zip(ints.ravel(), vals.ravel()))
+    ints, den = dyadic_ints(np.zeros(0))
+    assert ints.shape == (0,) and den == 1
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            dyadic_ints([1.0, bad])

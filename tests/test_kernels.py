@@ -11,6 +11,9 @@ from localfield.field import FieldConfig, FieldElement, Window, add, prime_shift
 from localfield.functions import TestFunction, evaluate, functions_agree, integral, lr_norm, refine
 from localfield.kernels import (
     AngularKernel,
+    _exactly_mean_zero,
+    _snap_zero_sum,
+    _sup_bound_holds,
     atomic_decompose,
     evaluate_homogeneous,
     h1_upper_bound,
@@ -229,6 +232,51 @@ def test_atom_as_test_function():
     bad[np.flatnonzero(w.valuation_levels() == -1)[0]] = 0.25
     chk = validate_atom(TestFunction(Q2, -1, 2, bad))
     assert not chk.valid and chk.violation == "support"
+
+
+def fraction_sup_bound_holds(values, q: int) -> bool:
+    bound = Fraction(q, q - 1) ** 2
+    return all(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 <= bound for z in values)
+
+
+def test_sup_bound_matches_fraction_next_to_the_bound():
+    # 0.9^2 + 1.2^2 rounds to 2.25 = (3/2)^2 in floats; exactly it is below
+    assert _sup_bound_holds(np.array([0.9 + 1.2j]), Q3) is True
+    assert fraction_sup_bound_holds([0.9 + 1.2j], 3)
+    assert _sup_bound_holds(np.array([2.0 + 0j]), Q2) is True
+    assert _sup_bound_holds(np.array([complex(np.nextafter(2.0, 3.0), 0)]), Q2) is False
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for config in (Q2, Q3):
+        q = config.q
+        for _ in range(200):
+            r = q / (q - 1) * (1 + int(rng.integers(-4, 5)) * 2.0**-52)
+            z = r * np.exp(2j * np.pi * rng.random(3))
+            z[rng.integers(3)] = complex(5e-324, -1e-300)
+            expected = fraction_sup_bound_holds(z, q)
+            assert _sup_bound_holds(z, config) is expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_exact_mean_matches_fraction():
+    rng = np.random.default_rng(9)
+    for config in CONFIGS:
+        n = sphere_cell_count(config, 3)
+        for tiny in (False, True):
+            v = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            if tiny:
+                v[:3] = [5e-324, 1e-300j, -1e-300 + 5e-324j]
+            k = make_kernel(config, v, 3)
+            sums = [sum(map(Fraction, part), Fraction(0)) for part in (v.real, v.imag)]
+            assert k.is_mean_zero is (sums == [0, 0])
+            mean = complex(float(sums[0] / n), float(sums[1] / n))
+            expected = make_kernel(config, _snap_zero_sum(v - mean), 3)
+            assert mean_zero_project(k).values.tobytes() == expected.values.tobytes()
+    # cancellation down to a subnormal: the float sum is 0, the exact sum is not
+    assert sum([1.0, 5e-324, -1.0, 0.0]) == 0
+    assert not make_kernel(Q2, [1.0, 5e-324, -1.0, 0.0], 3).is_mean_zero
+    assert _exactly_mean_zero(np.array([1e-300, -1e-300, 5e-324, -5e-324]))
 
 
 # -- atomic decomposition
