@@ -30,15 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import (besov_norm, check_cz_clauses, cz_decompose,
-                     lebesgue_norm_report, triebel_lizorkin_norm)
+from .decomp import check_cz_clauses, cz_decompose, lebesgue_norm_report, lp_norm_table
 from .field import FieldConfig
 from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
 from .operators import apply_truncated, output_spec
-from .verify import (DEFAULT_SRT_LIST, emit_report, exact_checks_pass,
-                     run_verification)
+from .verify import (DEFAULT_SRT_LIST, check_lebesgue_exponent, check_srt, emit_report,
+                     exact_checks_pass, run_verification)
 
 CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
 WINDOW_CELL_CAP = 65536
@@ -154,7 +153,31 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _validate(raw: dict, override_window_cap: bool) -> RunConfig:
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_real(x):
+    if not _is_real(x):
+        raise ValueError(f"expected a real number, got {x!r}")
+
+
+def _check_real_triple(x):
+    if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_real, x))):
+        raise ValueError(f"expected s:r:t triples of reals, got {x!r}")
+
+
+def _check_each(key: str, items, check):
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {items!r}")
+    for item in items:
+        try:
+            check(item)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+
+
+def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunConfig:
     p = raw["field"].get("p")
     mode = raw["field"].get("mode")
     try:
@@ -189,20 +212,29 @@ def _validate(raw: dict, override_window_cap: bool) -> RunConfig:
             f"corpus.kernel_resolutions: expected a list of integers >= 1, got {resolutions!r}")
 
     checks = raw["checks"]
+    if not isinstance(checks, (list, tuple)):
+        raise ConfigError(f"checks: expected a list of check names, got {checks!r}")
     for name in checks:
         if name not in CHECK_NAMES:
             raise ConfigError(f"checks: unknown check name {name!r}; expected from {CHECK_NAMES}")
 
+    k_list = raw["truncations"]["k_list"]
+    if not isinstance(k_list, (list, tuple)) or not all(map(_is_int, k_list)):
+        raise ConfigError(f"truncations.k_list: expected a list of integers, got {k_list!r}")
+
     lambdas = raw["parameters"]["lambda_list"]
     if not isinstance(lambdas, (list, tuple)) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            and 0 < x <= sys.float_info.max for x in lambdas):
+            _is_real(x) and 0 < x <= sys.float_info.max for x in lambdas):
         raise ConfigError(
             f"parameters.lambda_list: expected a list of finite reals > 0, got {lambdas!r}")
 
-    for trip in raw["parameters"]["srt_list"]:
-        if not isinstance(trip, (list, tuple)) or len(trip) != 3:
-            raise ConfigError(f"parameters.srt_list: expected s:r:t triples, got {trip!r}")
+    # verify needs the theorems' exponent ranges; the norms command takes any
+    # exponents the norm functions accept, and they check those themselves
+    verifying = command == "verify"
+    _check_each("parameters.r_list", raw["parameters"]["r_list"],
+                check_lebesgue_exponent if verifying else _check_real)
+    _check_each("parameters.srt_list", raw["parameters"]["srt_list"],
+                check_srt if verifying else _check_real_triple)
 
     for fmt in raw["output"]["formats"]:
         if fmt not in ("json", "csv"):
@@ -220,11 +252,13 @@ def _validate(raw: dict, override_window_cap: bool) -> RunConfig:
 
 
 def parse_config(path=None, overrides: dict | None = None,
-                 override_window_cap: bool = False) -> RunConfig:
+                 override_window_cap: bool = False, command: str | None = None) -> RunConfig:
     """Assemble a RunConfig from defaults, an optional file, and overrides.
 
     overrides is a flat dict keyed by dotted paths ("field.p", "corpus.seed",
     "window", ...); values there win over the file, the file over defaults.
+    With command "verify", parameters.r_list and parameters.srt_list must
+    also lie in the ranges the verify protocols measure.
     """
     raw = _defaults()
     if path is not None:
@@ -247,7 +281,7 @@ def parse_config(path=None, overrides: dict | None = None,
         for part in parts[:-1]:
             node = node[part]
         node[parts[-1]] = value
-    return _validate(raw, override_window_cap)
+    return _validate(raw, override_window_cap, command)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +296,11 @@ def _parse_window(text: str) -> list:
         raise ConfigError(f"window: expected A:L (e.g. -3:3), got {text!r}") from None
 
 
-def _parse_ints(text: str) -> list:
+def _parse_ints(text: str, key: str) -> list:
     try:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise ConfigError(f"{key}: expected a comma-separated integer list, got {text!r}") from None
 
 
 def _parse_floats(text: str, key: str) -> list:
@@ -354,7 +388,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "output.directory": args.out,
         "output.formats": _FORMAT_CHOICES[args.format] if args.format else None,
         "checks": args.checks.split(",") if args.checks else None,
-        "truncations.k_list": _parse_ints(args.k) if args.k else None,
+        "truncations.k_list": _parse_ints(args.k, "truncations.k_list") if args.k else None,
         "parameters.r_list": _parse_floats(args.r, "parameters.r_list") if args.r else None,
         "parameters.srt_list": _parse_srt(args.srt) if args.srt else None,
         "parameters.lambda_list": (_parse_floats(args.lambda_list, "parameters.lambda_list")
@@ -504,11 +538,11 @@ def _cmd_cz(cfg: RunConfig, args) -> tuple[dict, list]:
 
 def _cmd_norms(cfg: RunConfig, args) -> tuple[dict, list]:
     f = _load_function(args.input, cfg.field)
+    table = lp_norm_table(f, cfg.srt_list)
     reports = []
     checks = []
     for s, r, t in cfg.srt_list:
-        b = besov_norm(f, s, r, t)
-        fl = triebel_lizorkin_norm(f, s, r, t)
+        b, fl = table[("B", (s, r, t))], table[("F", (s, r, t))]
         reports.extend([b.to_dict(), fl.to_dict()])
         if r == t:
             gap = abs(b.value - fl.value)
@@ -604,7 +638,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, _overrides_from_args(args),
-                           args.override_window_cap)
+                           args.override_window_cap, args.command)
         if args.command == "verify":
             return _cmd_verify(cfg)
         if args.command == "transform":

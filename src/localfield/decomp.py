@@ -14,7 +14,9 @@ Littlewood-Paley blocks are spectral-indicator multipliers: block 0 keeps
 every frequency of absolute value at most 1, block j >= 1 keeps the shell
 of absolute value q^j.  Besov norms aggregate block r-norms in j; the
 Triebel-Lizorkin norms aggregate pointwise in x first.  The two families
-coincide when r = t.
+coincide when r = t.  besov_norm and triebel_lizorkin_norm build the blocks
+for one norm; lp_norm_table builds them once and serves every (s, r, t)
+triple in both spaces from that one stack, through the same two formulas.
 
 verify_unity_decomposition checks the indicator family's support and
 partition-of-unity conditions exactly and measures the smoothness-decay
@@ -323,31 +325,66 @@ def _check_exponents(r: float, t: float):
         raise ValueError(f"summation exponent t = {t} must be a finite real >= 1")
 
 
+def _besov_value(blocks, norms, s: float, t: float) -> float:
+    # norms[i] is ||blocks[i].block||_r
+    q = float(blocks[0].block.config.q)
+    terms = [q ** (s * b.j * t) * n ** t for b, n in zip(blocks, norms)]
+    return math.fsum(terms) ** (1.0 / t)
+
+
+def _triebel_lizorkin_value(blocks, moduli, s: float, r: float, t: float) -> float:
+    # moduli[i] is |blocks[i].block| cell by cell
+    config = blocks[0].block.config
+    q = float(config.q)
+    stacked = np.array([q ** (s * b.j * t) * m ** t for b, m in zip(blocks, moduli)])
+    pointwise = np.sum(stacked, axis=0) ** (r / t)
+    l = blocks[0].block.l
+    return (math.fsum(pointwise) * q_power(config.q, -l)) ** (1.0 / r)
+
+
+def _moduli(blocks) -> list:
+    return [np.hypot(b.block.values.real, b.block.values.imag) for b in blocks]
+
+
 def besov_norm(f: TestFunction, s: float, r: float, t: float) -> NormReport:
     """(sum_j q^{sjt} ||block_j||_r^t)^{1/t} over the finitely many live blocks."""
     _check_exponents(r, t)
-    q = float(f.config.q)
-    terms = [
-        q ** (s * b.j * t) * lr_norm(b.block, r) ** t for b in _all_blocks(f)
-    ]
-    return NormReport("B", float(s), float(r), float(t), math.fsum(terms) ** (1.0 / t))
+    blocks = _all_blocks(f)
+    value = _besov_value(blocks, [lr_norm(b.block, r) for b in blocks], s, t)
+    return NormReport("B", float(s), float(r), float(t), value)
 
 
 def triebel_lizorkin_norm(f: TestFunction, s: float, r: float, t: float) -> NormReport:
     """(int (sum_j q^{sjt} |block_j(x)|^t)^{r/t} dx)^{1/r}, blocks on one window."""
     _check_exponents(r, t)
     blocks = _all_blocks(f)
-    q = float(f.config.q)
-    stacked = np.array(
-        [
-            q ** (s * b.j * t) * np.hypot(b.block.values.real, b.block.values.imag) ** t
-            for b in blocks
-        ]
-    )
-    pointwise = np.sum(stacked, axis=0) ** (r / t)
-    l = blocks[0].block.l
-    value = (math.fsum(pointwise) * q_power(f.config.q, -l)) ** (1.0 / r)
+    value = _triebel_lizorkin_value(blocks, _moduli(blocks), s, r, t)
     return NormReport("F", float(s), float(r), float(t), value)
+
+
+def lp_norm_table(f: TestFunction, srt_list) -> dict:
+    """Every B and F norm of f over srt_list, from one block stack.
+
+    Maps (space, (s, r, t)) to the NormReport that besov_norm (space "B")
+    or triebel_lizorkin_norm (space "F") returns for that triple, bit for
+    bit.  The blocks are built once, each block's r-norm once per distinct
+    r and each block's modulus once.
+    """
+    srt_list = [tuple(srt) for srt in srt_list]
+    for _, r, t in srt_list:
+        _check_exponents(r, t)
+    if not srt_list:
+        return {}
+    blocks = _all_blocks(f)
+    norms = {r: [lr_norm(b.block, r) for b in blocks] for r in {r for _, r, _ in srt_list}}
+    moduli = _moduli(blocks)
+    table = {}
+    for s, r, t in srt_list:
+        exps = (float(s), float(r), float(t))
+        table[("B", (s, r, t))] = NormReport("B", *exps, _besov_value(blocks, norms[r], s, t))
+        table[("F", (s, r, t))] = NormReport(
+            "F", *exps, _triebel_lizorkin_value(blocks, moduli, s, r, t))
+    return table
 
 
 def lebesgue_norm_report(f: TestFunction, r: float) -> NormReport:

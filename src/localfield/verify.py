@@ -25,13 +25,14 @@ import io
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .decomp import besov_norm, triebel_lizorkin_norm
+from .decomp import lp_norm_table
 from .field import Ball, FieldConfig, FieldElement, q_power
 from .functions import (
     TestFunction,
@@ -194,11 +195,29 @@ def _estimate(rows) -> OperatorNormEstimate:
     return OperatorNormEstimate(tuple(rows), sup, sup)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_lebesgue_exponent(r) -> None:
+    """Raise ValueError unless r is a real with 1 < r < inf."""
+    if not (_is_real(r) and 1 < r < math.inf):
+        raise ValueError(f"Lebesgue exponent r = {r!r} must satisfy 1 < r < inf")
+
+
+def check_srt(srt) -> None:
+    """Raise ValueError unless srt is a triple of reals (s, r, t) with s > 0 and 1 < r, t < inf."""
+    if not (isinstance(srt, (list, tuple)) and len(srt) == 3 and all(map(_is_real, srt))):
+        raise ValueError(f"expected an (s, r, t) triple of reals, got {srt!r}")
+    s, r, t = srt
+    if not (s > 0 and 1 < r < math.inf and 1 < t < math.inf):
+        raise ValueError(f"(s, r, t) = {(s, r, t)} must satisfy s > 0 and 1 < r, t < inf")
+
+
 def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstimate:
     """ratio = ||T_k f||_r / (q^{-k} h1(kernel) ||f||_r) for the full grid."""
     for r in r_list:
-        if not (1 < r < math.inf):
-            raise ValueError(f"Lebesgue exponent r = {r} must satisfy 1 < r < inf")
+        check_lebesgue_exponent(r)
     q = corpus.config.q
     h1s = [h1_upper_bound(kern) for kern in corpus.kernels]
     rows = []
@@ -235,36 +254,34 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
     ||g_j * f||_F / ||f||_F for the decomposition atoms: reading B on the
     unit sphere at j = -1 (where both readings agree and the bound 1 is a
     theorem), reading A on the shells j = 0, 1 as measurements only.
+
+    One Littlewood-Paley block stack serves every exponent triple: each
+    corpus function, each T_k f and each piece convolution g_j * f builds
+    its blocks once (lp_norm_table), and each g_j * f is convolved once.
     """
-    for s, r, t in srt_list:
-        if not (s > 0 and 1 < r < math.inf and 1 < t < math.inf):
-            raise ValueError(
-                f"(s, r, t) = {(s, r, t)} must satisfy s > 0 and 1 < r, t < inf"
-            )
+    for srt in srt_list:
+        check_srt(srt)
+    srt_list = [tuple(srt) for srt in srt_list]
     q = corpus.config.q
     h1s = [h1_upper_bound(kern) for kern in corpus.kernels]
-    norm_of = {"B": besov_norm, "F": triebel_lizorkin_norm}
+    tables_f = [lp_norm_table(f, srt_list) for f in corpus.functions]
     rows = []
     for fi, f in enumerate(corpus.functions):
-        norms_f = {
-            (space, srt): norm_of[space](f, *srt).value
-            for space in ("B", "F")
-            for srt in srt_list
-        }
         for ki, kern in enumerate(corpus.kernels):
             for k in k_list:
                 tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                table_tkf = lp_norm_table(tkf, srt_list)
                 scale = q_power(q, -k) * h1s[ki]
                 for srt in srt_list:
                     for space in ("B", "F"):
-                        nf = norms_f[(space, srt)]
+                        nf = tables_f[fi][(space, srt)].value
                         if nf == 0:
                             log.info("skipping degenerate entry %s: %s-norm 0",
                                      _entry_id(fi, ki), space)
                             continue
-                        num = norm_of[space](tkf, *srt).value
+                        num = table_tkf[(space, srt)].value
                         ratio = 0.0 if num == 0 else num / (scale * nf)
-                        rows.append((_entry_id(fi, ki), k, (space,) + tuple(srt), ratio))
+                        rows.append((_entry_id(fi, ki), k, (space,) + srt, ratio))
 
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
@@ -272,25 +289,20 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
             ("A", j, shell_piece(atom, j)) for j in (0, 1)
         ]
         for reading, j, piece in pieces:
-            for srt in srt_list:
-                worst = 0.0
-                for f in corpus.functions:
-                    nf = triebel_lizorkin_norm(f, *srt).value
-                    if nf == 0:
-                        continue
-                    num = triebel_lizorkin_norm(convolve(piece, f), *srt).value
-                    worst = max(worst, num / nf)
-                piece_rows.append(
-                    {
-                        "atom": atom_id,
-                        "reading": reading,
-                        "j": j,
-                        "s": srt[0],
-                        "r": srt[1],
-                        "t": srt[2],
-                        "ratio": worst,
-                    }
-                )
+            worst = [0.0] * len(srt_list)
+            for f, table_f in zip(corpus.functions, tables_f):
+                live = [i for i, srt in enumerate(srt_list) if table_f[("F", srt)].value != 0]
+                if not live:
+                    continue
+                table_g = lp_norm_table(convolve(piece, f), srt_list)
+                for i in live:
+                    key = ("F", srt_list[i])
+                    worst[i] = max(worst[i], table_g[key].value / table_f[key].value)
+            piece_rows.extend(
+                {"atom": atom_id, "reading": reading, "j": j,
+                 "s": s, "r": r, "t": t, "ratio": ratio}
+                for (s, r, t), ratio in zip(srt_list, worst)
+            )
     return _estimate(rows), piece_rows
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from localfield import verify
 from localfield.cli import ConfigError, main, parse_config
 from localfield.field import Ball, FieldConfig, FieldElement
 from localfield.functions import TestFunction, from_indicator_combo, refine
@@ -128,6 +129,51 @@ def test_bad_lambda_exits_2_with_key_path(tmp_path, capsys, flag, in_file):
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: parameters.lambda_list: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("in_file, says", [
+    ({"parameters": {"srt_list": [["a", 2, 2]]}}, "parameters.srt_list: expected an (s, r, t)"),
+    ({"parameters": {"srt_list": [[0.5, 2, "inf"]]}}, "parameters.srt_list: expected an (s, r, t)"),
+    ({"parameters": {"srt_list": [[0, 2, 2]]}}, "parameters.srt_list: (s, r, t) = (0, 2, 2)"),
+    ({"parameters": {"srt_list": [[0.5, 1, 2]]}}, "parameters.srt_list: (s, r, t) = (0.5, 1, 2)"),
+    ({"parameters": {"srt_list": [[0.5, 2, float("inf")]]}}, "parameters.srt_list: (s, r, t) ="),
+    ({"parameters": {"srt_list": [[0.5, 2]]}}, "parameters.srt_list: expected an (s, r, t)"),
+    ({"parameters": {"srt_list": [[True, 2, 2]]}}, "parameters.srt_list: expected an (s, r, t)"),
+    ({"parameters": {"srt_list": "0.5:2:2"}}, "parameters.srt_list: expected a list"),
+    ({"parameters": {"r_list": [1.0]}}, "parameters.r_list: Lebesgue exponent r = 1.0"),
+    ({"parameters": {"r_list": ["2"]}}, "parameters.r_list: Lebesgue exponent r = '2'"),
+    ({"parameters": {"r_list": 2.0}}, "parameters.r_list: expected a list"),
+    ({"truncations": {"k_list": "abc"}}, "truncations.k_list: expected a list of integers"),
+    ({"truncations": {"k_list": [0, 1.5]}}, "truncations.k_list: expected a list of integers"),
+    ({"truncations": {"k_list": [False]}}, "truncations.k_list: expected a list of integers"),
+    ({"checks": "lebesgue"}, "checks: expected a list of check names"),
+])
+def test_bad_verify_parameters_exit_2_before_the_corpus(tmp_path, capsys, monkeypatch,
+                                                         in_file, says):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("the corpus was built before the config was refused")
+
+    monkeypatch.setattr(verify, "generate_corpus", no_corpus)
+    path = write_json(tmp_path / "cfg.json", in_file)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {says}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_k_flag_names_its_key(tmp_path, capsys):
+    assert main(["apply-tk", str(DATA / "fn_q2.json"), "--kernel", str(DATA / "kern_q2.json"),
+                 "--k=abc", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: truncations.k_list: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_norms_keeps_exponents_outside_the_verify_ranges(tmp_path):
+    # s = 0 and r = 1 are norms, though not verify parameters
+    out = tmp_path / "out"
+    assert main(["norms", unit_ball_file(tmp_path), "--srt", "0:1:1", "--r", "1",
+                 "--out", str(out)]) == 0
+    values = [rep["value"] for rep in json.loads((out / "norms.json").read_text())["reports"]]
+    assert values == pytest.approx([1.0, 1.0, 1.0], abs=1e-11)
 
 
 def test_missing_config_file():

@@ -17,6 +17,7 @@ from localfield.decomp import (
     cz_decompose,
     lebesgue_norm_report,
     littlewood_paley,
+    lp_norm_table,
     triebel_lizorkin_norm,
     verify_unity_decomposition,
 )
@@ -32,6 +33,7 @@ from localfield.functions import (
     pointwise_combine,
     refine,
 )
+from localfield.verify import DEFAULT_SRT_LIST
 
 import cz_oracle
 from util import CONFIGS
@@ -555,6 +557,35 @@ def test_norm_exponent_validation():
             besov_norm(f, 0.0, bad_r, bad_t)
         with pytest.raises(ValueError):
             triebel_lizorkin_norm(f, 0.0, bad_r, bad_t)
+
+
+# DEFAULT_SRT_LIST plus exponents outside the verify ranges, a repeated r
+# with a new t, and a repeated triple
+TABLE_SRT = DEFAULT_SRT_LIST + ((0.0, 1.0, 1.0), (-1.0, 2.0, 1.0), (0.75, 2.0, 3.5),
+                                (0.5, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_lp_norm_table_equals_single_norms_bit_for_bit(config):
+    rng = np.random.default_rng(43)
+    # a > 0 takes the padded path; l <= 0 leaves block 0 alone
+    windows = [(-1, 2), (1, 3), (-2, 0), (-2, -1)]
+    inputs = [random_fn(rng, config, a, l) for a, l in windows]
+    inputs += [refine(unit_ball(config), -1, 2), TestFunction.zero(config, -1, 2)]
+    for f in inputs:
+        table = lp_norm_table(f, TABLE_SRT)
+        assert set(table) == {(space, srt) for space in "BF" for srt in TABLE_SRT}
+        for srt in TABLE_SRT:
+            assert table[("B", srt)] == besov_norm(f, *srt)
+            assert table[("F", srt)] == triebel_lizorkin_norm(f, *srt)
+    assert lp_norm_table(inputs[0], []) == {}
+
+
+def test_lp_norm_table_exponent_validation():
+    f = unit_ball(CONFIGS[0])
+    for bad_r, bad_t in [(0.5, 2.0), (2.0, 0.0), (math.inf, 2.0), (2.0, math.inf)]:
+        with pytest.raises(ValueError):
+            lp_norm_table(f, [(1.0, 2.0, 2.0), (0.0, bad_r, bad_t)])
 
 
 def test_norm_report_serialization():

@@ -7,9 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate
+from localfield import decomp, verify
+from localfield.decomp import besov_norm, triebel_lizorkin_norm
+from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate, q_power
 from localfield.functions import (
     TestFunction,
+    convolve,
     evaluate,
     from_indicator_combo,
     lr_norm,
@@ -19,6 +22,8 @@ from localfield.functions import (
 )
 from localfield.kernels import (
     evaluate_homogeneous,
+    h1_upper_bound,
+    kernel_as_test_function,
     make_kernel,
     mean_zero_project,
     shell_piece,
@@ -128,7 +133,7 @@ def test_corpus_rejections():
 
 def test_lebesgue_rejects_endpoint_exponents():
     corpus = small_corpus()
-    for bad in (1.0, 0.5, math.inf):
+    for bad in (1.0, 0.5, math.inf, "2", True):
         with pytest.raises(ValueError):
             check_lebesgue_theorem(corpus, [0], [bad])
 
@@ -222,7 +227,8 @@ def test_telescoping_shells_between_truncations():
 
 def test_besov_tl_rejects_bad_parameters():
     corpus = small_corpus()
-    for bad in [(0.0, 2.0, 2.0), (0.5, 1.0, 2.0), (0.5, 2.0, math.inf)]:
+    for bad in [(0.0, 2.0, 2.0), (0.5, 1.0, 2.0), (0.5, 2.0, math.inf), ("a", 2.0, 2.0),
+                (0.5, 2.0), 0.5]:
         with pytest.raises(ValueError):
             check_besov_tl_theorem(corpus, [0], [bad])
 
@@ -260,6 +266,75 @@ def test_piece_bound_reading_a_can_exceed_one():
     _, pieces = check_besov_tl_theorem(corpus, [0], [(0.5, 2.0, 2.0)])
     a_ratios = [p["ratio"] for p in pieces if p["reading"] == "A" and p["j"] == 1]
     assert max(a_ratios) > 1
+
+
+def single_norm_besov_tl(corpus, k_list, srt_list):
+    # the protocol computed one norm call at a time, as the definition reads
+    norm_of = {"B": besov_norm, "F": triebel_lizorkin_norm}
+    q = corpus.config.q
+    rows = []
+    for fi, f in enumerate(corpus.functions):
+        for ki, kern in enumerate(corpus.kernels):
+            for k in k_list:
+                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                scale = q_power(q, -k) * h1_upper_bound(kern)
+                for srt in srt_list:
+                    for space in ("B", "F"):
+                        nf = norm_of[space](f, *srt).value
+                        if nf == 0:
+                            continue
+                        num = norm_of[space](tkf, *srt).value
+                        ratio = 0.0 if num == 0 else num / (scale * nf)
+                        rows.append((f"f{fi}.w{ki}", k, (space,) + srt, ratio))
+    piece_rows = []
+    for atom_id, atom in verify._first_atoms(corpus):
+        pieces = [("B", -1, kernel_as_test_function(atom))] + [
+            ("A", j, shell_piece(atom, j)) for j in (0, 1)]
+        for reading, j, piece in pieces:
+            for s, r, t in srt_list:
+                worst = 0.0
+                for f in corpus.functions:
+                    nf = triebel_lizorkin_norm(f, s, r, t).value
+                    if nf != 0:
+                        num = triebel_lizorkin_norm(convolve(piece, f), s, r, t).value
+                        worst = max(worst, num / nf)
+                piece_rows.append({"atom": atom_id, "reading": reading, "j": j,
+                                   "s": s, "r": r, "t": t, "ratio": worst})
+    return rows, piece_rows
+
+
+@pytest.mark.parametrize("config", [Q2, L3], ids=lambda c: f"{c.mode}{c.p}")
+def test_besov_tl_equals_single_norm_route_bit_for_bit(config):
+    corpus = small_corpus(config, count=3, window=(-1, 2) if config.q == 3 else (-2, 2))
+    zero = TestFunction.zero(config, *corpus.window)
+    corpus = with_functions(corpus, list(corpus.functions) + [zero])
+    srt_list = [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0), (0.5, 3.0, 1.5)]
+    est, pieces = check_besov_tl_theorem(corpus, [-1, 0], srt_list)
+    rows, want_pieces = single_norm_besov_tl(corpus, [-1, 0], srt_list)
+    assert list(est.ratio_table) == rows
+    assert pieces == want_pieces
+    assert not any(row[0].startswith("f3.") for row in rows)  # zero function skipped
+
+
+def test_besov_tl_builds_each_block_stack_once(monkeypatch):
+    corpus = small_corpus(count=3)
+    k_list, srt_list = [-1, 0], [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)]
+    counts = {"blocks": 0, "convolve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(decomp, "_all_blocks", counted("blocks", decomp._all_blocks))
+    monkeypatch.setattr(verify, "convolve", counted("convolve", verify.convolve))
+    check_besov_tl_theorem(corpus, k_list, srt_list)
+    n, atoms = len(corpus.functions), len(verify._first_atoms(corpus))
+    assert atoms > 0
+    # one stack per f and per T_k f, then one per piece convolution
+    assert counts["blocks"] == n * (1 + len(corpus.kernels) * len(k_list)) + 3 * atoms * n
+    assert counts["convolve"] == 3 * atoms * n
 
 
 # ---------------------------------------------------------------------------
