@@ -180,8 +180,10 @@ def _check_each(key: str, items, check):
 def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunConfig:
     p = raw["field"].get("p")
     mode = raw["field"].get("mode")
+    if not _is_int(p):
+        raise ConfigError(f"field.p: expected a prime integer, got {p!r}")
     try:
-        field = FieldConfig(mode, int(p))
+        field = FieldConfig(mode, p)
     except ValueError as exc:
         if "not prime" in str(exc):
             raise ConfigError(f"field.p: p must be prime (got {p})") from exc
@@ -210,6 +212,14 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
     if not isinstance(resolutions, list) or not all(_is_int(m) and m >= 1 for m in resolutions):
         raise ConfigError(
             f"corpus.kernel_resolutions: expected a list of integers >= 1, got {resolutions!r}")
+    for m in resolutions:
+        # a resolution-m kernel lives on a window of q^m cells; since q >= 2, an m
+        # past the cap's bit length is over the cap without computing q^m
+        too_fine = m >= WINDOW_CELL_CAP.bit_length() or field.q**m > WINDOW_CELL_CAP
+        if too_fine and not override_window_cap:
+            raise ConfigError(
+                f"corpus.kernel_resolutions: resolution {m} needs q^{m} kernel cells, more "
+                f"than the {WINDOW_CELL_CAP}-cell cap; pass --override-window-cap to proceed")
 
     checks = raw["checks"]
     if not isinstance(checks, (list, tuple)):

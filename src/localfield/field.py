@@ -173,6 +173,31 @@ def q_power(q: int, e: int) -> float:
     return float(Fraction(q) ** e)
 
 
+@functools.lru_cache(maxsize=None)
+def digit_table(p: int, n: int) -> np.ndarray:
+    """Read-only (p^n, n) array: row i holds the base-p digits of i, least significant first."""
+    idx = np.arange(p**n)
+    out = np.empty((p**n, n), dtype=np.int64)
+    for d in range(n):
+        idx, out[:, d] = np.divmod(idx, p)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def dft_matrix(p: int, k: int) -> np.ndarray:
+    """Read-only DFT matrix of (Z/p)^k: W[u, v] = w^(<digits u, digits v> mod p).
+
+    w = exp(-2 pi i / p) comes from one root table, the length-p DFT of a
+    unit impulse, so for p = 2 every entry is exactly +-1.
+    """
+    roots = np.fft.fft(np.eye(p)[1])
+    digits = digit_table(p, k)
+    out = roots[(digits @ digits.T) % p]
+    out.setflags(write=False)
+    return out
+
+
 def add(x: FieldElement, y: FieldElement) -> FieldElement:
     if x.config != y.config:
         raise ValueError("cannot add elements from different field configurations")
@@ -391,13 +416,8 @@ class Window:
     # -- vectorized index arithmetic -------------------------------------
 
     def digit_matrix(self) -> np.ndarray:
-        """(size, n) array, row i = base-p digits of i, least significant first."""
-        p = self.config.p
-        idx = np.arange(self.size)
-        out = np.empty((self.size, self.n), dtype=np.int64)
-        for d in range(self.n):
-            idx, out[:, d] = np.divmod(idx, p)
-        return out
+        """Read-only (size, n) array, row i = base-p digits of i, least significant first."""
+        return digit_table(self.config.p, self.n)
 
     def _recompose(self, digits: np.ndarray) -> np.ndarray:
         p = self.config.p
@@ -436,29 +456,34 @@ class Window:
     def dft(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Unnormalised DFT of the quotient group over the cell values.
 
-        padic: the group is cyclic Z/p^n, so a plain length-p^n DFT; laurent:
-        it is (Z/p)^n, so an n-fold tensor DFT over the (p, ..., p) cube of
-        cell digits (least significant first, hence F order).  The inverse
-        carries no 1/N factor.
+        padic: the group is cyclic Z/p^n, so a plain length-p^n DFT.  laurent:
+        it is (Z/p)^n, whose character matrix is the n-fold Kronecker power of
+        the p x p root table.  Split the digits at lo = n // 2: the cell
+        values, reshaped in C order, form a (p^(n-lo), p^lo) matrix X whose
+        rows are the high digits and columns the low digits, and the DFT is
+        W_(n-lo) X W_lo with W_k = dft_matrix(p, k).  The inverse uses the
+        conjugate matrices, as conj(W_(n-lo) conj(X) W_lo), so only one
+        matrix per size is kept; it carries no 1/N factor.
         """
         if self.config.mode == "padic":
             return np.fft.ifft(values) * self.size if inverse else np.fft.fft(values)
         if self.n == 0:
             return np.array(values, dtype=np.complex128)
-        cube = values.reshape((self.config.p,) * self.n, order="F")
-        out = np.fft.ifftn(cube) * self.size if inverse else np.fft.fftn(cube)
-        return out.ravel(order="F")
+        p, lo = self.config.p, self.n // 2
+        x = np.reshape(values, (p ** (self.n - lo), p**lo))
+        if inverse:
+            return np.conj(dft_matrix(p, self.n - lo) @ np.conj(x) @ dft_matrix(p, lo)).ravel()
+        return (dft_matrix(p, self.n - lo) @ x @ dft_matrix(p, lo)).ravel()
 
     def valuation_levels(self) -> np.ndarray:
         """Per cell: valuation of every element in the cell, l for the zero cell.
 
         Cell n != 0 consists of elements sharing the leading digit position,
-        so valuation is constant = a + (position of lowest nonzero digit).
-        The zero cell is P^l, where valuation >= l; the sentinel l is returned.
+        so valuation is constant = a + (position of lowest nonzero digit),
+        that is a + the number of times p divides n.  The zero cell is P^l,
+        where valuation >= l; the sentinel l is returned.
         """
-        if self.n == 0:
-            return np.array([self.l])
-        dm = self.digit_matrix()
-        nz = dm != 0
-        first = np.where(nz.any(axis=1), nz.argmax(axis=1), self.n)
-        return self.a + first
+        levels = np.empty(self.size, dtype=np.int64)
+        for d in range(self.n + 1):
+            levels[:: self.config.p**d] = self.a + d
+        return levels

@@ -6,10 +6,11 @@ spectral grid is indexed exactly like enumerate_cosets(-l, -a) through the
 lambda <-> chi_lambda identification.
 
 The fast path is the quotient-group DFT of field.Window.dft plus the Haar
-scaling; in laurent mode a digit-reversal permutation follows the tensor
-DFT, because the pairing couples digit i of the point with digit n-1-i of
-the frequency.  The O(N^2) definition sums (forward_naive / inverse_naive)
-are kept as an independent route.
+scaling: a cyclic FFT in padic mode, two Kronecker-factor matrix products
+in laurent mode.  In laurent mode a digit-reversal permutation follows the
+group DFT, because the pairing couples digit i of the point with digit
+n-1-i of the frequency.  The O(N^2) definition sums (forward_naive /
+inverse_naive) are kept as an independent route.
 """
 
 from __future__ import annotations

@@ -85,6 +85,21 @@ def test_window_cap_and_override():
     assert parse_config(overrides={"window": [0, 16]}).window == (0, 16)
 
 
+def test_kernel_resolution_cap_and_override():
+    # only parsed: a resolution-30 kernel sphere would need about 16 GB
+    with pytest.raises(ConfigError, match=r"^corpus\.kernel_resolutions: .*override-window-cap"):
+        parse_config(overrides={"corpus.kernel_resolutions": [2, 30]})
+    with pytest.raises(ConfigError, match=r"^corpus\.kernel_resolutions: "):
+        parse_config(overrides={"field.p": 3, "corpus.kernel_resolutions": [11]})
+    with pytest.raises(ConfigError, match=r"^corpus\.kernel_resolutions: "):
+        parse_config(overrides={"corpus.kernel_resolutions": [10**12]})
+    cfg = parse_config(overrides={"corpus.kernel_resolutions": [2, 30]}, override_window_cap=True)
+    assert cfg.kernel_resolutions == (2, 30)
+    # q^m at the cap is allowed: 2^16 and 3^10 = 59049 cells
+    assert parse_config(overrides={"corpus.kernel_resolutions": [16]}).kernel_resolutions == (16,)
+    assert parse_config(overrides={"field.p": 3, "corpus.kernel_resolutions": [10]}).field.p == 3
+
+
 def test_bad_window_and_checks_rejected():
     with pytest.raises(ConfigError, match="window"):
         parse_config(overrides={"window": [3, -3]})
@@ -147,6 +162,9 @@ def test_bad_lambda_exits_2_with_key_path(tmp_path, capsys, flag, in_file):
     ({"truncations": {"k_list": [0, 1.5]}}, "truncations.k_list: expected a list of integers"),
     ({"truncations": {"k_list": [False]}}, "truncations.k_list: expected a list of integers"),
     ({"checks": "lebesgue"}, "checks: expected a list of check names"),
+    ({"field": {"p": "two"}}, "field.p: expected a prime integer, got 'two'"),
+    ({"field": {"p": 2.7}}, "field.p: expected a prime integer, got 2.7"),
+    ({"field": {"p": True}}, "field.p: expected a prime integer, got True"),
 ])
 def test_bad_verify_parameters_exit_2_before_the_corpus(tmp_path, capsys, monkeypatch,
                                                          in_file, says):

@@ -17,6 +17,7 @@ from localfield.field import (
     angular_part,
     base_character,
     character,
+    digit_table,
     enumerate_cosets,
     multiply,
     negate,
@@ -316,3 +317,46 @@ class TestWindow:
             x = w.element(n)
             want = w.l if x.is_zero else x.level
             assert levels[n] == want
+
+
+def divmod_digits(p, n):
+    """Base-p digits of 0 .. p^n - 1, least significant first, built afresh per call."""
+    idx = np.arange(p**n)
+    out = np.empty((p**n, n), dtype=np.int64)
+    for d in range(n):
+        idx, out[:, d] = np.divmod(idx, p)
+    return out
+
+
+class TestDigitTable:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+    def test_shared_table_keeps_the_index_arithmetic(self, config):
+        p = config.p
+        w = Window(config, -1, 2)
+        dm = divmod_digits(p, w.n)
+        assert np.array_equal(w.digit_matrix(), dm)
+        assert w.digit_matrix() is Window(config, 4, 4 + w.n).digit_matrix()
+
+        def recompose(digits):
+            return digits @ p ** np.arange(w.n)
+
+        i, j = np.meshgrid(np.arange(w.size), np.arange(w.size), indexing="ij")
+        if config.mode == "padic":
+            want_add, want_sub = (i + j) % w.size, (i - j) % w.size
+        else:
+            want_add = recompose((dm[i] + dm[j]) % p)
+            want_sub = recompose((dm[i] - dm[j]) % p)
+        assert np.array_equal(w.index_add(i, j), want_add)
+        assert np.array_equal(w.index_sub(i, j), want_sub)
+        assert np.array_equal(w.sub_table(), want_sub)
+        nz = dm != 0
+        first = np.where(nz.any(axis=1), nz.argmax(axis=1), w.n)
+        assert np.array_equal(w.valuation_levels(), w.a + first)
+
+    @pytest.mark.parametrize("p, n", [(2, 0), (2, 5), (3, 3), (5, 2)])
+    def test_table_is_read_only(self, p, n):
+        table = digit_table(p, n)
+        assert table.shape == (p**n, n) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+        assert np.array_equal(table, divmod_digits(p, n))

@@ -10,7 +10,9 @@ from localfield.field import (
     Ball,
     FieldConfig,
     FieldElement,
+    Window,
     character,
+    dft_matrix,
     enumerate_cosets,
     multiply,
     valuation,
@@ -104,6 +106,58 @@ class TestFastEqualsNaive:
         n = config.p ** 4
         F = SpectralFunction(config, 2, -2, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
         assert max_difference(inverse(F), inverse_naive(F)) < 1e-10
+
+
+def fftn_dft(w, values, inverse=False):
+    """The replaced laurent route: an n-axis fftn over the F-order (p, ..., p) digit cube."""
+    values = np.asarray(values, dtype=np.complex128)
+    if w.n == 0:
+        return values.copy()
+    cube = values.reshape((w.config.p,) * w.n, order="F")
+    out = np.fft.ifftn(cube) * w.size if inverse else np.fft.fftn(cube)
+    return out.ravel(order="F")
+
+
+def max_relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+LAURENT_WINDOWS = [(p, n) for p in (2, 3, 5) for n in range(7)] + [(2, 14)]
+
+
+class TestLaurentGroupDFT:
+    """Window.dft as two Kronecker-factor products against fftn and the naive sums."""
+
+    @pytest.mark.parametrize("p, n", LAURENT_WINDOWS)
+    def test_matches_fftn(self, p, n):
+        rng = np.random.default_rng(1000 * p + n)
+        w = Window(FieldConfig("laurent", p), -(n // 2), n - n // 2)
+        x = rng.uniform(-1, 1, w.size) + 1j * rng.uniform(-1, 1, w.size)
+        for inv in (False, True):
+            assert max_relative_gap(w.dft(x, inverse=inv), fftn_dft(w, x, inv)) < 1e-12
+        real = rng.uniform(-1, 1, w.size)
+        assert max_relative_gap(w.dft(real), fftn_dft(w, real)) < 1e-12
+
+    @pytest.mark.parametrize("p, n", [(p, n) for p, n in LAURENT_WINDOWS if p**n <= 729])
+    def test_forward_inverse_match_naive(self, p, n):
+        rng = np.random.default_rng(2000 * p + n)
+        config = FieldConfig("laurent", p)
+        a = -(n // 2)
+        f = random_function(rng, config, a=a, l=a + n)
+        assert max_relative_gap(forward(f).values, forward_naive(f).values) < 1e-12
+        F = SpectralFunction(config, a + n, a, f.values)
+        assert max_relative_gap(inverse(F).values, inverse_naive(F).values) < 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_factor_matrices_are_read_only(self, p, k):
+        W = dft_matrix(p, k)
+        assert W.shape == (p**k, p**k) and not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 0
+        assert dft_matrix(p, k) is W
+        if p == 2:
+            assert np.all(np.abs(W.real) == 1) and np.all(W.imag == 0)
 
 
 class TestRoundTrip:
