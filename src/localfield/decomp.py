@@ -10,13 +10,18 @@ views are correctly rounded per cell, and the audit evaluates every lemma
 clause exactly, with no float comparisons except for the stored-view
 rounding identities.
 
-Littlewood-Paley blocks are spectral-indicator multipliers: block 0 keeps
-every frequency of absolute value at most 1, block j >= 1 keeps the shell
-of absolute value q^j.  Besov norms aggregate block r-norms in j; the
-Triebel-Lizorkin norms aggregate pointwise in x first.  The two families
-coincide when r = t.  besov_norm and triebel_lizorkin_norm build the blocks
-for one norm; lp_norm_table builds them once and serves every (s, r, t)
-triple in both spaces from that one stack, through the same two formulas.
+Littlewood-Paley block 0 keeps every frequency of absolute value at most 1,
+block j >= 1 keeps the shell of absolute value q^j.  The average E_j f of f
+over the cosets of P^j is the projection onto |xi| <= q^j, so the norms
+take block 0 as E_0 f and block j as the coset-average difference
+E_j f - E_(j-1) f, held at its own resolution min(j, l), with no transform.
+littlewood_paley keeps the multiplier form (forward transform, shell mask,
+inverse transform) as the oracle for those blocks.  Besov norms aggregate
+block r-norms in j; the Triebel-Lizorkin norms aggregate pointwise in x
+first.  The two families coincide when r = t.  besov_norm and
+triebel_lizorkin_norm build the blocks for one norm; lp_norm_table builds
+them once and serves every (s, r, t) triple in both spaces from that one
+stack, through the same two formulas.
 
 verify_unity_decomposition checks the indicator family's support and
 partition-of-unity conditions exactly and measures the smoothness-decay
@@ -32,7 +37,7 @@ import numpy as np
 
 from .field import Ball, FieldConfig, Window, q_power
 from .fourier import SpectralFunction, forward, inverse, p_type_derivative, spectral_valuation_levels
-from .functions import TestFunction, dyadic_ints, linf_norm, lr_norm, refine
+from .functions import TestFunction, coarsen_resolution, dyadic_ints, linf_norm, lr_norm, refine
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,11 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
 
 @dataclass(frozen=True)
 class LPBlock:
-    """Block j of the spectral-indicator decomposition; block = projection of f."""
+    """Block j of f, the projection onto |xi| = q^j (j >= 1) or |xi| <= 1 (j = 0).
+
+    _all_blocks holds block j at its own resolution, on window (a, min(j, l));
+    littlewood_paley holds every block on the full padded window.
+    """
 
     j: int
     block: TestFunction
@@ -273,7 +282,12 @@ def _shell_masks(F: SpectralFunction, js) -> list:
 
 
 def littlewood_paley(f: TestFunction, j: int) -> LPBlock:
-    """Projection onto frequencies with |xi| = q^j (j >= 1) or |xi| <= 1 (j = 0)."""
+    """Projection onto frequencies with |xi| = q^j (j >= 1) or |xi| <= 1 (j = 0).
+
+    The spectral-indicator multiplier itself: forward transform, shell mask,
+    inverse transform.  It is the oracle for the coset-average blocks of
+    _all_blocks.
+    """
     if j < 0:
         raise ValueError(f"block index j = {j} must be nonnegative")
     g = _padded(f)
@@ -286,14 +300,21 @@ def littlewood_paley(f: TestFunction, j: int) -> LPBlock:
 
 
 def _all_blocks(f: TestFunction) -> list:
-    # one forward pass shared across blocks; identical per-block code path
+    """Blocks 0..max(l, 0) of f, block j on window (a, min(j, l)).
+
+    E_j g, the average of g over P^j-cosets, is the projection onto
+    |xi| <= q^j, so block 0 is E_0 g and block j >= 1 is E_j g - E_(j-1) g.
+    """
     g = _padded(f)
-    js = range(max(g.l, 0) + 1)
-    F = forward(g)
-    return [
-        LPBlock(j, inverse(SpectralFunction(F.config, F.l, F.a, F.values * mask)))
-        for j, mask in zip(js, _shell_masks(F, js))
-    ]
+    blocks = []
+    e = g  # E_j g on window (a, j), from j = l down to 0
+    for j in range(g.l, 0, -1):
+        prev = coarsen_resolution(e, j - 1)
+        lifted = np.tile(prev.values, g.config.p)
+        blocks.append(LPBlock(j, TestFunction(g.config, g.a, j, e.values - lifted)))
+        e = prev
+    blocks.append(LPBlock(0, e))
+    return blocks[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +354,15 @@ def _besov_value(blocks, norms, s: float, t: float) -> float:
 
 
 def _triebel_lizorkin_value(blocks, moduli, s: float, r: float, t: float) -> float:
-    # moduli[i] is |blocks[i].block| cell by cell
+    # moduli[i] is |blocks[i].block| cell by cell; block j + 1 is one level finer
+    # than block j, so the sum over j lifts the running total one level per block
     config = blocks[0].block.config
     q = float(config.q)
-    stacked = np.array([q ** (s * b.j * t) * m ** t for b, m in zip(blocks, moduli)])
-    pointwise = np.sum(stacked, axis=0) ** (r / t)
-    l = blocks[0].block.l
-    return (math.fsum(pointwise) * q_power(config.q, -l)) ** (1.0 / r)
+    pointwise = np.zeros(1)
+    for b, m in zip(blocks, moduli):
+        pointwise = np.tile(pointwise, m.size // pointwise.size) + q ** (s * b.j * t) * m ** t
+    l = blocks[-1].block.l
+    return (math.fsum(pointwise ** (r / t)) * q_power(config.q, -l)) ** (1.0 / r)
 
 
 def _moduli(blocks) -> list:

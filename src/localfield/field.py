@@ -64,7 +64,10 @@ class FieldConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "FieldConfig":
-        return FieldConfig(mode=d["mode"], p=int(d["p"]))
+        p = d["p"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"p: expected a prime integer, got {p!r}")
+        return FieldConfig(mode=d["mode"], p=p)
 
 
 @dataclass(frozen=True)

@@ -335,6 +335,26 @@ def test_non_finite_input_exits_2(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad_p", [2.7, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("command", ["transform", "apply-tk", "norms", "atoms"])
+def test_embedded_non_integer_p_exits_2(tmp_path, capsys, command, bad_p):
+    fn = json.loads(Path(unit_ball_file(tmp_path)).read_text())
+    kern = json.loads((DATA / "kern_q2.json").read_text())
+    (kern if command == "atoms" else fn)["config"]["p"] = bad_p
+    fpath = write_json(tmp_path / "f.json", fn)
+    kpath = write_json(tmp_path / "k.json", kern)
+    out = tmp_path / "out"
+    args = {"transform": ["transform", fpath],
+            "apply-tk": ["apply-tk", fpath, "--kernel", kpath, "--k", "0"],
+            "norms": ["norms", fpath],
+            "atoms": ["atoms", kpath]}[command]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: ")
+    assert f"p: expected a prime integer, got {bad_p!r}" in err
+    assert not out.exists()
+
+
 # -- verify determinism and exit policy
 
 

@@ -12,6 +12,7 @@ from localfield.decomp import (
     CZDecomposition,
     LPBlock,
     NormReport,
+    _all_blocks,
     besov_norm,
     check_cz_clauses,
     cz_decompose,
@@ -22,7 +23,7 @@ from localfield.decomp import (
     verify_unity_decomposition,
 )
 from localfield.field import Ball, FieldConfig, FieldElement, Window
-from localfield.fourier import forward_naive, spectral_valuation_levels
+from localfield.fourier import forward, forward_naive, spectral_valuation_levels
 from localfield.functions import (
     TestFunction,
     from_indicator_combo,
@@ -474,6 +475,56 @@ def test_lp_padding_for_positive_scale_window():
     assert max_difference(total, f) <= 1e-11
 
 
+def assert_blocks_match_fft_oracle(f: TestFunction):
+    """_all_blocks against littlewood_paley, block by block, at 1e-12 x max |f|."""
+    tol = 1e-12 * linf_norm(f)
+    a, l = min(f.a, 0), f.l
+    blocks = _all_blocks(f)
+    assert [b.j for b in blocks] == list(range(max(l, 0) + 1))
+    total = TestFunction.zero(f.config, a, l)
+    for b in blocks:
+        assert (b.block.a, b.block.l) == (a, min(b.j, l))
+        lifted = refine(b.block, a, l)
+        assert max_difference(lifted, littlewood_paley(f, b.j).block) <= tol
+        # the block's spectrum lies on the shell |xi| = q^j (|xi| <= 1 for j = 0)
+        F = forward(lifted)
+        levels = spectral_valuation_levels(F)
+        off = (levels < 0) if b.j == 0 else (levels != -b.j)
+        assert np.all(np.hypot(F.values.real, F.values.imag)[off] <= tol)
+        total = pointwise_combine(total, "add", lifted)
+    assert max_difference(total, f) <= tol
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_lp_coset_blocks_match_fft_oracle(config):
+    rng = np.random.default_rng(47)
+    # (1, 3) is padded to a = 0; (-2, 0) and (-2, -1) have the one block 0
+    for a, l in [(-1, 2), (1, 3), (-2, 0), (-2, -1)]:
+        assert_blocks_match_fft_oracle(random_fn(rng, config, a, l))
+    # max |f| = 0 makes every bound exact
+    assert_blocks_match_fft_oracle(TestFunction.zero(config, -1, 2))
+
+
+@pytest.mark.parametrize("mode", ["padic", "laurent"])
+def test_lp_coset_blocks_match_fft_oracle_on_16384_cells(mode):
+    f = random_fn(np.random.default_rng(53), FieldConfig(mode, 2), -7, 7)
+    assert f.values.size == 16384
+    assert_blocks_match_fft_oracle(f)
+
+
+def test_norms_run_no_transform(monkeypatch):
+    def refuse(self, values, inverse=False):
+        raise AssertionError("the B/F norm layer ran a group DFT")
+
+    monkeypatch.setattr(Window, "dft", refuse)
+    rng = np.random.default_rng(59)
+    for config in CONFIGS:
+        f = random_fn(rng, config, -1, 3)
+        besov_norm(f, 1.0, 2.0, 2.0)
+        triebel_lizorkin_norm(f, 0.5, 1.5, 3.0)
+        lp_norm_table(f, DEFAULT_SRT_LIST)
+
+
 # ---------------------------------------------------------------------------
 # Norms
 
@@ -534,6 +585,20 @@ def test_norm_besov_matches_per_block_oracle():
     assert besov_norm(f, s, r, t).value == pytest.approx(
         math.fsum(terms) ** (1 / t), rel=1e-14
     )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_norm_triebel_lizorkin_matches_per_block_oracle(config):
+    # full-resolution FFT blocks, summed pointwise on the padded window
+    rng = np.random.default_rng(61)
+    s, r, t = 0.75, 1.5, 2.5
+    q = float(config.q)
+    for a, l in [(-1, 2), (1, 3), (-2, -1)]:
+        f = random_fn(rng, config, a, l)
+        blocks = [littlewood_paley(f, j).block for j in range(max(l, 0) + 1)]
+        pointwise = sum(q ** (s * j * t) * np.abs(b.values) ** t for j, b in enumerate(blocks))
+        want = (math.fsum(pointwise ** (r / t)) * q ** -l) ** (1 / r)
+        assert triebel_lizorkin_norm(f, s, r, t).value == pytest.approx(want, rel=1e-12)
 
 
 def test_norm_monotone_under_top_block_truncation():
