@@ -36,8 +36,8 @@ from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
 from .operators import apply_truncated, output_spec
-from .verify import (DEFAULT_SRT_LIST, check_lebesgue_exponent, check_srt, emit_report,
-                     exact_checks_pass, run_verification)
+from .verify import (DEFAULT_SRT_LIST, _is_real, check_lebesgue_exponent, check_srt,
+                     emit_report, exact_checks_pass, run_verification)
 
 CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
 WINDOW_CELL_CAP = 65536
@@ -153,10 +153,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _check_real(x):
     if not _is_real(x):
         raise ValueError(f"expected a real number, got {x!r}")
@@ -191,7 +187,7 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
 
     window = raw["window"]
     if (not isinstance(window, (list, tuple)) or len(window) != 2
-            or not all(isinstance(x, int) for x in window)):
+            or not all(map(_is_int, window))):
         raise ConfigError(f"window: expected [a, l] with integer scales, got {window!r}")
     a, l = window
     if a > l:
@@ -246,7 +242,13 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
     _check_each("parameters.srt_list", raw["parameters"]["srt_list"],
                 check_srt if verifying else _check_real_triple)
 
-    for fmt in raw["output"]["formats"]:
+    directory = raw["output"]["directory"]
+    if not isinstance(directory, str):
+        raise ConfigError(f"output.directory: expected a path string, got {directory!r}")
+    formats = raw["output"]["formats"]
+    if not isinstance(formats, (list, tuple)):
+        raise ConfigError(f"output.formats: expected a list of format names, got {formats!r}")
+    for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
 

@@ -15,18 +15,13 @@ block j >= 1 keeps the shell of absolute value q^j.  The average E_j f of f
 over the cosets of P^j is the projection onto |xi| <= q^j, so the norms
 take block 0 as E_0 f and block j as the coset-average difference
 E_j f - E_(j-1) f, held at its own resolution min(j, l), with no transform.
-littlewood_paley keeps the multiplier form (forward transform, shell mask,
-inverse transform) as the oracle for those blocks.  Besov norms aggregate
+littlewood_paley keeps the multiplier form, apply_multiplier with the shell
+mask as symbol, as the oracle for those blocks.  Besov norms aggregate
 block r-norms in j; the Triebel-Lizorkin norms aggregate pointwise in x
 first.  The two families coincide when r = t.  besov_norm and
 triebel_lizorkin_norm build the blocks for one norm; lp_norm_table builds
 them once and serves every (s, r, t) triple in both spaces from that one
 stack, through the same two formulas.
-
-verify_unity_decomposition checks the indicator family's support and
-partition-of-unity conditions exactly and measures the smoothness-decay
-condition empirically, reporting the per-block ratio against the reference
-decay rather than asserting a bound.
 """
 
 import math
@@ -35,9 +30,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Ball, FieldConfig, Window, q_power
-from .fourier import SpectralFunction, forward, inverse, p_type_derivative, spectral_valuation_levels
-from .functions import TestFunction, coarsen_resolution, dyadic_ints, linf_norm, lr_norm, refine
+from .field import Ball, Window, q_power
+from .fourier import apply_multiplier
+from .functions import TestFunction, coarsen_resolution, dyadic_ints, lr_norm, refine
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +271,11 @@ def _padded(f: TestFunction) -> TestFunction:
     return refine(f, min(f.a, 0), f.l) if f.a > 0 else f
 
 
-def _shell_masks(F: SpectralFunction, js) -> list:
-    levels = spectral_valuation_levels(F)
-    return [(levels >= 0) if j == 0 else (levels == -j) for j in js]
-
-
 def littlewood_paley(f: TestFunction, j: int) -> LPBlock:
     """Projection onto frequencies with |xi| = q^j (j >= 1) or |xi| <= 1 (j = 0).
 
-    The spectral-indicator multiplier itself: forward transform, shell mask,
-    inverse transform.  It is the oracle for the coset-average blocks of
+    The spectral-indicator multiplier itself: apply_multiplier with the shell
+    mask as symbol.  It is the oracle for the coset-average blocks of
     _all_blocks.
     """
     if j < 0:
@@ -294,9 +284,9 @@ def littlewood_paley(f: TestFunction, j: int) -> LPBlock:
     if j > max(g.l, 0):
         zeros = np.zeros(g.values.size, dtype=np.complex128)
         return LPBlock(j, TestFunction(g.config, g.a, g.l, zeros))
-    F = forward(g)
-    (mask,) = _shell_masks(F, [j])
-    return LPBlock(j, inverse(SpectralFunction(F.config, F.l, F.a, F.values * mask)))
+    levels = Window(g.config, -g.l, -g.a).valuation_levels()  # |xi| = q^(-level) per cell
+    mask = (levels >= 0) if j == 0 else (levels == -j)
+    return LPBlock(j, apply_multiplier(g, mask))
 
 
 def _all_blocks(f: TestFunction) -> list:
@@ -333,10 +323,6 @@ class NormReport:
 
     def to_dict(self) -> dict:
         return {"space": self.space, "s": self.s, "r": self.r, "t": self.t, "value": self.value}
-
-    @staticmethod
-    def from_dict(d: dict) -> "NormReport":
-        return NormReport(str(d["space"]), float(d["s"]), float(d["r"]), float(d["t"]), float(d["value"]))
 
 
 def _check_exponents(r: float, t: float):
@@ -413,63 +399,3 @@ def lp_norm_table(f: TestFunction, srt_list) -> dict:
 def lebesgue_norm_report(f: TestFunction, r: float) -> NormReport:
     """L^r norm wrapped in the same report type; s is vacuously 0 and t mirrors r."""
     return NormReport("L", 0.0, float(r), float(r), lr_norm(f, r))
-
-
-# ---------------------------------------------------------------------------
-# Partition-of-unity diagnostics
-
-
-def verify_unity_decomposition(config: FieldConfig, a: int, l: int, s: float) -> dict:
-    """Audit the spectral-indicator family on the window's dual cells.
-
-    Support and partition-of-unity conditions are exact integer checks on
-    the masks.  The smoothness condition is measured: for each block j the
-    sup of the s-order regularization derivative of the inverse transform
-    is reported against the reference decay q^{j(s-1)}, and the largest
-    ratio is returned as the empirical constant.  No bound is asserted.
-    """
-    if s <= 0:
-        raise ValueError(f"smoothness order s = {s} must be positive")
-    if a > 0:
-        raise ValueError(
-            f"window scale a = {a} must be at most 0 so block 0 covers the deep spectrum"
-        )
-    if a > l:
-        raise ValueError(f"invalid window: a = {a} > l = {l}")
-    probe = TestFunction(config, a, l, np.zeros(config.q ** (l - a), dtype=np.complex128))
-    F = forward(probe)
-    levels = spectral_valuation_levels(F)
-    js = range(max(l, 0) + 1)
-    masks = [m.astype(np.int64) for m in _shell_masks(F, js)]
-
-    support_ok = all(
-        bool(np.all(levels[np.flatnonzero(m)] >= 0))
-        if j == 0
-        else bool(np.all(levels[np.flatnonzero(m)] == -j))
-        for j, m in zip(js, masks)
-    )
-    partition_ok = bool(np.all(sum(masks) == 1))
-
-    blocks = []
-    for j, mask in zip(js, masks):
-        phi_check = inverse(
-            SpectralFunction(config, F.l, F.a, mask.astype(np.complex128))
-        )
-        measured = linf_norm(p_type_derivative(phi_check, s))
-        reference = float(config.q) ** (j * (s - 1.0))
-        blocks.append(
-            {
-                "j": j,
-                "measured_sup": measured,
-                "reference_decay": reference,
-                "ratio": measured / reference,
-            }
-        )
-    return {
-        "s": float(s),
-        "window": [a, l],
-        "support_condition": support_ok,
-        "partition_condition": partition_ok,
-        "blocks": blocks,
-        "empirical_c_s": max(b["ratio"] for b in blocks),
-    }

@@ -1,4 +1,4 @@
-"""Exact arithmetic, balls, spheres, and characters for two local-field models.
+"""Exact arithmetic, balls, and characters for two local-field models.
 
 Supported models: the p-adic numbers (mode "padic", addition with carries) and
 the field of formal Laurent series over F_p (mode "laurent", digit-wise
@@ -113,10 +113,6 @@ class FieldElement:
         return FieldElement(config, None, ())
 
     @staticmethod
-    def one(config: FieldConfig) -> "FieldElement":
-        return FieldElement(config, 0, (1,))
-
-    @staticmethod
     def from_mantissa(config: FieldConfig, level: int, mantissa: int) -> "FieldElement":
         """Element with base-p expansion of `mantissa` starting at `level`."""
         if mantissa < 0:
@@ -151,12 +147,6 @@ class FieldElement:
     def to_dict(self) -> dict:
         return {"level": self.level, "digits": list(self.digits)}
 
-    @staticmethod
-    def from_dict(config: FieldConfig, d: dict) -> "FieldElement":
-        if d["level"] is None:
-            return FieldElement.zero(config)
-        return FieldElement.make(config, int(d["level"]), [int(c) for c in d["digits"]])
-
 
 def valuation(x: FieldElement) -> int | float:
     """Leading digit level; math.inf for zero, so that |x| = q^{-valuation}."""
@@ -164,7 +154,7 @@ def valuation(x: FieldElement) -> int | float:
 
 
 def abs_value(x: FieldElement) -> Fraction:
-    """Exact absolute value q^{-valuation(x)} as a Fraction (0 for zero)."""
+    """Exact absolute value q^{-valuation(x)} as a Fraction (0 for zero); an oracle."""
     if x.level is None:
         return Fraction(0)
     return Fraction(x.config.q) ** (-x.level)
@@ -300,7 +290,7 @@ def base_character(z: FieldElement) -> complex:
 
 
 def character(lam: FieldElement, x: FieldElement) -> complex:
-    """chi_lambda(x) = chi(lambda x)."""
+    """chi_lambda(x) = chi(lambda x); the definition-level oracle for the transforms."""
     return base_character(multiply(lam, x))
 
 
@@ -309,7 +299,8 @@ def enumerate_cosets(config: FieldConfig, a: int, l: int) -> list[FieldElement]:
 
     Representative n carries the base-p digits of n at levels a, a+1, ...,
     l-1, least-significant digit at level a.  This ordering is the indexing
-    contract for all value arrays in the package.
+    contract for all value arrays in the package; Window.element is its fast
+    form, and this list is the oracle for it.
     """
     if a > l:
         raise ValueError(f"invalid window: a = {a} > l = {l}")
@@ -338,41 +329,9 @@ class Ball:
         # |x - center| <= q^{-scale} iff the digit expansions agree below scale
         return truncate(x, self.scale) == self.canonical_center()
 
-    def same_set(self, other: "Ball") -> bool:
-        return self.scale == other.scale and self.contains(other.center)
-
-    def disjoint_or_nested(self, other: "Ball") -> bool:
-        """Ultrametric dichotomy; True unless the balls partially overlap."""
-        inner, outer = (self, other) if self.scale >= other.scale else (other, self)
-        return outer.contains(inner.center) or not inner.intersects(outer)
-
     def intersects(self, other: "Ball") -> bool:
         inner, outer = (self, other) if self.scale >= other.scale else (other, self)
         return outer.contains(inner.center)
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """A_j = {y : |y| = q^{j+1}} = P^{-(j+1)} minus P^{-j}; A_{-1} is the unit sphere."""
-
-    config: FieldConfig
-    radius_exponent: int
-
-    @property
-    def measure(self) -> Fraction:
-        q = Fraction(self.config.q)
-        return q ** (self.radius_exponent + 1) * (1 - 1 / q)
-
-    def contains(self, x: FieldElement) -> bool:
-        return (not x.is_zero) and x.level == -(self.radius_exponent + 1)
-
-    def coset_representatives(self, resolution: int) -> list[FieldElement]:
-        """Representatives of the P^resolution-cosets that tile this sphere."""
-        a = -(self.radius_exponent + 1)
-        if resolution < a:
-            raise ValueError("resolution coarser than the sphere radius")
-        return [x for x in enumerate_cosets(self.config, a, resolution)
-                if not x.is_zero and x.level == a]
 
 
 class Window:
@@ -443,18 +402,10 @@ class Window:
         dj = self.digit_matrix()[np.asarray(j)]
         return self._recompose((di - dj) % self.config.p)
 
-    def index_neg(self, i):
-        if self.config.mode == "padic":
-            return (-np.asarray(i)) % self.size
-        return self._recompose((-self.digit_matrix()[np.asarray(i)]) % self.config.p)
-
     def sub_table(self) -> np.ndarray:
-        """(size, size) table T[i, j] = index of element_i - element_j."""
+        """(size, size) table T[i, j] = index of element_i - element_j; the convolution oracle."""
         idx = np.arange(self.size)
-        if self.config.mode == "padic":
-            return (idx[:, None] - idx[None, :]) % self.size
-        dm = self.digit_matrix()
-        return self._recompose((dm[:, None, :] - dm[None, :, :]) % self.config.p)
+        return self.index_sub(idx[:, None], idx[None, :])
 
     def dft(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Unnormalised DFT of the quotient group over the cell values.

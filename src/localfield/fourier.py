@@ -1,4 +1,4 @@
-"""Fourier transforms between function and spectral windows, and multipliers.
+"""Fourier transforms between function and spectral windows, and the multiplier route.
 
 A TestFunction on window (a, l) transforms to a SpectralFunction supported
 in the character group ball Gamma^l and constant on Gamma^a-cosets; the
@@ -10,7 +10,8 @@ scaling: a cyclic FFT in padic mode, two Kronecker-factor matrix products
 in laurent mode.  In laurent mode a digit-reversal permutation follows the
 group DFT, because the pairing couples digit i of the point with digit
 n-1-i of the frequency.  The O(N^2) definition sums (forward_naive /
-inverse_naive) are kept as an independent route.
+inverse_naive) are kept as an independent route, the oracle for the fast
+path.  apply_multiplier is the one forward -> symbol -> inverse route.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldConfig, Window, q_power
-from .functions import TestFunction, _finite_values, _frozen, refine
+from .functions import TestFunction, _frozen
 
 _TWO_PI = 2.0 * math.pi
 
@@ -51,10 +52,6 @@ class SpectralFunction:
         return {"l": self.l, "a": self.a,
                 "values": [[z.real, z.imag] for z in self.values]}
 
-    @staticmethod
-    def from_dict(config: FieldConfig, d: dict) -> "SpectralFunction":
-        return SpectralFunction(config, int(d["l"]), int(d["a"]), _finite_values(d["values"]))
-
 
 def _pairing_order(w: Window, values: np.ndarray) -> np.ndarray:
     """Match group-DFT order to the character pairing: the identity in padic
@@ -80,7 +77,7 @@ def inverse(F: SpectralFunction) -> TestFunction:
 
 
 def forward_naive(f: TestFunction) -> SpectralFunction:
-    """Definition-level O(N^2) character sum; the independent slow route."""
+    """Definition-level O(N^2) character sum; the independent slow route, oracle for forward."""
     w = f.window
     N = w.size
     out = np.empty(N, dtype=np.complex128)
@@ -100,6 +97,7 @@ def forward_naive(f: TestFunction) -> SpectralFunction:
 
 
 def inverse_naive(F: SpectralFunction) -> TestFunction:
+    """Definition-level O(N^2) character sum; the oracle for inverse."""
     w = F.dual_window
     N = w.size
     out = np.empty(N, dtype=np.complex128)
@@ -118,64 +116,13 @@ def inverse_naive(F: SpectralFunction) -> TestFunction:
     return TestFunction(F.config, F.a, F.l, out * q_power(F.config.q, F.a))
 
 
-def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
-    """Per spectral cell: the valuation of its representatives.
-
-    For the zero cell (all frequencies with |xi| <= q^a) the sentinel -a is
-    returned, the smallest valuation consistent with every member.
-    """
-    return F.dual_window.valuation_levels()
-
-
-def apply_multiplier(f: TestFunction, m) -> TestFunction:
-    """F^{-1}(m . F f) for a multiplier given per spectral cell.
-
-    m may be a mapping {cell index: value} covering every cell of f's
-    spectral window, or an array of q^{l-a} values in spectral cell order.
-    """
+def apply_multiplier(f: TestFunction, symbol) -> TestFunction:
+    """F^{-1}(symbol . F f) for a symbol given as q^{l-a} values in spectral cell order."""
     F = forward(f)
-    N = F.values.size
-    if isinstance(m, dict):
-        missing = [u for u in range(N) if u not in m]
-        if missing:
-            raise ValueError(f"multiplier undefined on spectral cells {missing[:5]}")
-        marr = np.array([complex(m[u]) for u in range(N)])
-    else:
-        marr = np.asarray(m, dtype=np.complex128)
-        if marr.shape != (N,):
-            raise ValueError(f"multiplier has shape {marr.shape}, expected ({N},)")
-    return inverse(SpectralFunction(F.config, F.l, F.a, F.values * marr))
-
-
-def _bracket_exponents(F: SpectralFunction) -> np.ndarray:
-    """Per spectral cell: integer j >= 0 with <xi> = max(1, |xi|) = q^j."""
-    return np.maximum(0, -spectral_valuation_levels(F))
-
-
-def _bracket_power(f: TestFunction, alpha: float) -> TestFunction:
-    # the symbol <xi>^alpha is constant per cell only once a <= 0
-    g = refine(f, min(f.a, 0), f.l)
-    F = forward(g)
-    symbol = np.float_power(float(f.config.q), alpha * _bracket_exponents(F))
-    return inverse(SpectralFunction(F.config, F.l, F.a, F.values * symbol))
-
-
-def p_type_derivative(f: TestFunction, alpha: float) -> TestFunction:
-    """Multiplier operator with symbol <xi>^alpha, <xi> = max(1, |xi|)."""
-    if alpha < 0:
-        return p_type_integral(f, -alpha)
-    if alpha == 0:
-        return f
-    return _bracket_power(f, alpha)
-
-
-def p_type_integral(f: TestFunction, alpha: float) -> TestFunction:
-    """Multiplier operator with symbol <xi>^{-alpha}; inverts p_type_derivative."""
-    if alpha < 0:
-        return p_type_derivative(f, -alpha)
-    if alpha == 0:
-        return f
-    return _bracket_power(f, -alpha)
+    m = np.asarray(symbol, dtype=np.complex128)
+    if m.shape != F.values.shape:
+        raise ValueError(f"multiplier has shape {m.shape}, expected {F.values.shape}")
+    return inverse(SpectralFunction(F.config, F.l, F.a, F.values * m))
 
 
 def spectral_l2_norm(F: SpectralFunction) -> float:

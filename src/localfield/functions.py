@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Ball, FieldConfig, FieldElement, Window, q_power, truncate, valuation
+from .field import FieldConfig, FieldElement, Window, q_power, truncate, valuation
 
 
 def _frozen(values) -> np.ndarray:
@@ -160,36 +160,17 @@ def restrict_support(f: TestFunction, a_new: int) -> TestFunction:
     return TestFunction(f.config, a_new, f.l, f.values[idx])
 
 
-def translate(f: TestFunction, h: FieldElement) -> TestFunction:
-    """g with g(x) = f(x - h); support ball grows to contain the shift."""
-    if h.is_zero:
-        return f
-    a_new = min(f.a, h.level)
-    g = refine(f, a_new, f.l) if a_new < f.a else f
-    w = g.window
-    hi = w.index_of(h)
-    vals = g.values[w.index_sub(np.arange(w.size), hi)]
-    return TestFunction(f.config, a_new, g.l, vals)
-
-
 def lr_norm(f: TestFunction, r: float) -> float:
     """(sum_cells |v|^r q^{-l})^{1/r}; fsum keeps it permutation-invariant."""
     if r < 1:
         raise ValueError(f"r = {r} < 1 is not a norm exponent here")
-    mags = np.hypot(f.values.real, f.values.imag)
     if r == 2:
         s = math.fsum(f.values.real**2) + math.fsum(f.values.imag**2)
     elif r == 1:
-        s = math.fsum(mags)
+        s = math.fsum(np.hypot(f.values.real, f.values.imag))
     else:
-        s = math.fsum(mags**r)
+        s = math.fsum(np.hypot(f.values.real, f.values.imag) ** r)
     return (s * q_power(f.config.q, -f.l)) ** (1.0 / r)
-
-
-def linf_norm(f: TestFunction) -> float:
-    if f.values.size == 0:
-        return 0.0
-    return float(np.max(np.hypot(f.values.real, f.values.imag)))
 
 
 def weak_level_measure(f: TestFunction, lam: float) -> Fraction:
@@ -198,12 +179,6 @@ def weak_level_measure(f: TestFunction, lam: float) -> Fraction:
         raise ValueError(f"level lambda = {lam} must be positive")
     count = int(np.count_nonzero(np.hypot(f.values.real, f.values.imag) > lam))
     return count * Fraction(f.config.q) ** (-f.l)
-
-
-def integral(f: TestFunction) -> complex:
-    """int f dHaar = q^{-l} sum of cell values."""
-    s = complex(math.fsum(f.values.real), math.fsum(f.values.imag))
-    return s * q_power(f.config.q, -f.l)
 
 
 def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:
@@ -242,28 +217,3 @@ def max_difference(f: TestFunction, g: TestFunction) -> float:
     rf, rg = common_refinement(f, g)
     d = rf.values - rg.values
     return float(np.max(np.hypot(d.real, d.imag))) if d.size else 0.0
-
-
-def functions_agree(f: TestFunction, g: TestFunction, tol: float = 0.0) -> bool:
-    return max_difference(f, g) <= tol
-
-
-def canonicalize(f: TestFunction) -> TestFunction:
-    """Smallest window representing the same function (exact tests only)."""
-    g = f
-    p = g.config.p
-    # coarsen while every sibling group is exactly constant
-    while g.l > g.a:
-        grouped = g.values.reshape(p, p ** (g.l - 1 - g.a))
-        if not np.all(grouped == grouped[0]):
-            break
-        g = TestFunction(g.config, g.a, g.l - 1, grouped[0])
-    # shrink support while the outer cells are exactly zero
-    while g.a < g.l:
-        stride = p
-        keep = np.arange(p ** (g.l - g.a - 1)) * stride
-        outside = np.setdiff1d(np.arange(g.values.size), keep)
-        if np.any(g.values[outside] != 0):
-            break
-        g = TestFunction(g.config, g.a + 1, g.l, g.values[keep])
-    return g

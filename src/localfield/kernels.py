@@ -14,14 +14,14 @@ dyadic grid so those exact checks genuinely pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .field import FieldConfig, FieldElement, Window, angular_part, prime_shift, q_power
-from .functions import TestFunction, _finite_values, _frozen, dyadic_ints
+from .functions import TestFunction, _finite_values, _frozen, dyadic_ints, refine
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
 _GRID_BITS = 48
@@ -55,11 +55,6 @@ class AngularKernel:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
 
-    @property
-    def sup_bound(self) -> Fraction:
-        """The atom sup bound (1 - q^{-1})^{-1} = q/(q-1)."""
-        return Fraction(self.config.q, self.config.q - 1)
-
     def to_dict(self) -> dict:
         return {"m": self.m, "values": [[z.real, z.imag] for z in self.values]}
 
@@ -90,8 +85,9 @@ def _digit_reverse(n_digits: int, q: int) -> np.ndarray:
     return rev
 
 
+@functools.lru_cache(maxsize=None)
 def kernel_window_indices(config: FieldConfig, m: int) -> np.ndarray:
-    """Map kernel cell -> cell index in the window (0, m) covering the unit ball.
+    """Read-only map kernel cell -> cell index in the window (0, m) covering the unit ball.
 
     Window indices are little-endian in the digits (c_0 fastest) while kernel
     cells run c_0 outermost and the tail in dictionary order, so the tail
@@ -100,7 +96,9 @@ def kernel_window_indices(config: FieldConfig, m: int) -> np.ndarray:
     q = config.p
     rev = _digit_reverse(m - 1, q)
     lead = np.arange(1, q)
-    return (lead[:, None] + q * rev[None, :]).ravel()
+    out = (lead[:, None] + q * rev[None, :]).ravel()
+    out.setflags(write=False)
+    return out
 
 
 def kernel_as_test_function(k: AngularKernel) -> TestFunction:
@@ -120,7 +118,10 @@ def _kernel_cell_index(k: AngularKernel, digits) -> int:
 
 
 def evaluate_homogeneous(k: AngularKernel, y: FieldElement) -> complex:
-    """Kernel value at y via the angular part; invariant under prime shifts of y."""
+    """Kernel value at y via the angular part; invariant under prime shifts of y.
+
+    The point-by-point oracle for shell_piece and the Taibleson modulus.
+    """
     if y.is_zero:
         raise ValueError("the homogeneous kernel is undefined at 0")
     u = angular_part(y)
@@ -175,8 +176,10 @@ def mean_zero_project(k: AngularKernel) -> AngularKernel:
 
 @dataclass(frozen=True)
 class AtomCheck:
+    """Outcome of validate_atom; support holds by construction for an AngularKernel."""
+
     valid: bool
-    violation: str | None = None  # first failed condition: support | sup_bound | mean
+    violation: str | None = None  # first failed condition: sup_bound | mean
 
 
 def _sup_bound_holds(values: np.ndarray, config: FieldConfig) -> bool:
@@ -186,24 +189,16 @@ def _sup_bound_holds(values: np.ndarray, config: FieldConfig) -> bool:
     return bool(np.all((re**2 + im**2) * (q - 1) ** 2 <= (q * den) ** 2))
 
 
-def validate_atom(a: AngularKernel | TestFunction) -> AtomCheck:
-    """Check the three atom conditions exactly and report the first violation.
+def validate_atom(a: AngularKernel) -> AtomCheck:
+    """Check the atom conditions exactly and report the first violation.
 
-    (i) support inside the unit sphere, (ii) sup modulus at most
-    (1 - q^{-1})^{-1}, (iii) exact zero mean.
+    An AngularKernel lives on the unit sphere, so (i) the support condition
+    always holds; validate_atom checks (ii) sup modulus at most
+    (1 - q^{-1})^{-1} and (iii) exact zero mean.
     """
-    if isinstance(a, AngularKernel):
-        config, values = a.config, a.values
-    else:
-        config = a.config
-        levels = a.window.valuation_levels()
-        off_sphere = a.values[levels != 0]
-        if off_sphere.size and np.any(off_sphere != 0):
-            return AtomCheck(False, "support")
-        values = a.values[levels == 0]
-    if not _sup_bound_holds(values, config):
+    if not _sup_bound_holds(a.values, a.config):
         return AtomCheck(False, "sup_bound")
-    if not _exactly_mean_zero(values):
+    if not _exactly_mean_zero(a.values):
         return AtomCheck(False, "mean")
     return AtomCheck(True)
 
@@ -297,25 +292,17 @@ def shell_piece(k: AngularKernel, j: int, resolution: int | None = None) -> Test
     The extension is constant on cosets at level m - (j+1) inside that
     shell, so the natural window is (-(j+1), m-(j+1)); a finer resolution
     may be requested for windowed arithmetic against other functions.
+    Multiplying by pi^{-(j+1)} carries that window's cells onto those of the
+    unit-ball window (0, m) with the same digits, so the piece is
+    kernel_as_test_function(k) relabelled.
     """
     a = -(j + 1)
     natural = k.m + a
     res = natural if resolution is None else resolution
     if res < natural:
         raise ValueError("resolution too coarse for the kernel's angular detail")
-    w = Window(k.config, a, res)
-    levels = w.valuation_levels()
-    digits = w.digit_matrix()
-    q = k.config.p
-    on_shell = levels == a
-    # angular digits of a shell cell are its digits at levels a .. a+m-1
-    tail = np.zeros(w.size, dtype=np.int64)
-    for i in range(1, k.m):
-        tail = tail * q + digits[:, i]
-    kidx = (digits[:, 0] - 1) * q ** (k.m - 1) + tail
-    vals = np.zeros(w.size, dtype=np.complex128)
-    vals[on_shell] = k.values[kidx[on_shell]]
-    return TestFunction(k.config, a, res, vals)
+    piece = TestFunction(k.config, a, natural, kernel_as_test_function(k).values)
+    return refine(piece, a, res)
 
 
 # -- Taibleson smoothness modulus ----------------------------------------------

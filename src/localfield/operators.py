@@ -8,8 +8,9 @@ vanishes identically rather than approximately.
 
 The whole operator collapses to a single group convolution with a compactly
 windowed kernel function, which keeps the fast path inside the tested
-convolution machinery; definition-level sphere sums remain available as the
-slow exact route.
+convolution machinery; sphere_integral, the definition-level sphere sum, is
+kept as the slow exact route, the oracle for apply_truncated.  The per-atom
+operator takes an AngularKernel and refuses one that validate_atom rejects.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldElement, add, negate, q_power
-from .fourier import forward
 from .functions import (
     TestFunction,
     coarsen_resolution,
@@ -30,14 +30,7 @@ from .functions import (
     refine,
     restrict_support,
 )
-from .kernels import (
-    AngularKernel,
-    kernel_window_indices,
-    kernel_as_test_function,
-    make_kernel,
-    shell_piece,
-    validate_atom,
-)
+from .kernels import AngularKernel, shell_piece, validate_atom
 
 
 @dataclass(frozen=True)
@@ -54,10 +47,6 @@ class TruncationSpec:
 
     def to_dict(self) -> dict:
         return {"k": self.k, "out_a": self.out_a, "out_l": self.out_l}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TruncationSpec":
-        return TruncationSpec(int(d["k"]), int(d["out_a"]), int(d["out_l"]))
 
 
 def tail_cutoff(out_a: int, f_a: int) -> int:
@@ -76,27 +65,11 @@ def output_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
     return TruncationSpec(k, out_a, max(f.l, m - (k + 1), out_a))
 
 
-def _checked_atom(a: AngularKernel | TestFunction) -> AngularKernel:
-    """The atom as an angular kernel; ValueError unless all three atom conditions hold."""
-    if isinstance(a, TestFunction):
-        m = max(a.l, 1)
-        g = refine(a, min(a.a, 0), m)
-        if np.any(g.values[g.window.valuation_levels() != 0] != 0):
-            raise ValueError("atom support must lie in the unit sphere")
-        # cells inside the unit ball sit at indices divisible by the pad stride
-        stride = a.config.p ** (-g.a)
-        a = make_kernel(a.config, g.values[kernel_window_indices(a.config, m) * stride], m)
-    chk = validate_atom(a)
-    if not chk.valid:
-        raise ValueError(f"invalid atom: {chk.violation} condition fails")
-    return a
-
-
 def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElement) -> complex:
     """Integral of f(x - y) against the extended kernel over the shell |y| = q^{j+1}.
 
     Exact coset sum at refinement level max(l_f, m - (j+1)); linear in f and
-    in the kernel.
+    in the kernel.  The oracle for apply_truncated.
     """
     if f.config != kernel.config:
         raise ValueError("function and kernel live on different fields")
@@ -164,30 +137,9 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
     return _fit_window(conv, spec.out_a, spec.out_l)
 
 
-def apply_atom_operator(f: TestFunction, atom: AngularKernel | TestFunction, spec: TruncationSpec) -> TestFunction:
+def apply_atom_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSpec) -> TestFunction:
     """The per-atom operator: same shell sum, but the kernel must be a valid atom."""
-    return apply_truncated(f, _checked_atom(atom), spec)
-
-
-@dataclass(frozen=True)
-class SpectralSupPair:
-    """Sup of the transformed shell piece under both support readings.
-
-    reading_a extends the atom homogeneously onto the shell of radius
-    q^{j+1}; reading_b keeps the literal unit-sphere support independent of
-    j.  The two coincide at j = -1.
-    """
-
-    reading_a: float
-    reading_b: float
-
-
-def shell_spectral_sup(atom: AngularKernel | TestFunction, j: int) -> SpectralSupPair:
-    """Exact sup of the transform modulus over the spectral window, both readings."""
-    kern = _checked_atom(atom)
-    spec_a = forward(shell_piece(kern, j))
-    spec_b = forward(kernel_as_test_function(kern))
-    return SpectralSupPair(
-        float(np.max(np.hypot(spec_a.values.real, spec_a.values.imag))),
-        float(np.max(np.hypot(spec_b.values.real, spec_b.values.imag))),
-    )
+    chk = validate_atom(atom)
+    if not chk.valid:
+        raise ValueError(f"invalid atom: {chk.violation} condition fails")
+    return apply_truncated(f, atom, spec)

@@ -157,12 +157,6 @@ class OperatorNormEstimate:
     sup_ratio: float
     fitted_constant: float
 
-    def per_k_sup(self) -> dict:
-        out = {}
-        for _, k, _, ratio in self.ratio_table:
-            out[k] = max(out.get(k, 0.0), ratio)
-        return out
-
 
 def k_stability(estimate: OperatorNormEstimate, factor: float = 4.0,
                 param_filter=None) -> dict:
@@ -449,22 +443,14 @@ class VerificationReport:
     tables: dict
     timing_ms: dict
 
-    def _payload(self, include_timing: bool) -> dict:
-        out = {
+    def canonical_json(self) -> str:
+        payload = {
             "config": self.config.to_dict(),
             "seed": self.seed,
             "checks": list(self.checks),
             "tables": self.tables,
         }
-        if include_timing:
-            out["timing_ms"] = self.timing_ms
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self._payload(True), sort_keys=True, indent=2)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self._payload(False), sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2)
 
     def csv_rows(self) -> list:
         rows = [("check", "entry", "k", "param", "ratio")]

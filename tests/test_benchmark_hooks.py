@@ -1,20 +1,40 @@
-"""The benchmark tracer wraps library functions by name: every name must resolve.
+"""The benchmark reaches library functions by name: every name must resolve.
 
 perfbench/tracer.py looks each (module, attribute) pair up with getattr when
-it installs its wrappers, so a rename or deletion in the package would only
-surface as a failing traced benchmark run.  This test loads the tracer from
-its file and checks the pairs here instead.
+it installs its wrappers, and perfbench/workloads.py calls the library through
+module attributes (cli.main, decomp.besov_norm, ...), so a rename or deletion
+in the package would only surface as a failing benchmark run.  These tests
+load both files from their paths and check the names here instead; loading
+workloads.py also resolves its ``from localfield... import`` names.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracer", Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+
+# the library modules workloads.py calls through attribute access
+_MODULES = ("cli", "decomp", "fourier", "functions", "operators")
+_WORKLOAD_ATTRS = sorted({
+    (node.value.id, node.attr)
+    for node in ast.walk(ast.parse((_PERFBENCH / "workloads.py").read_text()))
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    and node.value.id in _MODULES
+})
 
 
 @pytest.mark.parametrize("owner, attr",
@@ -23,3 +43,12 @@ _spec.loader.exec_module(tracer)
                          ids=lambda x: x if isinstance(x, str) else x.__name__)
 def test_wrapped_name_resolves_to_callable(owner, attr):
     assert callable(getattr(owner, attr, None))
+
+
+def test_workloads_reach_every_library_module():
+    assert {module for module, _ in _WORKLOAD_ATTRS} == set(_MODULES)
+
+
+@pytest.mark.parametrize("module, attr", _WORKLOAD_ATTRS, ids=lambda x: x)
+def test_workload_attribute_resolves_to_callable(module, attr):
+    assert callable(getattr(getattr(workloads, module), attr, None))

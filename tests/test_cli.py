@@ -165,6 +165,9 @@ def test_bad_lambda_exits_2_with_key_path(tmp_path, capsys, flag, in_file):
     ({"field": {"p": "two"}}, "field.p: expected a prime integer, got 'two'"),
     ({"field": {"p": 2.7}}, "field.p: expected a prime integer, got 2.7"),
     ({"field": {"p": True}}, "field.p: expected a prime integer, got True"),
+    ({"output": {"formats": 5}}, "output.formats: expected a list of format names, got 5"),
+    ({"output": {"directory": 5}}, "output.directory: expected a path string, got 5"),
+    ({"window": [False, True]}, "window: expected [a, l] with integer scales"),
 ])
 def test_bad_verify_parameters_exit_2_before_the_corpus(tmp_path, capsys, monkeypatch,
                                                          in_file, says):
@@ -173,7 +176,9 @@ def test_bad_verify_parameters_exit_2_before_the_corpus(tmp_path, capsys, monkey
 
     monkeypatch.setattr(verify, "generate_corpus", no_corpus)
     path = write_json(tmp_path / "cfg.json", in_file)
-    assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    # --out would override a bad output.directory in the file
+    out = [] if "directory" in in_file.get("output", {}) else ["--out", str(tmp_path / "o")]
+    assert main(["verify", "--config", path, *out]) == 2
     assert capsys.readouterr().err.startswith(f"error: {says}")
     assert not (tmp_path / "o").exists()
 

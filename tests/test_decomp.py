@@ -1,4 +1,4 @@
-"""Decomposition layer: CZ stopping time, LP blocks, B/F norms, unity family."""
+"""Decomposition layer: CZ stopping time, LP blocks, B/F norms."""
 
 import json
 import math
@@ -20,15 +20,12 @@ from localfield.decomp import (
     littlewood_paley,
     lp_norm_table,
     triebel_lizorkin_norm,
-    verify_unity_decomposition,
 )
 from localfield.field import Ball, FieldConfig, FieldElement, Window
-from localfield.fourier import forward, forward_naive, spectral_valuation_levels
+from localfield.fourier import forward, forward_naive
 from localfield.functions import (
     TestFunction,
     from_indicator_combo,
-    integral,
-    linf_norm,
     lr_norm,
     max_difference,
     pointwise_combine,
@@ -37,7 +34,7 @@ from localfield.functions import (
 from localfield.verify import DEFAULT_SRT_LIST
 
 import cz_oracle
-from util import CONFIGS
+from util import CONFIGS, integral, linf_norm, spectral_valuation_levels
 
 
 def unit_ball(config: FieldConfig) -> TestFunction:
@@ -89,7 +86,7 @@ def test_cz_concentrated_mass_hand_walk():
         f = from_indicator_combo(config, [(float(q), Ball(FieldElement.zero(config), 1))])
         dec = cz_decompose(f, 1.0, 0)
         assert len(dec.balls) == 1
-        assert dec.balls[0].same_set(Ball(FieldElement.zero(config), 1))
+        assert dec.balls[0] == Ball(FieldElement.zero(config), 1)
         assert dec.ball_averages == (Fraction(q),)
         assert dec.exceptional_measure == Fraction(1, q)
         g = refine(f, 0, dec.good_part.l)
@@ -462,6 +459,25 @@ def test_lp_spectrum_containment():
             assert np.all(np.hypot(F.values.real, F.values.imag)[off] <= 1e-12)
 
 
+def test_lp_blocks_of_approximate_identity_are_ball_differences():
+    # delta = q^l 1_(P^l): block 0 is 1_(P^0) and block j >= 1 is
+    # q^j 1_(P^j) - q^(j-1) 1_(P^(j-1)), whose sup is q^(j-1) (q - 1)
+    l = 4
+    for config in (FieldConfig("padic", 2), FieldConfig("laurent", 3)):
+        q = config.q
+        zero = FieldElement.zero(config)
+        delta = refine(from_indicator_combo(config, [(float(q**l), Ball(zero, l))]), 0, l)
+        coset_blocks = _all_blocks(delta)
+        for j in range(l + 1):
+            terms = [(1.0, Ball(zero, 0))] if j == 0 else [
+                (float(q**j), Ball(zero, j)), (-float(q ** (j - 1)), Ball(zero, j - 1))]
+            want = from_indicator_combo(config, terms)
+            assert max_difference(coset_blocks[j].block, want) == 0
+            assert max_difference(littlewood_paley(delta, j).block, want) <= 1e-12 * q**l
+            if j >= 1:
+                assert linf_norm(want) == q ** (j - 1) * (q - 1)
+
+
 def test_lp_padding_for_positive_scale_window():
     config = CONFIGS[1]
     rng = np.random.default_rng(19)
@@ -657,7 +673,6 @@ def test_norm_report_serialization():
     rep = NormReport("B", 1.0, 2.0, 2.0, 3.25)
     d = json.loads(json.dumps(rep.to_dict()))
     assert d == {"space": "B", "s": 1.0, "r": 2.0, "t": 2.0, "value": 3.25}
-    assert NormReport.from_dict(d) == rep
 
 
 def test_lebesgue_report_wraps_lr_norm():
@@ -665,45 +680,3 @@ def test_lebesgue_report_wraps_lr_norm():
     f = random_fn(rng, CONFIGS[3], -1, 2)
     rep = lebesgue_norm_report(f, 2.0)
     assert rep.space == "L" and rep.value == lr_norm(f, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Partition-of-unity diagnostics
-
-
-def test_unity_exact_conditions_and_block_zero():
-    for config in CONFIGS[:2]:
-        report = verify_unity_decomposition(config, -2, 4, 1.0)
-        assert report["support_condition"] is True
-        assert report["partition_condition"] is True
-        assert report["blocks"][0]["measured_sup"] == pytest.approx(1.0, abs=1e-12)
-        assert report["blocks"][0]["ratio"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unity_measured_sups_match_difference_of_balls():
-    # the inverse of the shell indicator is a difference of scaled ball
-    # indicators with sup q^{j-1}(q-1); the s-order derivative multiplies
-    # by q^{js} on that shell, so the measured ratio grows like q^{2j}
-    s = 1.0
-    for config in [FieldConfig("padic", 2), FieldConfig("laurent", 3)]:
-        q = config.q
-        report = verify_unity_decomposition(config, 0, 6, s)
-        for entry in report["blocks"][1:]:
-            j = entry["j"]
-            expected = float(q) ** (j * s) * float(q) ** (j - 1) * (q - 1)
-            assert entry["measured_sup"] == pytest.approx(expected, rel=1e-9)
-            assert entry["reference_decay"] == pytest.approx(float(q) ** (j * (s - 1)))
-        ratios = [e["ratio"] for e in report["blocks"][1:]]
-        growth = [b / a for a, b in zip(ratios, ratios[1:])]
-        assert all(g == pytest.approx(q**2, rel=1e-8) for g in growth)
-        assert report["empirical_c_s"] == pytest.approx(max(ratios))
-
-
-def test_unity_rejections():
-    config = CONFIGS[0]
-    with pytest.raises(ValueError):
-        verify_unity_decomposition(config, 0, 3, 0.0)
-    with pytest.raises(ValueError):
-        verify_unity_decomposition(config, 1, 3, 1.0)
-    with pytest.raises(ValueError):
-        verify_unity_decomposition(config, 0, -1, 1.0)

@@ -10,7 +10,6 @@ from localfield.field import (
     Ball,
     FieldConfig,
     FieldElement,
-    Sphere,
     Window,
     abs_value,
     add,
@@ -25,7 +24,7 @@ from localfield.field import (
     truncate,
     valuation,
 )
-from util import CONFIGS, random_element
+from util import CONFIGS, one, random_element
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -67,18 +66,18 @@ class TestValuation:
 
 class TestAdd:
     def test_padic_carry(self):
-        one = FieldElement.one(Q2)
-        s = add(one, one)
+        u = one(Q2)
+        s = add(u, u)
         assert s.level == 1 and s.digits == (1,)
         assert abs_value(s) == Fraction(1, 2)
 
     def test_laurent_cancellation(self):
-        one = FieldElement.one(F2)
-        assert add(one, one).is_zero
+        u = one(F2)
+        assert add(u, u).is_zero
 
     def test_config_mismatch(self):
         with pytest.raises(ValueError):
-            add(FieldElement.one(Q2), FieldElement.one(Q3))
+            add(one(Q2), one(Q3))
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
     def test_ultrametric(self, config):
@@ -145,7 +144,7 @@ class TestMultiply:
 
 class TestShiftAndAngular:
     def test_shift_one_gives_uniformizer(self):
-        assert prime_shift(FieldElement.one(Q2), 1) == petit(Q2, 1, [1])
+        assert prime_shift(one(Q2), 1) == petit(Q2, 1, [1])
 
     def test_shift_zero_is_identity(self):
         x = petit(Q2, -2, [1, 0, 1])
@@ -186,7 +185,7 @@ class TestCharacter:
 
     def test_q2_sign_character(self):
         lam = petit(Q2, -1, [1])
-        assert character(lam, FieldElement.one(Q2)) == pytest.approx(-1.0)
+        assert character(lam, one(Q2)) == pytest.approx(-1.0)
 
     def test_nontrivial_on_first_shell(self):
         for config in CONFIGS:
@@ -218,7 +217,7 @@ class TestCharacter:
 class TestEnumerateCosets:
     def test_unit_window_q2(self):
         got = enumerate_cosets(Q2, 0, 1)
-        assert got == [FieldElement.zero(Q2), FieldElement.one(Q2)]
+        assert got == [FieldElement.zero(Q2), one(Q2)]
 
     def test_two_digit_window_q2(self):
         got = enumerate_cosets(Q2, 0, 2)
@@ -243,14 +242,19 @@ class TestBallSphere:
         x = petit(Q2, 0, [1])
         assert Ball(x, 3).measure == Fraction(1, 8)
         assert Ball(x, -2).measure == 4
-        assert Sphere(Q2, -1).measure == Fraction(1, 2)
-        assert Sphere(Q3, 1).measure == 6
+        # the sphere |y| = q^(j+1) is P^(-(j+1)) minus P^(-j)
+        for config, j, want in ((Q2, -1, Fraction(1, 2)), (Q3, 1, 6)):
+            zero = FieldElement.zero(config)
+            assert Ball(zero, -(j + 1)).measure - Ball(zero, -j).measure == want
 
     def test_unit_sphere_membership(self):
-        s = Sphere(Q2, -1)
-        assert s.contains(FieldElement.one(Q2))
-        assert not s.contains(petit(Q2, 1, [1]))
-        assert not s.contains(FieldElement.zero(Q2))
+        # |x| = 1 iff x lies in the unit ball D and not in the maximal ideal P
+        zero = FieldElement.zero(Q2)
+        unit_ball, ideal = Ball(zero, 0), Ball(zero, 1)
+        for x, on_sphere in ((one(Q2), True), (petit(Q2, 1, [1]), False), (zero, False),
+                             (petit(Q2, -1, [1]), False)):
+            assert (unit_ball.contains(x) and not ideal.contains(x)) == on_sphere
+            assert (valuation(x) == 0) == on_sphere
 
     def test_ball_contains(self):
         b = Ball(petit(Q2, 0, [1]), 2)  # 1 + P^2
@@ -264,15 +268,23 @@ class TestBallSphere:
         for _ in range(200):
             b1 = Ball(random_element(rng, config), int(rng.integers(-2, 4)))
             b2 = Ball(random_element(rng, config), int(rng.integers(-2, 4)))
-            assert b1.disjoint_or_nested(b2)
+            # ultrametric dichotomy: two balls are disjoint or one holds the other
+            inner, outer = (b1, b2) if b1.scale >= b2.scale else (b2, b1)
+            nested = outer.contains(inner.center)
+            assert b1.intersects(b2) == b2.intersects(b1) == nested
+            # a point of the inner ball lies in the outer one exactly when they are nested
+            x = add(inner.center, prime_shift(random_element(rng, config, 0, 3), inner.scale))
+            assert inner.contains(x)
+            assert outer.contains(x) == nested
 
     def test_sphere_tiling(self):
-        # A_j splits into cosets of P^m whose measures add up
+        # the sphere |y| = q splits into cosets of P^2 whose measures add up
         for config in CONFIGS:
-            s = Sphere(config, 0)
-            reps = s.coset_representatives(2)
-            assert sum(Ball(r, 2).measure for r in reps) == s.measure
-            assert all(s.contains(r) for r in reps)
+            zero = FieldElement.zero(config)
+            reps = [x for x in enumerate_cosets(config, -1, 2) if valuation(x) == -1]
+            assert len(reps) == (config.q - 1) * config.q**2
+            assert (sum(Ball(x, 2).measure for x in reps)
+                    == Ball(zero, -1).measure - Ball(zero, 0).measure)
 
 
 class TestWindow:
@@ -299,7 +311,6 @@ class TestWindow:
             x, y = w.element(i), w.element(j)
             assert int(w.index_add(i, j)) == w.index_of(add(x, y))
             assert int(w.index_sub(i, j)) == w.index_of(add(x, negate(y, w.l)))
-            assert int(w.index_neg(i)) == w.index_of(negate(x, w.l))
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
     def test_sub_table(self, config):

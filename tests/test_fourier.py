@@ -21,11 +21,9 @@ from localfield.functions import (
     TestFunction,
     convolve,
     from_indicator_combo,
-    functions_agree,
     lr_norm,
     max_difference,
     refine,
-    translate,
 )
 from localfield.fourier import (
     SpectralFunction,
@@ -34,12 +32,9 @@ from localfield.fourier import (
     forward_naive,
     inverse,
     inverse_naive,
-    p_type_derivative,
-    p_type_integral,
     spectral_l2_norm,
-    spectral_valuation_levels,
 )
-from util import CONFIGS, random_element
+from util import CONFIGS, random_element, spectral_valuation_levels, translate
 
 Q2 = FieldConfig("padic", 2)
 
@@ -222,12 +217,6 @@ class TestMultiplier:
         g = apply_multiplier(f, np.zeros(f.values.size))
         assert np.max(np.abs(g.values)) < 1e-13
 
-    def test_missing_cells_rejected(self):
-        rng = np.random.default_rng(51)
-        f = random_function(rng, Q2, a=0, l=1)
-        with pytest.raises(ValueError):
-            apply_multiplier(f, {0: 1.0})
-
     def test_wrong_length_rejected(self):
         rng = np.random.default_rng(52)
         f = random_function(rng, Q2, a=0, l=2)
@@ -244,58 +233,36 @@ class TestMultiplier:
         fast = apply_multiplier(f, keep.astype(float))
         assert max_difference(filtered, fast) < 1e-11
 
-    def test_multiplier_as_dict(self):
-        rng = np.random.default_rng(53)
-        f = random_function(rng, Q2, a=0, l=1)
-        g = apply_multiplier(f, {0: 1.0, 1: 0.0})
-        lv = spectral_valuation_levels(forward(f))
-        h = apply_multiplier(f, np.array([1.0, 0.0]))
-        assert max_difference(g, h) == 0
+
+def bracket_symbol(f, alpha):
+    """<xi>^alpha per spectral cell of f, with <xi> = max(1, |xi|) and f.a <= 0."""
+    levels = Window(f.config, -f.l, -f.a).valuation_levels()
+    return np.float_power(float(f.config.q), alpha * np.maximum(0, -levels))
 
 
 class TestPType:
-    def test_alpha_zero_is_identity(self):
-        rng = np.random.default_rng(54)
-        f = random_function(rng, Q2)
-        assert p_type_derivative(f, 0) is f
-        assert p_type_integral(f, 0) is f
+    """The p-type symbol <xi>^alpha through apply_multiplier."""
 
     def test_unit_ball_fixed_point(self):
         for config in CONFIGS:
             f = from_indicator_combo(config, [(1, Ball(FieldElement.zero(config), 0))])
             for alpha in (0.5, 1, 2):
-                g = p_type_derivative(f, alpha)
-                assert functions_agree(f, g, tol=1e-12)
+                g = apply_multiplier(f, bracket_symbol(f, alpha))
+                assert max_difference(f, g) <= 1e-12
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
     def test_derivative_integral_roundtrip(self, config):
         rng = np.random.default_rng(55)
         for alpha in (0.5, 1.0, 1.7):
             f = random_function(rng, config, a=-1, l=2)
-            g = p_type_integral(p_type_derivative(f, alpha), alpha)
+            g = apply_multiplier(f, bracket_symbol(f, alpha))
+            g = apply_multiplier(g, bracket_symbol(g, -alpha))
             assert max_difference(f, g) < 1e-12
-
-    def test_negative_alpha_redirects(self):
-        rng = np.random.default_rng(56)
-        f = random_function(rng, Q2)
-        assert max_difference(p_type_derivative(f, -1.0), p_type_integral(f, 1.0)) == 0
 
     def test_integral_symbol_contracts(self):
         # <xi>^{-alpha} never grows anything: ||I_alpha f||_2 <= ||f||_2
         rng = np.random.default_rng(57)
         for config in CONFIGS:
             f = random_function(rng, config, a=-2, l=1)
-            assert lr_norm(p_type_integral(f, 0.7), 2) <= lr_norm(f, 2) * (1 + 1e-12)
-
-
-class TestPositiveResolutionWindows:
-    def test_ptype_pads_when_a_positive(self):
-        # spectrum reaches below the unit scale only after padding; the
-        # operator must treat the whole coarse cell as bracket 1
-        rng = np.random.default_rng(58)
-        vals = rng.uniform(-1, 1, 4)
-        f = TestFunction(Q2, 1, 3, vals)
-        g = p_type_derivative(f, 1.0)
-        assert g.a <= 0
-        h = p_type_integral(g, 1.0)
-        assert functions_agree(refine(f, h.a, h.l), h, tol=1e-12)
+            g = apply_multiplier(f, bracket_symbol(f, -0.7))
+            assert lr_norm(g, 2) <= lr_norm(f, 2) * (1 + 1e-12)

@@ -9,23 +9,19 @@ import pytest
 from localfield.field import Ball, FieldConfig, FieldElement, add, enumerate_cosets, negate
 from localfield.functions import (
     TestFunction,
-    canonicalize,
     coarsen_resolution,
     convolve,
     dyadic_ints,
     evaluate,
     from_indicator_combo,
-    functions_agree,
-    integral,
     lr_norm,
     max_difference,
     pointwise_combine,
     refine,
     restrict_support,
-    translate,
     weak_level_measure,
 )
-from util import CONFIGS, random_element
+from util import CONFIGS, one, random_element, translate
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -53,9 +49,8 @@ class TestConstruction:
         assert np.all(f.values == 0)
 
     def test_disjoint_cosets(self):
-        one = FieldElement.one(Q2)
         f = from_indicator_combo(
-            Q2, [(2, Ball(FieldElement.zero(Q2), 1)), (3, Ball(one, 1))])
+            Q2, [(2, Ball(FieldElement.zero(Q2), 1)), (3, Ball(one(Q2), 1))])
         assert (f.a, f.l) == (0, 1)
         assert f.values.tolist() == [2, 3]
 
@@ -99,13 +94,14 @@ class TestWindowing:
             x = random_element(rng, config, -3, 4)
             assert evaluate(f, x) == evaluate(g, x)
 
-    def test_refine_then_canonicalize_roundtrip(self):
+    def test_refine_then_coarsen_and_restrict_roundtrip(self):
         rng = np.random.default_rng(23)
         for config in CONFIGS:
             f = random_function(rng, config, a=0, l=1)
-            g = canonicalize(refine(f, -2, 3))
+            # coarsening averages q^2 equal copies of each value: exact up to rounding
+            g = restrict_support(coarsen_resolution(refine(f, -2, 3), 1), 0)
             assert (g.a, g.l) == (0, 1)
-            assert np.array_equal(g.values, f.values)
+            assert max_difference(f, g) <= 1e-15
 
     def test_restrict_support(self):
         rng = np.random.default_rng(24)
@@ -121,7 +117,7 @@ class TestWindowing:
         f = refine(unit_ball_indicator(Q3), -1, 2)
         g = coarsen_resolution(f, 0)
         assert (g.a, g.l) == (-1, 0)
-        assert functions_agree(f, g)
+        assert max_difference(f, g) == 0
 
 
 class TestTranslate:
@@ -136,7 +132,7 @@ class TestTranslate:
         f = random_function(rng, config, a=-1, l=2)
         h = random_element(rng, config, -2, 3, allow_zero=False)
         back = translate(translate(f, h), negate(h, f.l))
-        assert functions_agree(f, back)
+        assert max_difference(f, back) == 0
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
     def test_translate_pointwise(self, config):
@@ -202,7 +198,7 @@ class TestConvolve:
     def test_idempotent_unit_ball(self):
         f = unit_ball_indicator(Q2)
         g = convolve(f, f)
-        assert functions_agree(f, g)
+        assert max_difference(f, g) == 0
 
     def test_zero_annihilates(self):
         rng = np.random.default_rng(31)

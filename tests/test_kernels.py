@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from localfield.field import FieldConfig, FieldElement, Window, add, prime_shift, valuation
-from localfield.functions import TestFunction, evaluate, functions_agree, integral, lr_norm, refine
+from localfield.functions import evaluate, lr_norm, max_difference, refine
 from localfield.kernels import (
     AngularKernel,
     _exactly_mean_zero,
@@ -26,7 +26,7 @@ from localfield.kernels import (
     taibleson_modulus,
     validate_atom,
 )
-from util import CONFIGS, random_element
+from util import CONFIGS, integral, random_element
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -218,20 +218,6 @@ def test_atom_mean_violation():
 
 def test_zero_is_valid_atom():
     assert validate_atom(make_kernel(Q2, [0.0, 0.0], 2)).valid
-    assert validate_atom(TestFunction(Q2, -1, 2, np.zeros(8, dtype=complex))).valid
-
-
-def test_atom_as_test_function():
-    k = make_kernel(Q2, [2.0, -2.0], 2)
-    f = kernel_as_test_function(k)
-    assert validate_atom(f).valid
-    assert validate_atom(refine(f, -2, 3)).valid
-    # mass off the unit sphere breaks the support condition
-    w = Window(Q2, -1, 2)
-    bad = np.zeros(w.size, dtype=complex)
-    bad[np.flatnonzero(w.valuation_levels() == -1)[0]] = 0.25
-    chk = validate_atom(TestFunction(Q2, -1, 2, bad))
-    assert not chk.valid and chk.violation == "support"
 
 
 def fraction_sup_bound_holds(values, q: int) -> bool:
@@ -371,12 +357,31 @@ def test_shell_piece_l1_mass():
             assert np.isclose(lr_norm(shell_piece(k, j), 1), config.q ** (j + 1) * sphere_l1, rtol=1e-12)
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_shell_piece_cells_equal_homogeneous_extension(config):
+    # every cell of the piece, at the natural resolution and one level finer,
+    # holds exactly the extended kernel at the cell's representative
+    rng = np.random.default_rng(24)
+    for m in (1, 2, 3):
+        k = random_kernel(rng, config, m)
+        for j in (-3, -1, 0, 2):
+            natural = k.m - (j + 1)
+            for res in (natural, natural + 1):
+                piece = shell_piece(k, j, resolution=res)
+                w = piece.window
+                assert (w.a, w.l) == (-(j + 1), res)
+                for n in range(w.size):
+                    x = w.element(n)
+                    want = evaluate_homogeneous(k, x) if valuation(x) == w.a else 0
+                    assert piece.values[n] == want
+
+
 def test_shell_piece_resolution():
     rng = np.random.default_rng(21)
     k = random_kernel(rng, Q3, 2)
     f = shell_piece(k, 1)
     g = shell_piece(k, 1, resolution=f.l + 2)
-    assert functions_agree(refine(f, f.a, f.l + 2), g)
+    assert max_difference(refine(f, f.a, f.l + 2), g) == 0
     with pytest.raises(ValueError):
         shell_piece(k, 0, resolution=k.m - 2)
 

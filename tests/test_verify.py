@@ -424,8 +424,9 @@ def test_report_canonical_bytes_reproducible():
 
 def test_report_schema_and_exit_semantics():
     report = run_small()
-    payload = json.loads(report.to_json())
-    assert set(payload) == {"config", "seed", "checks", "tables", "timing_ms"}
+    payload = json.loads(report.canonical_json())
+    assert set(payload) == {"config", "seed", "checks", "tables"}
+    assert set(report.timing_ms) == {"corpus", "lebesgue", "besov_tl", "l2_weak", "taibleson"}
     names = [c["name"] for c in payload["checks"]]
     assert len(names) == len(set(names))
     for c in payload["checks"]:
@@ -441,7 +442,7 @@ def test_report_empty_check_selection_is_valid_skeleton():
     report = run_verification(
         config=Q2, count=2, window=(-2, 2), kernel_resolutions=(2,), checks=()
     )
-    payload = json.loads(report.to_json())
+    payload = json.loads(report.canonical_json())
     assert payload["tables"] == {}
     assert [c["name"] for c in payload["checks"]] == ["corpus_kernels_mean_zero"]
     assert exact_checks_pass(report)
