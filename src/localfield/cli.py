@@ -36,8 +36,8 @@ from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
 from .operators import apply_truncated, output_spec
-from .verify import (DEFAULT_SRT_LIST, _is_real, check_lebesgue_exponent, check_srt,
-                     emit_report, exact_checks_pass, run_verification)
+from .verify import (DEFAULT_SRT_LIST, _is_real, check_lebesgue_exponent, check_record,
+                     check_srt, emit_report, exact_checks_pass, run_verification)
 
 CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
 WINDOW_CELL_CAP = 65536
@@ -60,55 +60,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one CLI run.
-
-    The nested dicts mirror the config-file layout; the properties below
-    give flat access for the subcommand handlers.
-    """
+    """Validated description of one CLI run, one field per setting; lists are tuples."""
 
     field: FieldConfig
     window: tuple
-    corpus: dict
+    seed: int
+    count: int
+    kernel_resolutions: tuple
     checks: tuple
-    truncations: dict
-    parameters: dict
-    output: dict
-
-    @property
-    def seed(self) -> int:
-        return self.corpus["seed"]
-
-    @property
-    def count(self) -> int:
-        return self.corpus["count"]
-
-    @property
-    def kernel_resolutions(self) -> tuple:
-        return tuple(self.corpus["kernel_resolutions"])
-
-    @property
-    def k_list(self) -> tuple:
-        return tuple(self.truncations["k_list"])
-
-    @property
-    def r_list(self) -> tuple:
-        return tuple(self.parameters["r_list"])
-
-    @property
-    def srt_list(self) -> tuple:
-        return tuple(tuple(x) for x in self.parameters["srt_list"])
-
-    @property
-    def lambda_list(self) -> tuple:
-        return tuple(self.parameters["lambda_list"])
-
-    @property
-    def out_dir(self) -> str:
-        return self.output["directory"]
-
-    @property
-    def formats(self) -> tuple:
-        return tuple(self.output["formats"])
+    k_list: tuple
+    r_list: tuple
+    srt_list: tuple
+    lambda_list: tuple
+    out_dir: str
+    formats: tuple
 
 
 def _defaults() -> dict:
@@ -252,14 +217,20 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.formats: unknown format {fmt!r}")
 
+    params = raw["parameters"]
     return RunConfig(
         field=field,
         window=(a, l),
-        corpus=dict(corpus),
+        seed=corpus["seed"],
+        count=corpus["count"],
+        kernel_resolutions=tuple(resolutions),
         checks=tuple(checks),
-        truncations=dict(raw["truncations"]),
-        parameters=dict(raw["parameters"]),
-        output=dict(raw["output"]),
+        k_list=tuple(k_list),
+        r_list=tuple(params["r_list"]),
+        srt_list=tuple(tuple(x) for x in params["srt_list"]),
+        lambda_list=tuple(lambdas),
+        out_dir=directory,
+        formats=tuple(formats),
     )
 
 
@@ -464,12 +435,12 @@ def _load_kernel(path, fallback: FieldConfig) -> AngularKernel:
         raise ConfigError(f"input: {path} is not a serialized kernel: {exc}") from exc
 
 
-def _write_artifact(cfg: RunConfig, name: str, artifact: dict) -> str:
+def _write_artifact(cfg: RunConfig, filename: str, text: str) -> str:
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(_jsonable(artifact), sort_keys=True, indent=2) + "\n")
+        path = out_dir / filename
+        path.write_text(text)
     except OSError as exc:
         raise RuntimeError(f"could not write artifact under {out_dir}: {exc}") from exc
     return str(path)
@@ -500,15 +471,12 @@ def _cmd_transform(cfg: RunConfig, args) -> tuple[dict, list]:
     nf, nF = lr_norm(f, 2.0), spectral_l2_norm(F)
     plancherel = abs(nf - nF) / nf if nf > 0 else abs(nF)
     checks = [
-        {"name": "fourier_roundtrip", "claimed": 1e-12, "measured": roundtrip,
-         "pass": roundtrip < 1e-12},
-        {"name": "plancherel", "claimed": 1e-10, "measured": plancherel,
-         "pass": plancherel < 1e-10},
+        check_record("fourier_roundtrip", 1e-12, roundtrip, roundtrip < 1e-12),
+        check_record("plancherel", 1e-10, plancherel, plancherel < 1e-10),
     ]
     if f.values.size <= 2048:
         diff = float(np.max(np.abs(F.values - forward_naive(f).values)))
-        checks.append({"name": "fast_matches_naive", "claimed": 1e-10,
-                       "measured": diff, "pass": diff < 1e-10})
+        checks.append(check_record("fast_matches_naive", 1e-10, diff, diff < 1e-10))
     artifact = {"config": f.config.to_dict(), "input": f.to_dict(),
                 "spectral": F.to_dict(), "checks": checks}
     return artifact, checks
@@ -523,8 +491,7 @@ def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
             spec = output_spec(f, kern.m, k)
             g = apply_truncated(f, kern, spec)
             outputs.append({"k": k, "spec": spec.to_dict(), "result": g.to_dict()})
-    checks = [{"name": "kernel_mean_zero", "claimed": True,
-               "measured": kern.is_mean_zero, "pass": kern.is_mean_zero}]
+    checks = [check_record("kernel_mean_zero", True, kern.is_mean_zero, kern.is_mean_zero)]
     artifact = {"config": f.config.to_dict(), "input": f.to_dict(),
                 "kernel": kern.to_dict(), "outputs": outputs, "checks": checks}
     return artifact, checks
@@ -541,8 +508,8 @@ def _cmd_cz(cfg: RunConfig, args) -> tuple[dict, list]:
                      "clauses": clauses, "metrics": metrics})
         for name, ok in clauses.items():
             informational = name == "remark_bad_l1_within_f_l1"
-            checks.append({"name": f"cz:{lam}:{name}", "claimed": True,
-                           "measured": ok, "pass": None if informational else ok})
+            checks.append(check_record(f"cz:{lam}:{name}", True, ok,
+                                       None if informational else ok))
     artifact = {"config": f.config.to_dict(), "input": f.to_dict(),
                 "runs": runs, "checks": checks}
     return artifact, checks
@@ -558,8 +525,7 @@ def _cmd_norms(cfg: RunConfig, args) -> tuple[dict, list]:
         reports.extend([b.to_dict(), fl.to_dict()])
         if r == t:
             gap = abs(b.value - fl.value)
-            checks.append({"name": f"norm_bf_match:{s}:{r}:{t}", "claimed": 1e-11,
-                           "measured": gap, "pass": gap <= 1e-11})
+            checks.append(check_record(f"norm_bf_match:{s}:{r}:{t}", 1e-11, gap, gap <= 1e-11))
     for r in cfg.r_list:
         reports.append(lebesgue_norm_report(f, r).to_dict())
     artifact = {"config": f.config.to_dict(), "input": f.to_dict(),
@@ -581,10 +547,8 @@ def _cmd_atoms(cfg: RunConfig, args) -> tuple[dict, list]:
     recon = dec.reconstruction(kern.config, kern.m)
     recon_err = float(np.max(np.abs(recon - kern.values)))
     checks = [
-        {"name": "atoms_all_valid", "claimed": True, "measured": all_valid,
-         "pass": all_valid},
-        {"name": "atom_reconstruction", "claimed": 1e-12, "measured": recon_err,
-         "pass": recon_err <= 1e-12},
+        check_record("atoms_all_valid", True, all_valid, all_valid),
+        check_record("atom_reconstruction", 1e-12, recon_err, recon_err <= 1e-12),
     ]
     artifact = {
         "config": kern.config.to_dict(),
@@ -619,8 +583,7 @@ def _cmd_bench(cfg: RunConfig) -> tuple[dict, list]:
             row["max_abs_diff"] = diff
             worst = max(worst, diff)
         rows.append(row)
-    checks = [{"name": "bench_fast_matches_naive", "claimed": 1e-10,
-               "measured": worst, "pass": worst < 1e-10}]
+    checks = [check_record("bench_fast_matches_naive", 1e-10, worst, worst < 1e-10)]
     artifact = {"config": cfg.field.to_dict(), "seed": cfg.seed,
                 "rows": rows, "checks": checks}
     return artifact, checks
@@ -665,12 +628,11 @@ def main(argv=None) -> int:
             artifact, checks = _cmd_atoms(cfg, args)
         else:
             artifact, checks = _cmd_bench(cfg)
-        name = args.command.replace("-", "_")
-        print(f"wrote {_write_artifact(cfg, name, artifact)}")
+        name = args.command.replace("-", "_") + ".json"
+        text = json.dumps(_jsonable(artifact), sort_keys=True, indent=2) + "\n"
+        print(f"wrote {_write_artifact(cfg, name, text)}")
         if args.command == "norms" and "csv" in cfg.formats:
-            path = Path(cfg.out_dir) / "norms.csv"
-            path.write_text(_norms_csv(artifact))
-            print(f"wrote {path}")
+            print(f"wrote {_write_artifact(cfg, 'norms.csv', _norms_csv(artifact))}")
         _print_checks(checks)
         return _exit_code(checks)
     except (ConfigError, ValueError, RuntimeError) as exc:

@@ -11,10 +11,19 @@ windowed kernel function, which keeps the fast path inside the tested
 convolution machinery; sphere_integral, the definition-level sphere sum, is
 kept as the slow exact route, the oracle for apply_truncated.  The per-atom
 operator takes an AngularKernel and refuses one that validate_atom rejects.
+
+truncation_kernel is memoized: the harness applies every corpus kernel to
+every corpus function at each k, so without a cache the same (kernel, k,
+jmax) kernel would be rebuilt once per function.  The cache is keyed on
+the kernel object itself (AngularKernel compares by identity, and the cache
+keeps the key alive, so an id is never reused) and holds at most 32
+entries, enough for one run's distinct keys (20 in the default verify
+run); the cached values are read-only, so sharing them is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +95,7 @@ def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElem
     return complex(math.fsum(re), math.fsum(im)) * meas
 
 
+@functools.lru_cache(maxsize=32)
 def truncation_kernel(kernel: AngularKernel, k: int, jmax: int) -> TestFunction:
     """The windowed convolution kernel |y|^{-1} ext(y) on q^{k+1} <= |y| <= q^{jmax+1}."""
     if k > jmax:

@@ -68,6 +68,11 @@ EXACT_CHECK_NAMES = (
 )
 
 
+def check_record(name: str, claimed, measured, passed) -> dict:
+    """One check as reports and the CLI print it; passed None marks it informational."""
+    return {"name": name, "claimed": claimed, "measured": measured, "pass": passed}
+
+
 # ---------------------------------------------------------------------------
 # Corpus
 
@@ -150,11 +155,10 @@ class OperatorNormEstimate:
     ratio_table rows are (entry_id, k, param, ratio) where entry_id names
     the (function, kernel) pair and param is the integrability exponent or
     the (space, s, r, t) tuple.  Ratios are already normalized by the
-    claimed q^{-k} h1 growth, so fitted_constant coincides with sup_ratio.
+    claimed q^{-k} h1 growth, so fitted_constant is the largest ratio.
     """
 
     ratio_table: tuple
-    sup_ratio: float
     fitted_constant: float
 
 
@@ -185,8 +189,7 @@ def _entry_id(fi: int, ki: int) -> str:
 
 
 def _estimate(rows) -> OperatorNormEstimate:
-    sup = max((row[3] for row in rows), default=0.0)
-    return OperatorNormEstimate(tuple(rows), sup, sup)
+    return OperatorNormEstimate(tuple(rows), max((row[3] for row in rows), default=0.0))
 
 
 def _is_real(x) -> bool:
@@ -208,28 +211,44 @@ def check_srt(srt) -> None:
         raise ValueError(f"(s, r, t) = {(s, r, t)} must satisfy s > 0 and 1 < r, t < inf")
 
 
-def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstimate:
-    """ratio = ||T_k f||_r / (q^{-k} h1(kernel) ||f||_r) for the full grid."""
-    for r in r_list:
-        check_lebesgue_exponent(r)
+def _ratio_rows(corpus: Corpus, k_list, params, norms_f, norms_of) -> list:
+    """Ratio-table rows (entry_id, k, param, ratio) over function x kernel x k.
+
+    ratio = N(T_k f) / (q^{-k} h1(kernel) N(f)) for each norm N named in
+    params, in that order: norms_f[fi] maps each param to N(f) of corpus
+    function fi, and norms_of(g) does the same for T_k f.  Entries with
+    N(f) = 0 are skipped.
+    """
     q = corpus.config.q
     h1s = [h1_upper_bound(kern) for kern in corpus.kernels]
     rows = []
     for fi, f in enumerate(corpus.functions):
-        norms_f = {r: lr_norm(f, r) for r in r_list}
         for ki, kern in enumerate(corpus.kernels):
             for k in k_list:
-                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                norms_tkf = norms_of(apply_truncated(f, kern, output_spec(f, kern.m, k)))
                 scale = q_power(q, -k) * h1s[ki]
-                for r in r_list:
-                    if norms_f[r] == 0:
-                        log.info("skipping degenerate entry %s: ||f||_%s = 0",
-                                 _entry_id(fi, ki), r)
+                for param in params:
+                    nf = norms_f[fi][param]
+                    if nf == 0:
+                        log.info("skipping degenerate entry %s: norm %s of f is 0",
+                                 _entry_id(fi, ki), param)
                         continue
-                    num = lr_norm(tkf, r)
-                    ratio = 0.0 if num == 0 else num / (scale * norms_f[r])
-                    rows.append((_entry_id(fi, ki), k, r, ratio))
-    return _estimate(rows)
+                    num = norms_tkf[param]
+                    ratio = 0.0 if num == 0 else num / (scale * nf)
+                    rows.append((_entry_id(fi, ki), k, param, ratio))
+    return rows
+
+
+def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstimate:
+    """ratio = ||T_k f||_r / (q^{-k} h1(kernel) ||f||_r) for the full grid."""
+    for r in r_list:
+        check_lebesgue_exponent(r)
+
+    def norms_of(g):
+        return {r: lr_norm(g, r) for r in r_list}
+
+    norms_f = [norms_of(f) for f in corpus.functions]
+    return _estimate(_ratio_rows(corpus, k_list, r_list, norms_f, norms_of))
 
 
 def _first_atoms(corpus: Corpus) -> list:
@@ -256,27 +275,16 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
     for srt in srt_list:
         check_srt(srt)
     srt_list = [tuple(srt) for srt in srt_list]
-    q = corpus.config.q
-    h1s = [h1_upper_bound(kern) for kern in corpus.kernels]
-    tables_f = [lp_norm_table(f, srt_list) for f in corpus.functions]
-    rows = []
-    for fi, f in enumerate(corpus.functions):
-        for ki, kern in enumerate(corpus.kernels):
-            for k in k_list:
-                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
-                table_tkf = lp_norm_table(tkf, srt_list)
-                scale = q_power(q, -k) * h1s[ki]
-                for srt in srt_list:
-                    for space in ("B", "F"):
-                        nf = tables_f[fi][(space, srt)].value
-                        if nf == 0:
-                            log.info("skipping degenerate entry %s: %s-norm 0",
-                                     _entry_id(fi, ki), space)
-                            continue
-                        num = table_tkf[(space, srt)].value
-                        ratio = 0.0 if num == 0 else num / (scale * nf)
-                        rows.append((_entry_id(fi, ki), k, (space,) + srt, ratio))
 
+    def norms_of(g):
+        return {(space,) + srt: rep.value
+                for (space, srt), rep in lp_norm_table(g, srt_list).items()}
+
+    norms_f = [norms_of(f) for f in corpus.functions]
+    params = [(space,) + srt for srt in srt_list for space in ("B", "F")]
+    rows = _ratio_rows(corpus, k_list, params, norms_f, norms_of)
+
+    f_keys = [("F",) + srt for srt in srt_list]
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
         pieces = [("B", -1, kernel_as_test_function(atom))] + [
@@ -284,14 +292,13 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
         ]
         for reading, j, piece in pieces:
             worst = [0.0] * len(srt_list)
-            for f, table_f in zip(corpus.functions, tables_f):
-                live = [i for i, srt in enumerate(srt_list) if table_f[("F", srt)].value != 0]
+            for f, nf in zip(corpus.functions, norms_f):
+                live = [i for i, key in enumerate(f_keys) if nf[key] != 0]
                 if not live:
                     continue
-                table_g = lp_norm_table(convolve(piece, f), srt_list)
+                ng = norms_of(convolve(piece, f))
                 for i in live:
-                    key = ("F", srt_list[i])
-                    worst[i] = max(worst[i], table_g[key].value / table_f[key].value)
+                    worst[i] = max(worst[i], ng[f_keys[i]] / nf[f_keys[i]])
             piece_rows.extend(
                 {"atom": atom_id, "reading": reading, "j": j,
                  "s": s, "r": r, "t": t, "ratio": ratio}
@@ -341,41 +348,17 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
                     ("B", _reading_b_operator(f, atom, spec)),
                 ):
                     claimed_l2 = q_power(q, -k) / (q - 1)
-                    l2_ratio = lr_norm(bf, 2) / (claimed_l2 * l2_f)
-                    worst[("l2", reading)] = max(worst[("l2", reading)], l2_ratio)
-                    rows.append(
-                        {
-                            "check": "l2",
-                            "entry": f"{atom_id}.f{fi}",
-                            "k": k,
-                            "reading": reading,
-                            "param": 2.0,
-                            "ratio": l2_ratio,
-                        }
-                    )
-                    for lam in lambda_list:
-                        wm = weak_level_measure(bf, lam)
-                        weak_ratio = float(wm * Fraction(lam)) / (l1_f * (1 + 4 * q))
-                        worst[("weak11", reading)] = max(
-                            worst[("weak11", reading)], weak_ratio
-                        )
-                        rows.append(
-                            {
-                                "check": "weak11",
-                                "entry": f"{atom_id}.f{fi}",
-                                "k": k,
-                                "reading": reading,
-                                "param": lam,
-                                "ratio": weak_ratio,
-                            }
-                        )
+                    measured = [("l2", 2.0, lr_norm(bf, 2) / (claimed_l2 * l2_f))] + [
+                        ("weak11", lam,
+                         float(weak_level_measure(bf, lam) * Fraction(lam)) / (l1_f * (1 + 4 * q)))
+                        for lam in lambda_list
+                    ]
+                    for check, param, ratio in measured:
+                        worst[(check, reading)] = max(worst[(check, reading)], ratio)
+                        rows.append({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
+                                     "reading": reading, "param": param, "ratio": ratio})
     records = [
-        {
-            "name": f"{check}_bound_reading_{reading.lower()}",
-            "claimed": 1.0,
-            "measured": value,
-            "pass": value <= 1 + 1e-10,
-        }
+        check_record(f"{check}_bound_reading_{reading.lower()}", 1.0, value, value <= 1 + 1e-10)
         for (check, reading), value in sorted(worst.items())
     ]
     return {"records": records, "rows": rows}
@@ -414,14 +397,8 @@ def check_taibleson_class(corpus: Corpus) -> dict:
                 "sup_l2_ratio_k0": sup_l2,
             }
         )
-    records = [
-        {
-            "name": "taibleson_stabilization",
-            "claimed": 1.0,
-            "measured": sum(r["stabilized"] for r in rows) / max(len(rows), 1),
-            "pass": all_stable,
-        }
-    ]
+    stable_share = sum(r["stabilized"] for r in rows) / max(len(rows), 1)
+    records = [check_record("taibleson_stabilization", 1.0, stable_share, all_stable)]
     return {"records": records, "rows": rows}
 
 
@@ -512,14 +489,10 @@ def run_verification(config: FieldConfig = None, seed: int = 42, count: int = 50
     corpus = generate_corpus(config, seed, count, window, kernel_resolutions)
     timing["corpus"] = _ms(t0)
 
-    records = [
-        {
-            "name": "corpus_kernels_mean_zero",
-            "claimed": 1.0,
-            "measured": sum(k.is_mean_zero for k in corpus.kernels) / len(corpus.kernels),
-            "pass": all(k.is_mean_zero for k in corpus.kernels),
-        }
-    ]
+    records = [check_record(
+        "corpus_kernels_mean_zero", 1.0,
+        sum(k.is_mean_zero for k in corpus.kernels) / len(corpus.kernels),
+        all(k.is_mean_zero for k in corpus.kernels))]
     tables = {}
 
     if "lebesgue" in checks:
@@ -529,22 +502,10 @@ def run_verification(config: FieldConfig = None, seed: int = 42, count: int = 50
         timing["lebesgue"] = _ms(t0)
         tables["lebesgue"] = [list(row) for row in lebesgue.ratio_table]
         tables["lebesgue_per_k"] = stability["per_k"]
-        records.append(
-            {
-                "name": "lebesgue_fitted_constant",
-                "claimed": None,
-                "measured": lebesgue.fitted_constant,
-                "pass": None,
-            }
-        )
-        records.append(
-            {
-                "name": "lebesgue_k_stability",
-                "claimed": stability_factor,
-                "measured": stability["spread"],
-                "pass": stability["pass"],
-            }
-        )
+        records.append(check_record("lebesgue_fitted_constant", None,
+                                    lebesgue.fitted_constant, None))
+        records.append(check_record("lebesgue_k_stability", stability_factor,
+                                    stability["spread"], stability["pass"]))
 
     if "besov_tl" in checks:
         t0 = time.perf_counter()
@@ -559,40 +520,15 @@ def run_verification(config: FieldConfig = None, seed: int = 42, count: int = 50
                 besov_tl, stability_factor, param_filter=lambda p, s=space: p[0] == s
             )
             tables[f"{name}_per_k"] = stability["per_k"]
-            records.append(
-                {
-                    "name": f"{name}_k_stability",
-                    "claimed": stability_factor,
-                    "measured": stability["spread"],
-                    "pass": stability["pass"],
-                }
-            )
-        records.append(
-            {
-                "name": "besov_tl_fitted_constant",
-                "claimed": None,
-                "measured": besov_tl.fitted_constant,
-                "pass": None,
-            }
-        )
-        reading_b = [r["ratio"] for r in piece_rows if r["reading"] == "B"]
-        reading_a = [r["ratio"] for r in piece_rows if r["reading"] == "A"]
-        records.append(
-            {
-                "name": "piece_bound_reading_b",
-                "claimed": 1.0,
-                "measured": max(reading_b, default=0.0),
-                "pass": max(reading_b, default=0.0) <= 1 + 1e-10,
-            }
-        )
-        records.append(
-            {
-                "name": "piece_bound_reading_a",
-                "claimed": None,
-                "measured": max(reading_a, default=0.0),
-                "pass": None,
-            }
-        )
+            records.append(check_record(f"{name}_k_stability", stability_factor,
+                                        stability["spread"], stability["pass"]))
+        records.append(check_record("besov_tl_fitted_constant", None,
+                                    besov_tl.fitted_constant, None))
+        reading_b = max((r["ratio"] for r in piece_rows if r["reading"] == "B"), default=0.0)
+        reading_a = max((r["ratio"] for r in piece_rows if r["reading"] == "A"), default=0.0)
+        records.append(check_record("piece_bound_reading_b", 1.0, reading_b,
+                                    reading_b <= 1 + 1e-10))
+        records.append(check_record("piece_bound_reading_a", None, reading_a, None))
 
     if "l2_weak" in checks:
         t0 = time.perf_counter()

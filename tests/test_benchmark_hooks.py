@@ -5,14 +5,22 @@ it installs its wrappers, and perfbench/workloads.py calls the library through
 module attributes (cli.main, decomp.besov_norm, ...), so a rename or deletion
 in the package would only surface as a failing benchmark run.  These tests
 load both files from their paths and check the names here instead; loading
-workloads.py also resolves its ``from localfield... import`` names.
+workloads.py also resolves its ``from localfield... import`` names.  The
+tracer's row counters also read the return shape of the verify protocols
+(``est.ratio_table``, ``res[0].ratio_table``, ``res["rows"]``), so each is
+fed a real protocol result here.
 """
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from localfield import verify
+from localfield.field import FieldConfig
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +60,27 @@ def test_workloads_reach_every_library_module():
 @pytest.mark.parametrize("module, attr", _WORKLOAD_ATTRS, ids=lambda x: x)
 def test_workload_attribute_resolves_to_callable(module, attr):
     assert callable(getattr(getattr(workloads, module), attr, None))
+
+
+# the exponent argument each verify protocol takes after (corpus, k_list)
+_PROTOCOL_ARGS = {
+    "check_lebesgue_theorem": [2.0],
+    "check_besov_tl_theorem": [(0.5, 2.0, 2.0)],
+    "check_l2_and_weak11": [1.0],
+}
+_ROW_TARGETS = [(attr, name, hook) for home, attr, name, hook, _ in tracer.TARGETS
+                if home is verify and hook is not None
+                and hook.__qualname__.startswith("_rows.")]
+
+
+def test_row_hooks_cover_the_ratio_protocols():
+    assert sorted(attr for attr, _, _ in _ROW_TARGETS) == sorted(_PROTOCOL_ARGS)
+
+
+@pytest.mark.parametrize("attr, name, hook", _ROW_TARGETS, ids=[t[1] for t in _ROW_TARGETS])
+def test_row_hook_counts_a_protocol_result(attr, name, hook):
+    corpus = verify.generate_corpus(FieldConfig("padic", 2), 42, 2, (-2, 2), (2,))
+    result = getattr(verify, attr)(corpus, [-1, 0], _PROTOCOL_ARGS[attr])
+    stub = SimpleNamespace(counts=Counter())
+    hook(stub, name, (), {}, result)
+    assert stub.counts[f"{name}.rows"] > 0

@@ -244,6 +244,15 @@ def test_norms_bad_exponent_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_norms_csv_write_error_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "norms.csv").mkdir(parents=True)  # the csv path is taken by a directory
+    assert main(["norms", str(DATA / "fn_q2.json"), "--format", "both",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not write") and "Traceback" not in err
+
+
 def test_apply_tk_matches_stored_golden(tmp_path):
     out = tmp_path / "out"
     assert main(["apply-tk", str(DATA / "fn_q2.json"),

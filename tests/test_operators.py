@@ -363,3 +363,20 @@ def test_spectral_sup_against_naive_transform():
     spec_naive = forward_naive(shell_piece(atom, 0))
     want = float(np.max(np.abs(spec_naive.values)))
     assert np.isclose(spectral_sup(shell_piece(atom, 0)), want, rtol=1e-12)
+
+
+# -- the truncation-kernel cache
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_cached_truncation_kernel_equals_uncached(config):
+    rng = np.random.default_rng(36)
+    kern, other = random_kernel(rng, config, 2), random_kernel(rng, config, 2)
+    for k, jmax in ((-2, 1), (-1, 1), (0, 2)):
+        cached = truncation_kernel(kern, k, jmax)
+        assert truncation_kernel(kern, k, jmax) is cached
+        direct = truncation_kernel.__wrapped__(kern, k, jmax)
+        assert (cached.a, cached.l) == (direct.a, direct.l)
+        assert cached.values.tobytes() == direct.values.tobytes()
+        # same resolution, different values: a different cache entry
+        assert not np.array_equal(truncation_kernel(other, k, jmax).values, cached.values)

@@ -21,6 +21,7 @@ from localfield.functions import (
     refine,
 )
 from localfield.kernels import (
+    atomic_decompose,
     evaluate_homogeneous,
     h1_upper_bound,
     kernel_as_test_function,
@@ -29,7 +30,13 @@ from localfield.kernels import (
     shell_piece,
     sphere_cell_count,
 )
-from localfield.operators import TruncationSpec, apply_atom_operator, apply_truncated, output_spec
+from localfield.operators import (
+    TruncationSpec,
+    apply_atom_operator,
+    apply_truncated,
+    output_spec,
+    truncation_kernel,
+)
 from localfield.verify import (
     Corpus,
     OperatorNormEstimate,
@@ -146,8 +153,7 @@ def test_lebesgue_zero_kernel_rows_vanish():
     zero_id = f"w{len(corpus.kernels) - 1}"
     zero_rows = [row for row in est.ratio_table if row[0].endswith(zero_id)]
     assert zero_rows and all(row[3] == 0.0 for row in zero_rows)
-    assert est.sup_ratio == max(row[3] for row in est.ratio_table)
-    assert est.fitted_constant == est.sup_ratio
+    assert est.fitted_constant == max(row[3] for row in est.ratio_table)
     assert all(row[3] >= 0 for row in est.ratio_table)
 
 
@@ -189,14 +195,14 @@ def test_lebesgue_ratio_invariant_under_scaling():
 
 def test_k_stability_summaries():
     rows = [("f0.w0", -1, 2.0, 0.5), ("f0.w0", 0, 2.0, 1.0), ("f1.w0", 0, 2.0, 0.9)]
-    est = OperatorNormEstimate(tuple(rows), 1.0, 1.0)
+    est = OperatorNormEstimate(tuple(rows), 1.0)
     stab = k_stability(est, 4.0)
     assert stab["per_k"] == {"-1": 0.5, "0": 1.0}
     assert stab["spread"] == 2.0 and stab["pass"]
     assert not k_stability(est, 2.0)["pass"]
-    single = OperatorNormEstimate((("f0.w0", 0, 2.0, 0.7),), 0.7, 0.7)
+    single = OperatorNormEstimate((("f0.w0", 0, 2.0, 0.7),), 0.7)
     assert k_stability(single)["spread"] == 1.0
-    dead_k = OperatorNormEstimate((("f0.w0", 0, 2.0, 0.7), ("f0.w0", 1, 2.0, 0.0)), 0.7, 0.7)
+    dead_k = OperatorNormEstimate((("f0.w0", 0, 2.0, 0.7), ("f0.w0", 1, 2.0, 0.0)), 0.7)
     assert k_stability(dead_k)["spread"] == math.inf
 
 
@@ -436,6 +442,19 @@ def test_report_schema_and_exit_semantics():
     by_name = {c["name"]: c for c in report.checks}
     assert by_name["taibleson_stabilization"]["pass"] is True
     assert by_name["piece_bound_reading_b"]["pass"] is True
+
+
+def test_run_builds_one_truncation_kernel_per_kernel_and_k():
+    k_list = (-3, -2, -1, 0)
+    truncation_kernel.cache_clear()
+    run_verification(config=Q2, count=3, window=(-3, 3), kernel_resolutions=(2, 3, 4),
+                     k_list=k_list)
+    info = truncation_kernel.cache_info()
+    corpus = generate_corpus(Q2, 42, 3, (-3, 3), (2, 3, 4))
+    # each corpus kernel is already an atom, so l2_weak applies the kernels themselves
+    assert all(atomic_decompose(kern).terms[0][1] is kern for kern in corpus.kernels)
+    assert info.misses == len(corpus.kernels) * len(k_list)
+    assert info.hits > 0
 
 
 def test_report_empty_check_selection_is_valid_skeleton():
