@@ -18,10 +18,10 @@ E_j f - E_(j-1) f, held at its own resolution min(j, l), with no transform.
 littlewood_paley keeps the multiplier form, apply_multiplier with the shell
 mask as symbol, as the oracle for those blocks.  Besov norms aggregate
 block r-norms in j; the Triebel-Lizorkin norms aggregate pointwise in x
-first.  The two families coincide when r = t.  besov_norm and
-triebel_lizorkin_norm build the blocks for one norm; lp_norm_table builds
-them once and serves every (s, r, t) triple in both spaces from that one
-stack, through the same two formulas.
+first.  The two families coincide when r = t.  norm_columns builds the
+blocks once and serves every (s, r, t) triple in B, F or both through the
+same two formulas, one value per row of a stack; lp_norm_table,
+besov_norm and triebel_lizorkin_norm are its one-row case.
 """
 
 import math
@@ -32,7 +32,7 @@ import numpy as np
 
 from .field import Ball, Window, q_power
 from .fourier import apply_multiplier
-from .functions import TestFunction, coarsen_resolution, dyadic_ints, lr_norm, refine
+from .functions import TestFunction, coarsen_resolution, dyadic_ints, lr_norm, lr_norms, refine
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +339,51 @@ def _besov_value(blocks, norms, s: float, t: float) -> float:
     return math.fsum(terms) ** (1.0 / t)
 
 
-def _triebel_lizorkin_value(blocks, moduli, s: float, r: float, t: float) -> float:
-    # moduli[i] is |blocks[i].block| cell by cell; block j + 1 is one level finer
-    # than block j, so the sum over j lifts the running total one level per block
+def _triebel_lizorkin_values(blocks, moduli, s: float, r: float, t: float) -> list:
+    # moduli[i] is |blocks[i].block| per cell and row; block j + 1 is one level
+    # finer than block j, so the sum over j lifts the running total one level per block
     config = blocks[0].block.config
     q = float(config.q)
-    pointwise = np.zeros(1)
+    pointwise = np.zeros(moduli[0].shape[:-1] + (1,))
     for b, m in zip(blocks, moduli):
         pointwise = np.tile(pointwise, m.size // pointwise.size) + q ** (s * b.j * t) * m ** t
-    l = blocks[-1].block.l
-    return (math.fsum(pointwise ** (r / t)) * q_power(config.q, -l)) ** (1.0 / r)
+    return [(math.fsum(row.data) * q_power(config.q, -blocks[-1].block.l)) ** (1.0 / r)
+            for row in np.atleast_2d(pointwise ** (r / t))]
 
 
-def _moduli(blocks) -> list:
-    return [np.hypot(b.block.values.real, b.block.values.imag) for b in blocks]
+def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
+    """Each row's norms in spaces ("B", "F" or "BF") for every triple in srt_list.
+
+    Maps (space, (s, r, t)) to one value per row of f, all from one block stack.
+    """
+    srt_list = [tuple(srt) for srt in srt_list]
+    for _, r, t in srt_list:
+        _check_exponents(r, t)
+    blocks = _all_blocks(f)
+    if "B" in spaces:
+        # norms[r][row] holds that row's r-norm of every block
+        norms = {r: list(zip(*(lr_norms(b.block, r) for b in blocks)))
+                 for r in {r for _, r, _ in srt_list}}
+    if "F" in spaces:
+        moduli = [np.hypot(b.block.values.real, b.block.values.imag) for b in blocks]
+    table = {}
+    for s, r, t in srt_list:
+        if "B" in spaces:
+            table[("B", (s, r, t))] = [_besov_value(blocks, row, s, t) for row in norms[r]]
+        if "F" in spaces:
+            table[("F", (s, r, t))] = _triebel_lizorkin_values(blocks, moduli, s, r, t)
+    return table
 
 
 def besov_norm(f: TestFunction, s: float, r: float, t: float) -> NormReport:
     """(sum_j q^{sjt} ||block_j||_r^t)^{1/t} over the finitely many live blocks."""
-    _check_exponents(r, t)
-    blocks = _all_blocks(f)
-    value = _besov_value(blocks, [lr_norm(b.block, r) for b in blocks], s, t)
+    (value,) = norm_columns(f, [(s, r, t)], "B")[("B", (s, r, t))]
     return NormReport("B", float(s), float(r), float(t), value)
 
 
 def triebel_lizorkin_norm(f: TestFunction, s: float, r: float, t: float) -> NormReport:
     """(int (sum_j q^{sjt} |block_j(x)|^t)^{r/t} dx)^{1/r}, blocks on one window."""
-    _check_exponents(r, t)
-    blocks = _all_blocks(f)
-    value = _triebel_lizorkin_value(blocks, _moduli(blocks), s, r, t)
+    (value,) = norm_columns(f, [(s, r, t)], "F")[("F", (s, r, t))]
     return NormReport("F", float(s), float(r), float(t), value)
 
 
@@ -376,24 +392,10 @@ def lp_norm_table(f: TestFunction, srt_list) -> dict:
 
     Maps (space, (s, r, t)) to the NormReport that besov_norm (space "B")
     or triebel_lizorkin_norm (space "F") returns for that triple, bit for
-    bit.  The blocks are built once, each block's r-norm once per distinct
-    r and each block's modulus once.
+    bit: norm_columns of a one-row stack.
     """
-    srt_list = [tuple(srt) for srt in srt_list]
-    for _, r, t in srt_list:
-        _check_exponents(r, t)
-    if not srt_list:
-        return {}
-    blocks = _all_blocks(f)
-    norms = {r: [lr_norm(b.block, r) for b in blocks] for r in {r for _, r, _ in srt_list}}
-    moduli = _moduli(blocks)
-    table = {}
-    for s, r, t in srt_list:
-        exps = (float(s), float(r), float(t))
-        table[("B", (s, r, t))] = NormReport("B", *exps, _besov_value(blocks, norms[r], s, t))
-        table[("F", (s, r, t))] = NormReport(
-            "F", *exps, _triebel_lizorkin_value(blocks, moduli, s, r, t))
-    return table
+    return {(space, srt): NormReport(space, float(srt[0]), float(srt[1]), float(srt[2]), value)
+            for (space, srt), (value,) in norm_columns(f, srt_list).items()}
 
 
 def lebesgue_norm_report(f: TestFunction, r: float) -> NormReport:

@@ -417,17 +417,20 @@ class Window:
         rows are the high digits and columns the low digits, and the DFT is
         W_(n-lo) X W_lo with W_k = dft_matrix(p, k).  The inverse uses the
         conjugate matrices, as conj(W_(n-lo) conj(X) W_lo), so only one
-        matrix per size is kept; it carries no 1/N factor.
+        matrix per size is kept; it carries no 1/N factor.  A leading axis
+        of values holds rows, each transformed as it would be alone.
         """
         if self.config.mode == "padic":
             return np.fft.ifft(values) * self.size if inverse else np.fft.fft(values)
         if self.n == 0:
             return np.array(values, dtype=np.complex128)
         p, lo = self.config.p, self.n // 2
-        x = np.reshape(values, (p ** (self.n - lo), p**lo))
+        x = np.reshape(values, np.shape(values)[:-1] + (p ** (self.n - lo), p**lo))
         if inverse:
-            return np.conj(dft_matrix(p, self.n - lo) @ np.conj(x) @ dft_matrix(p, lo)).ravel()
-        return (dft_matrix(p, self.n - lo) @ x @ dft_matrix(p, lo)).ravel()
+            out = np.conj(dft_matrix(p, self.n - lo) @ np.conj(x) @ dft_matrix(p, lo))
+        else:
+            out = dft_matrix(p, self.n - lo) @ x @ dft_matrix(p, lo)
+        return out.reshape(np.shape(values))
 
     def valuation_levels(self) -> np.ndarray:
         """Per cell: valuation of every element in the cell, l for the zero cell.

@@ -3,7 +3,9 @@
 A TestFunction lives on a window (a, l): support inside the ball P^a,
 constant on cosets of P^l.  Its q^{l-a} cell values follow the coset order
 of field.enumerate_cosets(a, l).  All window bookkeeping is exact; values
-are complex doubles.
+are complex doubles: one row, or a (rows, cells) stack of functions on one
+window, every operation acting along the last axis; lr_norms and
+weak_level_measures give one value per row, each bit for bit its function's.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ class TestFunction:
         if self.a > self.l:
             raise ValueError(f"invalid window: a = {self.a} > l = {self.l}")
         object.__setattr__(self, "values", _frozen(self.values))
-        if self.values.shape != (self.config.p ** (self.l - self.a),):
-            raise ValueError(
-                f"expected {self.config.p ** (self.l - self.a)} cell values, got {self.values.shape}")
+        size = self.config.p ** (self.l - self.a)
+        if self.values.shape[-1:] != (size,) or self.values.ndim > 2:
+            raise ValueError(f"expected {size} cell values, got {self.values.shape}")
 
     @property
     def window(self) -> Window:
@@ -131,7 +133,7 @@ def refine(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
     pad, sup = p ** (f.a - a_new), p ** (f.l - f.a)
     idx = np.arange(p ** (l_new - a_new))
     inside = idx % pad == 0
-    vals = np.where(inside, f.values[(idx // pad) % sup], 0)
+    vals = np.where(inside, f.values[..., (idx // pad) % sup], 0)
     return TestFunction(f.config, a_new, l_new, vals)
 
 
@@ -144,7 +146,8 @@ def coarsen_resolution(f: TestFunction, l_new: int) -> TestFunction:
     if l_new < f.a or l_new > f.l:
         raise ValueError("l_new outside [a, l]")
     p = f.config.p
-    vals = f.values.reshape(p ** (f.l - l_new), p ** (l_new - f.a)).mean(axis=0)
+    split = (p ** (f.l - l_new), p ** (l_new - f.a))
+    vals = f.values.reshape(f.values.shape[:-1] + split).mean(axis=-2)
     return TestFunction(f.config, f.a, l_new, vals)
 
 
@@ -154,31 +157,45 @@ def restrict_support(f: TestFunction, a_new: int) -> TestFunction:
         raise ValueError("restrict_support cannot grow the support ball")
     if a_new > f.l:
         # the whole new support ball sits inside f's zero cell
-        return TestFunction(f.config, a_new, a_new, np.array([f.values[0]]))
+        return TestFunction(f.config, a_new, a_new, f.values[..., :1])
     stride = f.config.p ** (a_new - f.a)
     idx = np.arange(f.config.p ** (f.l - a_new)) * stride
-    return TestFunction(f.config, a_new, f.l, f.values[idx])
+    return TestFunction(f.config, a_new, f.l, f.values[..., idx])
+
+
+def lr_norms(f: TestFunction, r: float) -> list:
+    """(sum_cells |v|^r q^{-l})^{1/r} of each row; fsum of the row buffer is exact, in any order."""
+    if r < 1:
+        raise ValueError(f"r = {r} < 1 is not a norm exponent here")
+    vals = np.atleast_2d(f.values)
+    if r == 2:
+        sums = [math.fsum(re.data) + math.fsum(im.data)
+                for re, im in zip(vals.real**2, vals.imag**2)]
+    else:
+        moduli = np.hypot(vals.real, vals.imag)
+        sums = [math.fsum(row.data) for row in (moduli if r == 1 else moduli**r)]
+    return [(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in sums]
 
 
 def lr_norm(f: TestFunction, r: float) -> float:
-    """(sum_cells |v|^r q^{-l})^{1/r}; fsum keeps it permutation-invariant."""
-    if r < 1:
-        raise ValueError(f"r = {r} < 1 is not a norm exponent here")
-    if r == 2:
-        s = math.fsum(f.values.real**2) + math.fsum(f.values.imag**2)
-    elif r == 1:
-        s = math.fsum(np.hypot(f.values.real, f.values.imag))
-    else:
-        s = math.fsum(np.hypot(f.values.real, f.values.imag) ** r)
-    return (s * q_power(f.config.q, -f.l)) ** (1.0 / r)
+    """The L^r norm of one function: lr_norms of a one-row stack."""
+    (norm,) = lr_norms(f, r)
+    return norm
+
+
+def weak_level_measures(f: TestFunction, lam: float) -> list:
+    """Exact Haar measure of {x : |f(x)| > lam}, row by row."""
+    if lam <= 0:
+        raise ValueError(f"level lambda = {lam} must be positive")
+    vals = np.atleast_2d(f.values)
+    counts = np.count_nonzero(np.hypot(vals.real, vals.imag) > lam, axis=-1)
+    return [int(c) * Fraction(f.config.q) ** (-f.l) for c in counts]
 
 
 def weak_level_measure(f: TestFunction, lam: float) -> Fraction:
-    """Exact Haar measure of {x : |f(x)| > lam}."""
-    if lam <= 0:
-        raise ValueError(f"level lambda = {lam} must be positive")
-    count = int(np.count_nonzero(np.hypot(f.values.real, f.values.imag) > lam))
-    return count * Fraction(f.config.q) ** (-f.l)
+    """Exact Haar measure of {x : |f(x)| > lam} for one function."""
+    (measure,) = weak_level_measures(f, lam)
+    return measure
 
 
 def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:
@@ -204,7 +221,8 @@ def convolve(f: TestFunction, g: TestFunction) -> TestFunction:
     Both factors are supported in P^{min(a_f, a_g)}, a subgroup, so the
     quotient-group convolution at the common refinement needs no wraparound
     correction.  The quotient-group sum runs through the group DFT: pointwise
-    product of the transforms, then the inverse.
+    product of the transforms, then the inverse.  Either factor may be a
+    stack; the other is then transformed once for all its rows.
     """
     rf, rg = common_refinement(f, g)
     w = rf.window

@@ -11,6 +11,8 @@ windowed kernel function, which keeps the fast path inside the tested
 convolution machinery; sphere_integral, the definition-level sphere sum, is
 kept as the slow exact route, the oracle for apply_truncated.  The per-atom
 operator takes an AngularKernel and refuses one that validate_atom rejects.
+Both operators also take a stack of functions (a row axis), whose rows
+then share one transform of the truncation kernel.
 
 truncation_kernel is memoized: the harness applies every corpus kernel to
 every corpus function at each k, so without a cache the same (kernel, k,
@@ -35,7 +37,6 @@ from .functions import (
     coarsen_resolution,
     convolve,
     evaluate,
-    max_difference,
     refine,
     restrict_support,
 )
@@ -111,8 +112,8 @@ def truncation_kernel(kernel: AngularKernel, k: int, jmax: int) -> TestFunction:
 
 def _fit_window(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
     """Window change that never invents values: restriction may drop outside
-    mass by design, but coarsening is refused unless the function is constant
-    on the coarser cells (up to convolution rounding noise)."""
+    mass by design, but coarsening is refused unless each row is constant
+    on the coarser cells (up to convolution rounding noise in that row)."""
     g = f
     if a_new > g.a:
         g = restrict_support(g, a_new)
@@ -120,8 +121,9 @@ def _fit_window(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
         g = refine(g, a_new, g.l)
     if l_new < g.l:
         c = coarsen_resolution(g, l_new)
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(g.values), initial=0.0)))
-        if max_difference(c, g) > tol:
+        tol = 1e-9 * (1.0 + np.max(np.abs(g.values), axis=-1, initial=0.0))
+        d = refine(c, g.a, g.l).values - g.values
+        if np.any(np.max(np.hypot(d.real, d.imag), axis=-1, initial=0.0) > tol):
             raise ValueError("declared output resolution would lose information")
         g = c
     elif l_new > g.l:
@@ -141,8 +143,8 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
         raise ValueError("truncated operator requires a mean-zero kernel")
     jmax = tail_cutoff(spec.out_a, f.a)
     if spec.k > jmax:
-        size = f.config.p ** (spec.out_l - spec.out_a)
-        return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(size, dtype=np.complex128))
+        shape = f.values.shape[:-1] + (f.config.p ** (spec.out_l - spec.out_a),)
+        return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(shape, dtype=np.complex128))
     conv = convolve(f, truncation_kernel(kernel, spec.k, jmax))
     return _fit_window(conv, spec.out_a, spec.out_l)
 

@@ -18,6 +18,11 @@ the literal unit-sphere support.  The two coincide at j = -1.
 All randomness flows through one seeded generator, so a (seed, config)
 pair reproduces every table byte for byte; timings are reported but live
 outside the canonical byte-compared form.
+
+The protocols loop over kernel and k and take the corpus, which shares one
+window, as stacks of functions: each T_k f, piece convolution and norm runs
+once per stack.  A stack's widest array holds at most STACK_CELLS cells,
+which bounds peak memory; rows are emitted function by function as before.
 """
 
 import csv
@@ -32,16 +37,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decomp import lp_norm_table
+from .decomp import norm_columns
 from .field import Ball, FieldConfig, FieldElement, q_power
 from .functions import (
     TestFunction,
     convolve,
     from_indicator_combo,
-    lr_norm,
+    lr_norms,
     pointwise_combine,
     refine,
-    weak_level_measure,
+    weak_level_measures,
 )
 from .kernels import (
     AngularKernel,
@@ -67,9 +72,15 @@ EXACT_CHECK_NAMES = (
     "piece_bound_reading_b",
 )
 
+# most complex cells in one stacked array; bounds the peak memory of a stage
+STACK_CELLS = 2**14
+
 
 def check_record(name: str, claimed, measured, passed) -> dict:
-    """One check as reports and the CLI print it; passed None marks it informational."""
+    """One check as reports and the CLI print it; passed None marks it informational.
+    A non-finite measured value becomes a string ("inf"), so reports stay strict JSON."""
+    if isinstance(measured, float) and not math.isfinite(measured):
+        measured = str(measured)
     return {"name": name, "claimed": claimed, "measured": measured, "pass": passed}
 
 
@@ -211,29 +222,50 @@ def check_srt(srt) -> None:
         raise ValueError(f"(s, r, t) = {(s, r, t)} must satisfy s > 0 and 1 < r, t < inf")
 
 
+def _by_row(corpus: Corpus, window: tuple, columns_of) -> dict:
+    """columns_of(stack), {key: one value per row}, joined over the corpus stacks.
+
+    window (a, l), padded to (0, l) if a > 0, bounds every array columns_of
+    builds per row; a stack has as many rows as fit STACK_CELLS cells, or one.
+    """
+    a, l = window
+    rows = max(1, STACK_CELLS // corpus.config.q ** (l - min(a, 0)))
+    out = {}
+    for i in range(0, len(corpus.functions), rows):
+        stack = np.stack([f.values for f in corpus.functions[i:i + rows]])
+        for key, column in columns_of(TestFunction(corpus.config, *corpus.window, stack)).items():
+            out.setdefault(key, []).extend(column)
+    return out
+
+
 def _ratio_rows(corpus: Corpus, k_list, params, norms_f, norms_of) -> list:
     """Ratio-table rows (entry_id, k, param, ratio) over function x kernel x k.
 
     ratio = N(T_k f) / (q^{-k} h1(kernel) N(f)) for each norm N named in
-    params, in that order: norms_f[fi] maps each param to N(f) of corpus
-    function fi, and norms_of(g) does the same for T_k f.  Entries with
-    N(f) = 0 are skipped.
+    params, in that order: norms_f maps each param to N(f) of every corpus
+    function, and norms_of(stack) maps it to N(T_k f) of every row.
+    Entries with N(f) = 0 are skipped.
     """
     q = corpus.config.q
     h1s = [h1_upper_bound(kern) for kern in corpus.kernels]
+    norms_tkf = {}
+    for ki, kern in enumerate(corpus.kernels):
+        for k in k_list:
+            spec = output_spec(corpus.functions[0], kern.m, k)
+            norms_tkf[ki, k] = _by_row(corpus, (spec.out_a, spec.out_l),
+                                       lambda g: norms_of(apply_truncated(g, kern, spec)))
     rows = []
-    for fi, f in enumerate(corpus.functions):
-        for ki, kern in enumerate(corpus.kernels):
+    for fi in range(len(corpus.functions)):
+        for ki in range(len(corpus.kernels)):
             for k in k_list:
-                norms_tkf = norms_of(apply_truncated(f, kern, output_spec(f, kern.m, k)))
                 scale = q_power(q, -k) * h1s[ki]
                 for param in params:
-                    nf = norms_f[fi][param]
+                    nf = norms_f[param][fi]
                     if nf == 0:
                         log.info("skipping degenerate entry %s: norm %s of f is 0",
                                  _entry_id(fi, ki), param)
                         continue
-                    num = norms_tkf[param]
+                    num = norms_tkf[ki, k][param][fi]
                     ratio = 0.0 if num == 0 else num / (scale * nf)
                     rows.append((_entry_id(fi, ki), k, param, ratio))
     return rows
@@ -245,9 +277,9 @@ def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstima
         check_lebesgue_exponent(r)
 
     def norms_of(g):
-        return {r: lr_norm(g, r) for r in r_list}
+        return {r: lr_norms(g, r) for r in r_list}
 
-    norms_f = [norms_of(f) for f in corpus.functions]
+    norms_f = _by_row(corpus, corpus.window, norms_of)
     return _estimate(_ratio_rows(corpus, k_list, r_list, norms_f, norms_of))
 
 
@@ -269,36 +301,33 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
     theorem), reading A on the shells j = 0, 1 as measurements only.
 
     One Littlewood-Paley block stack serves every exponent triple: each
-    corpus function, each T_k f and each piece convolution g_j * f builds
-    its blocks once (lp_norm_table), and each g_j * f is convolved once.
+    stack of corpus functions, of T_k f and of piece convolutions g_j * f
+    builds its blocks once (norm_columns), and piece stacks take F norms only.
     """
     for srt in srt_list:
         check_srt(srt)
     srt_list = [tuple(srt) for srt in srt_list]
 
-    def norms_of(g):
-        return {(space,) + srt: rep.value
-                for (space, srt), rep in lp_norm_table(g, srt_list).items()}
+    def norms_of(g, spaces="BF"):
+        return {(space,) + srt: column
+                for (space, srt), column in norm_columns(g, srt_list, spaces).items()}
 
-    norms_f = [norms_of(f) for f in corpus.functions]
+    norms_f = _by_row(corpus, corpus.window, norms_of)
     params = [(space,) + srt for srt in srt_list for space in ("B", "F")]
     rows = _ratio_rows(corpus, k_list, params, norms_f, norms_of)
 
     f_keys = [("F",) + srt for srt in srt_list]
+    a, l = corpus.window
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
         pieces = [("B", -1, kernel_as_test_function(atom))] + [
             ("A", j, shell_piece(atom, j)) for j in (0, 1)
         ]
         for reading, j, piece in pieces:
-            worst = [0.0] * len(srt_list)
-            for f, nf in zip(corpus.functions, norms_f):
-                live = [i for i, key in enumerate(f_keys) if nf[key] != 0]
-                if not live:
-                    continue
-                ng = norms_of(convolve(piece, f))
-                for i in live:
-                    worst[i] = max(worst[i], ng[f_keys[i]] / nf[f_keys[i]])
+            ng = _by_row(corpus, (min(piece.a, a), max(piece.l, l)),
+                         lambda g: norms_of(convolve(piece, g), "F"))
+            worst = [max([0.0] + [num / nf for num, nf in zip(ng[key], norms_f[key]) if nf != 0])
+                     for key in f_keys]
             piece_rows.extend(
                 {"atom": atom_id, "reading": reading, "j": j,
                  "s": s, "r": r, "t": t, "ratio": ratio}
@@ -332,25 +361,33 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
         if lam <= 0:
             raise ValueError(f"weak-type level {lam} must be positive")
     q = corpus.config.q
+    norms_f = _by_row(corpus, corpus.window, lambda g: {r: lr_norms(g, r) for r in (1, 2)})
     rows = []
     worst = {("l2", "A"): 0.0, ("l2", "B"): 0.0, ("weak11", "A"): 0.0, ("weak11", "B"): 0.0}
     for atom_id, atom in _first_atoms(corpus):
-        for fi, f in enumerate(corpus.functions):
-            l2_f = lr_norm(f, 2)
-            l1_f = lr_norm(f, 1)
+        def columns_of(g, spec):
+            # key (reading, None) holds the L2 norms, (reading, lam) the level measures
+            bfs = {"A": apply_atom_operator(g, atom, spec), "B": _reading_b_operator(g, atom, spec)}
+            return {(reading, lam): lr_norms(bf, 2) if lam is None else weak_level_measures(bf, lam)
+                    for reading, bf in bfs.items() for lam in (None, *lambda_list)}
+
+        by_k = {}
+        for k in k_list:
+            spec = output_spec(corpus.functions[0], atom.m, k)
+            # the window covers T_k f and the reading-B convolution on (min(a, 0), max(l, m))
+            by_k[k] = _by_row(corpus, (spec.out_a, max(spec.out_l, atom.m)),
+                              lambda g: columns_of(g, spec))
+        for fi, (l1_f, l2_f) in enumerate(zip(norms_f[1], norms_f[2])):
             if l2_f == 0 or l1_f == 0:
                 log.info("skipping zero corpus function %d", fi)
                 continue
             for k in k_list:
-                spec = output_spec(f, atom.m, k)
-                for reading, bf in (
-                    ("A", apply_atom_operator(f, atom, spec)),
-                    ("B", _reading_b_operator(f, atom, spec)),
-                ):
+                cols = by_k[k]
+                for reading in ("A", "B"):
                     claimed_l2 = q_power(q, -k) / (q - 1)
-                    measured = [("l2", 2.0, lr_norm(bf, 2) / (claimed_l2 * l2_f))] + [
+                    measured = [("l2", 2.0, cols[reading, None][fi] / (claimed_l2 * l2_f))] + [
                         ("weak11", lam,
-                         float(weak_level_measure(bf, lam) * Fraction(lam)) / (l1_f * (1 + 4 * q)))
+                         float(cols[reading, lam][fi] * Fraction(lam)) / (l1_f * (1 + 4 * q)))
                         for lam in lambda_list
                     ]
                     for check, param, ratio in measured:
@@ -374,18 +411,16 @@ def check_taibleson_class(corpus: Corpus) -> dict:
     """
     rows = []
     all_stable = True
+    norms_f = _by_row(corpus, corpus.window, lambda g: {2: lr_norms(g, 2)})
     for ki, kern in enumerate(corpus.kernels):
         j_stable = max(kern.m - 1, 1)
         modulus = taibleson_modulus(kern, j_stable)
         stabilized = modulus == taibleson_modulus(kern, kern.m + 1)
         all_stable = all_stable and stabilized
-        sup_l2 = 0.0
-        for f in corpus.functions:
-            nf = lr_norm(f, 2)
-            if nf == 0:
-                continue
-            tkf = apply_truncated(f, kern, output_spec(f, kern.m, 0))
-            sup_l2 = max(sup_l2, lr_norm(tkf, 2) / nf)
+        spec = output_spec(corpus.functions[0], kern.m, 0)
+        norms_tkf = _by_row(corpus, (spec.out_a, spec.out_l),
+                            lambda g: {2: lr_norms(apply_truncated(g, kern, spec), 2)})
+        sup_l2 = max([0.0] + [num / nf for num, nf in zip(norms_tkf[2], norms_f[2]) if nf != 0])
         rows.append(
             {
                 "kernel": f"w{ki}",
@@ -427,7 +462,7 @@ class VerificationReport:
             "checks": list(self.checks),
             "tables": self.tables,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
     def csv_rows(self) -> list:
         rows = [("check", "entry", "k", "param", "ratio")]

@@ -1,12 +1,13 @@
 """CLI: config assembly with precedence, subcommand artifacts, exit policy."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from localfield import verify
+from localfield import cli, verify
 from localfield.cli import ConfigError, main, parse_config
 from localfield.field import Ball, FieldConfig, FieldElement
 from localfield.functions import TestFunction, from_indicator_combo, refine
@@ -425,3 +426,27 @@ def test_verify_exit_ignores_measured_constants(tmp_path):
     by_name = {c["name"]: c for c in blob["checks"]}
     assert by_name["lebesgue_k_stability"]["pass"] is False
     assert by_name["corpus_kernels_mean_zero"]["pass"] is True
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_report_is_strict_json_with_an_infinite_spread(tmp_path, capsys):
+    # at k = 5 every T_k f vanishes while k = 0 does not: the spread is infinite
+    out = tmp_path / "out"
+    assert main(["verify", "--k", "0,5", "--checks", "lebesgue", "--out", str(out)]) == 0
+    blob = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    by_name = {c["name"]: c for c in blob["checks"]}
+    assert by_name["lebesgue_k_stability"]["measured"] == "inf"
+    assert by_name["lebesgue_k_stability"]["pass"] is False
+    assert "FAIL lebesgue_k_stability: measured=inf" in capsys.readouterr().out
+
+
+def test_verify_refuses_to_write_a_non_finite_table_value(tmp_path, capsys, monkeypatch):
+    report = verify.VerificationReport(Q2, 0, (), {"lebesgue": [["f0.w0", 0, 2.0, math.nan]]}, {})
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: report)
+    assert main(["verify", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()

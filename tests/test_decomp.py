@@ -19,6 +19,7 @@ from localfield.decomp import (
     lebesgue_norm_report,
     littlewood_paley,
     lp_norm_table,
+    norm_columns,
     triebel_lizorkin_norm,
 )
 from localfield.field import Ball, FieldConfig, FieldElement, Window
@@ -660,6 +661,20 @@ def test_lp_norm_table_equals_single_norms_bit_for_bit(config):
             assert table[("B", srt)] == besov_norm(f, *srt)
             assert table[("F", srt)] == triebel_lizorkin_norm(f, *srt)
     assert lp_norm_table(inputs[0], []) == {}
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_norm_columns_rows_equal_one_row_tables_bit_for_bit(config):
+    rng = np.random.default_rng(44)
+    for a, l in [(-1, 2), (1, 3), (-2, 0)]:
+        rows = [random_fn(rng, config, a, l) for _ in range(3)] + [TestFunction.zero(config, a, l)]
+        stack = TestFunction(config, a, l, np.stack([f.values for f in rows]))
+        tables = [lp_norm_table(f, TABLE_SRT) for f in rows]
+        for spaces in ("BF", "B", "F"):
+            columns = norm_columns(stack, TABLE_SRT, spaces)
+            assert set(columns) == {(space, srt) for space in spaces for srt in TABLE_SRT}
+            for key, column in columns.items():
+                assert column == [table[key].value for table in tables]
 
 
 def test_lp_norm_table_exponent_validation():

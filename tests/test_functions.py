@@ -15,11 +15,13 @@ from localfield.functions import (
     evaluate,
     from_indicator_combo,
     lr_norm,
+    lr_norms,
     max_difference,
     pointwise_combine,
     refine,
     restrict_support,
     weak_level_measure,
+    weak_level_measures,
 )
 from util import CONFIGS, one, random_element, translate
 
@@ -292,6 +294,44 @@ class TestMinkowskiCountingForm:
                 pointwise = (mags**r).sum(axis=0) ** (1 / r)
                 rhs = pointwise.sum() * meas
                 assert lhs <= rhs * (1 + 1e-9)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+    def test_rows_equal_the_one_function_route_bit_for_bit(self, config):
+        rng = np.random.default_rng(51)
+        rows = [random_function(rng, config, a=-1, l=2) for _ in range(3)]
+        rows.append(TestFunction.zero(config, -1, 2))
+        stack = TestFunction(config, -1, 2, np.stack([f.values for f in rows]))
+        g = random_function(rng, config, a=-2, l=1)
+        ops = [lambda f: refine(f, -3, 3), lambda f: restrict_support(f, 1),
+               lambda f: restrict_support(f, 3), lambda f: coarsen_resolution(f, 0),
+               lambda f: convolve(f, g), lambda f: convolve(g, f)]
+        for op in ops:
+            out = op(stack)
+            for i, f in enumerate(rows):
+                one_row = op(f)
+                assert (out.a, out.l) == (one_row.a, one_row.l)
+                assert out.values[i].tobytes() == one_row.values.tobytes()
+        w = stack.window
+        for inverse in (False, True):
+            want = np.stack([w.dft(f.values, inverse) for f in rows])
+            assert w.dft(stack.values, inverse).tobytes() == want.tobytes()
+        for r in (1, 1.5, 2, 3):
+            assert lr_norms(stack, r) == [lr_norm(f, r) for f in rows]
+        for lam in (0.1, 0.5, 2.0):
+            assert weak_level_measures(stack, lam) == [weak_level_measure(f, lam) for f in rows]
+
+    def test_shapes_and_one_function_forms(self):
+        with pytest.raises(ValueError):
+            TestFunction(Q2, 0, 1, np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            TestFunction(Q2, 0, 1, np.zeros((1, 2, 2)))
+        stack = TestFunction(Q2, 0, 1, np.ones((2, 2)))
+        with pytest.raises(ValueError):  # a stack has no single norm
+            lr_norm(stack, 2)
+        with pytest.raises(ValueError):
+            weak_level_measure(stack, 0.5)
 
 
 def test_dyadic_ints_are_exact():

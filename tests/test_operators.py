@@ -25,6 +25,7 @@ from localfield.kernels import (
 )
 from localfield.operators import (
     TruncationSpec,
+    _fit_window,
     apply_atom_operator,
     apply_truncated,
     sphere_integral,
@@ -380,3 +381,32 @@ def test_cached_truncation_kernel_equals_uncached(config):
         assert cached.values.tobytes() == direct.values.tobytes()
         # same resolution, different values: a different cache entry
         assert not np.array_equal(truncation_kernel(other, k, jmax).values, cached.values)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_stacked_operators_equal_one_function_route_bit_for_bit(config):
+    rng = np.random.default_rng(53)
+    rows = [random_fn(rng, config, -1, 2) for _ in range(3)] + [TestFunction.zero(config, -1, 2)]
+    stack = TestFunction(config, -1, 2, np.stack([f.values for f in rows]))
+    kern = random_kernel(rng, config, 2)
+    atom = atomic_decompose(kern).terms[0][1]
+    for k in (-2, 0, 5):  # k = 5 lies past the tail cutoff: all-zero output
+        spec = TruncationSpec(k, -2, max(2, kern.m - (k + 1)))
+        for op, kernel in ((apply_truncated, kern), (apply_atom_operator, atom)):
+            out = op(stack, kernel, spec)
+            assert out.values.shape == (len(rows), Window(config, spec.out_a, spec.out_l).size)
+            for i, f in enumerate(rows):
+                assert out.values[i].tobytes() == op(f, kernel, spec).values.tobytes()
+
+
+def test_fit_window_coarsening_tolerance_is_per_row():
+    # on window (0, 2), cells n and n + 2 share a P^1 coset; both rows differ
+    # there by 1e-4, within the tolerance of the large row but not the small one
+    big = np.array([1e6, 2e6, 1e6 + 1e-4, 2e6])
+    small = np.array([1.0, 2.0, 1.0 + 1e-4, 2.0])
+    fit = _fit_window(TestFunction(Q2, 0, 2, np.stack([big, big])), 0, 1)
+    assert fit.values.shape == (2, 2)
+    with pytest.raises(ValueError, match="lose information"):
+        _fit_window(TestFunction(Q2, 0, 2, np.stack([big, small])), 0, 1)
+    with pytest.raises(ValueError, match="lose information"):
+        _fit_window(TestFunction(Q2, 0, 2, small), 0, 1)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from localfield import decomp, verify
-from localfield.decomp import besov_norm, triebel_lizorkin_norm
-from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate, q_power
+from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate
 from localfield.functions import (
     TestFunction,
     convolve,
@@ -49,6 +48,14 @@ from localfield.verify import (
     generate_corpus,
     k_stability,
     run_verification,
+)
+
+from util import (
+    CONFIGS,
+    per_function_l2_weak,
+    per_function_lebesgue,
+    per_function_taibleson_l2,
+    single_norm_besov_tl,
 )
 
 Q2 = FieldConfig("padic", 2)
@@ -274,57 +281,94 @@ def test_piece_bound_reading_a_can_exceed_one():
     assert max(a_ratios) > 1
 
 
-def single_norm_besov_tl(corpus, k_list, srt_list):
-    # the protocol computed one norm call at a time, as the definition reads
-    norm_of = {"B": besov_norm, "F": triebel_lizorkin_norm}
-    q = corpus.config.q
-    rows = []
-    for fi, f in enumerate(corpus.functions):
-        for ki, kern in enumerate(corpus.kernels):
-            for k in k_list:
-                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
-                scale = q_power(q, -k) * h1_upper_bound(kern)
-                for srt in srt_list:
-                    for space in ("B", "F"):
-                        nf = norm_of[space](f, *srt).value
-                        if nf == 0:
-                            continue
-                        num = norm_of[space](tkf, *srt).value
-                        ratio = 0.0 if num == 0 else num / (scale * nf)
-                        rows.append((f"f{fi}.w{ki}", k, (space,) + srt, ratio))
-    piece_rows = []
-    for atom_id, atom in verify._first_atoms(corpus):
-        pieces = [("B", -1, kernel_as_test_function(atom))] + [
-            ("A", j, shell_piece(atom, j)) for j in (0, 1)]
-        for reading, j, piece in pieces:
-            for s, r, t in srt_list:
-                worst = 0.0
-                for f in corpus.functions:
-                    nf = triebel_lizorkin_norm(f, s, r, t).value
-                    if nf != 0:
-                        num = triebel_lizorkin_norm(convolve(piece, f), s, r, t).value
-                        worst = max(worst, num / nf)
-                piece_rows.append({"atom": atom_id, "reading": reading, "j": j,
-                                   "s": s, "r": r, "t": t, "ratio": worst})
-    return rows, piece_rows
+# corpora whose protocols the stacked route must reproduce bit for bit: the
+# generated one (plus a zero function), one on a window with a > 0, whose
+# blocks are padded to scale 0, and one on a window with l = 0, whose
+# functions have a single Littlewood-Paley block
+STACK_WINDOWS = {"generated": None, "padded": (1, 3), "single_block": (-2, 0)}
 
 
-@pytest.mark.parametrize("config", [Q2, L3], ids=lambda c: f"{c.mode}{c.p}")
-def test_besov_tl_equals_single_norm_route_bit_for_bit(config):
+def stack_corpus(config, case):
     corpus = small_corpus(config, count=3, window=(-1, 2) if config.q == 3 else (-2, 2))
-    zero = TestFunction.zero(config, *corpus.window)
-    corpus = with_functions(corpus, list(corpus.functions) + [zero])
+    window = STACK_WINDOWS[case] or corpus.window
+    rng = np.random.default_rng(7)
+    functions = list(corpus.functions) if case == "generated" else [
+        random_function(rng, config, *window) for _ in range(3)]
+    functions.append(TestFunction.zero(config, *window))
+    functions.append(random_function(rng, config, *window))
+    return Corpus(config, corpus.seed, window, tuple(functions), corpus.kernels, case)
+
+
+def random_function(rng, config, a, l):
+    n = config.q ** (l - a)
+    return TestFunction(config, a, l, rng.random(n) + 1j * rng.random(n))
+
+
+# STACK_CELLS values: the default (one stack), one row per stack, and two
+# bounds that cut the five-function corpus into stacks of a few rows, 40 for
+# q = 2 and 200 for q = 3, so that a stack boundary falls inside the corpus
+STACK_BOUNDS = [verify.STACK_CELLS, 1, 40, 200]
+
+
+def stacked_corpora(config, monkeypatch):
+    """Each STACK_WINDOWS corpus under each STACK_BOUNDS value."""
+    for stack_cells in STACK_BOUNDS:
+        monkeypatch.setattr(verify, "STACK_CELLS", stack_cells)
+        for case in STACK_WINDOWS:
+            yield stack_corpus(config, case)
+
+
+CONFIG_PARAMS = pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+
+
+@CONFIG_PARAMS
+def test_besov_tl_equals_single_norm_route_bit_for_bit(config, monkeypatch):
     srt_list = [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0), (0.5, 3.0, 1.5)]
-    est, pieces = check_besov_tl_theorem(corpus, [-1, 0], srt_list)
-    rows, want_pieces = single_norm_besov_tl(corpus, [-1, 0], srt_list)
-    assert list(est.ratio_table) == rows
-    assert pieces == want_pieces
-    assert not any(row[0].startswith("f3.") for row in rows)  # zero function skipped
+    for corpus in stacked_corpora(config, monkeypatch):
+        est, pieces = check_besov_tl_theorem(corpus, [-1, 0], srt_list)
+        rows, want_pieces = single_norm_besov_tl(corpus, [-1, 0], srt_list)
+        assert list(est.ratio_table) == rows
+        assert pieces == want_pieces
+        assert not any(row[0].startswith("f3.") for row in rows)  # zero function skipped
+
+
+@CONFIG_PARAMS
+def test_lebesgue_equals_per_function_route_bit_for_bit(config, monkeypatch):
+    r_list = [1.5, 2.0, 3.0]
+    for corpus in stacked_corpora(config, monkeypatch):
+        est = check_lebesgue_theorem(corpus, [-2, -1, 0], r_list)
+        assert list(est.ratio_table) == per_function_lebesgue(corpus, [-2, -1, 0], r_list)
+
+
+@CONFIG_PARAMS
+def test_l2_weak_equals_per_function_route_bit_for_bit(config, monkeypatch):
+    lambda_list = [0.05, 0.5, 4.0]
+    for corpus in stacked_corpora(config, monkeypatch):
+        rows = check_l2_and_weak11(corpus, [-1, 0], lambda_list)["rows"]
+        assert rows == per_function_l2_weak(corpus, [-1, 0], lambda_list)
+        assert rows and not any(row["entry"].endswith(".f3") for row in rows)
+
+
+@CONFIG_PARAMS
+def test_taibleson_equals_per_function_route_bit_for_bit(config, monkeypatch):
+    for corpus in stacked_corpora(config, monkeypatch):
+        rows = check_taibleson_class(corpus)["rows"]
+        assert [row["sup_l2_ratio_k0"] for row in rows] == per_function_taibleson_l2(corpus)
+
+
+def _stack_count(corpus, window):
+    # the number of stacks verify cuts the corpus into for arrays on window
+    a, l = window
+    rows = max(1, verify.STACK_CELLS // corpus.config.q ** (l - min(a, 0)))
+    return -(-len(corpus.functions) // rows)
 
 
 def test_besov_tl_builds_each_block_stack_once(monkeypatch):
-    corpus = small_corpus(count=3)
+    corpus = small_corpus(count=5)
     k_list, srt_list = [-1, 0], [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)]
+    f0, (a, l) = corpus.functions[0], corpus.window
+    atoms = [atom for _, atom in verify._first_atoms(corpus)]
+    assert atoms
     counts = {"blocks": 0, "convolve": 0}
 
     def counted(name, fn):
@@ -335,12 +379,54 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
 
     monkeypatch.setattr(decomp, "_all_blocks", counted("blocks", decomp._all_blocks))
     monkeypatch.setattr(verify, "convolve", counted("convolve", verify.convolve))
+    for stack_cells in STACK_BOUNDS:
+        monkeypatch.setattr(verify, "STACK_CELLS", stack_cells)
+        counts.update(blocks=0, convolve=0)
+        check_besov_tl_theorem(corpus, k_list, srt_list)
+        # one block stack per stack of f, of T_k f and of piece convolutions
+        tkf_stacks = sum(_stack_count(corpus, (spec.out_a, spec.out_l))
+                         for kern in corpus.kernels for k in k_list
+                         for spec in [output_spec(f0, kern.m, k)])
+        piece_stacks = sum(_stack_count(corpus, (min(piece.a, a), max(piece.l, l)))
+                           for atom in atoms
+                           for piece in [kernel_as_test_function(atom)]
+                           + [shell_piece(atom, j) for j in (0, 1)])
+        assert counts["blocks"] == _stack_count(corpus, corpus.window) + tkf_stacks + piece_stacks
+        assert counts["convolve"] == piece_stacks
+    # the default bound holds each of these stacks in one piece
+    monkeypatch.setattr(verify, "STACK_CELLS", STACK_BOUNDS[0])
+    counts.update(blocks=0, convolve=0)
     check_besov_tl_theorem(corpus, k_list, srt_list)
-    n, atoms = len(corpus.functions), len(verify._first_atoms(corpus))
-    assert atoms > 0
-    # one stack per f and per T_k f, then one per piece convolution
-    assert counts["blocks"] == n * (1 + len(corpus.kernels) * len(k_list)) + 3 * atoms * n
-    assert counts["convolve"] == 3 * atoms * n
+    assert counts == {"blocks": 1 + len(corpus.kernels) * len(k_list) + 3 * len(atoms),
+                      "convolve": 3 * len(atoms)}
+
+
+def test_piece_rows_take_no_besov_norm(monkeypatch):
+    corpus = small_corpus(count=4)
+    k_list, srt_list = [-1, 0], [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)]
+    calls = []
+    besov_value = decomp._besov_value
+    monkeypatch.setattr(decomp, "_besov_value",
+                        lambda *args: calls.append(args) or besov_value(*args))
+    _, pieces = check_besov_tl_theorem(corpus, k_list, srt_list)
+    assert pieces
+    # one B value per row of f and of T_k f and per triple; none for g_j * f
+    n = len(corpus.functions)
+    assert len(calls) == n * (1 + len(corpus.kernels) * len(k_list)) * len(srt_list)
+
+
+def test_stacked_laurent_run_keeps_each_transform_within_the_stack_bound(monkeypatch):
+    sizes = []
+    dft = Window.dft
+
+    def wrapped(self, values, inverse=False):
+        sizes.append(np.shape(values))
+        return dft(self, values, inverse)
+
+    monkeypatch.setattr(Window, "dft", wrapped)
+    run_verification(config=L3, count=10, window=(-2, 2))
+    assert all(math.prod(shape) <= max(verify.STACK_CELLS, shape[-1]) for shape in sizes)
+    assert any(len(shape) == 2 and shape[0] > 1 for shape in sizes)  # stacks were taken
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
-"""Shared helpers for the test suite: seeded random field data and small
-definition-level operations that only the tests use."""
+"""Shared helpers for the test suite: seeded random field data, small
+definition-level operations that only the tests use, and per-function
+reference loops for the verify protocols."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from localfield.decomp import besov_norm, triebel_lizorkin_norm
 from localfield.field import FieldConfig, FieldElement, q_power
 from localfield.fourier import SpectralFunction
-from localfield.functions import TestFunction, refine
+from localfield.functions import TestFunction, convolve, lr_norm, refine, weak_level_measure
+from localfield.kernels import h1_upper_bound, kernel_as_test_function, shell_piece
+from localfield.operators import apply_atom_operator, apply_truncated, output_spec
+from localfield.verify import _first_atoms, _reading_b_operator
 
 CONFIGS = [FieldConfig("padic", 2), FieldConfig("padic", 3), FieldConfig("laurent", 2), FieldConfig("laurent", 3)]
 
@@ -59,3 +65,104 @@ def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
     returned, the smallest valuation consistent with every member.
     """
     return F.dual_window.valuation_levels()
+
+
+# ---------------------------------------------------------------------------
+# Per-function reference loops for the verify protocols.  Each takes the
+# corpus one function at a time through the one-function public API, in the
+# function-major order the protocols emit, and is the reference the stacked
+# protocols must equal bit for bit.
+
+
+def per_function_lebesgue(corpus, k_list, r_list) -> list:
+
+    q = corpus.config.q
+    rows = []
+    for fi, f in enumerate(corpus.functions):
+        for ki, kern in enumerate(corpus.kernels):
+            for k in k_list:
+                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                scale = q_power(q, -k) * h1_upper_bound(kern)
+                for r in r_list:
+                    nf = lr_norm(f, r)
+                    if nf == 0:
+                        continue
+                    num = lr_norm(tkf, r)
+                    rows.append((f"f{fi}.w{ki}", k, r, 0.0 if num == 0 else num / (scale * nf)))
+    return rows
+
+
+def single_norm_besov_tl(corpus, k_list, srt_list) -> tuple:
+    """(ratio rows, piece rows), one besov_norm or triebel_lizorkin_norm call per value."""
+
+    norm_of = {"B": besov_norm, "F": triebel_lizorkin_norm}
+    q = corpus.config.q
+    rows = []
+    for fi, f in enumerate(corpus.functions):
+        for ki, kern in enumerate(corpus.kernels):
+            for k in k_list:
+                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                scale = q_power(q, -k) * h1_upper_bound(kern)
+                for srt in srt_list:
+                    for space in ("B", "F"):
+                        nf = norm_of[space](f, *srt).value
+                        if nf == 0:
+                            continue
+                        num = norm_of[space](tkf, *srt).value
+                        ratio = 0.0 if num == 0 else num / (scale * nf)
+                        rows.append((f"f{fi}.w{ki}", k, (space,) + srt, ratio))
+    piece_rows = []
+    for atom_id, atom in _first_atoms(corpus):
+        pieces = [("B", -1, kernel_as_test_function(atom))] + [
+            ("A", j, shell_piece(atom, j)) for j in (0, 1)]
+        for reading, j, piece in pieces:
+            for s, r, t in srt_list:
+                worst = 0.0
+                for f in corpus.functions:
+                    nf = triebel_lizorkin_norm(f, s, r, t).value
+                    if nf != 0:
+                        num = triebel_lizorkin_norm(convolve(piece, f), s, r, t).value
+                        worst = max(worst, num / nf)
+                piece_rows.append({"atom": atom_id, "reading": reading, "j": j,
+                                   "s": s, "r": r, "t": t, "ratio": worst})
+    return rows, piece_rows
+
+
+def per_function_l2_weak(corpus, k_list, lambda_list) -> list:
+
+
+    q = corpus.config.q
+    rows = []
+    for atom_id, atom in _first_atoms(corpus):
+        for fi, f in enumerate(corpus.functions):
+            l2_f, l1_f = lr_norm(f, 2), lr_norm(f, 1)
+            if l2_f == 0 or l1_f == 0:
+                continue
+            for k in k_list:
+                spec = output_spec(f, atom.m, k)
+                for reading, bf in (("A", apply_atom_operator(f, atom, spec)),
+                                    ("B", _reading_b_operator(f, atom, spec))):
+                    claimed_l2 = q_power(q, -k) / (q - 1)
+                    measured = [("l2", 2.0, lr_norm(bf, 2) / (claimed_l2 * l2_f))] + [
+                        ("weak11", lam,
+                         float(weak_level_measure(bf, lam) * Fraction(lam)) / (l1_f * (1 + 4 * q)))
+                        for lam in lambda_list]
+                    rows.extend({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
+                                 "reading": reading, "param": param, "ratio": ratio}
+                                for check, param, ratio in measured)
+    return rows
+
+
+def per_function_taibleson_l2(corpus) -> list:
+    """Per kernel: the largest ||T_0 f||_2 / ||f||_2 over the corpus."""
+
+    sups = []
+    for kern in corpus.kernels:
+        sup_l2 = 0.0
+        for f in corpus.functions:
+            nf = lr_norm(f, 2)
+            if nf != 0:
+                tkf = apply_truncated(f, kern, output_spec(f, kern.m, 0))
+                sup_l2 = max(sup_l2, lr_norm(tkf, 2) / nf)
+        sups.append(sup_l2)
+    return sups
