@@ -36,8 +36,8 @@ from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
 from .operators import apply_truncated, output_spec
-from .verify import (DEFAULT_SRT_LIST, _is_real, check_lebesgue_exponent, check_record,
-                     check_srt, emit_report, exact_checks_pass, run_verification)
+from .verify import (DEFAULT_SRT_LIST, _is_real, _ms, canonical_dumps, check_lebesgue_exponent,
+                     check_record, check_srt, emit_report, exact_checks_pass, run_verification)
 
 CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
 WINDOW_CELL_CAP = 65536
@@ -602,9 +602,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         lambda_list=cfg.lambda_list,
         checks=cfg.checks,
     )
-    for path in emit_report(report, cfg.out_dir, cfg.formats):
+    t0 = time.perf_counter()
+    written = emit_report(report, cfg.out_dir, cfg.formats)
+    timing_ms = {**report.timing_ms, "emit": _ms(t0)}
+    for path in written:
         print(f"wrote {path}")
-    print(f"timing_ms: {json.dumps(report.timing_ms, sort_keys=True)}")
+    print(f"timing_ms: {json.dumps(timing_ms, sort_keys=True)}")
     _print_checks(list(report.checks))
     return 0 if exact_checks_pass(report) else 1
 
@@ -629,7 +632,7 @@ def main(argv=None) -> int:
         else:
             artifact, checks = _cmd_bench(cfg)
         name = args.command.replace("-", "_") + ".json"
-        text = json.dumps(_jsonable(artifact), sort_keys=True, indent=2) + "\n"
+        text = canonical_dumps(_jsonable(artifact)) + "\n"
         print(f"wrote {_write_artifact(cfg, name, text)}")
         if args.command == "norms" and "csv" in cfg.formats:
             print(f"wrote {_write_artifact(cfg, 'norms.csv', _norms_csv(artifact))}")

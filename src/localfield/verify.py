@@ -34,6 +34,9 @@ import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat, starmap
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -440,6 +443,67 @@ def check_taibleson_class(corpus: Corpus) -> dict:
 # ---------------------------------------------------------------------------
 # Report assembly
 
+# the exact scalar types a table column may hold, with their JSON encoders
+_COLUMN_ENCODERS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _row_template(rows, depth: int):
+    """(template, columns) writing rows of the first row's shape at depth, else None.
+
+    A shape is a scalar of one exact type in _COLUMN_ENCODERS (finite if a
+    float), or a non-empty list or str-keyed dict of shapes.  columns holds
+    each leaf's encoded values, so map(template.format, *columns) gives
+    every row's indented JSON.
+    """
+    first = rows[0]
+    kind = type(first)
+    if set(map(type, rows)) != {kind}:
+        return None
+    if kind in _COLUMN_ENCODERS:
+        if kind is float and not all(map(math.isfinite, rows)):
+            return None
+        return "{}", [list(map(_COLUMN_ENCODERS[kind], rows))]
+    if kind is list and first and set(map(len, rows)) == {len(first)}:
+        keys, columns, brackets = None, list(zip(*rows)), ("[", "]")
+    elif (kind is dict and first and all(type(key) is str for key in first)
+          and all(map(first.keys().__eq__, map(dict.keys, rows)))):
+        keys = sorted(first)
+        columns, brackets = [list(map(itemgetter(key), rows)) for key in keys], ("{{", "}}")
+    else:
+        return None
+    indent = "\n" + "  " * (depth + 1)
+    fields, encoded = [], []
+    for i, column in enumerate(columns):
+        leaf = _row_template(column, depth + 1)
+        if leaf is None:
+            return None
+        label = "" if keys is None else encode_basestring_ascii(keys[i]) + ": "
+        fields.append(indent + label.replace("{", "{{").replace("}", "}}") + leaf[0])
+        encoded.extend(leaf[1])
+    return brackets[0] + ",".join(fields) + indent[:-2] + brackets[1], encoded
+
+
+def canonical_dumps(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), byte for byte.
+
+    str-keyed dicts are walked; a list of at least two rows of one shape is
+    written a column at a time (_row_template); every other subtree is
+    json.dumps'ed, its newlines shifted to its depth (exact, as an
+    ASCII-escaped string holds no newline), which raises on non-finite floats.
+    """
+    indent = "\n" + "  " * (depth + 1)
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        return "{" + ",".join(indent + encode_basestring_ascii(key) + ": "
+                              + canonical_dumps(obj[key], depth + 1)
+                              for key in sorted(obj)) + indent[:-2] + "}"
+    if type(obj) is list and len(obj) > 1:
+        table = _row_template(obj, depth + 1)
+        if table is not None:
+            template, columns = table
+            rows = ("," + indent).join(map(template.format, *columns))
+            return "[" + indent + rows + indent[:-2] + "]"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", indent[:-2])
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -462,39 +526,28 @@ class VerificationReport:
             "checks": list(self.checks),
             "tables": self.tables,
         }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        return canonical_dumps(payload)
 
     def csv_rows(self) -> list:
-        rows = [("check", "entry", "k", "param", "ratio")]
-        for name in ("lebesgue", "besov_tl"):
-            for entry, k, param, ratio in self.tables.get(name, []):
-                tag = param if isinstance(param, (int, float)) else ":".join(
-                    str(x) for x in param
-                )
-                rows.append((name, entry, k, tag, ratio))
-        for row in self.tables.get("pieces", []):
-            rows.append(
-                (
-                    "piece",
-                    row["atom"],
-                    row["j"],
-                    f"{row['reading']}:{row['s']}:{row['r']}:{row['t']}",
-                    row["ratio"],
-                )
-            )
-        for row in self.tables.get("l2_weak", []):
-            rows.append(
-                (
-                    row["check"],
-                    row["entry"],
-                    row["k"],
-                    f"{row['reading']}:{row['param']}",
-                    row["ratio"],
-                )
-            )
-        for row in self.tables.get("taibleson", []):
-            rows.append(("taibleson", row["kernel"], row["m"], "modulus", row["modulus"]))
-        return rows
+        def columns(name, *keys):
+            table = self.tables.get(name, [])
+            return [map(itemgetter(key), table) for key in keys]
+
+        entry, k, param, ratio = columns("besov_tl", 0, 1, 2, 3)
+        atom, j, reading, s, r, t, piece_ratio = columns(
+            "pieces", "atom", "j", "reading", "s", "r", "t", "ratio")
+        return [
+            ("check", "entry", "k", "param", "ratio"),
+            *zip(repeat("lebesgue"), *columns("lebesgue", 0, 1, 2, 3)),
+            *zip(repeat("besov_tl"), entry, k, starmap("{}:{}:{}:{}".format, param), ratio),
+            *zip(repeat("piece"), atom, j, map("{}:{}:{}:{}".format, reading, s, r, t),
+                 piece_ratio),
+            *zip(*columns("l2_weak", "check", "entry", "k"),
+                 map("{}:{}".format, *columns("l2_weak", "reading", "param")),
+                 *columns("l2_weak", "ratio")),
+            *zip(repeat("taibleson"), *columns("taibleson", "kernel", "m"), repeat("modulus"),
+                 *columns("taibleson", "modulus")),
+        ]
 
     def to_csv(self) -> str:
         buf = io.StringIO()

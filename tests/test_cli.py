@@ -370,6 +370,61 @@ def test_embedded_non_integer_p_exits_2(tmp_path, capsys, command, bad_p):
     assert not out.exists()
 
 
+def huge_function_file(tmp_path):
+    # every cell 1.7e308: transforms and norms of it overflow to inf and nan
+    fn = json.loads((DATA / "fn_q2.json").read_text())
+    fn["values"] = [[1.7e308, 1.7e308] for _ in fn["values"]]
+    return write_json(tmp_path / "huge.json", fn)
+
+
+@pytest.mark.parametrize("command", ["transform", "apply-tk", "norms"])
+def test_non_finite_artifact_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    fpath = huge_function_file(tmp_path)
+    args = {"transform": ["transform", fpath],
+            "apply-tk": ["apply-tk", fpath, "--kernel", str(DATA / "kern_q2.json"), "--k", "0"],
+            "norms": ["norms", fpath, "--format", "both"]}[command]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    # numpy's overflow warnings may come first
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("error: Out of range float values are not JSON compliant")
+    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def real_function_file(tmp_path):
+    fn = json.loads((DATA / "fn_q2.json").read_text())
+    fn["values"] = [[abs(re) + 0.25, 0.0] for re, _ in fn["values"]]
+    return write_json(tmp_path / "real.json", fn)
+
+
+@pytest.mark.parametrize("command", ["transform", "apply-tk", "cz-decompose", "norms", "atoms",
+                                     "atoms-haar", "bench"])
+def test_artifact_bytes_equal_the_stdlib_encoder(tmp_path, monkeypatch, command):
+    fn, kern = str(DATA / "fn_q2.json"), str(DATA / "kern_q2.json")
+    args = {"transform": ["transform", fn],
+            "apply-tk": ["apply-tk", fn, "--kernel", kern, "--k=-1,0"],
+            "cz-decompose": ["cz-decompose", real_function_file(tmp_path), "--lambda", "0.9,1.5"],
+            "norms": ["norms", fn],
+            "atoms": ["atoms", kern],
+            "atoms-haar": ["atoms", kern, "--strategy", "haar"],
+            "bench": ["bench", "--window=0:3"]}[command]
+    written = []
+
+    def recording(obj):
+        written.append((obj, verify.canonical_dumps(obj)))
+        return written[-1][1]
+
+    monkeypatch.setattr(cli, "canonical_dumps", recording)
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    (obj, text), = written
+    assert text == json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    name = args[0].replace("-", "_") + ".json"
+    assert (out / name).read_text() == text + "\n"
+
+
 # -- verify determinism and exit policy
 
 
@@ -408,6 +463,14 @@ def test_verify_prints_checks_and_timing(tmp_path, capsys):
     assert "PASS corpus_kernels_mean_zero" in printed
     assert "timing_ms:" in printed
     assert "INFO lebesgue_fitted_constant" in printed
+
+
+def test_verify_timing_line_times_the_report_writing(tmp_path, capsys):
+    assert main(verify_args(tmp_path, "run")) == 0
+    line, = [x for x in capsys.readouterr().out.splitlines() if x.startswith("timing_ms: ")]
+    timing = json.loads(line[len("timing_ms: "):])
+    assert set(timing) == {"corpus", *cli.CHECK_NAMES, "emit"}
+    assert timing["emit"] >= 0
 
 
 def test_verify_exit_ignores_measured_constants(tmp_path):

@@ -39,6 +39,7 @@ from localfield.operators import (
 from localfield.verify import (
     Corpus,
     OperatorNormEstimate,
+    canonical_dumps,
     check_besov_tl_theorem,
     check_l2_and_weak11,
     check_lebesgue_theorem,
@@ -55,6 +56,7 @@ from util import (
     per_function_l2_weak,
     per_function_lebesgue,
     per_function_taibleson_l2,
+    per_row_csv,
     single_norm_besov_tl,
 )
 
@@ -499,9 +501,9 @@ def test_taibleson_rows_stabilize_and_cross_tabulate():
 # report assembly
 
 
-def run_small(seed=42):
+def run_small(seed=42, config=Q2):
     return run_verification(
-        config=Q2, seed=seed, count=4, window=(-2, 2), kernel_resolutions=(2,),
+        config=config, seed=seed, count=4, window=(-2, 2), kernel_resolutions=(2,),
         k_list=(-1, 0), r_list=(2.0,), srt_list=((0.5, 2.0, 2.0),),
         lambda_list=(1.0,),
     )
@@ -562,3 +564,97 @@ def test_emit_report_writes_artifacts(tmp_path):
     lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     assert lines[0] == "check,entry,k,param,ratio"
     assert len(lines) > 10
+
+
+# ---------------------------------------------------------------------------
+# the report writer against the stdlib encoder
+
+
+def stdlib_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def report_payload(report) -> dict:
+    return {"config": report.config.to_dict(), "seed": report.seed,
+            "checks": list(report.checks), "tables": report.tables}
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=str)
+def test_report_writers_equal_the_stdlib_and_per_row_references(config):
+    report = run_small(config=config)
+    assert report.canonical_json() == stdlib_dumps(report_payload(report))
+    assert report.to_csv() == per_row_csv(report)
+
+
+def test_report_tables_are_written_a_column_at_a_time(monkeypatch):
+    # no ratio table, nor any row of one, reaches the stdlib encoder; the
+    # taibleson table does, as its "stabilized" column holds bools
+    report = run_small()
+    tables = [report.tables[name] for name in ("lebesgue", "besov_tl", "pieces", "l2_weak")]
+    assert all(len(table) > 1 for table in tables)
+    delegated, dumps = [], json.dumps
+
+    def recording(obj, **kwargs):
+        delegated.append(id(obj))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(verify.json, "dumps", recording)
+    assert report.canonical_json() == dumps(report_payload(report), sort_keys=True, indent=2)
+    assert not set(delegated) & {id(x) for table in tables for x in [table, *table]}
+    assert id(report.tables["taibleson"]) in delegated
+
+
+NASTY = '"\\{}{0}}{é€\u2028😀'
+
+WRITER_CASES = {
+    "int_float_mixed_column": {"t": [[1, 0.5], [2.0, 1.5], [3, 2.5]]},
+    "int_float_mixed_dict_column": [{"a": 1}, {"a": 1.0}],
+    "bool_column": [[True, 1.0], [False, 2.0]],
+    "none_column": [{"a": None, "b": 1}, {"a": None, "b": 2}],
+    "bool_scalars": [True, False, True],
+    "differing_key_sets": [{"a": 1, "b": 2.0}, {"a": 1, "c": 2.0}],
+    "key_subset": [{"a": 1}, {"a": 1, "b": 2}],
+    "differing_lengths": [[1.0, 2.0], [1.0]],
+    "list_and_dict_rows": [[1.0], {"a": 1.0}],
+    "one_row_tables": {"a": [[1.0, "x"]], "b": [{"k": 1}], "c": [0.5]},
+    "empty_at_depth": {"a": [], "b": {}, "c": [[], []], "d": [{}, {}],
+                       "e": [[[], 1], [[], 2]], "f": [{"x": {}}, {"x": {}}], "g": [[{}], [{}]]},
+    "escapes_in_strings_and_keys": {NASTY: [{NASTY: NASTY, "}": "{", "{}": 1},
+                                            {NASTY: "{0}", "}": "}}", "{}": 2}],
+                                    "rows": [["{}", NASTY, "\n\t"], ["{0}", "}{", "\x00\x7f"]]},
+    "float_edges": [[-0.0, 1e-300, 1e16, 5e-324, 2**64 + 1],
+                    [0.0, -1e-300, 1e17, -5e-324, -(2**70)],
+                    [1.0, 1.7976931348623157e308, 0.1, 2.2250738585072014e-308, 2**63]],
+    "negative_zero_column": [-0.0, 0.0, -0.0],
+    "numpy_float64_in_a_column": [[np.float64(0.1), 1.0], [0.2, 1.0]],
+    "numpy_float64_column": {"x": [np.float64(1.5), np.float64(2.5)], "y": np.float64(-0.0)},
+    "tuple_rows": [(1.0, 2.0), (3.0, 4.0)],
+    "nested_rows": [["f0.w0", -1, ["B", 0.5, 2.0, 2.0], 0.25],
+                    ["f1.w0", 0, ["F", 1.0, 1.5, 3.0], 1e-20]],
+    "nested_dict_rows": [{"x": {"y": [1.0, "a"]}, "z": 1}, {"x": {"y": [2.0, "b"]}, "z": 2}],
+    "non_str_keys": {1: [1.0, 2.0], 10: 3, 2: None},
+    "key_order": {"b": 1, "a": [2, 3], "A": {"z": 0, "Z": 1}, "é": 4, "": 5},
+    "scalars": {"f": 1.0, "i": -3, "s": "x", "n": None, "t": True},
+    "top_level_scalar": 2.5,
+    "top_level_string": NASTY,
+}
+
+
+@pytest.mark.parametrize("obj", WRITER_CASES.values(), ids=WRITER_CASES)
+def test_canonical_dumps_equals_the_stdlib_encoder(obj):
+    assert canonical_dumps(obj) == stdlib_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [[1.0, math.nan], [2.0, 3.0]],
+    {"t": [{"a": math.inf}, {"a": 1.0}]},
+    [-math.inf, 1.0],
+    {"deep": [[["B", math.nan]], [["B", 1.0]]]},
+    math.nan,
+], ids=["list_rows", "dict_rows", "scalar_column", "nested_column", "scalar"])
+def test_canonical_dumps_refuses_non_finite_floats_like_the_stdlib(obj):
+    with pytest.raises(ValueError) as ours:
+        canonical_dumps(obj)
+    with pytest.raises(ValueError) as theirs:
+        stdlib_dumps(obj)
+    assert str(ours.value) == str(theirs.value)

@@ -4,6 +4,8 @@ reference loops for the verify protocols."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -166,3 +168,25 @@ def per_function_taibleson_l2(corpus) -> list:
                 sup_l2 = max(sup_l2, lr_norm(tkf, 2) / nf)
         sups.append(sup_l2)
     return sups
+
+
+def per_row_csv(report) -> str:
+    """report.to_csv() as one csv.writer row per table row, the reference for its columns."""
+    rows = [("check", "entry", "k", "param", "ratio")]
+    for name in ("lebesgue", "besov_tl"):
+        for entry, k, param, ratio in report.tables.get(name, []):
+            tag = param if isinstance(param, (int, float)) else ":".join(str(x) for x in param)
+            rows.append((name, entry, k, tag, ratio))
+    for row in report.tables.get("pieces", []):
+        rows.append(("piece", row["atom"], row["j"],
+                     f"{row['reading']}:{row['s']}:{row['r']}:{row['t']}", row["ratio"]))
+    for row in report.tables.get("l2_weak", []):
+        rows.append((row["check"], row["entry"], row["k"],
+                     f"{row['reading']}:{row['param']}", row["ratio"]))
+    for row in report.tables.get("taibleson", []):
+        rows.append(("taibleson", row["kernel"], row["m"], "modulus", row["modulus"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
