@@ -25,7 +25,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +34,10 @@ from .field import FieldConfig
 from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
-from .operators import apply_truncated, output_spec
+from .operators import apply_truncated, output_spec, window_output_spec
 from .verify import (DEFAULT_SRT_LIST, _is_real, _ms, canonical_dumps, check_lebesgue_exponent,
-                     check_record, check_srt, emit_report, exact_checks_pass, run_verification)
+                     check_record, check_srt, emit_report, exact_checks_pass, fixture_resolution,
+                     run_verification)
 
 CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
 WINDOW_CELL_CAP = 65536
@@ -138,6 +138,23 @@ def _check_each(key: str, items, check):
             raise ConfigError(f"{key}: {exc}") from None
 
 
+def _over_cap(q: int, e: int) -> bool:
+    # whether q^e cells exceed the cap; since q >= 2, an e past the cap's bit
+    # length is over the cap without computing q^e
+    return e >= WINDOW_CELL_CAP.bit_length() or q**e > WINDOW_CELL_CAP
+
+
+def _check_tk_windows(q: int, a: int, l: int, m: int, k_list) -> None:
+    """Refuse a k whose T_k f window, for f on (a, l) and a resolution-m kernel, is over the cap."""
+    for k in k_list:
+        spec = window_output_spec(a, l, m, k)
+        e = spec.out_l - spec.out_a
+        if _over_cap(q, e):
+            raise ConfigError(
+                f"truncations.k_list: k = {k} gives T_k f q^{e} cells, more than the "
+                f"{WINDOW_CELL_CAP}-cell cap; pass --override-window-cap to proceed")
+
+
 def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunConfig:
     p = raw["field"].get("p")
     mode = raw["field"].get("mode")
@@ -157,12 +174,16 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
     a, l = window
     if a > l:
         raise ConfigError(f"window: starting scale a = {a} exceeds resolution l = {l}")
-    cells = field.q ** (l - a)
-    if cells > WINDOW_CELL_CAP and not override_window_cap:
+    if _over_cap(field.q, l - a) and not override_window_cap:
         raise ConfigError(
-            f"window: q^(l-a) = {cells} cells exceeds the {WINDOW_CELL_CAP}-cell cap; "
+            f"window: q^(l-a) = {field.q}^{l - a} cells exceeds the {WINDOW_CELL_CAP}-cell cap; "
             "pass --override-window-cap to proceed"
         )
+    # verify's corpus holds the unit-ball and maximal-ideal indicators
+    verifying = command == "verify"
+    if verifying and (a > 0 or l < 1):
+        raise ConfigError(f"window: verify needs a <= 0 < l, so that the corpus window "
+                          f"holds the unit ball and resolves the maximal ideal; got ({a},{l})")
 
     corpus = raw["corpus"]
     if not _is_int(corpus["count"]) or corpus["count"] < 1:
@@ -174,10 +195,8 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
         raise ConfigError(
             f"corpus.kernel_resolutions: expected a list of integers >= 1, got {resolutions!r}")
     for m in resolutions:
-        # a resolution-m kernel lives on a window of q^m cells; since q >= 2, an m
-        # past the cap's bit length is over the cap without computing q^m
-        too_fine = m >= WINDOW_CELL_CAP.bit_length() or field.q**m > WINDOW_CELL_CAP
-        if too_fine and not override_window_cap:
+        # a resolution-m kernel lives on a window of q^m cells
+        if _over_cap(field.q, m) and not override_window_cap:
             raise ConfigError(
                 f"corpus.kernel_resolutions: resolution {m} needs q^{m} kernel cells, more "
                 f"than the {WINDOW_CELL_CAP}-cell cap; pass --override-window-cap to proceed")
@@ -192,6 +211,9 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
     k_list = raw["truncations"]["k_list"]
     if not isinstance(k_list, (list, tuple)) or not all(map(_is_int, k_list)):
         raise ConfigError(f"truncations.k_list: expected a list of integers, got {k_list!r}")
+    if verifying and not override_window_cap:
+        # the finest corpus kernel gives the widest T_k f window
+        _check_tk_windows(field.q, a, l, max([*resolutions, fixture_resolution(field.q)]), k_list)
 
     lambdas = raw["parameters"]["lambda_list"]
     if not isinstance(lambdas, (list, tuple)) or not all(
@@ -201,7 +223,6 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
 
     # verify needs the theorems' exponent ranges; the norms command takes any
     # exponents the norm functions accept, and they check those themselves
-    verifying = command == "verify"
     _check_each("parameters.r_list", raw["parameters"]["r_list"],
                 check_lebesgue_exponent if verifying else _check_real)
     _check_each("parameters.srt_list", raw["parameters"]["srt_list"],
@@ -383,22 +404,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 # file I/O helpers
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return [v.numerator, v.denominator]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
 def _read_json(path) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -485,6 +490,8 @@ def _cmd_transform(cfg: RunConfig, args) -> tuple[dict, list]:
 def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
     f = _load_function(args.input, cfg.field)
     kern = _load_kernel(args.kernel, f.config)
+    if not args.override_window_cap:
+        _check_tk_windows(f.config.q, f.a, f.l, kern.m, cfg.k_list)
     outputs = []
     if kern.is_mean_zero:  # operator precondition; a FAIL check, not a crash
         for k in cfg.k_list:
@@ -612,6 +619,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if exact_checks_pass(report) else 1
 
 
+# an overflow to inf or nan ends as the strict writer's error line, not numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -632,7 +641,7 @@ def main(argv=None) -> int:
         else:
             artifact, checks = _cmd_bench(cfg)
         name = args.command.replace("-", "_") + ".json"
-        text = canonical_dumps(_jsonable(artifact)) + "\n"
+        text = canonical_dumps(artifact) + "\n"
         print(f"wrote {_write_artifact(cfg, name, text)}")
         if args.command == "norms" and "csv" in cfg.formats:
             print(f"wrote {_write_artifact(cfg, 'norms.csv', _norms_csv(artifact))}")

@@ -66,13 +66,17 @@ def tail_cutoff(out_a: int, f_a: int) -> int:
 
 
 def output_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
-    """The output window the CLI and the harness give T_k f for a resolution-m kernel.
+    """The output window the CLI and the harness give T_k f for a resolution-m kernel."""
+    return window_output_spec(f.a, f.l, m, k)
+
+
+def window_output_spec(a: int, l: int, m: int, k: int) -> TruncationSpec:
+    """output_spec for any function on the window (a, l).
 
     One scale of spill room beyond the support window; resolution fine
     enough that no stage of the shell sum is coarsened lossily.
     """
-    out_a = f.a - 1
-    return TruncationSpec(k, out_a, max(f.l, m - (k + 1), out_a))
+    return TruncationSpec(k, a - 1, max(l, m - (k + 1), a - 1))
 
 
 def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElement) -> complex:

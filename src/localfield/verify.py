@@ -3,8 +3,8 @@
 The boundedness results under test are existential in their constants, so
 every check here is a measurement protocol: compute the norm ratio that the
 inequality bounds, normalize by the claimed growth factor, and report the
-fitted constant together with a k-stability verdict (default: per-k fitted
-constants must stay within a factor 4).  Exact invariants (mean-zero
+fitted constant together with a k-stability verdict (per-k fitted constants
+must stay within the fixed STABILITY_FACTOR 4).  Exact invariants (mean-zero
 corpus kernels, Taibleson modulus stabilization, the unit-sphere piece
 bound) carry genuine pass/fail semantics; measured constants are report
 content and never mutate into assertions.
@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, starmap
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
@@ -78,6 +77,9 @@ EXACT_CHECK_NAMES = (
 # most complex cells in one stacked array; bounds the peak memory of a stage
 STACK_CELLS = 2**14
 
+# per-k fitted constants pass k-stability iff their max/min stays below this
+STABILITY_FACTOR = 4.0
+
 
 def check_record(name: str, claimed, measured, passed) -> dict:
     """One check as reports and the CLI print it; passed None marks it informational.
@@ -103,11 +105,15 @@ class Corpus:
     description: str
 
 
+def fixture_resolution(q: int) -> int:
+    """The smallest kernel resolution whose sphere has at least two cells."""
+    return 2 if q == 2 else 1
+
+
 def _fixture_kernels(config: FieldConfig) -> list:
-    # plus-minus fixture and the balanced two-ball atom, at the smallest
-    # resolution whose sphere has at least two cells
+    # plus-minus fixture and the balanced two-ball atom, at fixture_resolution
     q = config.q
-    m_fix = 2 if q == 2 else 1
+    m_fix = fixture_resolution(q)
     n = sphere_cell_count(config, m_fix)
     pm = np.zeros(n, dtype=np.complex128)
     pm[0], pm[1] = 1.0, -1.0
@@ -176,7 +182,7 @@ class OperatorNormEstimate:
     fitted_constant: float
 
 
-def k_stability(estimate: OperatorNormEstimate, factor: float = 4.0,
+def k_stability(estimate: OperatorNormEstimate, factor: float = STABILITY_FACTOR,
                 param_filter=None) -> dict:
     """Spread of per-k fitted constants; pass iff max/min < factor."""
     sups = {}
@@ -443,66 +449,9 @@ def check_taibleson_class(corpus: Corpus) -> dict:
 # ---------------------------------------------------------------------------
 # Report assembly
 
-# the exact scalar types a table column may hold, with their JSON encoders
-_COLUMN_ENCODERS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
-
-
-def _row_template(rows, depth: int):
-    """(template, columns) writing rows of the first row's shape at depth, else None.
-
-    A shape is a scalar of one exact type in _COLUMN_ENCODERS (finite if a
-    float), or a non-empty list or str-keyed dict of shapes.  columns holds
-    each leaf's encoded values, so map(template.format, *columns) gives
-    every row's indented JSON.
-    """
-    first = rows[0]
-    kind = type(first)
-    if set(map(type, rows)) != {kind}:
-        return None
-    if kind in _COLUMN_ENCODERS:
-        if kind is float and not all(map(math.isfinite, rows)):
-            return None
-        return "{}", [list(map(_COLUMN_ENCODERS[kind], rows))]
-    if kind is list and first and set(map(len, rows)) == {len(first)}:
-        keys, columns, brackets = None, list(zip(*rows)), ("[", "]")
-    elif (kind is dict and first and all(type(key) is str for key in first)
-          and all(map(first.keys().__eq__, map(dict.keys, rows)))):
-        keys = sorted(first)
-        columns, brackets = [list(map(itemgetter(key), rows)) for key in keys], ("{{", "}}")
-    else:
-        return None
-    indent = "\n" + "  " * (depth + 1)
-    fields, encoded = [], []
-    for i, column in enumerate(columns):
-        leaf = _row_template(column, depth + 1)
-        if leaf is None:
-            return None
-        label = "" if keys is None else encode_basestring_ascii(keys[i]) + ": "
-        fields.append(indent + label.replace("{", "{{").replace("}", "}}") + leaf[0])
-        encoded.extend(leaf[1])
-    return brackets[0] + ",".join(fields) + indent[:-2] + brackets[1], encoded
-
-
-def canonical_dumps(obj, depth: int = 0) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False), byte for byte.
-
-    str-keyed dicts are walked; a list of at least two rows of one shape is
-    written a column at a time (_row_template); every other subtree is
-    json.dumps'ed, its newlines shifted to its depth (exact, as an
-    ASCII-escaped string holds no newline), which raises on non-finite floats.
-    """
-    indent = "\n" + "  " * (depth + 1)
-    if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        return "{" + ",".join(indent + encode_basestring_ascii(key) + ": "
-                              + canonical_dumps(obj[key], depth + 1)
-                              for key in sorted(obj)) + indent[:-2] + "}"
-    if type(obj) is list and len(obj) > 1:
-        table = _row_template(obj, depth + 1)
-        if table is not None:
-            template, columns = table
-            rows = ("," + indent).join(map(template.format, *columns))
-            return "[" + indent + rows + indent[:-2] + "]"
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False).replace("\n", indent[:-2])
+def canonical_dumps(obj) -> str:
+    """The canonical JSON of every artifact: sorted keys, compact, strict (no NaN or inf)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -567,7 +516,6 @@ def run_verification(config: FieldConfig = None, seed: int = 42, count: int = 50
                      window: tuple = (-3, 3), kernel_resolutions=(2, 3, 4),
                      k_list=(-3, -2, -1, 0), r_list=(1.5, 2.0, 3.0),
                      srt_list=DEFAULT_SRT_LIST, lambda_list=(0.5, 1.0, 4.0),
-                     stability_factor: float = 4.0,
                      checks=("lebesgue", "besov_tl", "l2_weak", "taibleson")) -> VerificationReport:
     """Full harness: corpus, selected protocols, stability verdicts, timings."""
     if config is None:
@@ -586,13 +534,13 @@ def run_verification(config: FieldConfig = None, seed: int = 42, count: int = 50
     if "lebesgue" in checks:
         t0 = time.perf_counter()
         lebesgue = check_lebesgue_theorem(corpus, k_list, r_list)
-        stability = k_stability(lebesgue, stability_factor)
+        stability = k_stability(lebesgue)
         timing["lebesgue"] = _ms(t0)
         tables["lebesgue"] = [list(row) for row in lebesgue.ratio_table]
         tables["lebesgue_per_k"] = stability["per_k"]
         records.append(check_record("lebesgue_fitted_constant", None,
                                     lebesgue.fitted_constant, None))
-        records.append(check_record("lebesgue_k_stability", stability_factor,
+        records.append(check_record("lebesgue_k_stability", STABILITY_FACTOR,
                                     stability["spread"], stability["pass"]))
 
     if "besov_tl" in checks:
@@ -604,11 +552,9 @@ def run_verification(config: FieldConfig = None, seed: int = 42, count: int = 50
         ]
         tables["pieces"] = piece_rows
         for space, name in (("B", "besov"), ("F", "triebel")):
-            stability = k_stability(
-                besov_tl, stability_factor, param_filter=lambda p, s=space: p[0] == s
-            )
+            stability = k_stability(besov_tl, param_filter=lambda p, s=space: p[0] == s)
             tables[f"{name}_per_k"] = stability["per_k"]
-            records.append(check_record(f"{name}_k_stability", stability_factor,
+            records.append(check_record(f"{name}_k_stability", STABILITY_FACTOR,
                                         stability["spread"], stability["pass"]))
         records.append(check_record("besov_tl_fitted_constant", None,
                                     besov_tl.fitted_constant, None))

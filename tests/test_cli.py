@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,10 @@ def test_bad_lambda_exits_2_with_key_path(tmp_path, capsys, flag, in_file):
     ({"output": {"formats": 5}}, "output.formats: expected a list of format names, got 5"),
     ({"output": {"directory": 5}}, "output.directory: expected a path string, got 5"),
     ({"window": [False, True]}, "window: expected [a, l] with integer scales"),
+    ({"window": [1, 3]}, "window: verify needs a <= 0 < l"),
+    ({"window": [0, 0]}, "window: verify needs a <= 0 < l"),
+    ({"window": [-1, 0]}, "window: verify needs a <= 0 < l"),
+    ({"truncations": {"k_list": [0, -60]}}, "truncations.k_list: k = -60 gives T_k f q^67 cells"),
 ])
 def test_bad_verify_parameters_exit_2_before_the_corpus(tmp_path, capsys, monkeypatch,
                                                          in_file, says):
@@ -189,6 +194,34 @@ def test_bad_k_flag_names_its_key(tmp_path, capsys):
                  "--k=abc", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: truncations.k_list: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_verify_truncation_window_cap_and_override():
+    # default window (-3, 3), finest kernel m = 4: T_k f has 2^(max(3, 3 - k) + 4) cells
+    assert parse_config(overrides={"truncations.k_list": [-9]}, command="verify").k_list == (-9,)
+    for k in (-10, -10**12):
+        with pytest.raises(ConfigError, match=r"^truncations\.k_list: .*override-window-cap"):
+            parse_config(overrides={"truncations.k_list": [0, k]}, command="verify")
+    # the fixture kernel (m = 2 when q = 2) counts though no resolution is asked for
+    with pytest.raises(ConfigError, match=r"^truncations\.k_list: "):
+        parse_config(overrides={"corpus.kernel_resolutions": [], "truncations.k_list": [-12]},
+                     command="verify")
+    cfg = parse_config(overrides={"truncations.k_list": [-10]}, override_window_cap=True,
+                       command="verify")
+    assert cfg.k_list == (-10,)
+    # other commands build no corpus, so the list is theirs to check
+    assert parse_config(overrides={"truncations.k_list": [-60]}).k_list == (-60,)
+
+
+@pytest.mark.parametrize("k", [-60, -10**12])
+def test_apply_tk_refuses_a_truncation_window_over_the_cap(tmp_path, capsys, k):
+    out = tmp_path / "o"
+    assert main(["apply-tk", str(DATA / "fn_q2.json"), "--kernel", str(DATA / "kern_q2.json"),
+                 f"--k=0,{k}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: truncations.k_list: k = {k} gives T_k f q^")
+    assert "--override-window-cap" in err
+    assert not out.exists()
 
 
 def test_norms_keeps_exponents_outside_the_verify_ranges(tmp_path):
@@ -386,11 +419,18 @@ def test_non_finite_artifact_exits_2_and_writes_nothing(tmp_path, capsys, comman
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
-    # numpy's overflow warnings may come first
-    last = captured.err.splitlines()[-1]
-    assert last.startswith("error: Out of range float values are not JSON compliant")
-    assert "PASS" not in captured.out and "Traceback" not in captured.err
+    # the error line is all of stderr: numpy's overflow warnings are silenced
+    assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+    assert captured.err.count("\n") == 1
+    assert "PASS" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "norms"])
+def test_overflow_raises_no_warning_out_of_main(tmp_path, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, huge_function_file(tmp_path), "--out", str(tmp_path / "o")]) == 2
 
 
 def real_function_file(tmp_path):
@@ -420,7 +460,9 @@ def test_artifact_bytes_equal_the_stdlib_encoder(tmp_path, monkeypatch, command)
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 0
     (obj, text), = written
-    assert text == json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    # the compact text, reindented, is the stdlib's indented form of the artifact
+    indented = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) == indented
     name = args[0].replace("-", "_") + ".json"
     assert (out / name).read_text() == text + "\n"
 
