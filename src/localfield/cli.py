@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -35,23 +36,11 @@ from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
 from .operators import apply_truncated, output_spec, window_output_spec
-from .verify import (DEFAULT_SRT_LIST, _is_real, _ms, canonical_dumps, check_lebesgue_exponent,
-                     check_record, check_srt, emit_report, exact_checks_pass, fixture_resolution,
-                     run_verification)
+from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _is_real, _ms, canonical_dumps,
+                     check_lebesgue_exponent, check_record, check_srt, exact_checks_pass,
+                     fixture_resolution, run_verification)
 
-CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
 WINDOW_CELL_CAP = 65536
-
-# config-file schema: top-level groups and the keys allowed inside each
-_SCHEMA = {
-    "field": ("mode", "p"),
-    "window": None,  # [a, l]
-    "corpus": ("seed", "count", "kernel_resolutions"),
-    "checks": None,  # list of names from CHECK_NAMES
-    "truncations": ("k_list",),
-    "parameters": ("r_list", "srt_list", "lambda_list"),
-    "output": ("directory", "formats"),
-}
 
 
 class ConfigError(ValueError):
@@ -92,40 +81,33 @@ def _defaults() -> dict:
     }
 
 
-def _check_file_keys(data: dict):
-    for key, sub in data.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"{key}: unknown config key")
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            continue
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{key}: expected an object with keys {allowed}")
-        for inner in sub:
-            if inner not in allowed:
-                raise ConfigError(f"{key}.{inner}: unknown config key")
-
-
-def _merge_file(base: dict, data: dict):
+def _merge_file(base: dict, data: dict, prefix: str = ""):
+    # the defaults are the schema: a file sets only keys they have, objects where they have one
     for key, val in data.items():
-        if isinstance(val, dict):
-            base[key].update(val)
-        else:
+        if key not in base:
+            raise ConfigError(f"{prefix}{key}: unknown config key")
+        if not isinstance(base[key], dict):
             base[key] = val
+        elif not isinstance(val, dict):
+            raise ConfigError(f"{prefix}{key}: expected an object with keys {tuple(base[key])}")
+        else:
+            _merge_file(base[key], val, f"{prefix}{key}.")
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_real(x):
-    if not _is_real(x):
-        raise ValueError(f"expected a real number, got {x!r}")
+def _check_norm_exponent(r):
+    if not (_is_real(r) and 1 <= r < math.inf):
+        raise ValueError(f"exponent r = {r!r} must satisfy 1 <= r < inf")
 
 
-def _check_real_triple(x):
-    if not (isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_is_real, x))):
-        raise ValueError(f"expected s:r:t triples of reals, got {x!r}")
+def _check_norm_srt(srt):
+    if not (isinstance(srt, (list, tuple)) and len(srt) == 3 and all(map(_is_real, srt))
+            and -math.inf < srt[0] < math.inf and all(1 <= x < math.inf for x in srt[1:])):
+        raise ValueError(f"expected an (s, r, t) triple with a finite s and 1 <= r, t < inf, "
+                         f"got {srt!r}")
 
 
 def _check_each(key: str, items, check):
@@ -222,11 +204,11 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
             f"parameters.lambda_list: expected a list of finite reals > 0, got {lambdas!r}")
 
     # verify needs the theorems' exponent ranges; the norms command takes any
-    # exponents the norm functions accept, and they check those themselves
+    # exponents the norm functions compute
     _check_each("parameters.r_list", raw["parameters"]["r_list"],
-                check_lebesgue_exponent if verifying else _check_real)
+                check_lebesgue_exponent if verifying else _check_norm_exponent)
     _check_each("parameters.srt_list", raw["parameters"]["srt_list"],
-                check_srt if verifying else _check_real_triple)
+                check_srt if verifying else _check_norm_srt)
 
     directory = raw["output"]["directory"]
     if not isinstance(directory, str):
@@ -266,17 +248,7 @@ def parse_config(path=None, overrides: dict | None = None,
     """
     raw = _defaults()
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config: file not found: {p}")
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON in {p}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config: top level of {p} must be an object")
-        _check_file_keys(data)
-        _merge_file(raw, data)
+        _merge_file(raw, _read_json(path, "config"))
     for dotted, value in (overrides or {}).items():
         if value is None:
             continue
@@ -300,18 +272,12 @@ def _parse_window(text: str) -> list:
         raise ConfigError(f"window: expected A:L (e.g. -3:3), got {text!r}") from None
 
 
-def _parse_ints(text: str, key: str) -> list:
+def _parse_list(text: str, key: str, cast) -> list:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [cast(x) for x in text.split(",") if x != ""]
     except ValueError:
-        raise ConfigError(f"{key}: expected a comma-separated integer list, got {text!r}") from None
-
-
-def _parse_floats(text: str, key: str) -> list:
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise ConfigError(f"{key}: expected a comma-separated number list, got {text!r}") from None
+        noun = "integer" if cast is int else "number"
+        raise ConfigError(f"{key}: expected a comma-separated {noun} list, got {text!r}") from None
 
 
 def _parse_srt(text: str) -> list:
@@ -392,10 +358,10 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "output.directory": args.out,
         "output.formats": _FORMAT_CHOICES[args.format] if args.format else None,
         "checks": args.checks.split(",") if args.checks else None,
-        "truncations.k_list": _parse_ints(args.k, "truncations.k_list") if args.k else None,
-        "parameters.r_list": _parse_floats(args.r, "parameters.r_list") if args.r else None,
+        "truncations.k_list": _parse_list(args.k, "truncations.k_list", int) if args.k else None,
+        "parameters.r_list": _parse_list(args.r, "parameters.r_list", float) if args.r else None,
         "parameters.srt_list": _parse_srt(args.srt) if args.srt else None,
-        "parameters.lambda_list": (_parse_floats(args.lambda_list, "parameters.lambda_list")
+        "parameters.lambda_list": (_parse_list(args.lambda_list, "parameters.lambda_list", float)
                                    if args.lambda_list else None),
     }
 
@@ -404,43 +370,32 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 # file I/O helpers
 
 
-def _read_json(path) -> dict:
+def _read_json(path, key: str) -> dict:
+    """The JSON object in the file at path; key ("config" or "input") starts each error."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"input: file not found: {p}")
+        raise ConfigError(f"{key}: file not found: {p}")
     try:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"input: invalid JSON in {p}: {exc}") from exc
+        raise ConfigError(f"{key}: invalid JSON in {p}: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"input: top level of {p} must be an object")
+        raise ConfigError(f"{key}: top level of {p} must be an object")
     return data
 
 
-def _embedded_config(data: dict, fallback: FieldConfig) -> FieldConfig:
-    # serialized inputs may carry their own field; it wins over the run config
-    if "config" in data:
-        return FieldConfig.from_dict(data["config"])
-    return fallback
-
-
-def _load_function(path, fallback: FieldConfig) -> TestFunction:
-    data = _read_json(path)
+def _load(path, fallback: FieldConfig, cls, noun: str):
+    """The cls (TestFunction or AngularKernel) at path; a field in the file wins over fallback."""
+    data = _read_json(path, "input")
     try:
-        return TestFunction.from_dict(_embedded_config(data, fallback), data)
+        config = FieldConfig.from_dict(data["config"]) if "config" in data else fallback
+        return cls.from_dict(config, data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"input: {path} is not a serialized function: {exc}") from exc
+        raise ConfigError(f"input: {path} is not a serialized {noun}: {exc}") from exc
 
 
-def _load_kernel(path, fallback: FieldConfig) -> AngularKernel:
-    data = _read_json(path)
-    try:
-        return AngularKernel.from_dict(_embedded_config(data, fallback), data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"input: {path} is not a serialized kernel: {exc}") from exc
-
-
-def _write_artifact(cfg: RunConfig, filename: str, text: str) -> str:
+def _write_artifact(cfg: RunConfig, filename: str, text: str):
+    """Write text to filename under the output directory and say so on stdout."""
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -448,7 +403,7 @@ def _write_artifact(cfg: RunConfig, filename: str, text: str) -> str:
         path.write_text(text)
     except OSError as exc:
         raise RuntimeError(f"could not write artifact under {out_dir}: {exc}") from exc
-    return str(path)
+    print(f"wrote {path}")
 
 
 def _print_checks(checks: list):
@@ -469,7 +424,7 @@ def _exit_code(checks: list) -> int:
 
 
 def _cmd_transform(cfg: RunConfig, args) -> tuple[dict, list]:
-    f = _load_function(args.input, cfg.field)
+    f = _load(args.input, cfg.field, TestFunction, "function")
     F = forward(f)
     g = inverse(F)
     roundtrip = max_difference(f, g)
@@ -488,8 +443,8 @@ def _cmd_transform(cfg: RunConfig, args) -> tuple[dict, list]:
 
 
 def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
-    f = _load_function(args.input, cfg.field)
-    kern = _load_kernel(args.kernel, f.config)
+    f = _load(args.input, cfg.field, TestFunction, "function")
+    kern = _load(args.kernel, f.config, AngularKernel, "kernel")
     if not args.override_window_cap:
         _check_tk_windows(f.config.q, f.a, f.l, kern.m, cfg.k_list)
     outputs = []
@@ -505,7 +460,7 @@ def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
 
 
 def _cmd_cz(cfg: RunConfig, args) -> tuple[dict, list]:
-    f = _load_function(args.input, cfg.field)
+    f = _load(args.input, cfg.field, TestFunction, "function")
     runs = []
     checks = []
     for lam in cfg.lambda_list:
@@ -523,7 +478,7 @@ def _cmd_cz(cfg: RunConfig, args) -> tuple[dict, list]:
 
 
 def _cmd_norms(cfg: RunConfig, args) -> tuple[dict, list]:
-    f = _load_function(args.input, cfg.field)
+    f = _load(args.input, cfg.field, TestFunction, "function")
     table = lp_norm_table(f, cfg.srt_list)
     reports = []
     checks = []
@@ -548,7 +503,7 @@ def _norms_csv(artifact: dict) -> str:
 
 
 def _cmd_atoms(cfg: RunConfig, args) -> tuple[dict, list]:
-    kern = _load_kernel(args.kernel, cfg.field)
+    kern = _load(args.kernel, cfg.field, AngularKernel, "kernel")
     dec = atomic_decompose(kern, args.strategy)
     all_valid = all(validate_atom(atom).valid for _, atom in dec.terms)
     recon = dec.reconstruction(kern.config, kern.m)
@@ -568,7 +523,7 @@ def _cmd_atoms(cfg: RunConfig, args) -> tuple[dict, list]:
     return artifact, checks
 
 
-def _cmd_bench(cfg: RunConfig) -> tuple[dict, list]:
+def _cmd_bench(cfg: RunConfig, args) -> tuple[dict, list]:
     rng = np.random.default_rng(cfg.seed)
     a, l = cfg.window
     rows = []
@@ -609,14 +564,27 @@ def _cmd_verify(cfg: RunConfig) -> int:
         lambda_list=cfg.lambda_list,
         checks=cfg.checks,
     )
+    # report.json is the canonical, timing-free form, so a rerun is byte-identical
     t0 = time.perf_counter()
-    written = emit_report(report, cfg.out_dir, cfg.formats)
+    if "json" in cfg.formats:
+        _write_artifact(cfg, "report.json", report.canonical_json())
+    if "csv" in cfg.formats:
+        _write_artifact(cfg, "report.csv", report.to_csv())
     timing_ms = {**report.timing_ms, "emit": _ms(t0)}
-    for path in written:
-        print(f"wrote {path}")
     print(f"timing_ms: {json.dumps(timing_ms, sort_keys=True)}")
     _print_checks(list(report.checks))
     return 0 if exact_checks_pass(report) else 1
+
+
+# the artifact commands: each returns (artifact, checks) and main writes the artifact
+_COMMANDS = {
+    "transform": _cmd_transform,
+    "apply-tk": _cmd_apply_tk,
+    "cz-decompose": _cmd_cz,
+    "norms": _cmd_norms,
+    "atoms": _cmd_atoms,
+    "bench": _cmd_bench,
+}
 
 
 # an overflow to inf or nan ends as the strict writer's error line, not numpy's warnings
@@ -628,23 +596,11 @@ def main(argv=None) -> int:
                            args.override_window_cap, args.command)
         if args.command == "verify":
             return _cmd_verify(cfg)
-        if args.command == "transform":
-            artifact, checks = _cmd_transform(cfg, args)
-        elif args.command == "apply-tk":
-            artifact, checks = _cmd_apply_tk(cfg, args)
-        elif args.command == "cz-decompose":
-            artifact, checks = _cmd_cz(cfg, args)
-        elif args.command == "norms":
-            artifact, checks = _cmd_norms(cfg, args)
-        elif args.command == "atoms":
-            artifact, checks = _cmd_atoms(cfg, args)
-        else:
-            artifact, checks = _cmd_bench(cfg)
+        artifact, checks = _COMMANDS[args.command](cfg, args)
         name = args.command.replace("-", "_") + ".json"
-        text = canonical_dumps(artifact) + "\n"
-        print(f"wrote {_write_artifact(cfg, name, text)}")
+        _write_artifact(cfg, name, canonical_dumps(artifact) + "\n")
         if args.command == "norms" and "csv" in cfg.formats:
-            print(f"wrote {_write_artifact(cfg, 'norms.csv', _norms_csv(artifact))}")
+            _write_artifact(cfg, "norms.csv", _norms_csv(artifact))
         _print_checks(checks)
         return _exit_code(checks)
     except (ConfigError, ValueError, RuntimeError) as exc:

@@ -65,6 +65,9 @@ from .operators import TruncationSpec, apply_atom_operator, apply_truncated, out
 
 log = logging.getLogger(__name__)
 
+# the protocols a run may select, in report order
+CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
+
 # exact invariants whose failure should fail a run; measured-constant
 # checks (fitted constants, k-stability, proof-constant excesses) are
 # informational and never affect exit status
@@ -512,14 +515,12 @@ DEFAULT_SRT_LIST = ((0.5, 2.0, 2.0), (0.5, 1.5, 3.0), (0.5, 3.0, 1.5),
                     (1.0, 2.0, 2.0), (1.0, 1.5, 3.0), (1.0, 3.0, 1.5))
 
 
-def run_verification(config: FieldConfig = None, seed: int = 42, count: int = 50,
-                     window: tuple = (-3, 3), kernel_resolutions=(2, 3, 4),
+def run_verification(config: FieldConfig = FieldConfig("padic", 2), seed: int = 42,
+                     count: int = 50, window: tuple = (-3, 3), kernel_resolutions=(2, 3, 4),
                      k_list=(-3, -2, -1, 0), r_list=(1.5, 2.0, 3.0),
                      srt_list=DEFAULT_SRT_LIST, lambda_list=(0.5, 1.0, 4.0),
-                     checks=("lebesgue", "besov_tl", "l2_weak", "taibleson")) -> VerificationReport:
+                     checks=CHECK_NAMES) -> VerificationReport:
     """Full harness: corpus, selected protocols, stability verdicts, timings."""
-    if config is None:
-        config = FieldConfig("padic", 2)
     timing = {}
     t0 = time.perf_counter()
     corpus = generate_corpus(config, seed, count, window, kernel_resolutions)
@@ -586,29 +587,3 @@ def exact_checks_pass(report: VerificationReport) -> bool:
     return all(
         by_name[name]["pass"] for name in EXACT_CHECK_NAMES if name in by_name
     )
-
-
-def emit_report(report: VerificationReport, directory, formats=("json", "csv")) -> list:
-    """Write report artifacts; returns the written paths.
-
-    The JSON artifact is the canonical (timing-free) form so that a rerun
-    from the same seed and config is byte-identical; timings are run
-    diagnostics, not report content.
-    """
-    from pathlib import Path
-
-    out_dir = Path(directory)
-    written = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if "json" in formats:
-            path = out_dir / "report.json"
-            path.write_text(report.canonical_json())
-            written.append(str(path))
-        if "csv" in formats:
-            path = out_dir / "report.csv"
-            path.write_text(report.to_csv())
-            written.append(str(path))
-    except OSError as exc:
-        raise RuntimeError(f"could not write report artifact under {out_dir}: {exc}") from exc
-    return written

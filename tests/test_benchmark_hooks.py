@@ -8,7 +8,9 @@ load both files from their paths and check the names here instead; loading
 workloads.py also resolves its ``from localfield... import`` names.  The
 tracer's row counters also read the return shape of the verify protocols
 (``est.ratio_table``, ``res[0].ratio_table``, ``res["rows"]``), so each is
-fed a real protocol result here.
+fed a real protocol result here.  Both verify workloads also run one unit, so
+a CLI change that breaks cli.parse_config or cli.main as the benchmark calls
+them fails here.
 """
 
 import ast
@@ -84,3 +86,10 @@ def test_row_hook_counts_a_protocol_result(attr, name, hook):
     stub = SimpleNamespace(counts=Counter())
     hook(stub, name, (), {}, result)
     assert stub.counts[f"{name}.rows"] > 0
+
+
+# the benchmark drives the CLI through cli.parse_config and cli.main
+@pytest.mark.parametrize("name", ["verify-padic2", "verify-laurent3"])
+def test_verify_workload_runs_one_unit(tmp_path, name):
+    _, ops = workloads.WORKLOADS[name](42, tmp_path).run_unit()
+    assert ops == (1, 0)

@@ -1,5 +1,6 @@
 """CLI: config assembly with precedence, subcommand artifacts, exit policy."""
 
+import inspect
 import json
 import math
 import warnings
@@ -76,6 +77,29 @@ def test_unknown_keys_get_key_paths(tmp_path):
         parse_config(write_json(tmp_path / "b.json", {"corpus": {"sede": 1}}))
     with pytest.raises(ConfigError, match=r"output\.formats"):
         parse_config(write_json(tmp_path / "c.json", {"output": {"formats": ["yaml"]}}))
+
+
+@pytest.mark.parametrize("in_file, says", [
+    ({"window": {"a": -3, "l": 3}}, "window: expected [a, l] with integer scales"),
+    ({"checks": {}}, "checks: expected a list of check names"),
+    ({"corpus": 3}, "corpus: expected an object with keys ('seed', 'count', 'kernel_resolutions')"),
+])
+def test_file_values_of_the_wrong_kind_get_key_paths(tmp_path, in_file, says):
+    # the defaults are the schema: list-valued keys take any value, object-valued keys objects
+    with pytest.raises(ConfigError) as info:
+        parse_config(write_json(tmp_path / "cfg.json", in_file))
+    assert str(info.value).startswith(says)
+
+
+def test_parse_config_defaults_are_run_verification_defaults():
+    cfg = parse_config()
+    signature = inspect.signature(verify.run_verification)
+    assert {name: p.default for name, p in signature.parameters.items()} == {
+        "config": cfg.field, "seed": cfg.seed, "count": cfg.count, "window": cfg.window,
+        "kernel_resolutions": cfg.kernel_resolutions, "k_list": cfg.k_list,
+        "r_list": cfg.r_list, "srt_list": cfg.srt_list, "lambda_list": cfg.lambda_list,
+        "checks": cfg.checks,
+    }
 
 
 def test_window_cap_and_override():
@@ -225,12 +249,32 @@ def test_apply_tk_refuses_a_truncation_window_over_the_cap(tmp_path, capsys, k):
 
 
 def test_norms_keeps_exponents_outside_the_verify_ranges(tmp_path):
-    # s = 0 and r = 1 are norms, though not verify parameters
+    # s <= 0 and r = 1 are norms, though not verify parameters
     out = tmp_path / "out"
-    assert main(["norms", unit_ball_file(tmp_path), "--srt", "0:1:1", "--r", "1",
+    assert main(["norms", unit_ball_file(tmp_path), "--srt=0:1:1,-1:2:2", "--r", "1",
                  "--out", str(out)]) == 0
     values = [rep["value"] for rep in json.loads((out / "norms.json").read_text())["reports"]]
-    assert values == pytest.approx([1.0, 1.0, 1.0], abs=1e-11)
+    assert values == pytest.approx([1.0] * 5, abs=1e-11)
+
+
+@pytest.mark.parametrize("flag, key, entry", [
+    ("--r=0.5", "r_list", 0.5), ("--r=inf", "r_list", math.inf), ("--r=nan", "r_list", math.nan),
+    ("--srt=1:0.5:2", "srt_list", [1, 0.5, 2]), ("--srt=1:2:inf", "srt_list", [1, 2, math.inf]),
+    ("--srt=nan:2:2", "srt_list", [math.nan, 2, 2]),
+])
+@pytest.mark.parametrize("in_file", [False, True], ids=["flag", "file"])
+def test_bad_norms_exponents_exit_2_with_key_path(tmp_path, capsys, flag, key, entry, in_file):
+    # norms computes 1 <= r, t < inf and any finite s; the input is never read
+    out = tmp_path / "o"
+    args = ["norms", str(tmp_path / "unread.json"), "--out", str(out)]
+    if in_file:
+        args += ["--config", write_json(tmp_path / "cfg.json", {"parameters": {key: [entry]}})]
+    else:
+        args.append(flag)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parameters.{key}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_config_file():
@@ -513,6 +557,31 @@ def test_verify_timing_line_times_the_report_writing(tmp_path, capsys):
     timing = json.loads(line[len("timing_ms: "):])
     assert set(timing) == {"corpus", *cli.CHECK_NAMES, "emit"}
     assert timing["emit"] >= 0
+
+
+@pytest.mark.parametrize("fmt, names", [
+    ("json", ["report.json"]), ("csv", ["report.csv"]), ("both", ["report.json", "report.csv"]),
+])
+def test_verify_writes_the_selected_formats(tmp_path, capsys, fmt, names):
+    out = tmp_path / "out"
+    assert main(verify_args(tmp_path, "out") + ["--format", fmt]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    wrote = [x for x in capsys.readouterr().out.splitlines() if x.startswith("wrote ")]
+    assert wrote == [f"wrote {out / name}" for name in names]
+    if "report.json" in names:
+        assert json.loads((out / "report.json").read_text())["seed"] == 42
+    if "report.csv" in names:
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0] == "check,entry,k,param,ratio"
+        assert len(lines) > 10
+
+
+def test_verify_csv_write_error_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.csv").mkdir(parents=True)  # the csv path is taken by a directory
+    assert main(verify_args(tmp_path, "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not write") and "Traceback" not in err
 
 
 def test_verify_exit_ignores_measured_constants(tmp_path):

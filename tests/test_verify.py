@@ -44,7 +44,6 @@ from localfield.verify import (
     check_l2_and_weak11,
     check_lebesgue_theorem,
     check_taibleson_class,
-    emit_report,
     exact_checks_pass,
     generate_corpus,
     k_stability,
@@ -553,17 +552,6 @@ def test_report_empty_check_selection_is_valid_skeleton():
     assert payload["tables"] == {}
     assert [c["name"] for c in payload["checks"]] == ["corpus_kernels_mean_zero"]
     assert exact_checks_pass(report)
-
-
-def test_emit_report_writes_artifacts(tmp_path):
-    report = run_small()
-    written = emit_report(report, tmp_path / "out", formats=("json", "csv"))
-    assert sorted(p.rsplit("/", 1)[-1] for p in written) == ["report.csv", "report.json"]
-    blob = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert blob["seed"] == 42
-    lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
-    assert lines[0] == "check,entry,k,param,ratio"
-    assert len(lines) > 10
 
 
 # ---------------------------------------------------------------------------
