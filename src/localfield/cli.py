@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -30,15 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .decomp import check_cz_clauses, cz_decompose, lebesgue_norm_report, lp_norm_table
+from .decomp import (NormReport, check_cz_clauses, check_norm_srt, cz_decompose,
+                     lebesgue_norm_report, norm_columns)
 from .field import FieldConfig
 from .fourier import forward, forward_naive, inverse, spectral_l2_norm
-from .functions import TestFunction, lr_norm, max_difference
+from .functions import TestFunction, check_level, check_norm_exponent, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, validate_atom
 from .operators import apply_truncated, output_spec, window_output_spec
-from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _is_real, _ms, canonical_dumps,
-                     check_lebesgue_exponent, check_record, check_srt, exact_checks_pass,
-                     fixture_resolution, run_verification)
+from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _ms, canonical_dumps,
+                     check_lebesgue_exponent, check_record, check_srt, check_truncation_level,
+                     exact_checks_pass, fixture_resolution, run_verification)
 
 WINDOW_CELL_CAP = 65536
 
@@ -96,18 +96,6 @@ def _merge_file(base: dict, data: dict, prefix: str = ""):
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_norm_exponent(r):
-    if not (_is_real(r) and 1 <= r < math.inf):
-        raise ValueError(f"exponent r = {r!r} must satisfy 1 <= r < inf")
-
-
-def _check_norm_srt(srt):
-    if not (isinstance(srt, (list, tuple)) and len(srt) == 3 and all(map(_is_real, srt))
-            and -math.inf < srt[0] < math.inf and all(1 <= x < math.inf for x in srt[1:])):
-        raise ValueError(f"expected an (s, r, t) triple with a finite s and 1 <= r, t < inf, "
-                         f"got {srt!r}")
 
 
 def _check_each(key: str, items, check):
@@ -196,19 +184,17 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
     if verifying and not override_window_cap:
         # the finest corpus kernel gives the widest T_k f window
         _check_tk_windows(field.q, a, l, max([*resolutions, fixture_resolution(field.q)]), k_list)
+    if verifying:
+        # apply-tk computes no q^-k, so only verify needs it to be a float
+        _check_each("truncations.k_list", k_list, lambda k: check_truncation_level(field.q, k))
 
-    lambdas = raw["parameters"]["lambda_list"]
-    if not isinstance(lambdas, (list, tuple)) or not all(
-            _is_real(x) and 0 < x <= sys.float_info.max for x in lambdas):
-        raise ConfigError(
-            f"parameters.lambda_list: expected a list of finite reals > 0, got {lambdas!r}")
-
+    _check_each("parameters.lambda_list", raw["parameters"]["lambda_list"], check_level)
     # verify needs the theorems' exponent ranges; the norms command takes any
     # exponents the norm functions compute
     _check_each("parameters.r_list", raw["parameters"]["r_list"],
-                check_lebesgue_exponent if verifying else _check_norm_exponent)
+                check_lebesgue_exponent if verifying else check_norm_exponent)
     _check_each("parameters.srt_list", raw["parameters"]["srt_list"],
-                check_srt if verifying else _check_norm_srt)
+                check_srt if verifying else check_norm_srt)
 
     directory = raw["output"]["directory"]
     if not isinstance(directory, str):
@@ -231,7 +217,7 @@ def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunC
         k_list=tuple(k_list),
         r_list=tuple(params["r_list"]),
         srt_list=tuple(tuple(x) for x in params["srt_list"]),
-        lambda_list=tuple(lambdas),
+        lambda_list=tuple(params["lambda_list"]),
         out_dir=directory,
         formats=tuple(formats),
     )
@@ -479,14 +465,15 @@ def _cmd_cz(cfg: RunConfig, args) -> tuple[dict, list]:
 
 def _cmd_norms(cfg: RunConfig, args) -> tuple[dict, list]:
     f = _load(args.input, cfg.field, TestFunction, "function")
-    table = lp_norm_table(f, cfg.srt_list)
+    table = norm_columns(f, cfg.srt_list)
     reports = []
     checks = []
     for s, r, t in cfg.srt_list:
-        b, fl = table[("B", (s, r, t))], table[("F", (s, r, t))]
-        reports.extend([b.to_dict(), fl.to_dict()])
+        (b,), (fl,) = table[("B", (s, r, t))], table[("F", (s, r, t))]
+        reports.extend(NormReport(space, float(s), float(r), float(t), v).to_dict()
+                       for space, v in (("B", b), ("F", fl)))
         if r == t:
-            gap = abs(b.value - fl.value)
+            gap = abs(b - fl)
             checks.append(check_record(f"norm_bf_match:{s}:{r}:{t}", 1e-11, gap, gap <= 1e-11))
     for r in cfg.r_list:
         reports.append(lebesgue_norm_report(f, r).to_dict())

@@ -20,11 +20,13 @@ mask as symbol, as the oracle for those blocks.  Besov norms aggregate
 block r-norms in j; the Triebel-Lizorkin norms aggregate pointwise in x
 first.  The two families coincide when r = t.  norm_columns builds the
 blocks once and serves every (s, r, t) triple in B, F or both through the
-same two formulas, one value per row of a stack; lp_norm_table,
-besov_norm and triebel_lizorkin_norm are its one-row case.
+same two formulas, one value per row of a stack; besov_norm and
+triebel_lizorkin_norm are its one-row case.  check_norm_srt states the
+triple's domain: a finite s, and r and t norm exponents.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +34,8 @@ import numpy as np
 
 from .field import Ball, Window, q_power
 from .fourier import apply_multiplier
-from .functions import TestFunction, coarsen_resolution, dyadic_ints, lr_norm, lr_norms, refine
+from .functions import (TestFunction, _is_real, check_level, check_norm_exponent,
+                        coarsen_resolution, dyadic_ints, lr_norm, lr_norms, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +120,7 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     get good_part = ball average and bad_part = f - average; elsewhere
     good_part = f and bad_part = 0.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError(f"threshold lambda = {lam} must be a finite real > 0")
+    check_level(lam)
     if start_scale > f.a:
         raise ValueError(
             f"starting ball at scale {start_scale} does not contain the support "
@@ -254,43 +256,30 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
 # Littlewood-Paley blocks
 
 
-@dataclass(frozen=True)
-class LPBlock:
-    """Block j of f, the projection onto |xi| = q^j (j >= 1) or |xi| <= 1 (j = 0).
-
-    _all_blocks holds block j at its own resolution, on window (a, min(j, l));
-    littlewood_paley holds every block on the full padded window.
-    """
-
-    j: int
-    block: TestFunction
-
-
 def _padded(f: TestFunction) -> TestFunction:
     # spectral cells are single frequency shells only once the window reaches scale 0
     return refine(f, min(f.a, 0), f.l) if f.a > 0 else f
 
 
-def littlewood_paley(f: TestFunction, j: int) -> LPBlock:
+def littlewood_paley(f: TestFunction, j: int) -> TestFunction:
     """Projection onto frequencies with |xi| = q^j (j >= 1) or |xi| <= 1 (j = 0).
 
     The spectral-indicator multiplier itself: apply_multiplier with the shell
-    mask as symbol.  It is the oracle for the coset-average blocks of
-    _all_blocks.
+    mask as symbol, on the full padded window.  It is the oracle for the
+    coset-average blocks of _all_blocks.
     """
     if j < 0:
         raise ValueError(f"block index j = {j} must be nonnegative")
     g = _padded(f)
     if j > max(g.l, 0):
-        zeros = np.zeros(g.values.size, dtype=np.complex128)
-        return LPBlock(j, TestFunction(g.config, g.a, g.l, zeros))
+        return TestFunction(g.config, g.a, g.l, np.zeros(g.values.size, dtype=np.complex128))
     levels = Window(g.config, -g.l, -g.a).valuation_levels()  # |xi| = q^(-level) per cell
     mask = (levels >= 0) if j == 0 else (levels == -j)
-    return LPBlock(j, apply_multiplier(g, mask))
+    return apply_multiplier(g, mask)
 
 
 def _all_blocks(f: TestFunction) -> list:
-    """Blocks 0..max(l, 0) of f, block j on window (a, min(j, l)).
+    """Blocks 0..max(l, 0) of f, block j at index j, on window (a, min(j, l)).
 
     E_j g, the average of g over P^j-cosets, is the projection onto
     |xi| <= q^j, so block 0 is E_0 g and block j >= 1 is E_j g - E_(j-1) g.
@@ -301,9 +290,9 @@ def _all_blocks(f: TestFunction) -> list:
     for j in range(g.l, 0, -1):
         prev = coarsen_resolution(e, j - 1)
         lifted = np.tile(prev.values, g.config.p)
-        blocks.append(LPBlock(j, TestFunction(g.config, g.a, j, e.values - lifted)))
+        blocks.append(TestFunction(g.config, g.a, j, e.values - lifted))
         e = prev
-    blocks.append(LPBlock(0, e))
+    blocks.append(e)
     return blocks[::-1]
 
 
@@ -325,29 +314,30 @@ class NormReport:
         return {"space": self.space, "s": self.s, "r": self.r, "t": self.t, "value": self.value}
 
 
-def _check_exponents(r: float, t: float):
-    if not (r >= 1 and math.isfinite(r)):
-        raise ValueError(f"integrability exponent r = {r} must be a finite real >= 1")
-    if not (t >= 1 and math.isfinite(t)):
-        raise ValueError(f"summation exponent t = {t} must be a finite real >= 1")
+def check_norm_srt(srt) -> None:
+    """Raise ValueError unless srt is a triple (s, r, t): a finite real s, norm exponents r, t."""
+    if not (isinstance(srt, (list, tuple)) and len(srt) == 3 and _is_real(srt[0])
+            and abs(srt[0]) <= sys.float_info.max):
+        raise ValueError(f"expected an (s, r, t) triple with a finite float s, got {srt!r}")
+    check_norm_exponent(srt[1])
+    check_norm_exponent(srt[2])
 
 
-def _besov_value(blocks, norms, s: float, t: float) -> float:
-    # norms[i] is ||blocks[i].block||_r
-    q = float(blocks[0].block.config.q)
-    terms = [q ** (s * b.j * t) * n ** t for b, n in zip(blocks, norms)]
+def _besov_value(f: TestFunction, norms, s: float, t: float) -> float:
+    # norms[j] is ||block j of f||_r
+    q = float(f.config.q)
+    terms = [q ** (s * j * t) * n ** t for j, n in enumerate(norms)]
     return math.fsum(terms) ** (1.0 / t)
 
 
-def _triebel_lizorkin_values(blocks, moduli, s: float, r: float, t: float) -> list:
-    # moduli[i] is |blocks[i].block| per cell and row; block j + 1 is one level
+def _triebel_lizorkin_values(f: TestFunction, moduli, s: float, r: float, t: float) -> list:
+    # moduli[j] is |block j of f| per cell and row; block j + 1 is one level
     # finer than block j, so the sum over j lifts the running total one level per block
-    config = blocks[0].block.config
-    q = float(config.q)
+    q = float(f.config.q)
     pointwise = np.zeros(moduli[0].shape[:-1] + (1,))
-    for b, m in zip(blocks, moduli):
-        pointwise = np.tile(pointwise, m.size // pointwise.size) + q ** (s * b.j * t) * m ** t
-    return [(math.fsum(row.data) * q_power(config.q, -blocks[-1].block.l)) ** (1.0 / r)
+    for j, m in enumerate(moduli):
+        pointwise = np.tile(pointwise, m.size // pointwise.size) + q ** (s * j * t) * m ** t
+    return [(math.fsum(row.data) * q_power(f.config.q, -f.l)) ** (1.0 / r)
             for row in np.atleast_2d(pointwise ** (r / t))]
 
 
@@ -356,22 +346,22 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
 
     Maps (space, (s, r, t)) to one value per row of f, all from one block stack.
     """
+    for srt in srt_list:
+        check_norm_srt(srt)
     srt_list = [tuple(srt) for srt in srt_list]
-    for _, r, t in srt_list:
-        _check_exponents(r, t)
     blocks = _all_blocks(f)
     if "B" in spaces:
         # norms[r][row] holds that row's r-norm of every block
-        norms = {r: list(zip(*(lr_norms(b.block, r) for b in blocks)))
+        norms = {r: list(zip(*(lr_norms(b, r) for b in blocks)))
                  for r in {r for _, r, _ in srt_list}}
     if "F" in spaces:
-        moduli = [np.hypot(b.block.values.real, b.block.values.imag) for b in blocks]
+        moduli = [np.hypot(b.values.real, b.values.imag) for b in blocks]
     table = {}
     for s, r, t in srt_list:
         if "B" in spaces:
-            table[("B", (s, r, t))] = [_besov_value(blocks, row, s, t) for row in norms[r]]
+            table[("B", (s, r, t))] = [_besov_value(f, row, s, t) for row in norms[r]]
         if "F" in spaces:
-            table[("F", (s, r, t))] = _triebel_lizorkin_values(blocks, moduli, s, r, t)
+            table[("F", (s, r, t))] = _triebel_lizorkin_values(f, moduli, s, r, t)
     return table
 
 
@@ -387,17 +377,7 @@ def triebel_lizorkin_norm(f: TestFunction, s: float, r: float, t: float) -> Norm
     return NormReport("F", float(s), float(r), float(t), value)
 
 
-def lp_norm_table(f: TestFunction, srt_list) -> dict:
-    """Every B and F norm of f over srt_list, from one block stack.
-
-    Maps (space, (s, r, t)) to the NormReport that besov_norm (space "B")
-    or triebel_lizorkin_norm (space "F") returns for that triple, bit for
-    bit: norm_columns of a one-row stack.
-    """
-    return {(space, srt): NormReport(space, float(srt[0]), float(srt[1]), float(srt[2]), value)
-            for (space, srt), (value,) in norm_columns(f, srt_list).items()}
-
-
 def lebesgue_norm_report(f: TestFunction, r: float) -> NormReport:
     """L^r norm wrapped in the same report type; s is vacuously 0 and t mirrors r."""
-    return NormReport("L", 0.0, float(r), float(r), lr_norm(f, r))
+    value = lr_norm(f, r)  # checks r before float(r) can overflow
+    return NormReport("L", 0.0, float(r), float(r), value)

@@ -178,6 +178,15 @@ def digit_table(p: int, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def digit_reversal(p: int, n: int) -> np.ndarray:
+    """Read-only permutation of 0 .. p^n - 1 that reverses the n base-p digits of each index."""
+    # the digits of i, least significant first, are its coordinates in an F-order p-ary cube
+    out = np.arange(p**n).reshape((p,) * n, order="F").T.ravel(order="F")
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def dft_matrix(p: int, k: int) -> np.ndarray:
     """Read-only DFT matrix of (Z/p)^k: W[u, v] = w^(<digits u, digits v> mod p).
 

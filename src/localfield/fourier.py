@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldConfig, Window, q_power
+from .field import FieldConfig, Window, digit_reversal, q_power
 from .functions import TestFunction, _frozen
 
 _TWO_PI = 2.0 * math.pi
@@ -55,11 +55,10 @@ class SpectralFunction:
 
 def _pairing_order(w: Window, values: np.ndarray) -> np.ndarray:
     """Match group-DFT order to the character pairing: the identity in padic
-    mode; in laurent mode reverse the digit axes of the p-ary cube."""
-    if w.config.mode == "padic" or w.n == 0:
+    mode; in laurent mode reverse the base-p digits of the cell index."""
+    if w.config.mode == "padic":
         return values
-    cube = values.reshape((w.config.p,) * w.n, order="F")
-    return np.transpose(cube, axes=tuple(reversed(range(w.n)))).ravel(order="F")
+    return values[digit_reversal(w.config.p, w.n)]
 
 
 def forward(f: TestFunction) -> SpectralFunction:

@@ -6,17 +6,37 @@ of field.enumerate_cosets(a, l).  All window bookkeeping is exact; values
 are complex doubles: one row, or a (rows, cells) stack of functions on one
 window, every operation acting along the last axis; lr_norms and
 weak_level_measures give one value per row, each bit for bit its function's.
+check_norm_exponent and check_level state the domains of the exponent r and
+the threshold lambda once, for every caller.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .field import FieldConfig, FieldElement, Window, q_power, truncate, valuation
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_norm_exponent(r) -> None:
+    """Raise ValueError unless r is a real with 1 <= r <= the largest float."""
+    if not (_is_real(r) and 1 <= r <= sys.float_info.max):
+        raise ValueError(f"norm exponent {r!r} must be a finite float >= 1")
+
+
+def check_level(lam) -> None:
+    """Raise ValueError unless lam is a real with 0 < lam <= the largest float."""
+    if not (_is_real(lam) and 0 < lam <= sys.float_info.max):
+        raise ValueError(f"threshold lambda = {lam!r} must be a finite float > 0")
 
 
 def _frozen(values) -> np.ndarray:
@@ -165,8 +185,7 @@ def restrict_support(f: TestFunction, a_new: int) -> TestFunction:
 
 def lr_norms(f: TestFunction, r: float) -> list:
     """(sum_cells |v|^r q^{-l})^{1/r} of each row; fsum of the row buffer is exact, in any order."""
-    if r < 1:
-        raise ValueError(f"r = {r} < 1 is not a norm exponent here")
+    check_norm_exponent(r)
     vals = np.atleast_2d(f.values)
     if r == 2:
         sums = [math.fsum(re.data) + math.fsum(im.data)
@@ -185,17 +204,10 @@ def lr_norm(f: TestFunction, r: float) -> float:
 
 def weak_level_measures(f: TestFunction, lam: float) -> list:
     """Exact Haar measure of {x : |f(x)| > lam}, row by row."""
-    if lam <= 0:
-        raise ValueError(f"level lambda = {lam} must be positive")
+    check_level(lam)
     vals = np.atleast_2d(f.values)
     counts = np.count_nonzero(np.hypot(vals.real, vals.imag) > lam, axis=-1)
     return [int(c) * Fraction(f.config.q) ** (-f.l) for c in counts]
-
-
-def weak_level_measure(f: TestFunction, lam: float) -> Fraction:
-    """Exact Haar measure of {x : |f(x)| > lam} for one function."""
-    (measure,) = weak_level_measures(f, lam)
-    return measure
 
 
 def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldConfig, FieldElement, Window, angular_part, prime_shift, q_power
+from .field import (FieldConfig, FieldElement, Window, angular_part, digit_reversal, prime_shift,
+                    q_power)
 from .functions import TestFunction, _finite_values, _frozen, dyadic_ints, refine
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
@@ -74,17 +75,6 @@ def make_kernel(config: FieldConfig, values, m: int) -> AngularKernel:
     return AngularKernel(config, m, vals, _exactly_mean_zero(vals))
 
 
-def _digit_reverse(n_digits: int, q: int) -> np.ndarray:
-    """Permutation reversing base-q digit order on 0 .. q^n_digits - 1."""
-    idx = np.arange(q**n_digits)
-    rev = np.zeros_like(idx)
-    x = idx.copy()
-    for _ in range(n_digits):
-        rev = rev * q + x % q
-        x //= q
-    return rev
-
-
 @functools.lru_cache(maxsize=None)
 def kernel_window_indices(config: FieldConfig, m: int) -> np.ndarray:
     """Read-only map kernel cell -> cell index in the window (0, m) covering the unit ball.
@@ -94,7 +84,7 @@ def kernel_window_indices(config: FieldConfig, m: int) -> np.ndarray:
     digits get reversed.
     """
     q = config.p
-    rev = _digit_reverse(m - 1, q)
+    rev = digit_reversal(q, m - 1)
     lead = np.arange(1, q)
     out = (lead[:, None] + q * rev[None, :]).ravel()
     out.setflags(write=False)

@@ -30,7 +30,7 @@ import io
 import json
 import logging
 import math
-import numbers
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +43,8 @@ from .decomp import norm_columns
 from .field import Ball, FieldConfig, FieldElement, q_power
 from .functions import (
     TestFunction,
+    _is_real,
+    check_level,
     convolve,
     from_indicator_combo,
     lr_norms,
@@ -215,23 +217,31 @@ def _estimate(rows) -> OperatorNormEstimate:
     return OperatorNormEstimate(tuple(rows), max((row[3] for row in rows), default=0.0))
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def check_lebesgue_exponent(r) -> None:
-    """Raise ValueError unless r is a real with 1 < r < inf."""
-    if not (_is_real(r) and 1 < r < math.inf):
-        raise ValueError(f"Lebesgue exponent r = {r!r} must satisfy 1 < r < inf")
+    """Raise ValueError unless r is a real with 1 < r <= the largest float."""
+    if not (_is_real(r) and 1 < r <= sys.float_info.max):
+        raise ValueError(f"Lebesgue exponent r = {r!r} must be a finite float > 1")
 
 
 def check_srt(srt) -> None:
-    """Raise ValueError unless srt is a triple of reals (s, r, t) with s > 0 and 1 < r, t < inf."""
+    """Raise ValueError unless srt is a triple of reals, s > 0 and 1 < r, t, all finite floats."""
     if not (isinstance(srt, (list, tuple)) and len(srt) == 3 and all(map(_is_real, srt))):
         raise ValueError(f"expected an (s, r, t) triple of reals, got {srt!r}")
     s, r, t = srt
-    if not (s > 0 and 1 < r < math.inf and 1 < t < math.inf):
-        raise ValueError(f"(s, r, t) = {(s, r, t)} must satisfy s > 0 and 1 < r, t < inf")
+    if not (0 < s <= sys.float_info.max and all(1 < x <= sys.float_info.max for x in (r, t))):
+        raise ValueError(f"(s, r, t) = {(s, r, t)} must satisfy s > 0 and 1 < r, t, "
+                         "all finite floats")
+
+
+def check_truncation_level(q: int, k) -> None:
+    """Raise ValueError unless q^-k, the protocols' growth factor, is a finite nonzero float."""
+    # q >= 2, so q^-k is outside the floats once |k| > 1100, where q^|k| is never built
+    try:
+        if abs(k) <= 1100 and q_power(q, -k) > 0:
+            return
+    except OverflowError:
+        pass
+    raise ValueError(f"k = {k} makes q^-k = {q}^{-k} overflow or round to 0 as a float")
 
 
 def _by_row(corpus: Corpus, window: tuple, columns_of) -> dict:
@@ -370,8 +380,7 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
     derivation).  Values above 1 are excesses, reported as such.
     """
     for lam in lambda_list:
-        if lam <= 0:
-            raise ValueError(f"weak-type level {lam} must be positive")
+        check_level(lam)
     q = corpus.config.q
     norms_f = _by_row(corpus, corpus.window, lambda g: {r: lr_norms(g, r) for r in (1, 2)})
     rows = []
@@ -396,8 +405,10 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
             for k in k_list:
                 cols = by_k[k]
                 for reading in ("A", "B"):
+                    # a zero numerator gives 0.0, as in _ratio_rows, even if q^-k underflows
+                    l2 = cols[reading, None][fi]
                     claimed_l2 = q_power(q, -k) / (q - 1)
-                    measured = [("l2", 2.0, cols[reading, None][fi] / (claimed_l2 * l2_f))] + [
+                    measured = [("l2", 2.0, 0.0 if l2 == 0 else l2 / (claimed_l2 * l2_f))] + [
                         ("weak11", lam,
                          float(cols[reading, lam][fi] * Fraction(lam)) / (l1_f * (1 + 4 * q)))
                         for lam in lambda_list

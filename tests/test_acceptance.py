@@ -235,10 +235,10 @@ def test_criterion_05_littlewood_paley_norms(capsys):
         for a, l in ((-2, 3) if config.p == 2 else (-1, 2), (0, 2)):
             f = random_fn(rng, config, a, l)
             blocks = [littlewood_paley(f, j) for j in range(0, max(l, 0) + 1)]
-            total = blocks[0].block.values.copy()
+            total = blocks[0].values.copy()
             for b in blocks[1:]:
-                total = total + b.block.values
-            g = TestFunction(config, blocks[0].block.a, blocks[0].block.l, total)
+                total = total + b.values
+            g = TestFunction(config, blocks[0].a, blocks[0].l, total)
             worst_recon = max(worst_recon, max_difference(g, refine(f, g.a, g.l)))
     worst_unit = 0.0
     ball = unit_ball(Q2)

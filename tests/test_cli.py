@@ -198,6 +198,10 @@ def test_bad_lambda_exits_2_with_key_path(tmp_path, capsys, flag, in_file):
     ({"window": [0, 0]}, "window: verify needs a <= 0 < l"),
     ({"window": [-1, 0]}, "window: verify needs a <= 0 < l"),
     ({"truncations": {"k_list": [0, -60]}}, "truncations.k_list: k = -60 gives T_k f q^67 cells"),
+    ({"parameters": {"r_list": [10**400]}}, "parameters.r_list: Lebesgue exponent r = 1000"),
+    ({"parameters": {"srt_list": [[1, 10**400, 2]]}}, "parameters.srt_list: (s, r, t) = (1, 1000"),
+    ({"truncations": {"k_list": [0, 1075]}}, "truncations.k_list: k = 1075 makes q^-k = 2^-1075"),
+    ({"truncations": {"k_list": [10**400]}}, "truncations.k_list: k = 1000"),
 ])
 def test_bad_verify_parameters_exit_2_before_the_corpus(tmp_path, capsys, monkeypatch,
                                                          in_file, says):
@@ -218,6 +222,31 @@ def test_bad_k_flag_names_its_key(tmp_path, capsys):
                  "--k=abc", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: truncations.k_list: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_verify_truncation_levels_need_a_float_q_power():
+    # q^-k must be a finite nonzero float; for q = 2 that is -1023 <= k <= 1074
+    for k in (1074, -1023):
+        cfg = parse_config(overrides={"truncations.k_list": [k]}, override_window_cap=True,
+                           command="verify")
+        assert cfg.k_list == (k,)
+    for k in (1075, -1024, 10**400, -10**400):
+        with pytest.raises(ConfigError, match=r"^truncations\.k_list: k = "):
+            parse_config(overrides={"truncations.k_list": [k]}, override_window_cap=True,
+                         command="verify")
+    # apply-tk computes no q^-k
+    assert parse_config(overrides={"truncations.k_list": [10**400]}).k_list == (10**400,)
+
+
+def test_verify_l2_weak_runs_at_the_largest_truncation_level(tmp_path, capsys):
+    # q^-1074 is the least positive float; T_k f vanishes there, so every L2 ratio is 0.0
+    out = tmp_path / "o"
+    cfg = write_json(tmp_path / "cfg.json", {"corpus": {"count": 2}})
+    assert main(["verify", "--config", cfg, "--checks", "l2_weak", "--k", "1074",
+                 "--window=-1:1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {row["ratio"] for row in report["tables"]["l2_weak"] if row["check"] == "l2"} == {0.0}
+    assert "PASS l2_bound_reading_a" in capsys.readouterr().out
 
 
 def test_verify_truncation_window_cap_and_override():
@@ -261,6 +290,10 @@ def test_norms_keeps_exponents_outside_the_verify_ranges(tmp_path):
     ("--r=0.5", "r_list", 0.5), ("--r=inf", "r_list", math.inf), ("--r=nan", "r_list", math.nan),
     ("--srt=1:0.5:2", "srt_list", [1, 0.5, 2]), ("--srt=1:2:inf", "srt_list", [1, 2, math.inf]),
     ("--srt=nan:2:2", "srt_list", [math.nan, 2, 2]),
+    # a flag reads 1e400 as inf; the file keeps the integer, too large for a float
+    pytest.param("--r=1e400", "r_list", 10**400, id="--r=1e400-r_list-10**400"),
+    pytest.param("--srt=1:1e400:2", "srt_list", [1, 10**400, 2],
+                 id="--srt=1:1e400:2-srt_list-[1, 10**400, 2]"),
 ])
 @pytest.mark.parametrize("in_file", [False, True], ids=["flag", "file"])
 def test_bad_norms_exponents_exit_2_with_key_path(tmp_path, capsys, flag, key, entry, in_file):
@@ -329,6 +362,15 @@ def test_norms_csv_write_error_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: could not write") and "Traceback" not in err
+
+
+def test_norms_match_stored_golden_bytes(tmp_path):
+    # off-theorem triples (s <= 0, r = 1) exercise the norms domain
+    out = tmp_path / "out"
+    assert main(["norms", str(DATA / "fn_q2.json"), "--format", "both",
+                 "--srt", "0.5:2:2,1:1.5:3,0:1:1,-1:2:1", "--r", "1,2,3", "--out", str(out)]) == 0
+    for ext in ("json", "csv"):
+        assert (out / f"norms.{ext}").read_bytes() == (DATA / f"golden_norms_q2.{ext}").read_bytes()
 
 
 def test_apply_tk_matches_stored_golden(tmp_path):

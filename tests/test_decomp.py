@@ -10,7 +10,6 @@ import pytest
 
 from localfield.decomp import (
     CZDecomposition,
-    LPBlock,
     NormReport,
     _all_blocks,
     besov_norm,
@@ -18,7 +17,6 @@ from localfield.decomp import (
     cz_decompose,
     lebesgue_norm_report,
     littlewood_paley,
-    lp_norm_table,
     norm_columns,
     triebel_lizorkin_norm,
 )
@@ -31,6 +29,7 @@ from localfield.functions import (
     max_difference,
     pointwise_combine,
     refine,
+    weak_level_measures,
 )
 from localfield.verify import DEFAULT_SRT_LIST
 
@@ -406,9 +405,9 @@ def test_lp_unit_ball_spectrum_and_blocks():
         mags = np.hypot(F.values.real, F.values.imag)
         assert np.all(mags[levels < 0] <= 1e-12)
         assert np.all(mags[levels >= 0] >= 1 - 1e-12)
-        assert max_difference(littlewood_paley(f, 0).block, f) <= 1e-12
+        assert max_difference(littlewood_paley(f, 0), f) <= 1e-12
         for j in (1, 2):
-            assert linf_norm(littlewood_paley(f, j).block) <= 1e-12
+            assert linf_norm(littlewood_paley(f, j)) <= 1e-12
 
 
 def test_lp_blocks_beyond_window_are_exactly_zero():
@@ -416,9 +415,8 @@ def test_lp_blocks_beyond_window_are_exactly_zero():
     rng = np.random.default_rng(5)
     f = random_fn(rng, config, -1, 2)
     blk = littlewood_paley(f, 5)
-    assert blk.j == 5
-    assert np.all(blk.block.values == 0)
-    assert blk.block.a == -1 and blk.block.l == 2
+    assert np.all(blk.values == 0)
+    assert blk.a == -1 and blk.l == 2
 
 
 def test_lp_negative_index_rejected():
@@ -433,9 +431,9 @@ def test_lp_reconstruction_random():
         for a, l in [(-2, 3), (0, 2), (1, 3), (-3, 0)]:
             f = random_fn(rng, config, a, l)
             blocks = [littlewood_paley(f, j) for j in range(max(l, 0) + 1)]
-            total = blocks[0].block
+            total = blocks[0]
             for b in blocks[1:]:
-                total = pointwise_combine(total, "add", b.block)
+                total = pointwise_combine(total, "add", b)
             assert max_difference(total, f) <= 1e-11
 
 
@@ -443,9 +441,9 @@ def test_lp_orthogonality_and_idempotence():
     rng = np.random.default_rng(13)
     config = CONFIGS[0]
     f = random_fn(rng, config, -1, 3)
-    b2 = littlewood_paley(f, 2).block
-    assert linf_norm(littlewood_paley(b2, 1).block) <= 1e-12
-    assert max_difference(littlewood_paley(b2, 2).block, b2) <= 1e-11
+    b2 = littlewood_paley(f, 2)
+    assert linf_norm(littlewood_paley(b2, 1)) <= 1e-12
+    assert max_difference(littlewood_paley(b2, 2), b2) <= 1e-11
 
 
 def test_lp_spectrum_containment():
@@ -453,7 +451,7 @@ def test_lp_spectrum_containment():
     for config in CONFIGS[:2]:
         f = random_fn(rng, config, -1, 3)
         for j in range(4):
-            blk = littlewood_paley(f, j).block
+            blk = littlewood_paley(f, j)
             F = forward_naive(blk)
             levels = spectral_valuation_levels(F)
             off = (levels < 0) if j == 0 else (levels != -j)
@@ -473,8 +471,8 @@ def test_lp_blocks_of_approximate_identity_are_ball_differences():
             terms = [(1.0, Ball(zero, 0))] if j == 0 else [
                 (float(q**j), Ball(zero, j)), (-float(q ** (j - 1)), Ball(zero, j - 1))]
             want = from_indicator_combo(config, terms)
-            assert max_difference(coset_blocks[j].block, want) == 0
-            assert max_difference(littlewood_paley(delta, j).block, want) <= 1e-12 * q**l
+            assert max_difference(coset_blocks[j], want) == 0
+            assert max_difference(littlewood_paley(delta, j), want) <= 1e-12 * q**l
             if j >= 1:
                 assert linf_norm(want) == q ** (j - 1) * (q - 1)
 
@@ -484,11 +482,11 @@ def test_lp_padding_for_positive_scale_window():
     rng = np.random.default_rng(19)
     f = random_fn(rng, config, 1, 3)  # window strictly inside the maximal ideal
     blk = littlewood_paley(f, 0)
-    assert blk.block.a == 0  # padded so the deep spectrum sits in block zero
+    assert blk.a == 0  # padded so the deep spectrum sits in block zero
     blocks = [littlewood_paley(f, j) for j in range(4)]
-    total = blocks[0].block
+    total = blocks[0]
     for b in blocks[1:]:
-        total = pointwise_combine(total, "add", b.block)
+        total = pointwise_combine(total, "add", b)
     assert max_difference(total, f) <= 1e-11
 
 
@@ -497,16 +495,16 @@ def assert_blocks_match_fft_oracle(f: TestFunction):
     tol = 1e-12 * linf_norm(f)
     a, l = min(f.a, 0), f.l
     blocks = _all_blocks(f)
-    assert [b.j for b in blocks] == list(range(max(l, 0) + 1))
+    assert len(blocks) == max(l, 0) + 1
     total = TestFunction.zero(f.config, a, l)
-    for b in blocks:
-        assert (b.block.a, b.block.l) == (a, min(b.j, l))
-        lifted = refine(b.block, a, l)
-        assert max_difference(lifted, littlewood_paley(f, b.j).block) <= tol
+    for j, b in enumerate(blocks):
+        assert (b.a, b.l) == (a, min(j, l))
+        lifted = refine(b, a, l)
+        assert max_difference(lifted, littlewood_paley(f, j)) <= tol
         # the block's spectrum lies on the shell |xi| = q^j (|xi| <= 1 for j = 0)
         F = forward(lifted)
         levels = spectral_valuation_levels(F)
-        off = (levels < 0) if b.j == 0 else (levels != -b.j)
+        off = (levels < 0) if j == 0 else (levels != -j)
         assert np.all(np.hypot(F.values.real, F.values.imag)[off] <= tol)
         total = pointwise_combine(total, "add", lifted)
     assert max_difference(total, f) <= tol
@@ -539,7 +537,7 @@ def test_norms_run_no_transform(monkeypatch):
         f = random_fn(rng, config, -1, 3)
         besov_norm(f, 1.0, 2.0, 2.0)
         triebel_lizorkin_norm(f, 0.5, 1.5, 3.0)
-        lp_norm_table(f, DEFAULT_SRT_LIST)
+        norm_columns(f, DEFAULT_SRT_LIST)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +594,7 @@ def test_norm_besov_matches_per_block_oracle():
     s, r, t = 0.75, 2.0, 1.5
     q = float(f.config.q)
     terms = [
-        q ** (s * j * t) * lr_norm(littlewood_paley(f, j).block, r) ** t
+        q ** (s * j * t) * lr_norm(littlewood_paley(f, j), r) ** t
         for j in range(max(f.l, 0) + 1)
     ]
     assert besov_norm(f, s, r, t).value == pytest.approx(
@@ -612,7 +610,7 @@ def test_norm_triebel_lizorkin_matches_per_block_oracle(config):
     q = float(config.q)
     for a, l in [(-1, 2), (1, 3), (-2, -1)]:
         f = random_fn(rng, config, a, l)
-        blocks = [littlewood_paley(f, j).block for j in range(max(l, 0) + 1)]
+        blocks = [littlewood_paley(f, j) for j in range(max(l, 0) + 1)]
         pointwise = sum(q ** (s * j * t) * np.abs(b.values) ** t for j, b in enumerate(blocks))
         want = (math.fsum(pointwise ** (r / t)) * q ** -l) ** (1 / r)
         assert triebel_lizorkin_norm(f, s, r, t).value == pytest.approx(want, rel=1e-12)
@@ -622,7 +620,7 @@ def test_norm_monotone_under_top_block_truncation():
     rng = np.random.default_rng(37)
     for config in CONFIGS[:2]:
         f = random_fn(rng, config, 0, 3)
-        top = littlewood_paley(f, f.l).block
+        top = littlewood_paley(f, f.l)
         dropped = pointwise_combine(f, "add", pointwise_combine(top, "scale", -1.0))
         for s, r, t in [(1.0, 2.0, 2.0), (0.5, 1.0, 2.5)]:
             assert besov_norm(dropped, s, r, t).value <= besov_norm(f, s, r, t).value + 1e-11
@@ -648,19 +646,20 @@ TABLE_SRT = DEFAULT_SRT_LIST + ((0.0, 1.0, 1.0), (-1.0, 2.0, 1.0), (0.75, 2.0, 3
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
-def test_lp_norm_table_equals_single_norms_bit_for_bit(config):
+def test_norm_columns_equal_single_norms_bit_for_bit(config):
+    # the one-row columns of a many-triple call, as the norms command reads them
     rng = np.random.default_rng(43)
     # a > 0 takes the padded path; l <= 0 leaves block 0 alone
     windows = [(-1, 2), (1, 3), (-2, 0), (-2, -1)]
     inputs = [random_fn(rng, config, a, l) for a, l in windows]
     inputs += [refine(unit_ball(config), -1, 2), TestFunction.zero(config, -1, 2)]
     for f in inputs:
-        table = lp_norm_table(f, TABLE_SRT)
-        assert set(table) == {(space, srt) for space in "BF" for srt in TABLE_SRT}
+        columns = norm_columns(f, TABLE_SRT)
+        assert set(columns) == {(space, srt) for space in "BF" for srt in TABLE_SRT}
         for srt in TABLE_SRT:
-            assert table[("B", srt)] == besov_norm(f, *srt)
-            assert table[("F", srt)] == triebel_lizorkin_norm(f, *srt)
-    assert lp_norm_table(inputs[0], []) == {}
+            assert columns[("B", srt)] == [besov_norm(f, *srt).value]
+            assert columns[("F", srt)] == [triebel_lizorkin_norm(f, *srt).value]
+    assert norm_columns(inputs[0], []) == {}
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
@@ -669,19 +668,49 @@ def test_norm_columns_rows_equal_one_row_tables_bit_for_bit(config):
     for a, l in [(-1, 2), (1, 3), (-2, 0)]:
         rows = [random_fn(rng, config, a, l) for _ in range(3)] + [TestFunction.zero(config, a, l)]
         stack = TestFunction(config, a, l, np.stack([f.values for f in rows]))
-        tables = [lp_norm_table(f, TABLE_SRT) for f in rows]
+        tables = [norm_columns(f, TABLE_SRT) for f in rows]
         for spaces in ("BF", "B", "F"):
             columns = norm_columns(stack, TABLE_SRT, spaces)
             assert set(columns) == {(space, srt) for space in spaces for srt in TABLE_SRT}
             for key, column in columns.items():
-                assert column == [table[key].value for table in tables]
+                assert column == [table[key][0] for table in tables]
 
 
-def test_lp_norm_table_exponent_validation():
-    f = unit_ball(CONFIGS[0])
-    for bad_r, bad_t in [(0.5, 2.0), (2.0, 0.0), (math.inf, 2.0), (2.0, math.inf)]:
-        with pytest.raises(ValueError):
-            lp_norm_table(f, [(1.0, 2.0, 2.0), (0.0, bad_r, bad_t)])
+# every entry point of the norm layer refuses the same values: each takes the
+# shared list after its value below the domain (0.5 for an exponent, 0 for a level)
+BAD_VALUES = [math.inf, math.nan, True, "2", 10**400]
+
+
+def bad_id(x) -> str:
+    return "10**400" if x == 10**400 else str(x)
+
+
+ENTRY_POINTS = {
+    "lr_norm": lr_norm,
+    "lebesgue_norm_report": lebesgue_norm_report,
+    "besov_norm.r": lambda f, x: besov_norm(f, 1.0, x, 2.0),
+    "besov_norm.t": lambda f, x: besov_norm(f, 1.0, 2.0, x),
+    "triebel_lizorkin_norm.r": lambda f, x: triebel_lizorkin_norm(f, 1.0, x, 2.0),
+    "triebel_lizorkin_norm.t": lambda f, x: triebel_lizorkin_norm(f, 1.0, 2.0, x),
+    "norm_columns.r": lambda f, x: norm_columns(f, [(1.0, 2.0, 2.0), (0.0, x, 2.0)]),
+    "norm_columns.t": lambda f, x: norm_columns(f, [(1.0, 2.0, 2.0), (0.0, 2.0, x)]),
+    "weak_level_measures": weak_level_measures,
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in ENTRY_POINTS
+    for bad in [0 if entry == "weak_level_measures" else 0.5] + BAD_VALUES
+], ids=bad_id)
+def test_norm_entry_points_refuse_the_same_values(entry, bad):
+    with pytest.raises(ValueError):
+        ENTRY_POINTS[entry](unit_ball(CONFIGS[0]), bad)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=bad_id)
+def test_norm_columns_refuse_a_non_finite_smoothness(bad):
+    with pytest.raises(ValueError, match="finite float s"):
+        norm_columns(unit_ball(CONFIGS[0]), [(bad, 2.0, 2.0)])
 
 
 def test_norm_report_serialization():

@@ -16,6 +16,7 @@ from localfield.field import (
     angular_part,
     base_character,
     character,
+    digit_reversal,
     digit_table,
     enumerate_cosets,
     multiply,
@@ -371,3 +372,7 @@ class TestDigitTable:
         with pytest.raises(ValueError):
             table[...] = 0
         assert np.array_equal(table, divmod_digits(p, n))
+        # digit_reversal maps index i to the index whose digits are i's, reversed
+        rev = digit_reversal(p, n)
+        assert np.array_equal(table[rev], table[:, ::-1])
+        assert not rev.flags.writeable

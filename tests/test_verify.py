@@ -444,6 +444,12 @@ def test_l2_weak_validation_and_zero_atoms():
     assert all(rec["measured"] == 0.0 and rec["pass"] for rec in empty["records"])
 
 
+def test_l2_weak_zero_output_gives_zero_ratio_where_q_power_underflows():
+    # q^-1075 rounds to 0.0 for q = 2; T_k f vanishes there, and the ratio is 0.0
+    rows = check_l2_and_weak11(small_corpus(count=2), [1075], [1.0])["rows"]
+    assert rows and {r["ratio"] for r in rows if r["check"] == "l2"} == {0.0}
+
+
 def test_l2_weak_fixture_against_brute_force():
     corpus = small_corpus(count=1)  # just the unit ball indicator
     f = corpus.functions[0]

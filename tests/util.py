@@ -14,7 +14,7 @@ import numpy as np
 from localfield.decomp import besov_norm, triebel_lizorkin_norm
 from localfield.field import FieldConfig, FieldElement, q_power
 from localfield.fourier import SpectralFunction
-from localfield.functions import TestFunction, convolve, lr_norm, refine, weak_level_measure
+from localfield.functions import TestFunction, convolve, lr_norm, refine, weak_level_measures
 from localfield.kernels import h1_upper_bound, kernel_as_test_function, shell_piece
 from localfield.operators import apply_atom_operator, apply_truncated, output_spec
 from localfield.verify import _first_atoms, _reading_b_operator
@@ -147,7 +147,7 @@ def per_function_l2_weak(corpus, k_list, lambda_list) -> list:
                     claimed_l2 = q_power(q, -k) / (q - 1)
                     measured = [("l2", 2.0, lr_norm(bf, 2) / (claimed_l2 * l2_f))] + [
                         ("weak11", lam,
-                         float(weak_level_measure(bf, lam) * Fraction(lam)) / (l1_f * (1 + 4 * q)))
+                         float(weak_level_measures(bf, lam)[0] * Fraction(lam)) / (l1_f * (1 + 4 * q)))
                         for lam in lambda_list]
                     rows.extend({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
                                  "reading": reading, "param": param, "ratio": ratio}
