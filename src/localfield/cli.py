@@ -31,14 +31,15 @@ import numpy as np
 
 from .decomp import (NormReport, check_cz_clauses, check_norm_srt, cz_decompose,
                      lebesgue_norm_report, norm_columns)
-from .field import FieldConfig
+from .field import FieldConfig, check_mode, check_prime, check_window, expect, is_int
 from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, check_level, check_norm_exponent, lr_norm, max_difference
-from .kernels import AngularKernel, atomic_decompose, validate_atom
+from .kernels import AngularKernel, atomic_decompose, check_resolution, validate_atom
 from .operators import apply_truncated, output_spec, window_output_spec
-from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _ms, canonical_dumps,
-                     check_lebesgue_exponent, check_record, check_srt, check_truncation_level,
-                     exact_checks_pass, fixture_resolution, run_verification)
+from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _ms, canonical_dumps, check_corpus_window,
+                     check_count, check_lebesgue_exponent, check_record, check_srt,
+                     check_truncation_level, exact_checks_pass, fixture_resolution,
+                     run_verification)
 
 WINDOW_CELL_CAP = 65536
 
@@ -94,132 +95,104 @@ def _merge_file(base: dict, data: dict, prefix: str = ""):
             _merge_file(base[key], val, f"{prefix}{key}.")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_each(key: str, items, check):
-    if not isinstance(items, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list, got {items!r}")
-    for item in items:
-        try:
+def _each(check, noun: str):
+    """The check of a list of noun whose every entry passes check."""
+    def check_list(items):
+        expect(isinstance(items, (list, tuple)), f"a list of {noun}", items)
+        for item in items:
             check(item)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+    return check_list
 
 
-def _over_cap(q: int, e: int) -> bool:
-    # whether q^e cells exceed the cap; since q >= 2, an e past the cap's bit
-    # length is over the cap without computing q^e
-    return e >= WINDOW_CELL_CAP.bit_length() or q**e > WINDOW_CELL_CAP
+def _checked(key: str, value, check) -> None:
+    """check(value), its ValueError made a ConfigError that starts with the dotted key."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _check_tk_windows(q: int, a: int, l: int, m: int, k_list) -> None:
+def _check_cap(q: int, e: int, cells: str, count: int = 1) -> None:
+    """Refuse count * q^e cells over the cap; cells says in the message what they are."""
+    # count q^e > cap iff q^e > cap // count, true for any e past its bit length as q >= 2
+    bound = WINDOW_CELL_CAP // count
+    if e >= bound.bit_length() or q**e > bound:
+        raise ValueError(f"{cells} cells, more than the {WINDOW_CELL_CAP}-cell cap; "
+                         "pass --override-window-cap to proceed")
+
+
+def _check_tk_window(q: int, a: int, l: int, m: int, k: int) -> None:
     """Refuse a k whose T_k f window, for f on (a, l) and a resolution-m kernel, is over the cap."""
-    for k in k_list:
-        spec = window_output_spec(a, l, m, k)
-        e = spec.out_l - spec.out_a
-        if _over_cap(q, e):
-            raise ConfigError(
-                f"truncations.k_list: k = {k} gives T_k f q^{e} cells, more than the "
-                f"{WINDOW_CELL_CAP}-cell cap; pass --override-window-cap to proceed")
+    spec = window_output_spec(a, l, m, k)
+    e = spec.out_l - spec.out_a
+    _check_cap(q, e, f"k = {k} gives T_k f q^{e}")
+
+
+def _checks(raw: dict, capped: bool, verifying: bool):
+    """(dotted key, check of its value) pairs in order; a key's own check is the library's.
+
+    _validate applies a pair before it draws the next, so a check may read
+    the keys above it, which have passed theirs."""
+    yield "field.mode", check_mode
+    yield "field.p", check_prime
+    q = raw["field"]["p"]
+    yield "window", check_corpus_window if verifying else check_window
+    a, l = raw["window"]
+    if capped:
+        yield "window", lambda _: _check_cap(q, l - a, f"q^(l-a) = {q}^{l - a}")
+    yield "corpus.count", check_count
+    if capped and verifying:
+        yield "corpus.count", lambda n: _check_cap(
+            q, l - a, f"count x q^(l-a) = {n} x {q}^{l - a}", n)
+    yield "corpus.seed", lambda seed: expect(is_int(seed) and seed >= 0, "an integer >= 0", seed)
+    yield "corpus.kernel_resolutions", _each(check_resolution, "integers >= 1")
+    if capped:
+        # a resolution-m kernel lives on a window of q^m cells
+        yield "corpus.kernel_resolutions", _each(
+            lambda m: _check_cap(q, m, f"resolution {m} needs q^{m} kernel"), "integers >= 1")
+    yield "checks", _each(lambda x: expect(x in CHECK_NAMES, f"a check name from {CHECK_NAMES}", x),
+                          "check names")
+    yield "truncations.k_list", lambda ks: expect(
+        isinstance(ks, (list, tuple)) and all(map(is_int, ks)), "a list of integers", ks)
+    if capped and verifying:
+        # the finest corpus kernel gives the widest T_k f window
+        m = max([*raw["corpus"]["kernel_resolutions"], fixture_resolution(q)])
+        yield "truncations.k_list", _each(lambda k: _check_tk_window(q, a, l, m, k), "integers")
+    if verifying:
+        # apply-tk computes no q^-k, so only verify needs it to be a float
+        yield "truncations.k_list", _each(lambda k: check_truncation_level(q, k), "integers")
+    yield "parameters.lambda_list", _each(check_level, "thresholds")
+    # verify needs the theorems' exponent ranges; the norms command takes any
+    # exponents the norm functions compute
+    yield "parameters.r_list", _each(check_lebesgue_exponent if verifying else check_norm_exponent,
+                                     "exponents")
+    yield "parameters.srt_list", _each(check_srt if verifying else check_norm_srt,
+                                       "(s, r, t) triples")
+    yield "output.directory", lambda d: expect(isinstance(d, str), "a path string", d)
+    yield "output.formats", _each(lambda fmt: expect(fmt in ("json", "csv"), "json or csv", fmt),
+                                  "format names")
 
 
 def _validate(raw: dict, override_window_cap: bool, command: str | None) -> RunConfig:
-    p = raw["field"].get("p")
-    mode = raw["field"].get("mode")
-    if not _is_int(p):
-        raise ConfigError(f"field.p: expected a prime integer, got {p!r}")
-    try:
-        field = FieldConfig(mode, p)
-    except ValueError as exc:
-        if "not prime" in str(exc):
-            raise ConfigError(f"field.p: p must be prime (got {p})") from exc
-        raise ConfigError(f"field.mode: {exc}") from exc
-
-    window = raw["window"]
-    if (not isinstance(window, (list, tuple)) or len(window) != 2
-            or not all(map(_is_int, window))):
-        raise ConfigError(f"window: expected [a, l] with integer scales, got {window!r}")
-    a, l = window
-    if a > l:
-        raise ConfigError(f"window: starting scale a = {a} exceeds resolution l = {l}")
-    if _over_cap(field.q, l - a) and not override_window_cap:
-        raise ConfigError(
-            f"window: q^(l-a) = {field.q}^{l - a} cells exceeds the {WINDOW_CELL_CAP}-cell cap; "
-            "pass --override-window-cap to proceed"
-        )
-    # verify's corpus holds the unit-ball and maximal-ideal indicators
-    verifying = command == "verify"
-    if verifying and (a > 0 or l < 1):
-        raise ConfigError(f"window: verify needs a <= 0 < l, so that the corpus window "
-                          f"holds the unit ball and resolves the maximal ideal; got ({a},{l})")
-
-    corpus = raw["corpus"]
-    if not _is_int(corpus["count"]) or corpus["count"] < 1:
-        raise ConfigError(f"corpus.count: expected an integer >= 1, got {corpus['count']!r}")
-    if not _is_int(corpus["seed"]) or corpus["seed"] < 0:
-        raise ConfigError(f"corpus.seed: expected an integer >= 0, got {corpus['seed']!r}")
-    resolutions = corpus["kernel_resolutions"]
-    if not isinstance(resolutions, list) or not all(_is_int(m) and m >= 1 for m in resolutions):
-        raise ConfigError(
-            f"corpus.kernel_resolutions: expected a list of integers >= 1, got {resolutions!r}")
-    for m in resolutions:
-        # a resolution-m kernel lives on a window of q^m cells
-        if _over_cap(field.q, m) and not override_window_cap:
-            raise ConfigError(
-                f"corpus.kernel_resolutions: resolution {m} needs q^{m} kernel cells, more "
-                f"than the {WINDOW_CELL_CAP}-cell cap; pass --override-window-cap to proceed")
-
-    checks = raw["checks"]
-    if not isinstance(checks, (list, tuple)):
-        raise ConfigError(f"checks: expected a list of check names, got {checks!r}")
-    for name in checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"checks: unknown check name {name!r}; expected from {CHECK_NAMES}")
-
-    k_list = raw["truncations"]["k_list"]
-    if not isinstance(k_list, (list, tuple)) or not all(map(_is_int, k_list)):
-        raise ConfigError(f"truncations.k_list: expected a list of integers, got {k_list!r}")
-    if verifying and not override_window_cap:
-        # the finest corpus kernel gives the widest T_k f window
-        _check_tk_windows(field.q, a, l, max([*resolutions, fixture_resolution(field.q)]), k_list)
-    if verifying:
-        # apply-tk computes no q^-k, so only verify needs it to be a float
-        _check_each("truncations.k_list", k_list, lambda k: check_truncation_level(field.q, k))
-
-    _check_each("parameters.lambda_list", raw["parameters"]["lambda_list"], check_level)
-    # verify needs the theorems' exponent ranges; the norms command takes any
-    # exponents the norm functions compute
-    _check_each("parameters.r_list", raw["parameters"]["r_list"],
-                check_lebesgue_exponent if verifying else check_norm_exponent)
-    _check_each("parameters.srt_list", raw["parameters"]["srt_list"],
-                check_srt if verifying else check_norm_srt)
-
-    directory = raw["output"]["directory"]
-    if not isinstance(directory, str):
-        raise ConfigError(f"output.directory: expected a path string, got {directory!r}")
-    formats = raw["output"]["formats"]
-    if not isinstance(formats, (list, tuple)):
-        raise ConfigError(f"output.formats: expected a list of format names, got {formats!r}")
-    for fmt in formats:
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"output.formats: unknown format {fmt!r}")
-
-    params = raw["parameters"]
+    for key, check in _checks(raw, not override_window_cap, command == "verify"):
+        node = raw
+        for part in key.split("."):
+            node = node[part]
+        _checked(key, node, check)
+    corpus, params = raw["corpus"], raw["parameters"]
     return RunConfig(
-        field=field,
-        window=(a, l),
+        field=FieldConfig.from_dict(raw["field"]),
+        window=tuple(raw["window"]),
         seed=corpus["seed"],
         count=corpus["count"],
-        kernel_resolutions=tuple(resolutions),
-        checks=tuple(checks),
-        k_list=tuple(k_list),
+        kernel_resolutions=tuple(corpus["kernel_resolutions"]),
+        checks=tuple(raw["checks"]),
+        k_list=tuple(raw["truncations"]["k_list"]),
         r_list=tuple(params["r_list"]),
         srt_list=tuple(tuple(x) for x in params["srt_list"]),
         lambda_list=tuple(params["lambda_list"]),
-        out_dir=directory,
-        formats=tuple(formats),
+        out_dir=raw["output"]["directory"],
+        formats=tuple(raw["output"]["formats"]),
     )
 
 
@@ -250,35 +223,17 @@ def parse_config(path=None, overrides: dict | None = None,
 # flag parsing
 
 
-def _parse_window(text: str) -> list:
+def _parse_list(text: str, key: str, cast, sep: str = ",") -> list:
+    # a list's shape, such as the two scales of A:L, is checked with the file's values
     try:
-        a, l = text.split(":")
-        return [int(a), int(l)]
+        return [cast(x) for x in text.split(sep) if x != ""]
     except ValueError:
-        raise ConfigError(f"window: expected A:L (e.g. -3:3), got {text!r}") from None
+        noun = "integers" if cast is int else "numbers"
+        raise ConfigError(f"{key}: expected {noun} separated by {sep!r}, got {text!r}") from None
 
 
-def _parse_list(text: str, key: str, cast) -> list:
-    try:
-        return [cast(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        noun = "integer" if cast is int else "number"
-        raise ConfigError(f"{key}: expected a comma-separated {noun} list, got {text!r}") from None
-
-
-def _parse_srt(text: str) -> list:
-    out = []
-    for item in text.split(","):
-        if item == "":
-            continue
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"parameters.srt_list: expected s:r:t triples, got {item!r}")
-        try:
-            out.append([float(x) for x in parts])
-        except ValueError:
-            raise ConfigError(f"parameters.srt_list: non-numeric entry in {item!r}") from None
-    return out
+def _triple(item: str) -> list:
+    return [float(x) for x in item.split(":")]
 
 
 _FORMAT_CHOICES = {"json": ["json"], "csv": ["csv"], "both": ["json", "csv"]}
@@ -287,7 +242,7 @@ _FORMAT_CHOICES = {"json": ["json"], "csv": ["csv"], "both": ["json", "csv"]}
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH", help="JSON run-config file")
-    shared.add_argument("--mode", choices=("padic", "laurent"))
+    shared.add_argument("--mode", help="padic or laurent")
     shared.add_argument("--p", type=int, metavar="INT")
     shared.add_argument("--window", metavar="A:L", help="support scale : resolution scale")
     shared.add_argument("--seed", type=int, metavar="INT")
@@ -339,14 +294,15 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return {
         "field.mode": args.mode,
         "field.p": args.p,
-        "window": _parse_window(args.window) if args.window else None,
+        "window": _parse_list(args.window, "window", int, ":") if args.window else None,
         "corpus.seed": args.seed,
         "output.directory": args.out,
         "output.formats": _FORMAT_CHOICES[args.format] if args.format else None,
         "checks": args.checks.split(",") if args.checks else None,
         "truncations.k_list": _parse_list(args.k, "truncations.k_list", int) if args.k else None,
         "parameters.r_list": _parse_list(args.r, "parameters.r_list", float) if args.r else None,
-        "parameters.srt_list": _parse_srt(args.srt) if args.srt else None,
+        "parameters.srt_list": (_parse_list(args.srt, "parameters.srt_list", _triple)
+                                if args.srt else None),
         "parameters.lambda_list": (_parse_list(args.lambda_list, "parameters.lambda_list", float)
                                    if args.lambda_list else None),
     }
@@ -376,7 +332,7 @@ def _load(path, fallback: FieldConfig, cls, noun: str):
     try:
         config = FieldConfig.from_dict(data["config"]) if "config" in data else fallback
         return cls.from_dict(config, data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"input: {path} is not a serialized {noun}: {exc}") from exc
 
 
@@ -432,7 +388,8 @@ def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
     f = _load(args.input, cfg.field, TestFunction, "function")
     kern = _load(args.kernel, f.config, AngularKernel, "kernel")
     if not args.override_window_cap:
-        _check_tk_windows(f.config.q, f.a, f.l, kern.m, cfg.k_list)
+        _checked("truncations.k_list", cfg.k_list,
+                 _each(lambda k: _check_tk_window(f.config.q, f.a, f.l, kern.m, k), "integers"))
     outputs = []
     if kern.is_mean_zero:  # operator precondition; a FAIL check, not a crash
         for k in cfg.k_list:
@@ -555,6 +512,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     if "json" in cfg.formats:
         _write_artifact(cfg, "report.json", report.canonical_json())
+    else:  # its strict encoder refuses a non-finite value before the csv is written
+        report.canonical_json()
     if "csv" in cfg.formats:
         _write_artifact(cfg, "report.csv", report.to_csv())
     timing_ms = {**report.timing_ms, "emit": _ms(t0)}

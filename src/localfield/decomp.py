@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Ball, Window, q_power
+from .field import Ball, Window, expect, q_power
 from .fourier import apply_multiplier
 from .functions import (TestFunction, _is_real, check_level, check_norm_exponent,
                         coarsen_resolution, dyadic_ints, lr_norm, lr_norms, refine)
@@ -314,29 +314,35 @@ class NormReport:
         return {"space": self.space, "s": self.s, "r": self.r, "t": self.t, "value": self.value}
 
 
+def check_triple(srt) -> None:
+    """Raise ValueError unless srt is a list or tuple of three reals (s, r, t) with a finite s."""
+    expect(isinstance(srt, (list, tuple)) and len(srt) == 3 and all(map(_is_real, srt))
+           and abs(srt[0]) <= sys.float_info.max,
+           "an (s, r, t) triple of reals with a finite float s", srt)
+
+
 def check_norm_srt(srt) -> None:
-    """Raise ValueError unless srt is a triple (s, r, t): a finite real s, norm exponents r, t."""
-    if not (isinstance(srt, (list, tuple)) and len(srt) == 3 and _is_real(srt[0])
-            and abs(srt[0]) <= sys.float_info.max):
-        raise ValueError(f"expected an (s, r, t) triple with a finite float s, got {srt!r}")
+    """Raise ValueError unless srt is a check_triple whose r and t are norm exponents."""
+    check_triple(srt)
     check_norm_exponent(srt[1])
     check_norm_exponent(srt[2])
 
 
-def _besov_value(f: TestFunction, norms, s: float, t: float) -> float:
+def _besov_value(weights, norms, t: float) -> float:
     # norms[j] is ||block j of f||_r
-    q = float(f.config.q)
-    terms = [q ** (s * j * t) * n ** t for j, n in enumerate(norms)]
+    try:
+        terms = [w * n ** t for w, n in zip(weights, norms)]
+    except OverflowError:  # n^t past the float range: inf, as numpy's power gives the F norms
+        return math.inf
     return math.fsum(terms) ** (1.0 / t)
 
 
-def _triebel_lizorkin_values(f: TestFunction, moduli, s: float, r: float, t: float) -> list:
+def _triebel_lizorkin_values(f: TestFunction, moduli, weights, r: float, t: float) -> list:
     # moduli[j] is |block j of f| per cell and row; block j + 1 is one level
     # finer than block j, so the sum over j lifts the running total one level per block
-    q = float(f.config.q)
     pointwise = np.zeros(moduli[0].shape[:-1] + (1,))
-    for j, m in enumerate(moduli):
-        pointwise = np.tile(pointwise, m.size // pointwise.size) + q ** (s * j * t) * m ** t
+    for w, m in zip(weights, moduli):
+        pointwise = np.tile(pointwise, m.size // pointwise.size) + w * m ** t
     return [(math.fsum(row.data) * q_power(f.config.q, -f.l)) ** (1.0 / r)
             for row in np.atleast_2d(pointwise ** (r / t))]
 
@@ -345,6 +351,7 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
     """Each row's norms in spaces ("B", "F" or "BF") for every triple in srt_list.
 
     Maps (space, (s, r, t)) to one value per row of f, all from one block stack.
+    A triple whose block weight q^(s j t) is not a finite float is refused.
     """
     for srt in srt_list:
         check_norm_srt(srt)
@@ -357,11 +364,18 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
     if "F" in spaces:
         moduli = [np.hypot(b.values.real, b.values.imag) for b in blocks]
     table = {}
-    for s, r, t in srt_list:
+    for srt in srt_list:
+        s, r, t = srt
+        try:
+            weights = [float(f.config.q) ** (s * j * t) for j in range(len(blocks))]
+        except OverflowError:
+            weights = [math.inf]
+        if not all(map(math.isfinite, weights)):
+            raise ValueError(f"(s, r, t) = {srt}: a block weight q^(s j t) is not a finite float")
         if "B" in spaces:
-            table[("B", (s, r, t))] = [_besov_value(f, row, s, t) for row in norms[r]]
+            table[("B", srt)] = [_besov_value(weights, row, t) for row in norms[r]]
         if "F" in spaces:
-            table[("F", (s, r, t))] = _triebel_lizorkin_values(f, moduli, s, r, t)
+            table[("F", srt)] = _triebel_lizorkin_values(f, moduli, weights, r, t)
     return table
 
 

@@ -41,6 +41,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def expect(ok: bool, expected: str, value) -> None:
+    """Raise ValueError("expected <expected>, got <value>") unless ok."""
+    if not ok:
+        raise ValueError(f"expected {expected}, got {value!r}")
+
+
+def is_int(x) -> bool:
+    """Whether x is an int and not a bool (JSON's true and false read as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_mode(mode) -> None:
+    """Raise ValueError unless mode names a supported field."""
+    expect(mode in ("padic", "laurent"), "mode 'padic' or 'laurent'", mode)
+
+
+def check_prime(p) -> None:
+    """Raise ValueError unless p is a prime int, not a bool."""
+    expect(is_int(p) and _is_prime(p), "a prime integer", p)
+
+
+def check_window(window) -> None:
+    """Raise ValueError unless window is a pair (a, l) of ints, not bools, with a <= l."""
+    expect(isinstance(window, (list, tuple)) and len(window) == 2 and all(map(is_int, window))
+           and window[0] <= window[1], "[a, l] with integer scales and a <= l", window)
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Which local field we work in: mode ("padic" or "laurent") and the prime p."""
@@ -49,10 +76,8 @@ class FieldConfig:
     p: int
 
     def __post_init__(self):
-        if self.mode not in ("padic", "laurent"):
-            raise ValueError(f"unknown mode {self.mode!r}; expected 'padic' or 'laurent'")
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        check_mode(self.mode)
+        check_prime(self.p)
 
     @property
     def q(self) -> int:
@@ -64,10 +89,7 @@ class FieldConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "FieldConfig":
-        p = d["p"]
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"p: expected a prime integer, got {p!r}")
-        return FieldConfig(mode=d["mode"], p=p)
+        return FieldConfig(mode=d["mode"], p=d["p"])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import FieldConfig, FieldElement, Window, q_power, truncate, valuation
+from .field import (FieldConfig, FieldElement, Window, check_window, expect, q_power, truncate,
+                    valuation)
 
 
 def _is_real(x) -> bool:
@@ -52,6 +53,15 @@ def _finite_values(pairs) -> np.ndarray:
     if bad.size:
         raise ValueError(f"non-finite value at cell {int(bad[0])}")
     return vals
+
+
+def check_cell_count(values: np.ndarray, factor: int, q: int, e: int) -> None:
+    """Raise ValueError unless values is one row of factor * q^e cells (factor >= 1, q >= 2).
+
+    factor * q^e >= 2^e, so an e past the bit length of the count is refused unbuilt."""
+    n = values.size
+    expect(values.ndim == 1 and e < n.bit_length() and factor * q**e == n,
+           f"{factor} x {q}^{e} cell values", n)
 
 
 def dyadic_ints(values) -> tuple[np.ndarray, int]:
@@ -105,7 +115,10 @@ class TestFunction:
 
     @staticmethod
     def from_dict(config: FieldConfig, d: dict) -> "TestFunction":
-        return TestFunction(config, int(d["a"]), int(d["l"]), _finite_values(d["values"]))
+        check_window((d["a"], d["l"]))
+        vals = _finite_values(d["values"])
+        check_cell_count(vals, 1, config.q, d["l"] - d["a"])
+        return TestFunction(config, d["a"], d["l"], vals)
 
 
 def from_indicator_combo(config: FieldConfig, terms: list) -> TestFunction:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (FieldConfig, FieldElement, Window, angular_part, digit_reversal, prime_shift,
-                    q_power)
-from .functions import TestFunction, _finite_values, _frozen, dyadic_ints, refine
+from .field import (FieldConfig, FieldElement, Window, angular_part, digit_reversal, expect,
+                    is_int, prime_shift, q_power)
+from .functions import TestFunction, _finite_values, _frozen, check_cell_count, dyadic_ints, refine
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
 _GRID_BITS = 48
@@ -61,17 +61,19 @@ class AngularKernel:
 
     @staticmethod
     def from_dict(config: FieldConfig, d: dict) -> "AngularKernel":
-        return make_kernel(config, _finite_values(d["values"]), int(d["m"]))
+        return make_kernel(config, _finite_values(d["values"]), d["m"])
+
+
+def check_resolution(m) -> None:
+    """Raise ValueError unless m, a kernel's digit resolution, is an int >= 1."""
+    expect(is_int(m) and m >= 1, "an integer >= 1", m)
 
 
 def make_kernel(config: FieldConfig, values, m: int) -> AngularKernel:
     """Store kernel values unchanged; the mean-zero flag records the exact check."""
-    if m < 1:
-        raise ValueError(f"kernel resolution m = {m} must be >= 1")
+    check_resolution(m)
     vals = np.asarray(values, dtype=np.complex128)
-    want = sphere_cell_count(config, m)
-    if vals.shape != (want,):
-        raise ValueError(f"expected {want} sphere cell values for m = {m}, got {vals.shape}")
+    check_cell_count(vals, config.q - 1, config.q, m - 1)  # (q-1) q^(m-1) sphere cells
     return AngularKernel(config, m, vals, _exactly_mean_zero(vals))
 
 

@@ -39,8 +39,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .decomp import norm_columns
-from .field import Ball, FieldConfig, FieldElement, q_power
+from .decomp import check_triple, norm_columns
+from .field import Ball, FieldConfig, FieldElement, check_window, expect, is_int, q_power
 from .functions import (
     TestFunction,
     _is_real,
@@ -129,6 +129,20 @@ def _fixture_kernels(config: FieldConfig) -> list:
     return [make_kernel(config, pm, m_fix), make_kernel(config, balanced, m_fix)]
 
 
+def check_count(count) -> None:
+    """Raise ValueError unless count, the number of corpus functions, is an int >= 1."""
+    expect(is_int(count) and count >= 1, "an integer >= 1", count)
+
+
+def check_corpus_window(window) -> None:
+    """Raise ValueError unless window is a field.check_window pair with a <= 0 < l."""
+    check_window(window)
+    a, l = window
+    if a > 0 or l < 1:
+        raise ValueError(f"verify needs a <= 0 < l, so that the corpus window holds the unit ball "
+                         f"and resolves the maximal ideal; got ({a},{l})")
+
+
 def generate_corpus(config: FieldConfig, seed: int, count: int, window: tuple,
                     kernel_resolutions) -> Corpus:
     """count locally constant functions and fixture-plus-random kernels.
@@ -138,14 +152,9 @@ def generate_corpus(config: FieldConfig, seed: int, count: int, window: tuple,
     plus-minus fixture, the balanced two-ball atom, then one mean-zero
     projected random kernel per requested resolution.
     """
-    if count < 1:
-        raise ValueError(f"corpus count = {count} must be at least 1")
+    check_count(count)
+    check_corpus_window(window)
     a, l = window
-    if a > 0 or l < 1:
-        raise ValueError(
-            f"corpus window ({a},{l}) must contain the unit ball and resolve "
-            "the maximal ideal (a <= 0, l >= 1)"
-        )
     rng = np.random.default_rng(seed)
     zero = FieldElement.zero(config)
     fixtures = [
@@ -224,11 +233,10 @@ def check_lebesgue_exponent(r) -> None:
 
 
 def check_srt(srt) -> None:
-    """Raise ValueError unless srt is a triple of reals, s > 0 and 1 < r, t, all finite floats."""
-    if not (isinstance(srt, (list, tuple)) and len(srt) == 3 and all(map(_is_real, srt))):
-        raise ValueError(f"expected an (s, r, t) triple of reals, got {srt!r}")
+    """Raise ValueError unless srt is a check_triple with s > 0 and 1 < r, t <= the largest float."""
+    check_triple(srt)
     s, r, t = srt
-    if not (0 < s <= sys.float_info.max and all(1 < x <= sys.float_info.max for x in (r, t))):
+    if not (s > 0 and all(1 < x <= sys.float_info.max for x in (r, t))):
         raise ValueError(f"(s, r, t) = {(s, r, t)} must satisfy s > 0 and 1 < r, t, "
                          "all finite floats")
 

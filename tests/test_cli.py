@@ -15,6 +15,7 @@ from localfield.field import Ball, FieldConfig, FieldElement
 from localfield.functions import TestFunction, from_indicator_combo, refine
 from localfield.kernels import make_kernel
 from localfield.verify import DEFAULT_SRT_LIST
+from util import run_child
 
 Q2 = FieldConfig("padic", 2)
 DATA = Path(__file__).parent / "data"
@@ -58,7 +59,7 @@ def test_empty_config_file_gives_defaults(tmp_path):
 
 
 def test_nonprime_p_rejected():
-    with pytest.raises(ConfigError, match="p must be prime"):
+    with pytest.raises(ConfigError, match=r"^field\.p: expected a prime integer, got 4$"):
         parse_config(overrides={"field.p": 4})
 
 
@@ -129,8 +130,9 @@ def test_kernel_resolution_cap_and_override():
 def test_bad_window_and_checks_rejected():
     with pytest.raises(ConfigError, match="window"):
         parse_config(overrides={"window": [3, -3]})
-    with pytest.raises(ConfigError, match="unknown check name"):
+    with pytest.raises(ConfigError) as info:
         parse_config(overrides={"checks": ["lebesgue", "zzz"]})
+    assert str(info.value) == f"checks: expected a check name from {cli.CHECK_NAMES}, got 'zzz'"
     with pytest.raises(ConfigError, match=r"srt_list"):
         parse_config(overrides={"parameters.srt_list": [[0.5, 2.0]]})
 
@@ -146,6 +148,9 @@ def test_bad_window_and_checks_rejected():
     ({"kernel_resolutions": [0]}, "corpus.kernel_resolutions"),
     ({"kernel_resolutions": [2, "3"]}, "corpus.kernel_resolutions"),
     ({"kernel_resolutions": 3}, "corpus.kernel_resolutions"),
+    # count x q^(l-a) corpus cells against the cap: 1025 x 2^6 is just over it
+    ({"count": 10**400}, "corpus.count"),
+    ({"count": 1025}, "corpus.count"),
 ])
 def test_bad_corpus_keys_exit_2_with_key_path(tmp_path, capsys, corpus, key):
     path = write_json(tmp_path / "cfg.json", {"corpus": corpus})
@@ -310,6 +315,20 @@ def test_bad_norms_exponents_exit_2_with_key_path(tmp_path, capsys, flag, key, e
     assert not out.exists()
 
 
+def test_readme_schema_is_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Flags and config files\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == cli._defaults()
+
+
+def test_corpus_cells_at_the_cap_are_allowed():
+    assert parse_config(overrides={"corpus.count": 1024}, command="verify").count == 1024
+    cfg = parse_config(overrides={"corpus.count": 10**400}, override_window_cap=True,
+                       command="verify")
+    assert cfg.count == 10**400
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/cfg.json")
@@ -317,7 +336,7 @@ def test_missing_config_file():
 
 def test_cli_p4_exits_2(tmp_path, capsys):
     assert main(["bench", "--p", "4", "--out", str(tmp_path)]) == 2
-    assert "p must be prime" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: field.p: expected a prime integer, got 4\n"
 
 
 # -- subcommands
@@ -483,9 +502,62 @@ def test_embedded_non_integer_p_exits_2(tmp_path, capsys, command, bad_p):
             "norms": ["norms", fpath],
             "atoms": ["atoms", kpath]}[command]
     assert main(args + ["--out", str(out)]) == 2
+    path, noun = (kpath, "kernel") if command == "atoms" else (fpath, "function")
+    assert capsys.readouterr().err == (
+        f"error: input: {path} is not a serialized {noun}: expected a prime integer, got {bad_p!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("noun, scales", [
+    ("function", {"a": -1e300}), ("kernel", {"m": 1e300}), ("function", {"a": -1.5, "l": 1.9}),
+], ids=["a=-1e300", "m=1e300", "a=-1.5,l=1.9"])
+def test_input_scales_are_checked_before_any_power_is_built(tmp_path, noun, scales):
+    # the scales are ints compared with the value count before q^(l-a) or
+    # (q-1) q^(m-1) is built, so no scale can make a huge power or be truncated
+    # the function's window is (-1, 1), which int() made of (-1.5, 1.9)
+    source = unit_ball_file(tmp_path, -1, 1) if noun == "function" else DATA / "kern_q2.json"
+    path = write_json(tmp_path / "in.json", {**json.loads(Path(source).read_text()), **scales})
+    command = "transform" if noun == "function" else "atoms"
+    child = run_child("import sys; from localfield.cli import main; sys.exit(main(sys.argv[1:]))",
+                      [command, path, "--out", tmp_path / "o"], cwd=tmp_path, timeout=20)
+    assert child.returncode == 2
+    assert child.stderr.startswith(f"error: input: {path} is not a serialized {noun}: ")
+    assert child.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("noun", ["function", "kernel"])
+def test_input_value_too_large_for_a_float_exits_2(tmp_path, capsys, noun):
+    data = json.loads((DATA / ("fn_q2.json" if noun == "function" else "kern_q2.json")).read_text())
+    data["values"][0][0] = 10**400
+    path = write_json(tmp_path / "in.json", data)
+    out = tmp_path / "out"
+    assert main(["transform" if noun == "function" else "atoms", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: input: {path} is not a serialized {noun}: int too large to convert to float\n")
+    assert not out.exists()
+
+
+def test_norms_refuses_a_weight_past_the_float_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["norms", str(DATA / "fn_q2.json"), "--srt", "1e300:2:2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: (s, r, t) = (1e+300, 2.0, 2.0): a block weight q^(s j t) is not a finite float\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("srt, says", [
+    ("1e300:2:2", "(s, r, t) = (1e+300, 2.0, 2.0): a block weight q^(s j t) is not a finite float"),
+    # finite weights, but a block norm over 1 to the power t = 1e300 is past the float range
+    ("1e-300:1.5:1e300", "Out of range float values are not JSON compliant"),
+])
+def test_verify_csv_run_writes_no_norm_past_the_float_range(tmp_path, capsys, srt, says):
+    cfg = write_json(tmp_path / "cfg.json", {"corpus": {"count": 2}})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--checks", "besov_tl", f"--srt={srt}", "--window=-1:1",
+                 "--format", "csv", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: input: ")
-    assert f"p: expected a prime integer, got {bad_p!r}" in err
+    assert err.startswith(f"error: {says}") and err.count("\n") == 1
     assert not out.exists()
 
 

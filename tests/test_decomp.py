@@ -713,6 +713,14 @@ def test_norm_columns_refuse_a_non_finite_smoothness(bad):
         norm_columns(unit_ball(CONFIGS[0]), [(bad, 2.0, 2.0)])
 
 
+@pytest.mark.parametrize("srt", [(1e300, 2.0, 2.0), (1.0, 2.0, 1e300), (1e200, 2.0, 1e200)],
+                         ids=["overflow", "large-t", "infinite-sjt"])
+def test_norm_columns_refuse_a_weight_past_the_float_range(srt):
+    # blocks j = 0..2: q^(s j t) overflows at j = 1, where s j t may itself be infinite
+    with pytest.raises(ValueError, match=r"^\(s, r, t\) = .*: a block weight q\^\(s j t\) is not"):
+        norm_columns(refine(unit_ball(CONFIGS[0]), -1, 2), [srt])
+
+
 def test_norm_report_serialization():
     rep = NormReport("B", 1.0, 2.0, 2.0, 3.25)
     d = json.loads(json.dumps(rep.to_dict()))

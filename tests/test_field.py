@@ -41,6 +41,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             FieldConfig("padic", 6)
 
+    @pytest.mark.parametrize("p", [2.0, "2", True], ids=["float", "string", "bool"])
+    def test_rejects_a_p_that_is_not_an_int(self, p):
+        with pytest.raises(ValueError, match="^expected a prime integer, got "):
+            FieldConfig("padic", p)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             FieldConfig("real", 2)

@@ -7,7 +7,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +22,12 @@ from localfield.functions import TestFunction, convolve, lr_norm, refine, weak_l
 from localfield.kernels import h1_upper_bound, kernel_as_test_function, shell_piece
 from localfield.operators import apply_atom_operator, apply_truncated, output_spec
 from localfield.verify import _first_atoms, _reading_b_operator
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the address-space limit of a child run: a run that allocates without bound
+# fails with a MemoryError instead of taking the machine's memory
+CHILD_ADDRESS_SPACE = 2**30
 
 CONFIGS = [FieldConfig("padic", 2), FieldConfig("padic", 3), FieldConfig("laurent", 2), FieldConfig("laurent", 3)]
 
@@ -190,3 +200,15 @@ def per_row_csv(report) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def run_child(code: str, args, cwd, timeout: float) -> subprocess.CompletedProcess:
+    """python -c code with args in cwd, under CHILD_ADDRESS_SPACE and one BLAS thread.
+
+    Raises subprocess.TimeoutExpired if the child outlives timeout seconds.
+    """
+    limit = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE},) * 2)\n"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", limit + code, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
