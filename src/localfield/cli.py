@@ -38,7 +38,7 @@ from .kernels import AngularKernel, atomic_decompose, check_resolution, validate
 from .operators import apply_truncated, output_spec, window_output_spec
 from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _ms, canonical_dumps, check_corpus_window,
                      check_count, check_lebesgue_exponent, check_record, check_srt,
-                     check_truncation_level, exact_checks_pass, fixture_resolution,
+                     check_truncation_level, csv_text, exact_checks_pass, fixture_resolution,
                      run_verification)
 
 WINDOW_CELL_CAP = 65536
@@ -319,7 +319,7 @@ def _read_json(path, key: str) -> dict:
         raise ConfigError(f"{key}: file not found: {p}")
     try:
         data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too long an int, too deep
         raise ConfigError(f"{key}: invalid JSON in {p}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{key}: top level of {p} must be an object")
@@ -439,13 +439,6 @@ def _cmd_norms(cfg: RunConfig, args) -> tuple[dict, list]:
     return artifact, checks
 
 
-def _norms_csv(artifact: dict) -> str:
-    lines = ["space,s,r,t,value"]
-    for rep in artifact["reports"]:
-        lines.append(f"{rep['space']},{rep['s']},{rep['r']},{rep['t']},{rep['value']}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_atoms(cfg: RunConfig, args) -> tuple[dict, list]:
     kern = _load(args.kernel, cfg.field, AngularKernel, "kernel")
     dec = atomic_decompose(kern, args.strategy)
@@ -546,7 +539,8 @@ def main(argv=None) -> int:
         name = args.command.replace("-", "_") + ".json"
         _write_artifact(cfg, name, canonical_dumps(artifact) + "\n")
         if args.command == "norms" and "csv" in cfg.formats:
-            _write_artifact(cfg, "norms.csv", _norms_csv(artifact))
+            _write_artifact(cfg, "norms.csv", csv_text(  # each report's keys, in this order
+                [("space", "s", "r", "t", "value"), *map(dict.values, artifact["reports"])]))
         _print_checks(checks)
         return _exit_code(checks)
     except (ConfigError, ValueError, RuntimeError) as exc:

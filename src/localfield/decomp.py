@@ -351,7 +351,7 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
     """Each row's norms in spaces ("B", "F" or "BF") for every triple in srt_list.
 
     Maps (space, (s, r, t)) to one value per row of f, all from one block stack.
-    A triple whose block weight q^(s j t) is not a finite float is refused.
+    A triple whose block weight q^(s j t) or whose norm is not a finite float is refused.
     """
     for srt in srt_list:
         check_norm_srt(srt)
@@ -376,6 +376,8 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
             table[("B", srt)] = [_besov_value(weights, row, t) for row in norms[r]]
         if "F" in spaces:
             table[("F", srt)] = _triebel_lizorkin_values(f, moduli, weights, r, t)
+        if not all(math.isfinite(v) for space in spaces for v in table[(space, srt)]):
+            raise ValueError(f"(s, r, t) = {srt}: a B or F norm is not a finite float")
     return table
 
 

@@ -22,22 +22,30 @@ import numpy as np
 
 INFINITY = math.inf
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# the first 12 primes: as Miller-Rabin bases they decide every n below 3.1e23 exactly
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality of n, exact below 3.1e23 (check_prime stops at 2^64)."""
     if n < 2:
         return False
-    for d in _SMALL_PRIMES:
-        if n == d:
-            return True
-        if n % d == 0:
-            return False
-    d = 49
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
     return True
 
 
@@ -58,8 +66,9 @@ def check_mode(mode) -> None:
 
 
 def check_prime(p) -> None:
-    """Raise ValueError unless p is a prime int, not a bool."""
-    expect(is_int(p) and _is_prime(p), "a prime integer", p)
+    """Raise ValueError unless p is a prime int below 2^64, not a bool."""
+    expect(is_int(p) and (p >= 2**64 or _is_prime(p)), "a prime integer", p)
+    expect(p < 2**64, "a prime integer below 2^64", p)
 
 
 def check_window(window) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldConfig, Window, digit_reversal, q_power
-from .functions import TestFunction, _frozen
+from .functions import TestFunction, _frozen, _value_pairs
 
 _TWO_PI = 2.0 * math.pi
 
@@ -49,8 +49,7 @@ class SpectralFunction:
         return Window(self.config, -self.l, -self.a)
 
     def to_dict(self) -> dict:
-        return {"l": self.l, "a": self.a,
-                "values": [[z.real, z.imag] for z in self.values]}
+        return {"l": self.l, "a": self.a, "values": _value_pairs(self.values)}
 
 
 def _pairing_order(w: Window, values: np.ndarray) -> np.ndarray:
@@ -75,43 +74,34 @@ def inverse(F: SpectralFunction) -> TestFunction:
     return TestFunction(F.config, F.a, F.l, vals * q_power(F.config.q, F.a))
 
 
+def _character_sum(w: Window, values: np.ndarray, unit: complex) -> np.ndarray:
+    """out[u] = sum_v exp(unit 2 pi <u, v>) values[v] over the cells of w, unit -1j or 1j.
+
+    The pairing <u, v> is u v / N in padic mode and, in laurent mode, the
+    digits of u against the reversed digits of v over p.  This O(N^2) sum is
+    the definition, independent of Window.dft.
+    """
+    padic = w.config.mode == "padic"
+    order = w.size if padic else w.config.p
+    roots = np.exp(unit * _TWO_PI * np.arange(order) / order)
+    cells = np.arange(w.size)
+    digits = None if padic else w.digit_matrix()
+    out = np.empty(w.size, dtype=np.complex128)
+    for u in range(w.size):
+        phase = u * cells if padic else digits @ digits[u, ::-1]
+        out[u] = roots[phase % order] @ values
+    return out
+
+
 def forward_naive(f: TestFunction) -> SpectralFunction:
     """Definition-level O(N^2) character sum; the independent slow route, oracle for forward."""
-    w = f.window
-    N = w.size
-    out = np.empty(N, dtype=np.complex128)
-    if f.config.mode == "padic":
-        roots = np.exp(-1j * _TWO_PI * np.arange(N) / N)
-        m = np.arange(N)
-        for u in range(N):
-            out[u] = roots[(u * m) % N] @ f.values
-    else:
-        p = f.config.p
-        proots = np.exp(-1j * _TWO_PI * np.arange(p) / p)
-        digits = w.digit_matrix()
-        for u in range(N):
-            phase = (digits @ digits[u, ::-1]) % p
-            out[u] = proots[phase] @ f.values
+    out = _character_sum(f.window, f.values, -1j)
     return SpectralFunction(f.config, f.l, f.a, out * q_power(f.config.q, -f.l))
 
 
 def inverse_naive(F: SpectralFunction) -> TestFunction:
     """Definition-level O(N^2) character sum; the oracle for inverse."""
-    w = F.dual_window
-    N = w.size
-    out = np.empty(N, dtype=np.complex128)
-    if F.config.mode == "padic":
-        roots = np.exp(1j * _TWO_PI * np.arange(N) / N)
-        u = np.arange(N)
-        for m in range(N):
-            out[m] = roots[(u * m) % N] @ F.values
-    else:
-        p = F.config.p
-        proots = np.exp(1j * _TWO_PI * np.arange(p) / p)
-        digits = w.digit_matrix()
-        for m in range(N):
-            phase = (digits @ digits[m, ::-1]) % p
-            out[m] = proots[phase] @ F.values
+    out = _character_sum(F.dual_window, F.values, 1j)
     return TestFunction(F.config, F.a, F.l, out * q_power(F.config.q, F.a))
 
 

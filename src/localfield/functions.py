@@ -46,6 +46,11 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _value_pairs(values: np.ndarray) -> list:
+    """Serialized [re, im] pairs of complex cell values; _finite_values reads them back."""
+    return [[z.real, z.imag] for z in values]
+
+
 def _finite_values(pairs) -> np.ndarray:
     """Complex cell values from serialized [re, im] pairs; NaN and inf are refused."""
     vals = np.array([complex(re, im) for re, im in pairs])
@@ -110,8 +115,7 @@ class TestFunction:
         return TestFunction(config, a, l, np.zeros(config.p ** (l - a)))
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "l": self.l,
-                "values": [[z.real, z.imag] for z in self.values]}
+        return {"a": self.a, "l": self.l, "values": _value_pairs(self.values)}
 
     @staticmethod
     def from_dict(config: FieldConfig, d: dict) -> "TestFunction":
@@ -228,16 +232,6 @@ def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, T
         raise ValueError("functions live over different field configurations")
     a, l = min(f.a, g.a), max(f.l, g.l)
     return refine(f, a, l), refine(g, a, l)
-
-
-def pointwise_combine(f: TestFunction, op: str, other) -> TestFunction:
-    """op = "add": other is a TestFunction; op = "scale": other is a scalar."""
-    if op == "add":
-        rf, rg = common_refinement(f, other)
-        return TestFunction(f.config, rf.a, rf.l, rf.values + rg.values)
-    if op == "scale":
-        return TestFunction(f.config, f.a, f.l, f.values * complex(other))
-    raise ValueError(f"unknown pointwise op {op!r}")
 
 
 def convolve(f: TestFunction, g: TestFunction) -> TestFunction:

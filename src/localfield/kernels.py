@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (FieldConfig, FieldElement, Window, angular_part, digit_reversal, expect,
-                    is_int, prime_shift, q_power)
-from .functions import TestFunction, _finite_values, _frozen, check_cell_count, dyadic_ints, refine
+                    is_int, q_power)
+from .functions import (TestFunction, _finite_values, _frozen, _value_pairs, check_cell_count,
+                        dyadic_ints, refine)
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
 _GRID_BITS = 48
@@ -57,7 +58,7 @@ class AngularKernel:
         object.__setattr__(self, "values", _frozen(self.values))
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "values": [[z.real, z.imag] for z in self.values]}
+        return {"m": self.m, "values": _value_pairs(self.values)}
 
     @staticmethod
     def from_dict(config: FieldConfig, d: dict) -> "AngularKernel":
@@ -305,7 +306,8 @@ def taibleson_modulus(k: AngularKernel, J: int) -> float:
 
     Each term integrates |k(x + pi^j y) - k(x)| over the unit sphere.  Terms
     with j >= m vanish identically (the shift stays inside one resolution-m
-    cell), so the value stabilizes exactly at J = m - 1.
+    cell), so the sum runs to min(J, m): from J = m - 1 on the value is
+    stable, and J >= m adds the first vanishing term.
     """
     if J < 1:
         raise ValueError(f"J = {J} must be >= 1")
@@ -317,9 +319,9 @@ def taibleson_modulus(k: AngularKernel, J: int) -> float:
     best = 0.0
     for y_cell in kw:
         terms = []
-        for j in range(1, min(J, k.m - 1) + 1):
-            t = w.index_of(prime_shift(w.element(int(y_cell)), j))
-            moved = w.index_add(kw, t)
+        for j in range(1, min(J, k.m) + 1):
+            # pi^j y carries the digits of y j levels up: cell y p^j, reduced modulo P^m
+            moved = w.index_add(kw, int(y_cell) * k.config.p**j % w.size)
             diff = k.values[back[moved]] - k.values
             terms.append(math.fsum(np.hypot(diff.real, diff.imag)) * meas)
         best = max(best, math.fsum(terms))

@@ -48,7 +48,6 @@ from .functions import (
     convolve,
     from_indicator_combo,
     lr_norms,
-    pointwise_combine,
     refine,
     weak_level_measures,
 )
@@ -56,7 +55,6 @@ from .kernels import (
     AngularKernel,
     atomic_decompose,
     h1_upper_bound,
-    kernel_as_test_function,
     make_kernel,
     mean_zero_project,
     shell_piece,
@@ -103,11 +101,9 @@ class Corpus:
     """Deterministic test inputs: locally constant functions plus kernels."""
 
     config: FieldConfig
-    seed: int
     window: tuple
     functions: tuple
     kernels: tuple
-    description: str
 
 
 def fixture_resolution(q: int) -> int:
@@ -171,11 +167,7 @@ def generate_corpus(config: FieldConfig, seed: int, count: int, window: tuple,
         n = sphere_cell_count(config, m)
         draw = rng.random(n) + 1j * rng.random(n)
         kernels.append(mean_zero_project(make_kernel(config, draw, m)))
-    description = (
-        f"{config.mode} q={config.q}: {count} functions on window ({a},{l}), "
-        f"kernels at resolutions {sorted({k.m for k in kernels})}, seed {seed}"
-    )
-    return Corpus(config, seed, (a, l), tuple(functions), tuple(kernels), description)
+    return Corpus(config, (a, l), tuple(functions), tuple(kernels))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +342,8 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
     a, l = corpus.window
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
-        pieces = [("B", -1, kernel_as_test_function(atom))] + [
-            ("A", j, shell_piece(atom, j)) for j in (0, 1)
-        ]
-        for reading, j, piece in pieces:
+        for j in (-1, 0, 1):
+            reading, piece = "B" if j == -1 else "A", shell_piece(atom, j)
             ng = _by_row(corpus, (min(piece.a, a), max(piece.l, l)),
                          lambda g: norms_of(convolve(piece, g), "F"))
             worst = [max([0.0] + [num / nf for num, nf in zip(ng[key], norms_f[key]) if nf != 0])
@@ -373,8 +363,8 @@ def _reading_b_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSp
         (Fraction(f.config.q) ** (-(j + 1)) for j in range(spec.k, jmax + 1)),
         Fraction(0),
     )
-    out = convolve(kernel_as_test_function(atom), f)
-    return pointwise_combine(out, "scale", float(weight))
+    out = convolve(shell_piece(atom, -1), f)
+    return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
 
 
 def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
@@ -436,7 +426,8 @@ def check_taibleson_class(corpus: Corpus) -> dict:
     """Modulus of every corpus kernel, its stabilization, and operator norms.
 
     Finite-resolution kernels are locally constant, so the smoothness sum
-    stabilizes exactly once the probe depth reaches the resolution; the
+    stabilizes exactly once the probe depth reaches the resolution: depth
+    m + 1 adds the term j = m, the first that must vanish, to depth m - 1.  The
     table pairs each modulus with the kernel's measured L2 operator norm at
     k = 0 to document that the corpus satisfies both boundedness routes.
     """
@@ -474,6 +465,13 @@ def check_taibleson_class(corpus: Corpus) -> dict:
 def canonical_dumps(obj) -> str:
     """The canonical JSON of every artifact: sorted keys, compact, strict (no NaN or inf)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def csv_text(rows) -> str:
+    """The CSV of every artifact: one line per row, each ended by a newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -521,9 +519,7 @@ class VerificationReport:
         ]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(self.csv_rows())
-        return buf.getvalue()
+        return csv_text(self.csv_rows())
 
 
 def _ms(t0: float) -> float:

@@ -317,7 +317,7 @@ def test_criterion_08_proof_constant_instrumentation(capsys):
     ]
     worst = 0.0
     for fi, (f, kern, k) in enumerate(fixtures):
-        corpus = Corpus(f.config, 0, (f.a, f.l), (f,), (kern,), f"fixture {fi}")
+        corpus = Corpus(f.config, (f.a, f.l), (f,), (kern,))
         atom = _first_atoms(corpus)[0][1]
         spec = output_spec(f, atom.m, k)
         oracles = {"A": naive_truncated(f, atom, spec),

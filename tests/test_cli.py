@@ -334,6 +334,15 @@ def test_missing_config_file():
         parse_config("/nonexistent/cfg.json")
 
 
+def test_large_prime_p_exits_2_with_the_cap_line_at_once(tmp_path):
+    # 2^61 - 1 is prime; deciding so by trial division took minutes
+    child = run_child("import sys; from localfield.cli import main; sys.exit(main(sys.argv[1:]))",
+                      ["bench", "--p", 2**61 - 1, "--out", tmp_path / "o"], cwd=tmp_path, timeout=10)
+    assert child.returncode == 2
+    assert child.stderr == ("error: window: q^(l-a) = 2305843009213693951^6 cells, more than the "
+                            "65536-cell cap; pass --override-window-cap to proceed\n")
+
+
 def test_cli_p4_exits_2(tmp_path, capsys):
     assert main(["bench", "--p", "4", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: field.p: expected a prime integer, got 4\n"
@@ -390,6 +399,25 @@ def test_norms_match_stored_golden_bytes(tmp_path):
                  "--srt", "0.5:2:2,1:1.5:3,0:1:1,-1:2:1", "--r", "1,2,3", "--out", str(out)]) == 0
     for ext in ("json", "csv"):
         assert (out / f"norms.{ext}").read_bytes() == (DATA / f"golden_norms_q2.{ext}").read_bytes()
+
+
+def test_transform_matches_stored_golden_bytes(tmp_path):
+    # the fast_matches_naive record holds the bits of the naive oracle
+    out = tmp_path / "out"
+    assert main(["transform", str(DATA / "fn_q2.json"), "--out", str(out)]) == 0
+    golden = (DATA / "golden_transform_q2.json").read_bytes()
+    assert (out / "transform.json").read_bytes() == golden
+
+
+def test_verify_matches_stored_golden_bytes(tmp_path):
+    # padic only: laurent bits depend on the BLAS thread count
+    cfg = write_json(tmp_path / "cfg.json", {"corpus": {"count": 4, "kernel_resolutions": [2]}})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--window=-2:2", "--k=-1,0", "--srt", "0.5:2:2,1:1.5:3",
+                 "--r", "1.5,3", "--lambda", "0.25", "--out", str(out)]) == 0
+    for ext in ("json", "csv"):
+        golden = (DATA / f"golden_verify_q2.{ext}").read_bytes()
+        assert (out / f"report.{ext}").read_bytes() == golden
 
 
 def test_apply_tk_matches_stored_golden(tmp_path):
@@ -546,10 +574,24 @@ def test_norms_refuses_a_weight_past_the_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_norms_refuses_a_norm_past_the_float_range(tmp_path, capsys):
+    # finite weights, but block norms over 1 to the power t = 1e300 leave the float range
+    fn = json.loads((DATA / "fn_q2.json").read_text())
+    fn["values"] = [[10 * re, 10 * im] for re, im in fn["values"]]
+    out = tmp_path / "out"
+    assert main(["norms", write_json(tmp_path / "fn.json", fn), "--srt", "1e-300:1.5:1e300",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: (s, r, t) = (1e-300, 1.5, 1e+300): a B or F norm is not a finite float\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("srt, says", [
     ("1e300:2:2", "(s, r, t) = (1e+300, 2.0, 2.0): a block weight q^(s j t) is not a finite float"),
     # finite weights, but a block norm over 1 to the power t = 1e300 is past the float range
-    ("1e-300:1.5:1e300", "Out of range float values are not JSON compliant"),
+    pytest.param("1e-300:1.5:1e300",
+                 "(s, r, t) = (1e-300, 1.5, 1e+300): a B or F norm is not a finite float",
+                 id="1e-300:1.5:1e300"),
 ])
 def test_verify_csv_run_writes_no_norm_past_the_float_range(tmp_path, capsys, srt, says):
     cfg = write_json(tmp_path / "cfg.json", {"corpus": {"count": 2}})
@@ -577,8 +619,11 @@ def test_non_finite_artifact_exits_2_and_writes_nothing(tmp_path, capsys, comman
     out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
-    # the error line is all of stderr: numpy's overflow warnings are silenced
-    assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+    # the error line is all of stderr: numpy's overflow warnings are silenced; the norm
+    # layer refuses its infinite norms itself, the other commands meet the strict writer
+    says = ("(s, r, t) = (0.5, 2.0, 2.0): a B or F norm is not a finite float"
+            if command == "norms" else "Out of range float values are not JSON compliant")
+    assert captured.err.startswith(f"error: {says}")
     assert captured.err.count("\n") == 1
     assert "PASS" not in captured.out
     assert not out.exists()

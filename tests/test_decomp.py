@@ -27,14 +27,14 @@ from localfield.functions import (
     from_indicator_combo,
     lr_norm,
     max_difference,
-    pointwise_combine,
     refine,
     weak_level_measures,
 )
 from localfield.verify import DEFAULT_SRT_LIST
 
 import cz_oracle
-from util import CONFIGS, integral, linf_norm, spectral_valuation_levels
+from util import (CONFIGS, add_functions, integral, linf_norm, scalar_multiple,
+                  spectral_valuation_levels)
 
 
 def unit_ball(config: FieldConfig) -> TestFunction:
@@ -433,7 +433,7 @@ def test_lp_reconstruction_random():
             blocks = [littlewood_paley(f, j) for j in range(max(l, 0) + 1)]
             total = blocks[0]
             for b in blocks[1:]:
-                total = pointwise_combine(total, "add", b)
+                total = add_functions(total, b)
             assert max_difference(total, f) <= 1e-11
 
 
@@ -486,7 +486,7 @@ def test_lp_padding_for_positive_scale_window():
     blocks = [littlewood_paley(f, j) for j in range(4)]
     total = blocks[0]
     for b in blocks[1:]:
-        total = pointwise_combine(total, "add", b)
+        total = add_functions(total, b)
     assert max_difference(total, f) <= 1e-11
 
 
@@ -506,7 +506,7 @@ def assert_blocks_match_fft_oracle(f: TestFunction):
         levels = spectral_valuation_levels(F)
         off = (levels < 0) if j == 0 else (levels != -j)
         assert np.all(np.hypot(F.values.real, F.values.imag)[off] <= tol)
-        total = pointwise_combine(total, "add", lifted)
+        total = add_functions(total, lifted)
     assert max_difference(total, f) <= tol
 
 
@@ -564,7 +564,7 @@ def test_norm_zero_function():
 def test_norm_scalar_homogeneity():
     rng = np.random.default_rng(23)
     f = random_fn(rng, CONFIGS[0], -1, 3)
-    g = pointwise_combine(f, "scale", 2.0)
+    g = scalar_multiple(f, 2.0)
     for s, r, t in [(0.0, 2.0, 2.0), (1.0, 1.0, 3.0)]:
         assert besov_norm(g, s, r, t).value == pytest.approx(
             2 * besov_norm(f, s, r, t).value, rel=1e-12
@@ -621,7 +621,7 @@ def test_norm_monotone_under_top_block_truncation():
     for config in CONFIGS[:2]:
         f = random_fn(rng, config, 0, 3)
         top = littlewood_paley(f, f.l)
-        dropped = pointwise_combine(f, "add", pointwise_combine(top, "scale", -1.0))
+        dropped = add_functions(f, scalar_multiple(top, -1.0))
         for s, r, t in [(1.0, 2.0, 2.0), (0.5, 1.0, 2.5)]:
             assert besov_norm(dropped, s, r, t).value <= besov_norm(f, s, r, t).value + 1e-11
             assert (

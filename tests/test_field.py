@@ -46,6 +46,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="^expected a prime integer, got "):
             FieldConfig("padic", p)
 
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59], ids=["2^61-1", "2^64-59"])
+    def test_accepts_a_large_prime(self, p):
+        assert FieldConfig("padic", p).q == p
+
+    # strong pseudoprimes: 2047 to base 2, 3215031751 to bases 2 to 7, and
+    # 3825123056546413051 to bases 2 to 23
+    @pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+    def test_rejects_a_strong_pseudoprime(self, n):
+        with pytest.raises(ValueError, match=f"^expected a prime integer, got {n}$"):
+            FieldConfig("padic", n)
+
+    def test_rejects_p_from_2_to_the_64(self):
+        with pytest.raises(ValueError,
+                           match=f"^expected a prime integer below 2\\^64, got {2**64 + 1}$"):
+            FieldConfig("padic", 2**64 + 1)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             FieldConfig("real", 2)

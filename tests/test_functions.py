@@ -16,13 +16,13 @@ from localfield.functions import (
     from_indicator_combo,
     lr_norm,
     lr_norms,
+    common_refinement,
     max_difference,
-    pointwise_combine,
     refine,
     restrict_support,
     weak_level_measures,
 )
-from util import CONFIGS, one, random_element, translate
+from util import CONFIGS, add_functions, one, random_element, scalar_multiple, translate
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -253,15 +253,17 @@ class TestConvolve:
 
 class TestPointwise:
     def test_add_cancel(self):
+        # f and -f on a finer window cancel cell by cell on the common refinement
         rng = np.random.default_rng(36)
         f = random_function(rng, Q2)
-        s = pointwise_combine(f, "add", pointwise_combine(f, "scale", -1))
-        assert np.all(s.values == 0)
+        rf, rg = common_refinement(f, scalar_multiple(refine(f, -3, 3), -1))
+        assert (rf.a, rf.l) == (-3, 3)
+        assert np.all(rf.values + rg.values == 0)
 
     def test_scale_norm_homogeneity(self):
         rng = np.random.default_rng(37)
         f = random_function(rng, Q2)
-        g = pointwise_combine(f, "scale", 2)
+        g = scalar_multiple(f, 2)
         for r in (1, 2, 3):
             assert lr_norm(g, r) == pytest.approx(2 * lr_norm(f, r), rel=1e-15)
 
@@ -269,15 +271,10 @@ class TestPointwise:
         rng = np.random.default_rng(38)
         f = random_function(rng, Q2, a=0, l=2)
         g = random_function(rng, Q2, a=-1, l=1)
-        s = pointwise_combine(f, "add", g)
+        s = add_functions(f, g)
         for _ in range(30):
             x = random_element(rng, Q2, -2, 3)
             assert evaluate(s, x) == evaluate(f, x) + evaluate(g, x)
-
-    def test_unknown_op(self):
-        f = unit_ball_indicator(Q2)
-        with pytest.raises(ValueError):
-            pointwise_combine(f, "mul", f)
 
 
 class TestMinkowskiCountingForm:

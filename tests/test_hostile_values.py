@@ -6,7 +6,8 @@ address-space limit and a timeout, that loops over the keys in-process
 through cli.main; the rest of each run is cheap (count 2, window -1:1, one
 check).  A case passes when it exits 0, or 2 with one error line that starts
 with its dotted key, or with input: for a file key, and never prints a
-traceback.
+traceback.  The one valid value among them, the prime 2^61 - 1 as field.p,
+must meet the window's cell cap instead, whose line starts with window:.
 """
 
 import json
@@ -19,10 +20,13 @@ from util import run_child
 
 DATA = Path(__file__).parent / "data"
 
+# a prime: trial division to its square root once hung every command
+LARGE_PRIME = 2**61 - 1
+
 HOSTILE = {
     "10**400": 10**400, "-10**400": -10**400, "1e300": 1e300, "-1e300": -1e300,
     "5e-324": 5e-324, "0": 0, "-1": -1, "true": True, '"x"': "x", "[]": [], "{}": {},
-    "null": None,
+    "null": None, "2**61-1": LARGE_PRIME,
 }
 
 CHEAP = {"corpus": {"count": 2}, "window": [-1, 1], "checks": ["lebesgue"]}
@@ -75,7 +79,10 @@ def cases(workdir: Path, value) -> list:
     for key in leaf_keys(cli._defaults()):
         path = workdir / f"config_{key}.json"
         path.write_text(json.dumps(with_value(CHEAP, key, value)))
-        out.append((key, ["verify", "--config", path.name], f"error: {key}: "))
+        # a large prime is a valid p: the cell cap of the window, which reads p, refuses it
+        capped = key == "field.p" and value is LARGE_PRIME
+        out.append((key, ["verify", "--config", path.name],
+                    "error: window: " if capped else f"error: {key}: "))
     for noun, command, base in (("function", "transform", FUNCTION), ("kernel", "atoms", KERNEL)):
         for key in base:
             path = workdir / f"{noun}_{key}.json"
@@ -98,3 +105,22 @@ def test_hostile_values_exit_0_or_2_with_the_key_path(tmp_path, value):
         if "Traceback" in err or not (status == 0 or refused_cleanly):
             bad.append((key, status, err[-300:]))
     assert not bad
+
+
+# json.dumps cannot write an integer of over 4,300 digits, so both files are raw text
+UNPARSABLE = {
+    "5000-digit-seed": '{"corpus": {"seed": 1' + "0" * 4999 + "}}",
+    "100000-deep-array": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("key", ["config", "input"])
+@pytest.mark.parametrize("text", list(UNPARSABLE.values()), ids=list(UNPARSABLE))
+def test_json_past_the_parser_limits_exits_2_with_its_key(tmp_path, capsys, text, key):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = ["verify", "--config", str(path)] if key == "config" else ["transform", str(path)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: invalid JSON in {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

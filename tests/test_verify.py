@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localfield import decomp, verify
+from localfield import cli, decomp, kernels, verify
 from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate
 from localfield.functions import (
     TestFunction,
@@ -16,7 +16,6 @@ from localfield.functions import (
     from_indicator_combo,
     lr_norm,
     max_difference,
-    pointwise_combine,
     refine,
 )
 from localfield.kernels import (
@@ -52,10 +51,12 @@ from localfield.verify import (
 
 from util import (
     CONFIGS,
+    add_functions,
     per_function_l2_weak,
     per_function_lebesgue,
     per_function_taibleson_l2,
     per_row_csv,
+    scalar_multiple,
     single_norm_besov_tl,
 )
 
@@ -94,13 +95,11 @@ def small_corpus(config=Q2, count=3, window=(-2, 2), resolutions=(2,), seed=42):
 
 
 def with_functions(corpus, functions):
-    return Corpus(corpus.config, corpus.seed, corpus.window, tuple(functions),
-                  corpus.kernels, corpus.description)
+    return Corpus(corpus.config, corpus.window, tuple(functions), corpus.kernels)
 
 
 def with_kernels(corpus, kernels):
-    return Corpus(corpus.config, corpus.seed, corpus.window, corpus.functions,
-                  tuple(kernels), corpus.description)
+    return Corpus(corpus.config, corpus.window, corpus.functions, tuple(kernels))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +110,8 @@ def test_corpus_deterministic_regeneration():
     for config in (Q2, L3):
         c1 = generate_corpus(config, 7, 6, (-2, 2), (2, 3))
         c2 = generate_corpus(config, 7, 6, (-2, 2), (2, 3))
-        assert c1.description == c2.description
+        assert (c1.config, c1.window, len(c1.functions), len(c1.kernels)) == \
+            (c2.config, c2.window, len(c2.functions), len(c2.kernels))
         for f1, f2 in zip(c1.functions, c2.functions):
             assert np.array_equal(f1.values, f2.values)
         for k1, k2 in zip(c1.kernels, c2.kernels):
@@ -186,7 +186,7 @@ def test_lebesgue_ratio_invariant_under_scaling():
     corpus = small_corpus(count=3)
     est = check_lebesgue_theorem(corpus, [0], [1.5, 2.0])
     scaled_f = with_functions(
-        corpus, [pointwise_combine(f, "scale", 5.0) for f in corpus.functions]
+        corpus, [scalar_multiple(f, 5.0) for f in corpus.functions]
     )
     est_f = check_lebesgue_theorem(scaled_f, [0], [1.5, 2.0])
     for row, row_f in zip(est.ratio_table, est_f.ratio_table):
@@ -226,12 +226,9 @@ def test_telescoping_shells_between_truncations():
         spec_up = TruncationSpec(k + 1, spec.out_a, spec.out_l)
         t_low = apply_truncated(f, kern, spec)
         t_high = apply_truncated(f, kern, spec_up)
-        diff = pointwise_combine(t_low, "add", pointwise_combine(t_high, "scale", -1.0))
-        shell = pointwise_combine(
-            convolve(shell_piece(kern, k), f),
-            "scale",
-            float(Fraction(Q2.q) ** (-(k + 1))),
-        )
+        diff = add_functions(t_low, scalar_multiple(t_high, -1.0))
+        weight = float(Fraction(Q2.q) ** (-(k + 1)))
+        shell = scalar_multiple(convolve(shell_piece(kern, k), f), weight)
         assert max_difference(diff, shell) <= 1e-12
 
 
@@ -297,7 +294,7 @@ def stack_corpus(config, case):
         random_function(rng, config, *window) for _ in range(3)]
     functions.append(TestFunction.zero(config, *window))
     functions.append(random_function(rng, config, *window))
-    return Corpus(config, corpus.seed, window, tuple(functions), corpus.kernels, case)
+    return Corpus(config, window, tuple(functions), corpus.kernels)
 
 
 def random_function(rng, config, a, l):
@@ -488,6 +485,26 @@ def test_l2_reading_b_bound_holds_across_corpus():
 
 # ---------------------------------------------------------------------------
 # Taibleson class
+
+
+class _ZeroShiftMovesTheFinestDigit(Window):
+    """A window whose shift by cell 0 moves the finest digit, as if pi^m y left P^m."""
+
+    def index_add(self, i, j):
+        return super().index_add(i, j if np.any(j) else self.size // self.config.p)
+
+
+def test_taibleson_stabilization_fails_if_the_first_vanishing_term_does_not(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(kernels, "Window", _ZeroShiftMovesTheFinestDigit)
+    report = check_taibleson_class(small_corpus(count=3, resolutions=(2, 3)))
+    assert not any(r["stabilized"] for r in report["rows"])
+    assert report["records"][0]["pass"] is False
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus": {"count": 2}}))
+    assert cli.main(["verify", "--checks", "taibleson", "--window=-1:1", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "FAIL taibleson_stabilization: measured=0.0 claimed=1.0" in capsys.readouterr().out
 
 
 def test_taibleson_rows_stabilize_and_cross_tabulate():

@@ -18,7 +18,8 @@ import numpy as np
 from localfield.decomp import besov_norm, triebel_lizorkin_norm
 from localfield.field import FieldConfig, FieldElement, q_power
 from localfield.fourier import SpectralFunction
-from localfield.functions import TestFunction, convolve, lr_norm, refine, weak_level_measures
+from localfield.functions import (TestFunction, common_refinement, convolve, lr_norm, refine,
+                                  weak_level_measures)
 from localfield.kernels import h1_upper_bound, kernel_as_test_function, shell_piece
 from localfield.operators import apply_atom_operator, apply_truncated, output_spec
 from localfield.verify import _first_atoms, _reading_b_operator
@@ -42,6 +43,17 @@ def random_element(rng: np.random.Generator, config: FieldConfig,
     digits = [int(rng.integers(0, config.p)) for _ in range(length)]
     digits[0] = int(rng.integers(1, config.p))
     return FieldElement.make(config, level, digits)
+
+
+def add_functions(f: TestFunction, g: TestFunction) -> TestFunction:
+    """f + g, by value arithmetic on their common refinement."""
+    rf, rg = common_refinement(f, g)
+    return TestFunction(f.config, rf.a, rf.l, rf.values + rg.values)
+
+
+def scalar_multiple(f: TestFunction, c) -> TestFunction:
+    """c f, on the window of f."""
+    return TestFunction(f.config, f.a, f.l, f.values * c)
 
 
 def one(config: FieldConfig) -> FieldElement:
