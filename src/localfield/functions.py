@@ -175,10 +175,12 @@ def refine(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
 
 
 def coarsen_resolution(f: TestFunction, l_new: int) -> TestFunction:
-    """Drop resolution to l_new < l by averaging sibling cells.
+    """E_{l_new} f: the average of f over each coset of P^{l_new}, a <= l_new <= l.
 
-    Exact only when f really is constant on P^{l_new}-cosets; callers assert
-    that (the group mean then reproduces the common value).
+    The conditional expectation onto the coarser cells, up to the rounding
+    of each mean: it keeps the integral of f, reproduces f where f is
+    already constant on those cosets, and g * f = g * E_{l_new} f for every
+    g constant on them.
     """
     if l_new < f.a or l_new > f.l:
         raise ValueError("l_new outside [a, l]")

@@ -301,13 +301,13 @@ def shell_piece(k: AngularKernel, j: int, resolution: int | None = None) -> Test
 # -- Taibleson smoothness modulus ----------------------------------------------
 
 
-def taibleson_modulus(k: AngularKernel, J: int) -> float:
-    """Largest over unit y of the sum over j <= J of the shifted-difference L1 mass.
+def taibleson_terms(k: AngularKernel, J: int) -> np.ndarray:
+    """Shifted-difference L1 masses, one row per unit-sphere cell y, one column per j.
 
-    Each term integrates |k(x + pi^j y) - k(x)| over the unit sphere.  Terms
-    with j >= m vanish identically (the shift stays inside one resolution-m
-    cell), so the sum runs to min(J, m): from J = m - 1 on the value is
-    stable, and J >= m adds the first vanishing term.
+    Column j - 1 integrates |k(x + pi^j y) - k(x)| over the unit sphere, for
+    j = 1 .. min(J, m).  Terms with j >= m vanish identically (the shift
+    stays inside one resolution-m cell), so column m - 1, when present, must
+    be exactly 0.0.
     """
     if J < 1:
         raise ValueError(f"J = {J} must be >= 1")
@@ -316,13 +316,20 @@ def taibleson_modulus(k: AngularKernel, J: int) -> float:
     back = np.full(w.size, -1, dtype=np.int64)
     back[kw] = np.arange(kw.size)
     meas = q_power(k.config.q, -k.m)
-    best = 0.0
-    for y_cell in kw:
-        terms = []
-        for j in range(1, min(J, k.m) + 1):
+    terms = np.zeros((kw.size, min(J, k.m)))
+    for row, y_cell in zip(terms, kw):
+        for j in range(1, row.size + 1):
             # pi^j y carries the digits of y j levels up: cell y p^j, reduced modulo P^m
             moved = w.index_add(kw, int(y_cell) * k.config.p**j % w.size)
             diff = k.values[back[moved]] - k.values
-            terms.append(math.fsum(np.hypot(diff.real, diff.imag)) * meas)
-        best = max(best, math.fsum(terms))
-    return best
+            row[j - 1] = math.fsum(np.hypot(diff.real, diff.imag)) * meas
+    return terms
+
+
+def taibleson_modulus(k: AngularKernel, J: int) -> float:
+    """Largest over unit y of the sum over j <= J of the taibleson_terms.
+
+    The sum runs to min(J, m): from J = m - 1 on the value is stable, and
+    J >= m adds the first vanishing term.
+    """
+    return max(math.fsum(row) for row in taibleson_terms(k, J))

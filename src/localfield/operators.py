@@ -14,9 +14,17 @@ operator takes an AngularKernel and refuses one that validate_atom rejects.
 Both operators also take a stack of functions (a row axis), whose rows
 then share one transform of the truncation kernel.
 
+A convolution keeps the resolution of f: if f is constant on the cosets of
+P^l, then f * g = f * E_l g, where E_l g averages g over those cosets
+(functions.coarsen_resolution), and f * g is constant on them too.  So the
+truncation kernel and the harness's shell pieces are averaged onto the
+resolution of f (at_resolution) before they are convolved, T_k f is
+computed at the resolution of f whatever the kernel's own resolution, and
+the finer output window output_spec declares is an exact refinement of it.
+
 truncation_kernel is memoized: the harness applies every corpus kernel to
 every corpus function at each k, so without a cache the same (kernel, k,
-jmax) kernel would be rebuilt once per function.  The cache is keyed on
+jmax, l) kernel would be rebuilt once per function.  The cache is keyed on
 the kernel object itself (AngularKernel compares by identity, and the cache
 keeps the key alive, so an id is never reused) and holds at most 32
 entries, enough for one run's distinct keys (20 in the default verify
@@ -66,8 +74,17 @@ def tail_cutoff(out_a: int, f_a: int) -> int:
 
 
 def output_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
-    """The output window the CLI and the harness give T_k f for a resolution-m kernel."""
+    """The output window the CLI gives T_k f for a resolution-m kernel."""
     return window_output_spec(f.a, f.l, m, k)
+
+
+def resolution_spec(f: TestFunction, k: int) -> TruncationSpec:
+    """T_k f at the resolution of f, with one scale of spill room: (a - 1, l).
+
+    T_k f is constant on the cosets of P^l (module docstring), so this window
+    holds it whole; the harness measures every T_k f on it.
+    """
+    return TruncationSpec(k, f.a - 1, f.l)
 
 
 def window_output_spec(a: int, l: int, m: int, k: int) -> TruncationSpec:
@@ -100,18 +117,27 @@ def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElem
     return complex(math.fsum(re), math.fsum(im)) * meas
 
 
+def at_resolution(g: TestFunction, l: int) -> TestFunction:
+    """E_l g where g is finer than l (coarsened no further than its own a), else g.
+
+    f * g = f * at_resolution(g, l) for every f constant on the cosets of P^l.
+    """
+    return coarsen_resolution(g, max(l, g.a)) if g.l > l else g
+
+
 @functools.lru_cache(maxsize=32)
-def truncation_kernel(kernel: AngularKernel, k: int, jmax: int) -> TestFunction:
-    """The windowed convolution kernel |y|^{-1} ext(y) on q^{k+1} <= |y| <= q^{jmax+1}."""
+def truncation_kernel(kernel: AngularKernel, k: int, jmax: int, l: int) -> TestFunction:
+    """The windowed convolution kernel |y|^{-1} ext(y) on q^{k+1} <= |y| <= q^{jmax+1},
+    averaged onto the cosets of P^l (at_resolution) where its own resolution is finer."""
     if k > jmax:
         raise ValueError("empty shell range")
     a = -(jmax + 1)
-    l = max(kernel.m - (k + 1), a)
-    total = np.zeros(kernel.config.p ** (l - a), dtype=np.complex128)
+    res = max(kernel.m - (k + 1), a)
+    total = np.zeros(kernel.config.p ** (res - a), dtype=np.complex128)
     for j in range(k, jmax + 1):
-        piece = refine(shell_piece(kernel, j), a, l)
+        piece = refine(shell_piece(kernel, j), a, res)
         total += q_power(kernel.config.q, -(j + 1)) * piece.values
-    return TestFunction(kernel.config, a, l, total)
+    return at_resolution(TestFunction(kernel.config, a, res, total), l)
 
 
 def _fit_window(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
@@ -139,7 +165,7 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
     """The truncated operator on the declared output window.
 
     Dyadic sum over shells j = spec.k .. tail_cutoff, realized as one group
-    convolution; linear in f and in the kernel.
+    convolution at the resolution of f; linear in f and in the kernel.
     """
     if f.config != kernel.config:
         raise ValueError("function and kernel live on different fields")
@@ -149,7 +175,7 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
     if spec.k > jmax:
         shape = f.values.shape[:-1] + (f.config.p ** (spec.out_l - spec.out_a),)
         return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(shape, dtype=np.complex128))
-    conv = convolve(f, truncation_kernel(kernel, spec.k, jmax))
+    conv = convolve(f, truncation_kernel(kernel, spec.k, jmax, f.l))
     return _fit_window(conv, spec.out_a, spec.out_l)
 
 

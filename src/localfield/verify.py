@@ -21,7 +21,10 @@ outside the canonical byte-compared form.
 
 The protocols loop over kernel and k and take the corpus, which shares one
 window, as stacks of functions: each T_k f, piece convolution and norm runs
-once per stack.  A stack's widest array holds at most STACK_CELLS cells,
+once per stack.  Every T_k f is measured on operators.resolution_spec's
+window, and every shell piece is averaged onto the corpus resolution
+before it is convolved (operators.at_resolution), so no row is finer
+than the corpus.  A stack's widest array holds at most STACK_CELLS cells,
 which bounds peak memory; rows are emitted function by function as before.
 """
 
@@ -60,8 +63,10 @@ from .kernels import (
     shell_piece,
     sphere_cell_count,
     taibleson_modulus,
+    taibleson_terms,
 )
-from .operators import TruncationSpec, apply_atom_operator, apply_truncated, output_spec, tail_cutoff
+from .operators import (TruncationSpec, apply_atom_operator, apply_truncated, at_resolution,
+                        resolution_spec, tail_cutoff)
 
 log = logging.getLogger(__name__)
 
@@ -273,7 +278,7 @@ def _ratio_rows(corpus: Corpus, k_list, params, norms_f, norms_of) -> list:
     norms_tkf = {}
     for ki, kern in enumerate(corpus.kernels):
         for k in k_list:
-            spec = output_spec(corpus.functions[0], kern.m, k)
+            spec = resolution_spec(corpus.functions[0], k)
             norms_tkf[ki, k] = _by_row(corpus, (spec.out_a, spec.out_l),
                                        lambda g: norms_of(apply_truncated(g, kern, spec)))
     rows = []
@@ -343,8 +348,8 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
         for j in (-1, 0, 1):
-            reading, piece = "B" if j == -1 else "A", shell_piece(atom, j)
-            ng = _by_row(corpus, (min(piece.a, a), max(piece.l, l)),
+            reading, piece = "B" if j == -1 else "A", at_resolution(shell_piece(atom, j), l)
+            ng = _by_row(corpus, (min(piece.a, a), l),
                          lambda g: norms_of(convolve(piece, g), "F"))
             worst = [max([0.0] + [num / nf for num, nf in zip(ng[key], norms_f[key]) if nf != 0])
                      for key in f_keys]
@@ -363,7 +368,7 @@ def _reading_b_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSp
         (Fraction(f.config.q) ** (-(j + 1)) for j in range(spec.k, jmax + 1)),
         Fraction(0),
     )
-    out = convolve(shell_piece(atom, -1), f)
+    out = convolve(at_resolution(shell_piece(atom, -1), f.l), f)
     return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
 
 
@@ -392,10 +397,9 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
 
         by_k = {}
         for k in k_list:
-            spec = output_spec(corpus.functions[0], atom.m, k)
-            # the window covers T_k f and the reading-B convolution on (min(a, 0), max(l, m))
-            by_k[k] = _by_row(corpus, (spec.out_a, max(spec.out_l, atom.m)),
-                              lambda g: columns_of(g, spec))
+            spec = resolution_spec(corpus.functions[0], k)
+            # the window covers T_k f and the reading-B convolution on (min(a, 0), l)
+            by_k[k] = _by_row(corpus, (spec.out_a, spec.out_l), lambda g: columns_of(g, spec))
         for fi, (l1_f, l2_f) in enumerate(zip(norms_f[1], norms_f[2])):
             if l2_f == 0 or l1_f == 0:
                 log.info("skipping zero corpus function %d", fi)
@@ -426,8 +430,9 @@ def check_taibleson_class(corpus: Corpus) -> dict:
     """Modulus of every corpus kernel, its stabilization, and operator norms.
 
     Finite-resolution kernels are locally constant, so the smoothness sum
-    stabilizes exactly once the probe depth reaches the resolution: depth
-    m + 1 adds the term j = m, the first that must vanish, to depth m - 1.  The
+    stabilizes exactly once the probe depth reaches the resolution: the
+    term j = m, the first that must vanish, is exactly 0.0 for every unit
+    shift, so depth m + 1 reads what depth m - 1 reads.  The
     table pairs each modulus with the kernel's measured L2 operator norm at
     k = 0 to document that the corpus satisfies both boundedness routes.
     """
@@ -437,9 +442,11 @@ def check_taibleson_class(corpus: Corpus) -> dict:
     for ki, kern in enumerate(corpus.kernels):
         j_stable = max(kern.m - 1, 1)
         modulus = taibleson_modulus(kern, j_stable)
-        stabilized = modulus == taibleson_modulus(kern, kern.m + 1)
+        # the first vanishing term, j = m, must be exactly 0.0 for every unit shift;
+        # for m = 1 it is the whole modulus
+        stabilized = not taibleson_terms(kern, kern.m)[:, -1].any()
         all_stable = all_stable and stabilized
-        spec = output_spec(corpus.functions[0], kern.m, 0)
+        spec = resolution_spec(corpus.functions[0], 0)
         norms_tkf = _by_row(corpus, (spec.out_a, spec.out_l),
                             lambda g: {2: lr_norms(apply_truncated(g, kern, spec), 2)})
         sup_l2 = max([0.0] + [num / nf for num, nf in zip(norms_tkf[2], norms_f[2]) if nf != 0])

@@ -1,5 +1,6 @@
 """Truncated convolution operator: shell sums, per-atom version, spectral sups."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negat
 from localfield.fourier import forward, forward_naive
 from localfield.functions import (
     TestFunction,
+    coarsen_resolution,
+    convolve,
     evaluate,
     from_indicator_combo,
     lr_norm,
+    max_difference,
 )
 from localfield.kernels import (
     atomic_decompose,
@@ -28,6 +32,9 @@ from localfield.operators import (
     _fit_window,
     apply_atom_operator,
     apply_truncated,
+    at_resolution,
+    output_spec,
+    resolution_spec,
     sphere_integral,
     tail_cutoff,
     truncation_kernel,
@@ -160,7 +167,7 @@ def test_shell_piece_invariants():
 def test_truncation_kernel_matches_pieces():
     rng = np.random.default_rng(35)
     kern = random_kernel(rng, Q2, 2)
-    K = truncation_kernel(kern, -2, 1)
+    K = truncation_kernel(kern, -2, 1, 3)  # l = m - (k + 1): nothing to average
     w = K.window
     assert (K.a, K.l) == (-2, 3)
     for _ in range(25):
@@ -205,20 +212,56 @@ def test_apply_truncated_matches_naive_oracle():
 
 
 def test_apply_truncated_matches_sphere_integral_route():
+    # kernel resolution m - (k + 1) = 3 at k = -2 and 2 at k = -1, finer than l = 1
     rng = np.random.default_rng(37)
-    kern = random_kernel(rng, Q3, 2)
-    f = random_fn(rng, Q3, 0, 1)
-    spec = TruncationSpec(-2, -1, 2)
-    got = apply_truncated(f, kern, spec)
-    w = got.window
-    jmax = tail_cutoff(spec.out_a, f.a)
-    for i in range(w.size):
-        x = w.element(i)
-        want = sum(
-            float(Fraction(3) ** (-(j + 1))) * sphere_integral(f, kern, j, x)
-            for j in range(spec.k, jmax + 1)
-        )
-        assert abs(got.values[i] - want) < 1e-12
+    for config in CONFIGS:
+        kern = random_kernel(rng, config, 2)
+        f = random_fn(rng, config, 0, 1)
+        for spec in (TruncationSpec(-2, -1, 2), resolution_spec(f, -1),
+                     output_spec(f, kern.m, -2)):
+            got = apply_truncated(f, kern, spec)
+            w = got.window
+            jmax = tail_cutoff(spec.out_a, f.a)
+            for i in range(w.size):
+                x = w.element(i)
+                want = sum(
+                    float(Fraction(config.q) ** (-(j + 1))) * sphere_integral(f, kern, j, x)
+                    for j in range(spec.k, jmax + 1)
+                )
+                assert abs(got.values[i] - want) < 1e-12
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_convolution_with_a_finer_factor_equals_convolution_with_its_average(config):
+    # f * g = f * E_l g for f constant on the cosets of P^l, one row or a stack
+    rng = np.random.default_rng(54)
+    rows = [random_fn(rng, config, -1, 1) for _ in range(3)]
+    stack = TestFunction(config, -1, 1, np.stack([f.values for f in rows]))
+    finer = [random_fn(rng, config, -2, 3), random_fn(rng, config, 0, 2),
+             shell_piece(random_kernel(rng, config, 3), 0), random_fn(rng, config, 2, 3)]
+    for g in finer:
+        avg = at_resolution(g, 1)
+        assert (avg.a, avg.l) == (g.a, max(g.a, 1))  # never coarser than g's own support
+        for f in rows + [stack]:
+            want, got = convolve(f, g), convolve(f, avg)
+            assert (got.a, got.l) == (want.a, max(g.a, 1))
+            assert max_difference(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_apply_truncated_is_exactly_constant_on_the_cosets_of_f(config):
+    # on output_spec's window, finer than f, the sibling cells of a P^l coset are bit-equal
+    rng = np.random.default_rng(56)
+    kern = random_kernel(rng, config, 3)
+    rows = [random_fn(rng, config, -1, 1) for _ in range(2)]
+    stack = TestFunction(config, -1, 1, np.stack([f.values for f in rows]))
+    for k in (-3, -2, -1):  # m - (k + 1) = 5, 4, 3 > l = 1
+        for f in rows + [stack]:
+            out = apply_truncated(f, kern, output_spec(f, kern.m, k))
+            assert out.l == kern.m - (k + 1) > f.l
+            siblings = out.values.reshape(out.values.shape[:-1] + (-1, config.p ** (f.l - out.a)))
+            assert np.any(siblings != 0)
+            assert np.array_equal(siblings, np.broadcast_to(siblings[..., :1, :], siblings.shape))
 
 
 def test_apply_truncated_zero_kernel_and_empty_range():
@@ -373,14 +416,20 @@ def test_spectral_sup_against_naive_transform():
 def test_cached_truncation_kernel_equals_uncached(config):
     rng = np.random.default_rng(36)
     kern, other = random_kernel(rng, config, 2), random_kernel(rng, config, 2)
-    for k, jmax in ((-2, 1), (-1, 1), (0, 2)):
-        cached = truncation_kernel(kern, k, jmax)
-        assert truncation_kernel(kern, k, jmax) is cached
-        direct = truncation_kernel.__wrapped__(kern, k, jmax)
-        assert (cached.a, cached.l) == (direct.a, direct.l)
+    # l = 3 is never finer than the kernel's own resolution, l = 0 is finer at every k
+    for (k, jmax), l in itertools.product(((-2, 1), (-1, 1), (0, 2)), (3, 0)):
+        cached = truncation_kernel(kern, k, jmax, l)
+        assert truncation_kernel(kern, k, jmax, l) is cached
+        direct = truncation_kernel.__wrapped__(kern, k, jmax, l)
+        assert (cached.a, cached.l) == (direct.a, direct.l) == (-(jmax + 1), min(1 - k, l))
         assert cached.values.tobytes() == direct.values.tobytes()
         # same resolution, different values: a different cache entry
-        assert not np.array_equal(truncation_kernel(other, k, jmax).values, cached.values)
+        assert not np.array_equal(truncation_kernel(other, k, jmax, l).values, cached.values)
+        # the input's resolution is part of the key: the averaged kernel is its own entry
+        full = truncation_kernel(kern, k, jmax, 3)
+        if l < full.l:
+            assert cached is not full
+            assert np.array_equal(cached.values, coarsen_resolution(full, l).values)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")

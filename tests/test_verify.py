@@ -22,7 +22,6 @@ from localfield.kernels import (
     atomic_decompose,
     evaluate_homogeneous,
     h1_upper_bound,
-    kernel_as_test_function,
     make_kernel,
     mean_zero_project,
     shell_piece,
@@ -32,7 +31,9 @@ from localfield.operators import (
     TruncationSpec,
     apply_atom_operator,
     apply_truncated,
+    at_resolution,
     output_spec,
+    resolution_spec,
     truncation_kernel,
 )
 from localfield.verify import (
@@ -51,6 +52,7 @@ from localfield.verify import (
 
 from util import (
     CONFIGS,
+    UnaveragedRoute,
     add_functions,
     per_function_l2_weak,
     per_function_lebesgue,
@@ -354,6 +356,85 @@ def test_taibleson_equals_per_function_route_bit_for_bit(config, monkeypatch):
         assert [row["sup_l2_ratio_k0"] for row in rows] == per_function_taibleson_l2(corpus)
 
 
+# the harness route against the unaveraged route it replaced, on corpora whose
+# kernels (m = 2, 3, and the fixtures) are finer than the window (l = 1) at
+# some k: every value within 1e-12 relative, or both within 1e-15 of 0 where
+# the exact value is 0
+FINER_K_LIST = [-2, -1, 0]
+
+
+def finer_kernel_corpus(config):
+    corpus = small_corpus(config, count=4, window=(-1, 1), resolutions=(2, 3))
+    assert max(kern.m for kern in corpus.kernels) - (FINER_K_LIST[0] + 1) > corpus.window[1]
+    return corpus
+
+
+def same_value(new, old):
+    return abs(new - old) <= 1e-12 * abs(old) or max(abs(new), abs(old)) <= 1e-15
+
+
+def ratio_of(row):
+    return row["ratio"] if isinstance(row, dict) else row[-1]
+
+
+def without_ratio(row):
+    return {**row, "ratio": None} if isinstance(row, dict) else row[:-1]
+
+
+def assert_same_rows(got, want):
+    assert list(map(without_ratio, got)) == list(map(without_ratio, want))
+    for g, w in zip(got, want):
+        assert same_value(ratio_of(g), ratio_of(w)), (g, w)
+
+
+@CONFIG_PARAMS
+def test_lebesgue_equals_the_unaveraged_route(config):
+    corpus = finer_kernel_corpus(config)
+    r_list = [1.5, 2.0, 3.0]
+    est = check_lebesgue_theorem(corpus, FINER_K_LIST, r_list)
+    assert_same_rows(est.ratio_table,
+                     per_function_lebesgue(corpus, FINER_K_LIST, r_list, UnaveragedRoute))
+
+
+@CONFIG_PARAMS
+def test_besov_tl_equals_the_unaveraged_route(config):
+    corpus = finer_kernel_corpus(config)
+    srt_list = [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)]
+    est, pieces = check_besov_tl_theorem(corpus, FINER_K_LIST, srt_list)
+    rows, want_pieces = single_norm_besov_tl(corpus, FINER_K_LIST, srt_list, UnaveragedRoute)
+    assert_same_rows(est.ratio_table, rows)
+    assert_same_rows(pieces, want_pieces)
+
+
+@CONFIG_PARAMS
+def test_taibleson_equals_the_unaveraged_route(config):
+    corpus = finer_kernel_corpus(config)
+    got = [row["sup_l2_ratio_k0"] for row in check_taibleson_class(corpus)["rows"]]
+    want = per_function_taibleson_l2(corpus, UnaveragedRoute)
+    assert all(map(same_value, got, want)), (got, want)
+
+
+@CONFIG_PARAMS
+def test_l2_weak_equals_the_unaveraged_route(config):
+    # a weak11 level measure counts cells with |Bf| > lam, so it may differ
+    # only where a cell of the unaveraged route ties lam within rounding
+    corpus = finer_kernel_corpus(config)
+    lambda_list = [0.05, 0.5, 4.0]
+    rows = check_l2_and_weak11(corpus, FINER_K_LIST, lambda_list)["rows"]
+    want = per_function_l2_weak(corpus, FINER_K_LIST, lambda_list, UnaveragedRoute)
+    atoms = dict(verify._first_atoms(corpus))
+    assert list(map(without_ratio, rows)) == list(map(without_ratio, want))
+    for got, old in zip(rows, want):
+        if got["check"] == "l2":
+            assert same_value(got["ratio"], old["ratio"]), (got, old)
+        elif got["ratio"] != old["ratio"]:
+            atom_id, fi = old["entry"].rsplit(".f", 1)
+            f, atom = corpus.functions[int(fi)], atoms[atom_id]
+            bf = (UnaveragedRoute.truncated(apply_atom_operator, f, atom, old["k"])
+                  if old["reading"] == "A" else UnaveragedRoute.reading_b(f, atom, old["k"]))
+            assert np.any(np.abs(np.abs(bf.values) - old["param"]) <= 1e-12), (got, old)
+
+
 def _stack_count(corpus, window):
     # the number of stacks verify cuts the corpus into for arrays on window
     a, l = window
@@ -384,11 +465,10 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
         # one block stack per stack of f, of T_k f and of piece convolutions
         tkf_stacks = sum(_stack_count(corpus, (spec.out_a, spec.out_l))
                          for kern in corpus.kernels for k in k_list
-                         for spec in [output_spec(f0, kern.m, k)])
+                         for spec in [resolution_spec(f0, k)])
         piece_stacks = sum(_stack_count(corpus, (min(piece.a, a), max(piece.l, l)))
                            for atom in atoms
-                           for piece in [kernel_as_test_function(atom)]
-                           + [shell_piece(atom, j) for j in (0, 1)])
+                           for piece in [at_resolution(shell_piece(atom, j), l) for j in (-1, 0, 1)])
         assert counts["blocks"] == _stack_count(corpus, corpus.window) + tkf_stacks + piece_stacks
         assert counts["convolve"] == piece_stacks
     # the default bound holds each of these stacks in one piece
@@ -413,7 +493,10 @@ def test_piece_rows_take_no_besov_norm(monkeypatch):
     assert len(calls) == n * (1 + len(corpus.kernels) * len(k_list)) * len(srt_list)
 
 
-def test_stacked_laurent_run_keeps_each_transform_within_the_stack_bound(monkeypatch):
+@pytest.fixture(scope="module")
+def laurent_run_dft_shapes():
+    """The shape of every array Window.dft transforms in a laurent p = 3, window -2:2,
+    count 10 run, whose kernels (m up to 4) are finer than its functions (l = 2) at k < m - 3."""
     sizes = []
     dft = Window.dft
 
@@ -421,10 +504,21 @@ def test_stacked_laurent_run_keeps_each_transform_within_the_stack_bound(monkeyp
         sizes.append(np.shape(values))
         return dft(self, values, inverse)
 
-    monkeypatch.setattr(Window, "dft", wrapped)
-    run_verification(config=L3, count=10, window=(-2, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Window, "dft", wrapped)
+        run_verification(config=L3, count=10, window=(-2, 2))
+    return sizes
+
+
+def test_stacked_laurent_run_keeps_each_transform_within_the_stack_bound(laurent_run_dft_shapes):
+    sizes = laurent_run_dft_shapes
     assert all(math.prod(shape) <= max(verify.STACK_CELLS, shape[-1]) for shape in sizes)
     assert any(len(shape) == 2 and shape[0] > 1 for shape in sizes)  # stacks were taken
+
+
+def test_laurent_run_transforms_no_row_finer_than_its_functions(laurent_run_dft_shapes):
+    # every convolution runs on T_k f's window (a - 1, l) = (-3, 2) or inside it
+    assert max(shape[-1] for shape in laurent_run_dft_shapes) <= L3.q ** (2 - (-2) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +591,18 @@ class _ZeroShiftMovesTheFinestDigit(Window):
 def test_taibleson_stabilization_fails_if_the_first_vanishing_term_does_not(
         monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(kernels, "Window", _ZeroShiftMovesTheFinestDigit)
-    report = check_taibleson_class(small_corpus(count=3, resolutions=(2, 3)))
-    assert not any(r["stabilized"] for r in report["rows"])
-    assert report["records"][0]["pass"] is False
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"corpus": {"count": 2}}))
-    assert cli.main(["verify", "--checks", "taibleson", "--window=-1:1", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 1
-    assert "FAIL taibleson_stabilization: measured=0.0 claimed=1.0" in capsys.readouterr().out
+    # at q = 3 the fixture kernels w0 and w1 have m = 1: their one term, j = m, is the modulus
+    for config in (Q2, L3):
+        corpus = small_corpus(config, count=3, resolutions=(2, 3))
+        assert config.q == 2 or [kern.m for kern in corpus.kernels[:2]] == [1, 1]
+        report = check_taibleson_class(corpus)
+        assert not any(r["stabilized"] for r in report["rows"])
+        assert report["records"][0]["pass"] is False
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"field": config.to_dict(), "corpus": {"count": 2}}))
+        assert cli.main(["verify", "--checks", "taibleson", "--window=-1:1", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "FAIL taibleson_stabilization: measured=0.0 claimed=1.0" in capsys.readouterr().out
 
 
 def test_taibleson_rows_stabilize_and_cross_tabulate():

@@ -21,7 +21,8 @@ from localfield.fourier import SpectralFunction
 from localfield.functions import (TestFunction, common_refinement, convolve, lr_norm, refine,
                                   weak_level_measures)
 from localfield.kernels import h1_upper_bound, kernel_as_test_function, shell_piece
-from localfield.operators import apply_atom_operator, apply_truncated, output_spec
+from localfield.operators import (apply_atom_operator, apply_truncated, at_resolution, output_spec,
+                                  resolution_spec, tail_cutoff, truncation_kernel)
 from localfield.verify import _first_atoms, _reading_b_operator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -94,18 +95,65 @@ def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Per-function reference loops for the verify protocols.  Each takes the
 # corpus one function at a time through the one-function public API, in the
-# function-major order the protocols emit, and is the reference the stacked
-# protocols must equal bit for bit.
+# function-major order the protocols emit.  Under HarnessRoute they are the
+# reference the stacked protocols must equal bit for bit; under
+# UnaveragedRoute they compute the same values the long way round.
 
 
-def per_function_lebesgue(corpus, k_list, r_list) -> list:
+class HarnessRoute:
+    """The harness's route: T_k f on operators.resolution_spec's window, at the
+    resolution of f, and every shell piece averaged onto that resolution."""
+
+    @staticmethod
+    def truncated(op, f, kern, k):
+        return op(f, kern, resolution_spec(f, k))
+
+    @staticmethod
+    def reading_b(f, atom, k):
+        return _reading_b_operator(f, atom, resolution_spec(f, k))
+
+    @staticmethod
+    def piece(g, l):
+        return at_resolution(g, l)
+
+
+class UnaveragedRoute:
+    """The route that builds T_k f at the kernel's own resolution: the truncation
+    kernel unaveraged, convolved on output_spec's window, and the shell pieces
+    convolved as they are.  The differential reference for HarnessRoute."""
+
+    @staticmethod
+    def truncated(op, f, kern, k):
+        spec = output_spec(f, kern.m, k)
+        jmax = tail_cutoff(spec.out_a, f.a)
+        if k > jmax:
+            return op(f, kern, spec)  # no shell reaches the window: all zeros
+        # a resolution at least the kernel's own leaves it unaveraged
+        kernel = truncation_kernel(kern, k, jmax, max(f.l, kern.m - (k + 1)))
+        out = convolve(f, kernel)
+        assert (out.a, out.l) == (spec.out_a, spec.out_l)
+        return out
+
+    @staticmethod
+    def reading_b(f, atom, k):
+        jmax = tail_cutoff(f.a - 1, f.a)
+        weight = sum(Fraction(f.config.q) ** (-(j + 1)) for j in range(k, jmax + 1))
+        out = convolve(shell_piece(atom, -1), f)
+        return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
+
+    @staticmethod
+    def piece(g, l):
+        return g
+
+
+def per_function_lebesgue(corpus, k_list, r_list, route=HarnessRoute) -> list:
 
     q = corpus.config.q
     rows = []
     for fi, f in enumerate(corpus.functions):
         for ki, kern in enumerate(corpus.kernels):
             for k in k_list:
-                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                tkf = route.truncated(apply_truncated, f, kern, k)
                 scale = q_power(q, -k) * h1_upper_bound(kern)
                 for r in r_list:
                     nf = lr_norm(f, r)
@@ -116,7 +164,7 @@ def per_function_lebesgue(corpus, k_list, r_list) -> list:
     return rows
 
 
-def single_norm_besov_tl(corpus, k_list, srt_list) -> tuple:
+def single_norm_besov_tl(corpus, k_list, srt_list, route=HarnessRoute) -> tuple:
     """(ratio rows, piece rows), one besov_norm or triebel_lizorkin_norm call per value."""
 
     norm_of = {"B": besov_norm, "F": triebel_lizorkin_norm}
@@ -125,7 +173,7 @@ def single_norm_besov_tl(corpus, k_list, srt_list) -> tuple:
     for fi, f in enumerate(corpus.functions):
         for ki, kern in enumerate(corpus.kernels):
             for k in k_list:
-                tkf = apply_truncated(f, kern, output_spec(f, kern.m, k))
+                tkf = route.truncated(apply_truncated, f, kern, k)
                 scale = q_power(q, -k) * h1_upper_bound(kern)
                 for srt in srt_list:
                     for space in ("B", "F"):
@@ -145,14 +193,14 @@ def single_norm_besov_tl(corpus, k_list, srt_list) -> tuple:
                 for f in corpus.functions:
                     nf = triebel_lizorkin_norm(f, s, r, t).value
                     if nf != 0:
-                        num = triebel_lizorkin_norm(convolve(piece, f), s, r, t).value
-                        worst = max(worst, num / nf)
+                        g = convolve(route.piece(piece, f.l), f)
+                        worst = max(worst, triebel_lizorkin_norm(g, s, r, t).value / nf)
                 piece_rows.append({"atom": atom_id, "reading": reading, "j": j,
                                    "s": s, "r": r, "t": t, "ratio": worst})
     return rows, piece_rows
 
 
-def per_function_l2_weak(corpus, k_list, lambda_list) -> list:
+def per_function_l2_weak(corpus, k_list, lambda_list, route=HarnessRoute) -> list:
 
 
     q = corpus.config.q
@@ -163,9 +211,8 @@ def per_function_l2_weak(corpus, k_list, lambda_list) -> list:
             if l2_f == 0 or l1_f == 0:
                 continue
             for k in k_list:
-                spec = output_spec(f, atom.m, k)
-                for reading, bf in (("A", apply_atom_operator(f, atom, spec)),
-                                    ("B", _reading_b_operator(f, atom, spec))):
+                for reading, bf in (("A", route.truncated(apply_atom_operator, f, atom, k)),
+                                    ("B", route.reading_b(f, atom, k))):
                     claimed_l2 = q_power(q, -k) / (q - 1)
                     measured = [("l2", 2.0, lr_norm(bf, 2) / (claimed_l2 * l2_f))] + [
                         ("weak11", lam,
@@ -177,7 +224,7 @@ def per_function_l2_weak(corpus, k_list, lambda_list) -> list:
     return rows
 
 
-def per_function_taibleson_l2(corpus) -> list:
+def per_function_taibleson_l2(corpus, route=HarnessRoute) -> list:
     """Per kernel: the largest ||T_0 f||_2 / ||f||_2 over the corpus."""
 
     sups = []
@@ -186,7 +233,7 @@ def per_function_taibleson_l2(corpus) -> list:
         for f in corpus.functions:
             nf = lr_norm(f, 2)
             if nf != 0:
-                tkf = apply_truncated(f, kern, output_spec(f, kern.m, 0))
+                tkf = route.truncated(apply_truncated, f, kern, 0)
                 sup_l2 = max(sup_l2, lr_norm(tkf, 2) / nf)
         sups.append(sup_l2)
     return sups
