@@ -35,11 +35,10 @@ from .field import FieldConfig, check_mode, check_prime, check_window, expect, i
 from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, check_level, check_norm_exponent, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, check_resolution, validate_atom
-from .operators import apply_truncated, output_spec, window_output_spec
+from .operators import apply_truncated, output_spec
 from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _ms, canonical_dumps, check_corpus_window,
                      check_count, check_lebesgue_exponent, check_record, check_srt,
-                     check_truncation_level, csv_text, exact_checks_pass, fixture_resolution,
-                     run_verification)
+                     check_truncation_level, csv_text, exact_checks_pass, run_verification)
 
 WINDOW_CELL_CAP = 65536
 
@@ -121,11 +120,11 @@ def _check_cap(q: int, e: int, cells: str, count: int = 1) -> None:
                          "pass --override-window-cap to proceed")
 
 
-def _check_tk_window(q: int, a: int, l: int, m: int, k: int) -> None:
-    """Refuse a k whose T_k f window, for f on (a, l) and a resolution-m kernel, is over the cap."""
-    spec = window_output_spec(a, l, m, k)
+def _check_tk_window(f: TestFunction, m: int, k: int) -> None:
+    """Refuse a k whose apply-tk output window, for a resolution-m kernel, is over the cap."""
+    spec = output_spec(f, m, k)
     e = spec.out_l - spec.out_a
-    _check_cap(q, e, f"k = {k} gives T_k f q^{e}")
+    _check_cap(f.config.q, e, f"k = {k} gives T_k f q^{e}")
 
 
 def _checks(raw: dict, capped: bool, verifying: bool):
@@ -154,10 +153,6 @@ def _checks(raw: dict, capped: bool, verifying: bool):
                           "check names")
     yield "truncations.k_list", lambda ks: expect(
         isinstance(ks, (list, tuple)) and all(map(is_int, ks)), "a list of integers", ks)
-    if capped and verifying:
-        # the finest corpus kernel gives the widest T_k f window
-        m = max([*raw["corpus"]["kernel_resolutions"], fixture_resolution(q)])
-        yield "truncations.k_list", _each(lambda k: _check_tk_window(q, a, l, m, k), "integers")
     if verifying:
         # apply-tk computes no q^-k, so only verify needs it to be a float
         yield "truncations.k_list", _each(lambda k: check_truncation_level(q, k), "integers")
@@ -389,7 +384,7 @@ def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
     kern = _load(args.kernel, f.config, AngularKernel, "kernel")
     if not args.override_window_cap:
         _checked("truncations.k_list", cfg.k_list,
-                 _each(lambda k: _check_tk_window(f.config.q, f.a, f.l, kern.m, k), "integers"))
+                 _each(lambda k: _check_tk_window(f, kern.m, k), "integers"))
     outputs = []
     if kern.is_mean_zero:  # operator precondition; a FAIL check, not a crash
         for k in cfg.k_list:

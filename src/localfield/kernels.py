@@ -23,7 +23,7 @@ import numpy as np
 from .field import (FieldConfig, FieldElement, Window, angular_part, digit_reversal, expect,
                     is_int, q_power)
 from .functions import (TestFunction, _finite_values, _frozen, _value_pairs, check_cell_count,
-                        dyadic_ints, refine)
+                        coarsen_resolution, dyadic_ints, refine)
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
 _GRID_BITS = 48
@@ -284,18 +284,18 @@ def shell_piece(k: AngularKernel, j: int, resolution: int | None = None) -> Test
 
     The extension is constant on cosets at level m - (j+1) inside that
     shell, so the natural window is (-(j+1), m-(j+1)); a finer resolution
-    may be requested for windowed arithmetic against other functions.
-    Multiplying by pi^{-(j+1)} carries that window's cells onto those of the
-    unit-ball window (0, m) with the same digits, so the piece is
+    refines it, a coarser one down to -(j+1) gives its coset average.
+    Multiplying by pi^{-(j+1)} carries the natural window's cells onto those
+    of the unit-ball window (0, m) with the same digits, so the piece is
     kernel_as_test_function(k) relabelled.
     """
     a = -(j + 1)
     natural = k.m + a
     res = natural if resolution is None else resolution
-    if res < natural:
-        raise ValueError("resolution too coarse for the kernel's angular detail")
+    if res < a:
+        raise ValueError("resolution coarser than the shell's support scale")
     piece = TestFunction(k.config, a, natural, kernel_as_test_function(k).values)
-    return refine(piece, a, res)
+    return refine(piece, a, res) if res >= natural else coarsen_resolution(piece, res)
 
 
 # -- Taibleson smoothness modulus ----------------------------------------------

@@ -17,10 +17,11 @@ then share one transform of the truncation kernel.
 A convolution keeps the resolution of f: if f is constant on the cosets of
 P^l, then f * g = f * E_l g, where E_l g averages g over those cosets
 (functions.coarsen_resolution), and f * g is constant on them too.  So the
-truncation kernel and the harness's shell pieces are averaged onto the
-resolution of f (at_resolution) before they are convolved, T_k f is
-computed at the resolution of f whatever the kernel's own resolution, and
-the finer output window output_spec declares is an exact refinement of it.
+truncation kernel is built from shell pieces at the resolution of f
+(kernels.shell_piece), and a shell inside one coset of P^l, which averages
+to the kernel's mean 0, is skipped.  T_k f is computed at the resolution of
+f whatever the kernel's own, and the finer output window output_spec
+declares is an exact refinement of it.
 
 truncation_kernel is memoized: the harness applies every corpus kernel to
 every corpus function at each k, so without a cache the same (kernel, k,
@@ -74,8 +75,9 @@ def tail_cutoff(out_a: int, f_a: int) -> int:
 
 
 def output_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
-    """The output window the CLI gives T_k f for a resolution-m kernel."""
-    return window_output_spec(f.a, f.l, m, k)
+    """The window the CLI gives T_k f: one scale of spill room beyond the support
+    of f, at the finer of its resolution and that of a resolution-m kernel's shell k."""
+    return TruncationSpec(k, f.a - 1, max(f.l, m - (k + 1)))
 
 
 def resolution_spec(f: TestFunction, k: int) -> TruncationSpec:
@@ -85,15 +87,6 @@ def resolution_spec(f: TestFunction, k: int) -> TruncationSpec:
     holds it whole; the harness measures every T_k f on it.
     """
     return TruncationSpec(k, f.a - 1, f.l)
-
-
-def window_output_spec(a: int, l: int, m: int, k: int) -> TruncationSpec:
-    """output_spec for any function on the window (a, l).
-
-    One scale of spill room beyond the support window; resolution fine
-    enough that no stage of the shell sum is coarsened lossily.
-    """
-    return TruncationSpec(k, a - 1, max(l, m - (k + 1), a - 1))
 
 
 def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElement) -> complex:
@@ -117,27 +110,21 @@ def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElem
     return complex(math.fsum(re), math.fsum(im)) * meas
 
 
-def at_resolution(g: TestFunction, l: int) -> TestFunction:
-    """E_l g where g is finer than l (coarsened no further than its own a), else g.
-
-    f * g = f * at_resolution(g, l) for every f constant on the cosets of P^l.
-    """
-    return coarsen_resolution(g, max(l, g.a)) if g.l > l else g
-
-
 @functools.lru_cache(maxsize=32)
 def truncation_kernel(kernel: AngularKernel, k: int, jmax: int, l: int) -> TestFunction:
     """The windowed convolution kernel |y|^{-1} ext(y) on q^{k+1} <= |y| <= q^{jmax+1},
-    averaged onto the cosets of P^l (at_resolution) where its own resolution is finer."""
+    built at res = min(m - (k+1), l), never finer than an f on the cosets of P^l
+    (module docstring); each shell j < -res lies in one coset of P^res, averages
+    to the kernel's exact mean 0 (apply_truncated requires it) and is skipped."""
     if k > jmax:
         raise ValueError("empty shell range")
     a = -(jmax + 1)
-    res = max(kernel.m - (k + 1), a)
+    res = min(kernel.m - (k + 1), l)
     total = np.zeros(kernel.config.p ** (res - a), dtype=np.complex128)
-    for j in range(k, jmax + 1):
-        piece = refine(shell_piece(kernel, j), a, res)
+    for j in range(max(k, -res), jmax + 1):
+        piece = refine(shell_piece(kernel, j, res), a, res)
         total += q_power(kernel.config.q, -(j + 1)) * piece.values
-    return at_resolution(TestFunction(kernel.config, a, res, total), l)
+    return TestFunction(kernel.config, a, res, total)
 
 
 def _fit_window(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
@@ -147,8 +134,6 @@ def _fit_window(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
     g = f
     if a_new > g.a:
         g = restrict_support(g, a_new)
-    elif a_new < g.a:
-        g = refine(g, a_new, g.l)
     if l_new < g.l:
         c = coarsen_resolution(g, l_new)
         tol = 1e-9 * (1.0 + np.max(np.abs(g.values), axis=-1, initial=0.0))

@@ -22,9 +22,9 @@ outside the canonical byte-compared form.
 The protocols loop over kernel and k and take the corpus, which shares one
 window, as stacks of functions: each T_k f, piece convolution and norm runs
 once per stack.  Every T_k f is measured on operators.resolution_spec's
-window, and every shell piece is averaged onto the corpus resolution
-before it is convolved (operators.at_resolution), so no row is finer
-than the corpus.  A stack's widest array holds at most STACK_CELLS cells,
+window, and every shell piece is taken at the corpus resolution
+(kernels.shell_piece averages a finer one), so no row is finer than the
+corpus.  A stack's widest array holds at most STACK_CELLS cells,
 which bounds peak memory; rows are emitted function by function as before.
 """
 
@@ -65,8 +65,8 @@ from .kernels import (
     taibleson_modulus,
     taibleson_terms,
 )
-from .operators import (TruncationSpec, apply_atom_operator, apply_truncated, at_resolution,
-                        resolution_spec, tail_cutoff)
+from .operators import (TruncationSpec, apply_atom_operator, apply_truncated, resolution_spec,
+                        tail_cutoff)
 
 log = logging.getLogger(__name__)
 
@@ -348,7 +348,7 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
         for j in (-1, 0, 1):
-            reading, piece = "B" if j == -1 else "A", at_resolution(shell_piece(atom, j), l)
+            reading, piece = "B" if j == -1 else "A", shell_piece(atom, j, l)
             ng = _by_row(corpus, (min(piece.a, a), l),
                          lambda g: norms_of(convolve(piece, g), "F"))
             worst = [max([0.0] + [num / nf for num, nf in zip(ng[key], norms_f[key]) if nf != 0])
@@ -368,7 +368,7 @@ def _reading_b_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSp
         (Fraction(f.config.q) ** (-(j + 1)) for j in range(spec.k, jmax + 1)),
         Fraction(0),
     )
-    out = convolve(at_resolution(shell_piece(atom, -1), f.l), f)
+    out = convolve(shell_piece(atom, -1, f.l), f)
     return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
 
 

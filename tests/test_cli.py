@@ -11,7 +11,7 @@ import pytest
 
 from localfield import cli, verify
 from localfield.cli import ConfigError, main, parse_config
-from localfield.field import Ball, FieldConfig, FieldElement
+from localfield.field import Ball, FieldConfig, FieldElement, Window
 from localfield.functions import TestFunction, from_indicator_combo, refine
 from localfield.kernels import make_kernel
 from localfield.verify import DEFAULT_SRT_LIST
@@ -202,7 +202,7 @@ def test_bad_lambda_exits_2_with_key_path(tmp_path, capsys, flag, in_file):
     ({"window": [1, 3]}, "window: verify needs a <= 0 < l"),
     ({"window": [0, 0]}, "window: verify needs a <= 0 < l"),
     ({"window": [-1, 0]}, "window: verify needs a <= 0 < l"),
-    ({"truncations": {"k_list": [0, -60]}}, "truncations.k_list: k = -60 gives T_k f q^67 cells"),
+    ({"truncations": {"k_list": [0, -1024]}}, "truncations.k_list: k = -1024 makes q^-k = 2^1024"),
     ({"parameters": {"r_list": [10**400]}}, "parameters.r_list: Lebesgue exponent r = 1000"),
     ({"parameters": {"srt_list": [[1, 10**400, 2]]}}, "parameters.srt_list: (s, r, t) = (1, 1000"),
     ({"truncations": {"k_list": [0, 1075]}}, "truncations.k_list: k = 1075 makes q^-k = 2^-1075"),
@@ -254,21 +254,28 @@ def test_verify_l2_weak_runs_at_the_largest_truncation_level(tmp_path, capsys):
     assert "PASS l2_bound_reading_a" in capsys.readouterr().out
 
 
-def test_verify_truncation_window_cap_and_override():
-    # default window (-3, 3), finest kernel m = 4: T_k f has 2^(max(3, 3 - k) + 4) cells
-    assert parse_config(overrides={"truncations.k_list": [-9]}, command="verify").k_list == (-9,)
-    for k in (-10, -10**12):
-        with pytest.raises(ConfigError, match=r"^truncations\.k_list: .*override-window-cap"):
-            parse_config(overrides={"truncations.k_list": [0, k]}, command="verify")
-    # the fixture kernel (m = 2 when q = 2) counts though no resolution is asked for
-    with pytest.raises(ConfigError, match=r"^truncations\.k_list: "):
-        parse_config(overrides={"corpus.kernel_resolutions": [], "truncations.k_list": [-12]},
-                     command="verify")
-    cfg = parse_config(overrides={"truncations.k_list": [-10]}, override_window_cap=True,
-                       command="verify")
-    assert cfg.k_list == (-10,)
-    # other commands build no corpus, so the list is theirs to check
-    assert parse_config(overrides={"truncations.k_list": [-60]}).k_list == (-60,)
+def test_verify_runs_deep_truncation_levels_on_the_corpus_cells(tmp_path, monkeypatch):
+    # verify caps no k: below -l the truncation kernel skips the shells that
+    # average to 0, so every transformed row stays within q^(l-a+1) cells
+    widths = []
+    dft = Window.dft
+
+    def wrapped(self, values, inverse=False):
+        widths.append(np.shape(values)[-1])
+        return dft(self, values, inverse)
+
+    monkeypatch.setattr(Window, "dft", wrapped)
+    cfg = write_json(tmp_path / "cfg.json", {"corpus": {"count": 3}})
+    for k in (-60, -1023):
+        out = tmp_path / f"k{-k}"
+        widths.clear()
+        assert main(["verify", "--config", cfg, f"--k={k}", "--window=-1:1",
+                     "--out", str(out)]) == 0
+        # strict JSON, and no measured value written as a non-finite string
+        text = (out / "report.json").read_text()
+        assert json.loads(text, parse_constant=_refuse_constant)["tables"]["lebesgue"]
+        assert all(f'"{word}"' not in text for word in ("inf", "-inf", "nan"))
+        assert widths and max(widths) <= 2 ** (1 - (-1) + 1)
 
 
 @pytest.mark.parametrize("k", [-60, -10**12])

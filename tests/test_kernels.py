@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from localfield.field import FieldConfig, FieldElement, Window, add, prime_shift, valuation
-from localfield.functions import evaluate, lr_norm, max_difference, refine
+from localfield.functions import coarsen_resolution, evaluate, lr_norm, max_difference, refine
 from localfield.kernels import (
     AngularKernel,
     _exactly_mean_zero,
@@ -382,8 +382,13 @@ def test_shell_piece_resolution():
     f = shell_piece(k, 1)
     g = shell_piece(k, 1, resolution=f.l + 2)
     assert max_difference(refine(f, f.a, f.l + 2), g) == 0
-    with pytest.raises(ValueError):
-        shell_piece(k, 0, resolution=k.m - 2)
+    # coarser than natural, down to the support scale: the coset average, bit for bit
+    for res in (f.l - 1, f.a):
+        c = shell_piece(k, 1, resolution=res)
+        assert (c.a, c.l) == (f.a, res)
+        assert c.values.tobytes() == coarsen_resolution(f, res).values.tobytes()
+    with pytest.raises(ValueError, match="support scale"):
+        shell_piece(k, 0, resolution=-2)
 
 
 # -- Taibleson smoothness modulus

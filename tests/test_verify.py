@@ -1,5 +1,6 @@
 """Verification harness: corpus determinism, ratio protocols, report plumbing."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -31,9 +32,9 @@ from localfield.operators import (
     TruncationSpec,
     apply_atom_operator,
     apply_truncated,
-    at_resolution,
     output_spec,
     resolution_spec,
+    tail_cutoff,
     truncation_kernel,
 )
 from localfield.verify import (
@@ -468,7 +469,7 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
                          for spec in [resolution_spec(f0, k)])
         piece_stacks = sum(_stack_count(corpus, (min(piece.a, a), max(piece.l, l)))
                            for atom in atoms
-                           for piece in [at_resolution(shell_piece(atom, j), l) for j in (-1, 0, 1)])
+                           for piece in [shell_piece(atom, j, l) for j in (-1, 0, 1)])
         assert counts["blocks"] == _stack_count(corpus, corpus.window) + tkf_stacks + piece_stacks
         assert counts["convolve"] == piece_stacks
     # the default bound holds each of these stacks in one piece
@@ -519,6 +520,26 @@ def test_stacked_laurent_run_keeps_each_transform_within_the_stack_bound(laurent
 def test_laurent_run_transforms_no_row_finer_than_its_functions(laurent_run_dft_shapes):
     # every convolution runs on T_k f's window (a - 1, l) = (-3, 2) or inside it
     assert max(shape[-1] for shape in laurent_run_dft_shapes) <= L3.q ** (2 - (-2) + 1)
+
+
+def test_truncation_kernel_builds_nothing_finer_than_its_functions(monkeypatch):
+    # the laurent p = 3, window -2:2 kernels reach m = 4, so m - (k + 1) reaches 6 > l = 2
+    corpus = generate_corpus(L3, 42, 2, (-2, 2), (2, 3, 4))
+    f = corpus.functions[0]
+    widths = []
+    post_init = TestFunction.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        widths.append(self.values.shape[-1])
+
+    monkeypatch.setattr(TestFunction, "__post_init__", recorded)
+    spec = resolution_spec(f, 0)
+    jmax = tail_cutoff(spec.out_a, f.a)
+    for kern, k in itertools.product(corpus.kernels, range(-3, 1)):
+        truncation_kernel.__wrapped__(kern, k, jmax, f.l)
+    assert max(kern.m for kern in corpus.kernels) == 4
+    assert widths and max(widths) <= L3.q ** (f.l - f.a + 1)
 
 
 # ---------------------------------------------------------------------------

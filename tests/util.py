@@ -20,9 +20,9 @@ from localfield.field import FieldConfig, FieldElement, q_power
 from localfield.fourier import SpectralFunction
 from localfield.functions import (TestFunction, common_refinement, convolve, lr_norm, refine,
                                   weak_level_measures)
-from localfield.kernels import h1_upper_bound, kernel_as_test_function, shell_piece
-from localfield.operators import (apply_atom_operator, apply_truncated, at_resolution, output_spec,
-                                  resolution_spec, tail_cutoff, truncation_kernel)
+from localfield.kernels import h1_upper_bound, shell_piece
+from localfield.operators import (apply_atom_operator, apply_truncated, output_spec, resolution_spec,
+                                  tail_cutoff, truncation_kernel)
 from localfield.verify import _first_atoms, _reading_b_operator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,7 +102,7 @@ def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
 
 class HarnessRoute:
     """The harness's route: T_k f on operators.resolution_spec's window, at the
-    resolution of f, and every shell piece averaged onto that resolution."""
+    resolution of f, and every shell piece taken at that resolution."""
 
     @staticmethod
     def truncated(op, f, kern, k):
@@ -113,8 +113,8 @@ class HarnessRoute:
         return _reading_b_operator(f, atom, resolution_spec(f, k))
 
     @staticmethod
-    def piece(g, l):
-        return at_resolution(g, l)
+    def piece(atom, j, l):
+        return shell_piece(atom, j, l)
 
 
 class UnaveragedRoute:
@@ -142,8 +142,8 @@ class UnaveragedRoute:
         return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
 
     @staticmethod
-    def piece(g, l):
-        return g
+    def piece(atom, j, l):
+        return shell_piece(atom, j)
 
 
 def per_function_lebesgue(corpus, k_list, r_list, route=HarnessRoute) -> list:
@@ -185,15 +185,13 @@ def single_norm_besov_tl(corpus, k_list, srt_list, route=HarnessRoute) -> tuple:
                         rows.append((f"f{fi}.w{ki}", k, (space,) + srt, ratio))
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
-        pieces = [("B", -1, kernel_as_test_function(atom))] + [
-            ("A", j, shell_piece(atom, j)) for j in (0, 1)]
-        for reading, j, piece in pieces:
+        for reading, j in (("B", -1), ("A", 0), ("A", 1)):
             for s, r, t in srt_list:
                 worst = 0.0
                 for f in corpus.functions:
                     nf = triebel_lizorkin_norm(f, s, r, t).value
                     if nf != 0:
-                        g = convolve(route.piece(piece, f.l), f)
+                        g = convolve(route.piece(atom, j, f.l), f)
                         worst = max(worst, triebel_lizorkin_norm(g, s, r, t).value / nf)
                 piece_rows.append({"atom": atom_id, "reading": reading, "j": j,
                                    "s": s, "r": r, "t": t, "ratio": worst})
