@@ -35,7 +35,7 @@ from .field import FieldConfig, check_mode, check_prime, check_window, expect, i
 from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, check_level, check_norm_exponent, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, check_resolution, validate_atom
-from .operators import apply_truncated, output_spec
+from .operators import apply_truncated, resolution_spec
 from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _ms, canonical_dumps, check_corpus_window,
                      check_count, check_lebesgue_exponent, check_record, check_srt,
                      check_truncation_level, csv_text, exact_checks_pass, run_verification)
@@ -118,13 +118,6 @@ def _check_cap(q: int, e: int, cells: str, count: int = 1) -> None:
     if e >= bound.bit_length() or q**e > bound:
         raise ValueError(f"{cells} cells, more than the {WINDOW_CELL_CAP}-cell cap; "
                          "pass --override-window-cap to proceed")
-
-
-def _check_tk_window(f: TestFunction, m: int, k: int) -> None:
-    """Refuse a k whose apply-tk output window, for a resolution-m kernel, is over the cap."""
-    spec = output_spec(f, m, k)
-    e = spec.out_l - spec.out_a
-    _check_cap(f.config.q, e, f"k = {k} gives T_k f q^{e}")
 
 
 def _checks(raw: dict, capped: bool, verifying: bool):
@@ -382,13 +375,10 @@ def _cmd_transform(cfg: RunConfig, args) -> tuple[dict, list]:
 def _cmd_apply_tk(cfg: RunConfig, args) -> tuple[dict, list]:
     f = _load(args.input, cfg.field, TestFunction, "function")
     kern = _load(args.kernel, f.config, AngularKernel, "kernel")
-    if not args.override_window_cap:
-        _checked("truncations.k_list", cfg.k_list,
-                 _each(lambda k: _check_tk_window(f, kern.m, k), "integers"))
     outputs = []
     if kern.is_mean_zero:  # operator precondition; a FAIL check, not a crash
         for k in cfg.k_list:
-            spec = output_spec(f, kern.m, k)
+            spec = resolution_spec(f, k)
             g = apply_truncated(f, kern, spec)
             outputs.append({"k": k, "spec": spec.to_dict(), "result": g.to_dict()})
     checks = [check_record("kernel_mean_zero", True, kern.is_mean_zero, kern.is_mean_zero)]

@@ -19,9 +19,11 @@ P^l, then f * g = f * E_l g, where E_l g averages g over those cosets
 (functions.coarsen_resolution), and f * g is constant on them too.  So the
 truncation kernel is built from shell pieces at the resolution of f
 (kernels.shell_piece), and a shell inside one coset of P^l, which averages
-to the kernel's mean 0, is skipped.  T_k f is computed at the resolution of
-f whatever the kernel's own, and the finer output window output_spec
-declares is an exact refinement of it.
+to the kernel's mean 0, is skipped.  So T_k f is computed at the resolution
+of f on every window, and has one window rule, resolution_spec: the
+resolution of f with one scale of spill room.  A declared window finer than
+f gets the exact refinement of that result; one coarser than f, or narrower
+than its support, is refused.
 
 truncation_kernel is memoized: the harness applies every corpus kernel to
 every corpus function at each k, so without a cache the same (kernel, k,
@@ -41,14 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldElement, add, negate, q_power
-from .functions import (
-    TestFunction,
-    coarsen_resolution,
-    convolve,
-    evaluate,
-    refine,
-    restrict_support,
-)
+from .functions import TestFunction, convolve, evaluate, refine
 from .kernels import AngularKernel, shell_piece, validate_atom
 
 
@@ -74,17 +69,11 @@ def tail_cutoff(out_a: int, f_a: int) -> int:
     return -min(out_a, f_a) - 1
 
 
-def output_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
-    """The window the CLI gives T_k f: one scale of spill room beyond the support
-    of f, at the finer of its resolution and that of a resolution-m kernel's shell k."""
-    return TruncationSpec(k, f.a - 1, max(f.l, m - (k + 1)))
-
-
 def resolution_spec(f: TestFunction, k: int) -> TruncationSpec:
     """T_k f at the resolution of f, with one scale of spill room: (a - 1, l).
 
     T_k f is constant on the cosets of P^l (module docstring), so this window
-    holds it whole; the harness measures every T_k f on it.
+    holds it whole; the harness measures and apply-tk writes every T_k f on it.
     """
     return TruncationSpec(k, f.a - 1, f.l)
 
@@ -127,30 +116,13 @@ def truncation_kernel(kernel: AngularKernel, k: int, jmax: int, l: int) -> TestF
     return TestFunction(kernel.config, a, res, total)
 
 
-def _fit_window(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
-    """Window change that never invents values: restriction may drop outside
-    mass by design, but coarsening is refused unless each row is constant
-    on the coarser cells (up to convolution rounding noise in that row)."""
-    g = f
-    if a_new > g.a:
-        g = restrict_support(g, a_new)
-    if l_new < g.l:
-        c = coarsen_resolution(g, l_new)
-        tol = 1e-9 * (1.0 + np.max(np.abs(g.values), axis=-1, initial=0.0))
-        d = refine(c, g.a, g.l).values - g.values
-        if np.any(np.max(np.hypot(d.real, d.imag), axis=-1, initial=0.0) > tol):
-            raise ValueError("declared output resolution would lose information")
-        g = c
-    elif l_new > g.l:
-        g = refine(g, g.a, l_new)
-    return g
-
-
 def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec) -> TestFunction:
     """The truncated operator on the declared output window.
 
     Dyadic sum over shells j = spec.k .. tail_cutoff, realized as one group
-    convolution at the resolution of f; linear in f and in the kernel.
+    convolution at the resolution of f, then refined onto the window; linear
+    in f and in the kernel.  The window must hold f's cells, out_a <= f.a and
+    out_l >= f.l, or refine raises ValueError.
     """
     if f.config != kernel.config:
         raise ValueError("function and kernel live on different fields")
@@ -161,7 +133,7 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
         shape = f.values.shape[:-1] + (f.config.p ** (spec.out_l - spec.out_a),)
         return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(shape, dtype=np.complex128))
     conv = convolve(f, truncation_kernel(kernel, spec.k, jmax, f.l))
-    return _fit_window(conv, spec.out_a, spec.out_l)
+    return refine(conv, spec.out_a, spec.out_l)
 
 
 def apply_atom_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSpec) -> TestFunction:

@@ -361,13 +361,15 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
     return _estimate(rows), piece_rows
 
 
+def _reading_b_weight(q: int, k: int, jmax: int) -> Fraction:
+    """The sum of q^-(j+1) over j = k .. jmax, exactly; 0 when k > jmax."""
+    q = Fraction(q)
+    return (q ** -k - q ** -(jmax + 1)) / (q - 1) if k <= jmax else Fraction(0)
+
+
 def _reading_b_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSpec) -> TestFunction:
     # literal unit-sphere pieces make the dyadic sum a geometric scalar
-    jmax = tail_cutoff(spec.out_a, f.a)
-    weight = sum(
-        (Fraction(f.config.q) ** (-(j + 1)) for j in range(spec.k, jmax + 1)),
-        Fraction(0),
-    )
+    weight = _reading_b_weight(f.config.q, spec.k, tail_cutoff(spec.out_a, f.a))
     out = convolve(shell_piece(atom, -1, f.l), f)
     return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
 

@@ -27,11 +27,10 @@ from localfield.decomp import (
     littlewood_paley,
     triebel_lizorkin_norm,
 )
-from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate, prime_shift
+from localfield.field import Ball, FieldConfig, FieldElement, Window, add, prime_shift
 from localfield.fourier import forward, forward_naive, inverse, spectral_l2_norm
 from localfield.functions import (
     TestFunction,
-    evaluate,
     from_indicator_combo,
     lr_norm,
     max_difference,
@@ -51,7 +50,6 @@ from localfield.operators import (
     TruncationSpec,
     apply_atom_operator,
     apply_truncated,
-    output_spec,
     tail_cutoff,
 )
 from localfield.verify import (
@@ -61,7 +59,7 @@ from localfield.verify import (
     k_stability,
     run_verification,
 )
-from util import CONFIGS
+from util import CONFIGS, kernel_resolution_spec, naive_sphere_sum, naive_truncated
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -88,34 +86,6 @@ def random_kernel(rng, config, m):
 def unit_ball(config, a=-1, l=2):
     f = from_indicator_combo(config, [(1.0, Ball(FieldElement.zero(config), 0))])
     return refine(f, a, l)
-
-
-def naive_sphere_sum(f, kern, j, x):
-    # direct summation over sphere cosets, field arithmetic only
-    config = f.config
-    level = max(f.l, kern.m - (j + 1))
-    w = Window(config, -(j + 1), level)
-    cells = np.flatnonzero(w.valuation_levels() == -(j + 1))
-    total = 0j
-    for ci in cells:
-        y = w.element(int(ci))
-        total += evaluate(f, add(x, negate(y, level))) * evaluate_homogeneous(kern, y)
-    return total * float(Fraction(config.q) ** (-level))
-
-
-def naive_truncated(f, kern, spec):
-    # definition-level oracle: sum over shells and sphere cosets, no shortcuts
-    config = f.config
-    w = Window(config, spec.out_a, spec.out_l)
-    jmax = -min(spec.out_a, f.a) - 1
-    out = np.zeros(w.size, dtype=complex)
-    for i in range(w.size):
-        x = w.element(i)
-        out[i] = sum(
-            float(Fraction(config.q) ** (-(j + 1))) * naive_sphere_sum(f, kern, j, x)
-            for j in range(spec.k, jmax + 1)
-        )
-    return TestFunction(config, spec.out_a, spec.out_l, out)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +134,7 @@ def test_criterion_02_discretization_identity(capsys):
         m = int(rng.integers(1, 3)) if config.p == 3 else 2
         kern = random_kernel(rng, config, m)
         k = int(rng.integers(-2, 2))
-        spec = output_spec(f, kern.m, k)
+        spec = kernel_resolution_spec(f, kern.m, k)
         got = apply_truncated(f, kern, spec)
         want = naive_truncated(f, kern, spec)
         worst = max(worst, max_difference(got, want))
@@ -189,7 +159,7 @@ def test_criterion_03_atomic_machinery(capsys):
             recon = dec.reconstruction(config, m)
             worst_recon = max(worst_recon, float(np.max(np.abs(recon - kern.values))))
         f = random_fn(rng, config, -1, 2)
-        spec = output_spec(f, kern.m, 0)
+        spec = kernel_resolution_spec(f, kern.m, 0)
         whole = apply_truncated(f, kern, spec)
         parts = np.zeros(whole.values.shape, dtype=complex)
         for lam, atom in atomic_decompose(kern, "haar").terms:
@@ -319,7 +289,7 @@ def test_criterion_08_proof_constant_instrumentation(capsys):
     for fi, (f, kern, k) in enumerate(fixtures):
         corpus = Corpus(f.config, (f.a, f.l), (f,), (kern,))
         atom = _first_atoms(corpus)[0][1]
-        spec = output_spec(f, atom.m, k)
+        spec = kernel_resolution_spec(f, atom.m, k)
         oracles = {"A": naive_truncated(f, atom, spec),
                    "B": _reading_b_oracle(f, atom, spec)}
         sup_out = max(float(np.max(np.abs(g.values))) for g in oracles.values())

@@ -10,7 +10,8 @@ tracer's row counters also read the return shape of the verify protocols
 (``est.ratio_table``, ``res[0].ratio_table``, ``res["rows"]``), so each is
 fed a real protocol result here.  Both verify workloads also run one unit, so
 a CLI change that breaks cli.parse_config or cli.main as the benchmark calls
-them fails here.
+them fails here, and their oracle samples, so a change that breaks
+apply_truncated on a window finer than f fails here too.
 """
 
 import ast
@@ -93,3 +94,10 @@ def test_row_hook_counts_a_protocol_result(attr, name, hook):
 def test_verify_workload_runs_one_unit(tmp_path, name):
     _, ops = workloads.WORKLOADS[name](42, tmp_path).run_unit()
     assert ops == (1, 0)
+
+
+# the verify workloads' output check calls apply_truncated on perfbench's own
+# window, finer than the resolution of f, against the sphere-integral oracle
+@pytest.mark.parametrize("name", ["verify-padic2", "verify-laurent3"])
+def test_verify_workload_oracle_samples_pass(tmp_path, name):
+    assert workloads.WORKLOADS[name](42, tmp_path).check_run() == (8, 0)

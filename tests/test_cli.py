@@ -13,9 +13,10 @@ from localfield import cli, verify
 from localfield.cli import ConfigError, main, parse_config
 from localfield.field import Ball, FieldConfig, FieldElement, Window
 from localfield.functions import TestFunction, from_indicator_combo, refine
-from localfield.kernels import make_kernel
+from localfield.kernels import make_kernel, mean_zero_project, sphere_cell_count
+from localfield.operators import apply_truncated, resolution_spec
 from localfield.verify import DEFAULT_SRT_LIST
-from util import run_child
+from util import CONFIGS, kernel_resolution_spec, run_child
 
 Q2 = FieldConfig("padic", 2)
 DATA = Path(__file__).parent / "data"
@@ -278,15 +279,41 @@ def test_verify_runs_deep_truncation_levels_on_the_corpus_cells(tmp_path, monkey
         assert widths and max(widths) <= 2 ** (1 - (-1) + 1)
 
 
-@pytest.mark.parametrize("k", [-60, -10**12])
-def test_apply_tk_refuses_a_truncation_window_over_the_cap(tmp_path, capsys, k):
+def test_apply_tk_writes_deep_truncation_levels_at_the_resolution_of_f(tmp_path):
+    # T_k f is constant on the cells of f, so every k has the window (a - 1, l)
+    # of fn_q2.json's (-1, 2): 16 cells, and no cap applies
     out = tmp_path / "o"
+    ks = [0, -60, -1023, -10**12]
     assert main(["apply-tk", str(DATA / "fn_q2.json"), "--kernel", str(DATA / "kern_q2.json"),
-                 f"--k=0,{k}", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: truncations.k_list: k = {k} gives T_k f q^")
-    assert "--override-window-cap" in err
-    assert not out.exists()
+                 f"--k={','.join(map(str, ks))}", "--out", str(out)]) == 0
+    blob = json.loads((out / "apply_tk.json").read_text())
+    assert [o["k"] for o in blob["outputs"]] == ks
+    for o in blob["outputs"]:
+        assert o["spec"] == {"k": o["k"], "out_a": -2, "out_l": 2}
+        assert (o["result"]["a"], o["result"]["l"]) == (-2, 2)
+        assert len(o["result"]["values"]) == 16
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_apply_tk_refined_to_the_kernel_resolution_window_equals_that_route(tmp_path, config):
+    # m - (k + 1) is above l = 2 at k = -3, -2, equal at -1 and below at 0, 1;
+    # k = 2 lies past the tail cutoff, where T_k f is 0
+    rng = np.random.default_rng(57)
+    n = config.p ** 4
+    f = TestFunction(config, -2, 2, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    v = rng.uniform(-1, 1, sphere_cell_count(config, 2))
+    kern = mean_zero_project(make_kernel(config, v, 2))
+    fn = write_json(tmp_path / "f.json", {"config": config.to_dict(), **f.to_dict()})
+    kpath = write_json(tmp_path / "k.json", {"config": config.to_dict(), **kern.to_dict()})
+    out = tmp_path / "o"
+    assert main(["apply-tk", fn, "--kernel", kpath, "--mode", config.mode, "--p", str(config.p),
+                 "--k=-3,-2,-1,0,1,2", "--out", str(out)]) == 0
+    for o in json.loads((out / "apply_tk.json").read_text())["outputs"]:
+        k = o["k"]
+        assert o["spec"] == resolution_spec(f, k).to_dict()
+        got = TestFunction.from_dict(config, o["result"])
+        want = apply_truncated(f, kern, kernel_resolution_spec(f, kern.m, k))
+        assert refine(got, want.a, want.l).values.tobytes() == want.values.tobytes()
 
 
 def test_norms_keeps_exponents_outside_the_verify_ranges(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate, valuation
+from localfield.field import Ball, FieldConfig, FieldElement, Window, valuation
 from localfield.fourier import forward, forward_naive
 from localfield.functions import (
     TestFunction,
@@ -29,16 +29,16 @@ from localfield.kernels import (
 )
 from localfield.operators import (
     TruncationSpec,
-    _fit_window,
     apply_atom_operator,
     apply_truncated,
-    output_spec,
     resolution_spec,
     sphere_integral,
     tail_cutoff,
     truncation_kernel,
 )
-from util import CONFIGS, integral, random_element, translate
+from localfield.verify import generate_corpus
+from util import (CONFIGS, integral, kernel_resolution_spec, naive_sphere_sum, naive_truncated,
+                  random_element, translate)
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -57,34 +57,6 @@ def random_fn(rng, config, a, l):
 
 def unit_ball_indicator(config):
     return from_indicator_combo(config, [(1.0, Ball(FieldElement.zero(config), 0))])
-
-
-def naive_sphere_sum(f, kern, j, x):
-    # direct summation over sphere cosets, field arithmetic only
-    config = f.config
-    level = max(f.l, kern.m - (j + 1))
-    w = Window(config, -(j + 1), level)
-    cells = np.flatnonzero(w.valuation_levels() == -(j + 1))
-    total = 0j
-    for ci in cells:
-        y = w.element(int(ci))
-        total += evaluate(f, add(x, negate(y, level))) * evaluate_homogeneous(kern, y)
-    return total * float(Fraction(config.q) ** (-level))
-
-
-def naive_truncated(f, kern, spec):
-    # definition-level oracle: sum over shells and sphere cosets, no shortcuts
-    config = f.config
-    w = Window(config, spec.out_a, spec.out_l)
-    jmax = -min(spec.out_a, f.a) - 1
-    out = np.zeros(w.size, dtype=complex)
-    for i in range(w.size):
-        x = w.element(i)
-        out[i] = sum(
-            float(Fraction(config.q) ** (-(j + 1))) * naive_sphere_sum(f, kern, j, x)
-            for j in range(spec.k, jmax + 1)
-        )
-    return TestFunction(config, spec.out_a, spec.out_l, out)
 
 
 # -- sphere integrals
@@ -219,7 +191,7 @@ def test_apply_truncated_matches_sphere_integral_route():
         kern = random_kernel(rng, config, 2)
         f = random_fn(rng, config, 0, 1)
         for spec in (TruncationSpec(-2, -1, 2), resolution_spec(f, -1),
-                     output_spec(f, kern.m, -2), resolution_spec(f, -3),
+                     kernel_resolution_spec(f, kern.m, -2), resolution_spec(f, -3),
                      resolution_spec(f, -4), TruncationSpec(-4, -2, 2)):
             got = apply_truncated(f, kern, spec)
             w = got.window
@@ -251,18 +223,41 @@ def test_convolution_with_a_finer_factor_equals_convolution_with_its_average(con
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
 def test_apply_truncated_is_exactly_constant_on_the_cosets_of_f(config):
-    # on output_spec's window, finer than f, the sibling cells of a P^l coset are bit-equal
+    # on kernel_resolution_spec's window, finer than f, the sibling cells of a
+    # P^l coset are bit-equal
     rng = np.random.default_rng(56)
     kern = random_kernel(rng, config, 3)
     rows = [random_fn(rng, config, -1, 1) for _ in range(2)]
     stack = TestFunction(config, -1, 1, np.stack([f.values for f in rows]))
     for k in (-3, -2, -1):  # m - (k + 1) = 5, 4, 3 > l = 1
         for f in rows + [stack]:
-            out = apply_truncated(f, kern, output_spec(f, kern.m, k))
+            out = apply_truncated(f, kern, kernel_resolution_spec(f, kern.m, k))
             assert out.l == kern.m - (k + 1) > f.l
             siblings = out.values.reshape(out.values.shape[:-1] + (-1, config.p ** (f.l - out.a)))
             assert np.any(siblings != 0)
             assert np.array_equal(siblings, np.broadcast_to(siblings[..., :1, :], siblings.shape))
+
+
+def dilate(f, n):
+    """D_n f: the values of f on the window (a - n, l - n)."""
+    return TestFunction(f.config, f.a - n, f.l - n, f.values)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_apply_truncated_commutes_with_dilation(config):
+    # T_k(D_n f) = D_n(T_(k-n) f): T_k f's one window moves with f, and the
+    # operator norm of T_k does not depend on k
+    corpus = generate_corpus(config, 42, 3, (-2, 2), (2, 3))
+    for f, kern, n, k in itertools.product(corpus.functions, corpus.kernels, (-2, -1, 1, 2),
+                                           range(-3, 1)):
+        g = dilate(f, n)
+        lhs = apply_truncated(g, kern, resolution_spec(g, k))
+        rhs = dilate(apply_truncated(f, kern, resolution_spec(f, k - n)), n)
+        assert (lhs.a, lhs.l) == (rhs.a, rhs.l)
+        if config.q == 2:
+            assert lhs.values.tobytes() == rhs.values.tobytes()
+        else:
+            assert max_difference(lhs, rhs) <= 1e-12 * np.max(np.abs(rhs.values))
 
 
 def test_apply_truncated_zero_kernel_and_empty_range():
@@ -311,6 +306,9 @@ def test_apply_truncated_rejections():
         apply_truncated(f, make_kernel(Q3, [1, 0, 0, -1, 0, 0], 2), TruncationSpec(-1, -1, 1))
     with pytest.raises(ValueError):
         TruncationSpec(-1, 2, 1)
+    # a window narrower than the support of f cannot hold T_k f
+    with pytest.raises(ValueError):
+        apply_truncated(f, make_kernel(Q2, [1, -1], 2), TruncationSpec(-2, f.a + 1, f.l + 1))
 
 
 def test_apply_truncated_refuses_lossy_resolution():
@@ -453,16 +451,3 @@ def test_stacked_operators_equal_one_function_route_bit_for_bit(config):
             assert out.values.shape == (len(rows), Window(config, spec.out_a, spec.out_l).size)
             for i, f in enumerate(rows):
                 assert out.values[i].tobytes() == op(f, kernel, spec).values.tobytes()
-
-
-def test_fit_window_coarsening_tolerance_is_per_row():
-    # on window (0, 2), cells n and n + 2 share a P^1 coset; both rows differ
-    # there by 1e-4, within the tolerance of the large row but not the small one
-    big = np.array([1e6, 2e6, 1e6 + 1e-4, 2e6])
-    small = np.array([1.0, 2.0, 1.0 + 1e-4, 2.0])
-    fit = _fit_window(TestFunction(Q2, 0, 2, np.stack([big, big])), 0, 1)
-    assert fit.values.shape == (2, 2)
-    with pytest.raises(ValueError, match="lose information"):
-        _fit_window(TestFunction(Q2, 0, 2, np.stack([big, small])), 0, 1)
-    with pytest.raises(ValueError, match="lose information"):
-        _fit_window(TestFunction(Q2, 0, 2, small), 0, 1)

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from localfield import cli, decomp, kernels, verify
-from localfield.field import Ball, FieldConfig, FieldElement, Window, add, negate
+from localfield.field import Ball, FieldConfig, FieldElement, Window
 from localfield.functions import (
     TestFunction,
     convolve,
-    evaluate,
     from_indicator_combo,
     lr_norm,
     max_difference,
@@ -21,7 +20,6 @@ from localfield.functions import (
 )
 from localfield.kernels import (
     atomic_decompose,
-    evaluate_homogeneous,
     h1_upper_bound,
     make_kernel,
     mean_zero_project,
@@ -32,7 +30,6 @@ from localfield.operators import (
     TruncationSpec,
     apply_atom_operator,
     apply_truncated,
-    output_spec,
     resolution_spec,
     tail_cutoff,
     truncation_kernel,
@@ -40,6 +37,7 @@ from localfield.operators import (
 from localfield.verify import (
     Corpus,
     OperatorNormEstimate,
+    _reading_b_weight,
     canonical_dumps,
     check_besov_tl_theorem,
     check_l2_and_weak11,
@@ -55,6 +53,8 @@ from util import (
     CONFIGS,
     UnaveragedRoute,
     add_functions,
+    kernel_resolution_spec,
+    naive_truncated,
     per_function_l2_weak,
     per_function_lebesgue,
     per_function_taibleson_l2,
@@ -65,32 +65,6 @@ from util import (
 
 Q2 = FieldConfig("padic", 2)
 L3 = FieldConfig("laurent", 3)
-
-
-def naive_sphere_sum(f, kern, j, x):
-    config = f.config
-    level = max(f.l, kern.m - (j + 1))
-    w = Window(config, -(j + 1), level)
-    cells = np.flatnonzero(w.valuation_levels() == -(j + 1))
-    total = 0j
-    for ci in cells:
-        y = w.element(int(ci))
-        total += evaluate(f, add(x, negate(y, level))) * evaluate_homogeneous(kern, y)
-    return total * float(Fraction(config.q) ** (-level))
-
-
-def naive_truncated(f, kern, spec):
-    config = f.config
-    w = Window(config, spec.out_a, spec.out_l)
-    jmax = -min(spec.out_a, f.a) - 1
-    out = np.zeros(w.size, dtype=complex)
-    for i in range(w.size):
-        x = w.element(i)
-        out[i] = sum(
-            float(Fraction(config.q) ** (-(j + 1))) * naive_sphere_sum(f, kern, j, x)
-            for j in range(spec.k, jmax + 1)
-        )
-    return TestFunction(config, spec.out_a, spec.out_l, out)
 
 
 def small_corpus(config=Q2, count=3, window=(-2, 2), resolutions=(2,), seed=42):
@@ -177,7 +151,7 @@ def test_lebesgue_fixture_ratios_match_naive_oracle():
         for ki, kern in enumerate(corpus.kernels):
             h1 = h1_upper_bound(kern)
             for k in (-1, 0):
-                spec = output_spec(f, kern.m, k)
+                spec = kernel_resolution_spec(f, kern.m, k)
                 oracle = naive_truncated(f, kern, spec)
                 denom = float(Fraction(Q2.q) ** (-k)) * h1 * lr_norm(f, 2)
                 want = lr_norm(oracle, 2) / denom
@@ -570,7 +544,7 @@ def test_l2_weak_fixture_against_brute_force():
     rows = report["rows"]
     reading_a_l2 = [r for r in rows if r["check"] == "l2" and r["reading"] == "A"]
     assert len(reading_a_l2) == 1
-    spec = output_spec(f, atom.m, 0)
+    spec = kernel_resolution_spec(f, atom.m, 0)
     oracle = naive_truncated(f, atom, spec)
     claimed = float(Fraction(Q2.q) ** 0) / (Q2.q - 1)
     want = lr_norm(oracle, 2) / (claimed * lr_norm(f, 2))
@@ -596,6 +570,15 @@ def test_l2_reading_b_bound_holds_across_corpus():
         "weak11_bound_reading_a",
         "weak11_bound_reading_b",
     }
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_reading_b_weight_is_the_geometric_sum_in_closed_form(q):
+    jmax = tail_cutoff(-3, -2)  # the corpus window -2:2 spills to out_a = -3
+    # past jmax the sum is empty, where the closed form alone would go negative
+    for k in (0, -60, -1023, jmax + 1, 1074):
+        summed = sum((Fraction(q) ** (-(j + 1)) for j in range(k, jmax + 1)), Fraction(0))
+        assert _reading_b_weight(q, k, jmax) == summed
 
 
 # ---------------------------------------------------------------------------

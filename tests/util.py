@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from localfield.decomp import besov_norm, triebel_lizorkin_norm
-from localfield.field import FieldConfig, FieldElement, q_power
+from localfield.field import FieldConfig, FieldElement, Window, add, negate, q_power
 from localfield.fourier import SpectralFunction
-from localfield.functions import (TestFunction, common_refinement, convolve, lr_norm, refine,
-                                  weak_level_measures)
-from localfield.kernels import h1_upper_bound, shell_piece
-from localfield.operators import (apply_atom_operator, apply_truncated, output_spec, resolution_spec,
-                                  tail_cutoff, truncation_kernel)
+from localfield.functions import (TestFunction, common_refinement, convolve, evaluate, lr_norm,
+                                  refine, weak_level_measures)
+from localfield.kernels import evaluate_homogeneous, h1_upper_bound, shell_piece
+from localfield.operators import (TruncationSpec, apply_atom_operator, apply_truncated,
+                                  resolution_spec, tail_cutoff, truncation_kernel)
 from localfield.verify import _first_atoms, _reading_b_operator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -83,6 +83,40 @@ def linf_norm(f: TestFunction) -> float:
     return float(np.max(np.hypot(f.values.real, f.values.imag)))
 
 
+def kernel_resolution_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
+    """T_k f's window at the finer of the resolution of f and that of a
+    resolution-m kernel's shell k: an exact refinement of resolution_spec's."""
+    return TruncationSpec(k, f.a - 1, max(f.l, m - (k + 1)))
+
+
+def naive_sphere_sum(f, kern, j, x):
+    # direct summation over sphere cosets, field arithmetic only
+    config = f.config
+    level = max(f.l, kern.m - (j + 1))
+    w = Window(config, -(j + 1), level)
+    cells = np.flatnonzero(w.valuation_levels() == -(j + 1))
+    total = 0j
+    for ci in cells:
+        y = w.element(int(ci))
+        total += evaluate(f, add(x, negate(y, level))) * evaluate_homogeneous(kern, y)
+    return total * float(Fraction(config.q) ** (-level))
+
+
+def naive_truncated(f, kern, spec):
+    # definition-level oracle: sum over shells and sphere cosets, no shortcuts
+    config = f.config
+    w = Window(config, spec.out_a, spec.out_l)
+    jmax = -min(spec.out_a, f.a) - 1
+    out = np.zeros(w.size, dtype=complex)
+    for i in range(w.size):
+        x = w.element(i)
+        out[i] = sum(
+            float(Fraction(config.q) ** (-(j + 1))) * naive_sphere_sum(f, kern, j, x)
+            for j in range(spec.k, jmax + 1)
+        )
+    return TestFunction(config, spec.out_a, spec.out_l, out)
+
+
 def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
     """Per spectral cell: the valuation of its representatives.
 
@@ -119,12 +153,13 @@ class HarnessRoute:
 
 class UnaveragedRoute:
     """The route that builds T_k f at the kernel's own resolution: the truncation
-    kernel unaveraged, convolved on output_spec's window, and the shell pieces
-    convolved as they are.  The differential reference for HarnessRoute."""
+    kernel unaveraged, convolved on kernel_resolution_spec's window, and the
+    shell pieces convolved as they are.  The differential reference for
+    HarnessRoute."""
 
     @staticmethod
     def truncated(op, f, kern, k):
-        spec = output_spec(f, kern.m, k)
+        spec = kernel_resolution_spec(f, kern.m, k)
         jmax = tail_cutoff(spec.out_a, f.a)
         if k > jmax:
             return op(f, kern, spec)  # no shell reaches the window: all zeros
