@@ -1,28 +1,31 @@
 """Calderon-Zygmund decomposition, Littlewood-Paley blocks, and B/F norms.
 
-The CZ stopping time walks the q-ary coset tree below a starting ball and
-selects the maximal cosets whose average exceeds the threshold.  The split
-and check_cz_clauses work on the cell values as integers over a common
-power of two, so sums, deviations, squares and comparisons are exact.  Ball
-averages, which floats almost never represent, are one Fraction per ball,
-kept next to the float TestFunction views of the good and bad parts; the
-views are correctly rounded per cell, and the audit evaluates every lemma
-clause exactly, with no float comparisons except for the stored-view
-rounding identities.
+Both halves read one tree, functions.coset_tree: the nested cosets c + P^j
+of the window.  The CZ stopping time walks its exact integer subtree sums
+below a starting ball and selects the maximal cosets whose average exceeds
+the threshold, and the Littlewood-Paley blocks are differences of its coset
+averages.  The split and check_cz_clauses work on the cell values as
+integers over a common power of two, so sums, deviations, squares and
+comparisons are exact.  Ball averages, which floats almost never represent,
+are one Fraction per ball, kept next to the float TestFunction views of the
+good and bad parts; the views are correctly rounded per cell, and the audit
+evaluates every lemma clause exactly, with no float comparisons except for
+the stored-view rounding identities.
 
 Littlewood-Paley block 0 keeps every frequency of absolute value at most 1,
 block j >= 1 keeps the shell of absolute value q^j.  The average E_j f of f
 over the cosets of P^j is the projection onto |xi| <= q^j, so the norms
 take block 0 as E_0 f and block j as the coset-average difference
-E_j f - E_(j-1) f, held at its own resolution min(j, l), with no transform.
-littlewood_paley keeps the multiplier form, apply_multiplier with the shell
-mask as symbol, as the oracle for those blocks.  Besov norms aggregate
-block r-norms in j; the Triebel-Lizorkin norms aggregate pointwise in x
-first.  The two families coincide when r = t.  norm_columns builds the
-blocks once and serves every (s, r, t) triple in B, F or both through the
-same two formulas, one value per row of a stack; besov_norm and
-triebel_lizorkin_norm are its one-row case.  check_norm_srt states the
-triple's domain: a finite s, and r and t norm exponents.
+E_j f - E_(j-1) f of the tree's levels, held at its own resolution
+min(j, l), with no transform.  littlewood_paley keeps the multiplier form,
+apply_multiplier with the shell mask as symbol, as the oracle for those
+blocks.  Besov norms aggregate block r-norms in j; the Triebel-Lizorkin
+norms aggregate pointwise in x first.  The two families coincide when
+r = t.  norm_columns builds the blocks once and serves every (s, r, t)
+triple in B, F or both through the same two formulas, one value per row of
+a stack; besov_norm and triebel_lizorkin_norm are its one-row case.
+check_norm_srt states the triple's domain: a finite s, and r and t norm
+exponents.
 """
 
 import math
@@ -34,8 +37,8 @@ import numpy as np
 
 from .field import Ball, Window, expect, q_power
 from .fourier import apply_multiplier
-from .functions import (TestFunction, _is_real, check_level, check_norm_exponent,
-                        coarsen_resolution, dyadic_ints, lr_norm, lr_norms, refine)
+from .functions import (TestFunction, _is_real, check_level, check_norm_exponent, coset_tree,
+                        dyadic_ints, lr_norm, lr_norms, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +135,8 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     depth_total = g.l - g.a
     ints, den = dyadic_ints(vals)
 
-    # exact subtree sums, bottom up; level d has q^d nodes keyed by residue mod q^d
-    sums = [ints]
-    for _ in range(depth_total):
-        sums.insert(0, sums[0].reshape(q, -1).sum(axis=0))
+    # exact subtree sums; level d has q^d nodes keyed by residue mod q^d
+    sums = coset_tree(ints, q, depth_total, np.sum)[::-1]
     # node (d, t) averages sums[d][t] / (den q^(depth_total - d)); it exceeds lam
     # iff the integer sums[d][t] exceeds the floor of lam den q^(depth_total - d)
     lam_fr = Fraction(lam)
@@ -282,18 +283,15 @@ def _all_blocks(f: TestFunction) -> list:
     """Blocks 0..max(l, 0) of f, block j at index j, on window (a, min(j, l)).
 
     E_j g, the average of g over P^j-cosets, is the projection onto
-    |xi| <= q^j, so block 0 is E_0 g and block j >= 1 is E_j g - E_(j-1) g.
+    |xi| <= q^j, so block 0 is E_0 g and block j >= 1 is E_j g - E_(j-1) g,
+    both read off g's coset_tree.
     """
     g = _padded(f)
-    blocks = []
-    e = g  # E_j g on window (a, j), from j = l down to 0
-    for j in range(g.l, 0, -1):
-        prev = coarsen_resolution(e, j - 1)
-        lifted = np.tile(prev.values, g.config.p)
-        blocks.append(TestFunction(g.config, g.a, j, e.values - lifted))
-        e = prev
-    blocks.append(e)
-    return blocks[::-1]
+    p = g.config.p
+    e = coset_tree(g.values, p, max(g.l, 0))[::-1]  # e[j] = E_j g on window (a, j)
+    blocks = [TestFunction(g.config, g.a, j, e[j] - np.tile(e[j - 1], p))
+              for j in range(1, len(e))]
+    return [TestFunction(g.config, g.a, min(g.l, 0), e[0]), *blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ of field.enumerate_cosets(a, l).  All window bookkeeping is exact; values
 are complex doubles: one row, or a (rows, cells) stack of functions on one
 window, every operation acting along the last axis; lr_norms and
 weak_level_measures give one value per row, each bit for bit its function's.
+coset_tree walks the nested cosets c + P^j of a window: the one tree that
+coarsen_resolution, decomp's blocks and CZ split and the Haar atoms read.
 check_norm_exponent and check_level state the domains of the exponent r and
 the threshold lambda once, for every caller.
 """
@@ -174,32 +176,30 @@ def refine(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
     return TestFunction(f.config, a_new, l_new, vals)
 
 
+def coset_tree(values: np.ndarray, q: int, depth: int, reduce=np.mean) -> list:
+    """[v_0, ..., v_depth], v_0 = values: v_(d+1) reduces over axis -2 the q siblings
+    i, i + n/q, ... of each coset one level up, n the size of v_d's last axis.
+
+    np.mean gives E_l f, E_(l-1) f, ...; np.sum on dyadic_ints' integers the exact sums.
+    """
+    tree = [values]
+    for _ in range(depth):
+        v = tree[-1]
+        tree.append(reduce(v.reshape(v.shape[:-1] + (q, -1)), axis=-2))
+    return tree
+
+
 def coarsen_resolution(f: TestFunction, l_new: int) -> TestFunction:
     """E_{l_new} f: the average of f over each coset of P^{l_new}, a <= l_new <= l.
 
-    The conditional expectation onto the coarser cells, up to the rounding
-    of each mean: it keeps the integral of f, reproduces f where f is
-    already constant on those cosets, and g * f = g * E_{l_new} f for every
-    g constant on them.
+    The last level of f's coset_tree, up to the rounding of each mean: it
+    keeps the integral of f, reproduces f where f is already constant on
+    those cosets, and g * f = g * E_{l_new} f for every g constant on them.
     """
     if l_new < f.a or l_new > f.l:
         raise ValueError("l_new outside [a, l]")
-    p = f.config.p
-    split = (p ** (f.l - l_new), p ** (l_new - f.a))
-    vals = f.values.reshape(f.values.shape[:-1] + split).mean(axis=-2)
+    vals = coset_tree(f.values, f.config.p, f.l - l_new)[-1]
     return TestFunction(f.config, f.a, l_new, vals)
-
-
-def restrict_support(f: TestFunction, a_new: int) -> TestFunction:
-    """Multiply by the indicator of P^{a_new} (a_new >= a); exact."""
-    if a_new < f.a:
-        raise ValueError("restrict_support cannot grow the support ball")
-    if a_new > f.l:
-        # the whole new support ball sits inside f's zero cell
-        return TestFunction(f.config, a_new, a_new, f.values[..., :1])
-    stride = f.config.p ** (a_new - f.a)
-    idx = np.arange(f.config.p ** (f.l - a_new)) * stride
-    return TestFunction(f.config, a_new, f.l, f.values[..., idx])
 
 
 def lr_norms(f: TestFunction, r: float) -> list:

@@ -11,7 +11,9 @@ tracer's row counters also read the return shape of the verify protocols
 fed a real protocol result here.  Both verify workloads also run one unit, so
 a CLI change that breaks cli.parse_config or cli.main as the benchmark calls
 them fails here, and their oracle samples, so a change that breaks
-apply_truncated on a window finer than f fails here too.
+apply_truncated on a window finer than f fails here too.  One large-windows
+unit runs here as well, so the 16,384-cell windows of the transform, the
+Littlewood-Paley blocks and the CZ split and its audit are in the suite.
 """
 
 import ast
@@ -94,6 +96,13 @@ def test_row_hook_counts_a_protocol_result(attr, name, hook):
 def test_verify_workload_runs_one_unit(tmp_path, name):
     _, ops = workloads.WORKLOADS[name](42, tmp_path).run_unit()
     assert ops == (1, 0)
+
+
+# large-windows takes the coset tree to 16,384 cells: _all_blocks in the norms,
+# cz_decompose and check_cz_clauses on 4,096 and 16,384 cells
+def test_large_windows_workload_runs_one_unit(tmp_path):
+    _, ops = workloads.WORKLOADS["large-windows"](42, tmp_path).run_unit()
+    assert ops == (132, 0)
 
 
 # the verify workloads' output check calls apply_truncated on perfbench's own

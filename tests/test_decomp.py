@@ -24,6 +24,8 @@ from localfield.field import Ball, FieldConfig, FieldElement, Window
 from localfield.fourier import forward, forward_naive
 from localfield.functions import (
     TestFunction,
+    coset_tree,
+    dyadic_ints,
     from_indicator_combo,
     lr_norm,
     max_difference,
@@ -33,7 +35,7 @@ from localfield.functions import (
 from localfield.verify import DEFAULT_SRT_LIST
 
 import cz_oracle
-from util import (CONFIGS, add_functions, integral, linf_norm, scalar_multiple,
+from util import (CONFIGS, add_functions, integral, linf_norm, scalar_multiple, seed42_corpus,
                   spectral_valuation_levels)
 
 
@@ -310,6 +312,42 @@ def audited_split():
     clauses, _ = check_cz_clauses(f, dec)
     assert len(dec.balls) >= 2 and all(clauses.values())
     return f, dec, clauses
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_cz_balls_are_the_level_set_of_the_maximal_function(config):
+    """{M f > lam}, M f(x) the largest average of f over a coset c + P^j below the
+    starting ball that holds x, equals the union of the CZ balls cell for cell.
+
+    M f comes from the exact tree: a coset e levels above the cells has an
+    integer sum over den q^e, so its average exceeds lam iff that sum exceeds
+    floor(lam den q^e).  On the seed-42 corpus, f = |corpus function|."""
+    q = config.q
+    cases = 0
+    for h in seed42_corpus(config).functions:
+        f = TestFunction(config, h.a, h.l, np.abs(h.values))
+        depth = f.l - f.a
+        ints, den = dyadic_ints(f.values.real)
+        tree = coset_tree(ints, q, depth, np.sum)
+        cells = np.arange(f.values.size)
+        for factor in (0.5, 1, 1.5, 3):
+            lam = factor * float(np.mean(f.values.real))
+            try:
+                dec = cz_decompose(f, lam, f.a)
+            except ValueError:  # the starting ball's average exceeds lam
+                continue
+            level_set = np.zeros(cells.size, dtype=bool)
+            for e, sums in enumerate(tree[:-1]):
+                bound = math.floor(Fraction(lam) * den * q**e)
+                level_set |= sums[cells % q ** (depth - e)] > bound
+            union = np.zeros(cells.size, dtype=bool)
+            for ball in dec.balls:
+                d = ball.scale - f.a
+                union |= cells % q**d == f.window.index_of(ball.center) % q**d
+            assert np.array_equal(level_set, union)
+            assert dec.exceptional_measure == int(level_set.sum()) * f.cell_measure
+            cases += 1
+    assert cases == {2: 27, 3: 25}[q]  # of 40; 104 of 160 over the four CONFIGS
 
 
 def test_cz_audit_flags_duplicated_and_nested_balls():

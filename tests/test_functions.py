@@ -11,6 +11,7 @@ from localfield.functions import (
     TestFunction,
     coarsen_resolution,
     convolve,
+    coset_tree,
     dyadic_ints,
     evaluate,
     from_indicator_combo,
@@ -19,10 +20,10 @@ from localfield.functions import (
     common_refinement,
     max_difference,
     refine,
-    restrict_support,
     weak_level_measures,
 )
-from util import CONFIGS, add_functions, one, random_element, scalar_multiple, translate
+from util import (CONFIGS, add_functions, one, one_shot_coarsen, random_element, scalar_multiple,
+                  translate)
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -95,24 +96,14 @@ class TestWindowing:
             x = random_element(rng, config, -3, 4)
             assert evaluate(f, x) == evaluate(g, x)
 
-    def test_refine_then_coarsen_and_restrict_roundtrip(self):
+    def test_refine_then_coarsen_roundtrip(self):
         rng = np.random.default_rng(23)
         for config in CONFIGS:
             f = random_function(rng, config, a=0, l=1)
             # coarsening averages q^2 equal copies of each value: exact up to rounding
-            g = restrict_support(coarsen_resolution(refine(f, -2, 3), 1), 0)
-            assert (g.a, g.l) == (0, 1)
+            g = coarsen_resolution(refine(f, -2, 3), 1)
+            assert (g.a, g.l) == (-2, 1)
             assert max_difference(f, g) <= 1e-15
-
-    def test_restrict_support(self):
-        rng = np.random.default_rng(24)
-        f = random_function(rng, Q2, a=-2, l=2)
-        g = restrict_support(f, 0)
-        assert g.a == 0
-        for _ in range(30):
-            x = random_element(rng, Q2, -3, 3)
-            want = evaluate(f, x) if (x.is_zero or x.level >= 0) else 0
-            assert evaluate(g, x) == want
 
     def test_coarsen_exact_when_constant(self):
         f = refine(unit_ball_indicator(Q3), -1, 2)
@@ -301,8 +292,7 @@ class TestStacks:
         rows.append(TestFunction.zero(config, -1, 2))
         stack = TestFunction(config, -1, 2, np.stack([f.values for f in rows]))
         g = random_function(rng, config, a=-2, l=1)
-        ops = [lambda f: refine(f, -3, 3), lambda f: restrict_support(f, 1),
-               lambda f: restrict_support(f, 3), lambda f: coarsen_resolution(f, 0),
+        ops = [lambda f: refine(f, -3, 3), lambda f: coarsen_resolution(f, 0),
                lambda f: convolve(f, g), lambda f: convolve(g, f)]
         for op in ops:
             out = op(stack)
@@ -344,3 +334,35 @@ def test_dyadic_ints_are_exact():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             dyadic_ints([1.0, bad])
+
+
+class TestCosetTree:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+    def test_coarsen_resolution_matches_the_one_shot_mean(self, config):
+        # chained one-level means against one mean over each coset, on a stack and its rows
+        rng = np.random.default_rng(61)
+        rows = [random_function(rng, config, a=-2, l=2) for _ in range(3)]
+        stack = TestFunction(config, -2, 2, np.stack([f.values for f in rows]))
+        for f in (*rows, stack):
+            tol = 1e-15 * float(np.max(np.abs(f.values)))
+            for l_new in range(f.a, f.l + 1):
+                got, want = coarsen_resolution(f, l_new), one_shot_coarsen(f, l_new)
+                assert (got.a, got.l) == (want.a, want.l)
+                assert got.values.shape == want.values.shape
+                assert np.max(np.abs(got.values - want.values)) <= tol
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+    def test_integer_levels_are_the_exact_subtree_sums(self, config):
+        # node t of level e holds the cells i = t mod q^(depth - e), for each row of a stack
+        rng = np.random.default_rng(62)
+        q, depth = config.p, 4
+        vals = rng.uniform(0, 1, (2, q**depth))
+        ints, den = dyadic_ints(vals)
+        tree = coset_tree(ints, q, depth, np.sum)
+        assert len(tree) == depth + 1 and tree[0] is ints
+        for e, level in enumerate(tree):
+            assert level.shape == (2, q ** (depth - e))
+            for sums, row in zip(level, vals):
+                for t, n in enumerate(sums):
+                    cells = row[t::q ** (depth - e)]
+                    assert Fraction(n, den) == sum(map(Fraction, cells), Fraction(0))

@@ -12,6 +12,7 @@ from localfield.functions import coarsen_resolution, evaluate, lr_norm, max_diff
 from localfield.kernels import (
     AngularKernel,
     _exactly_mean_zero,
+    _haar_differences,
     _snap_zero_sum,
     _sup_bound_holds,
     atomic_decompose,
@@ -26,7 +27,8 @@ from localfield.kernels import (
     taibleson_modulus,
     validate_atom,
 )
-from util import CONFIGS, integral, random_element
+from util import (CONFIGS, integral, kernel_order_haar_differences, one_shot_coarsen,
+                  random_element, seed42_corpus)
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -389,6 +391,34 @@ def test_shell_piece_resolution():
         assert c.values.tobytes() == coarsen_resolution(f, res).values.tobytes()
     with pytest.raises(ValueError, match="support scale"):
         shell_piece(k, 0, resolution=-2)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_coset_tree_routes_match_the_replaced_float_routes(config):
+    """Shell-piece averages and Haar differences against the one-shot mean and the
+    kernel-order cube: bit for bit on the seed-42 corpus kernels at q = 2, whose
+    values lie on a 48-bit dyadic grid so that every partial sum is exact, and
+    within 1e-15 x max |value| on every other kernel."""
+    rng = np.random.default_rng(63)
+    corpus = list(seed42_corpus(config).kernels)
+    for k in corpus + [random_kernel(rng, config, m) for m in (1, 2, 3, 4)]:
+        exact = config.q == 2 and k in corpus
+        tol = 1e-15 * float(np.max(np.abs(k.values)))
+        pairs = list(zip(_haar_differences(k), kernel_order_haar_differences(k)))
+        for j in (-1, 0, 1):
+            natural = shell_piece(k, j)
+            pairs += [(shell_piece(k, j, res).values, one_shot_coarsen(natural, res).values)
+                      for res in range(natural.a, natural.l)]
+        assert len(pairs) == 4 * k.m
+        for got, want in pairs:
+            assert got.shape == want.shape
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= tol
+        dec = atomic_decompose(k, strategy="haar")
+        assert np.max(np.abs(dec.reconstruction(config, k.m) - k.values)) < 1e-12
+        assert all(validate_atom(atom).valid for _, atom in dec.terms)
 
 
 # -- Taibleson smoothness modulus

@@ -20,10 +20,10 @@ from localfield.field import FieldConfig, FieldElement, Window, add, negate, q_p
 from localfield.fourier import SpectralFunction
 from localfield.functions import (TestFunction, common_refinement, convolve, evaluate, lr_norm,
                                   refine, weak_level_measures)
-from localfield.kernels import evaluate_homogeneous, h1_upper_bound, shell_piece
+from localfield.kernels import AngularKernel, evaluate_homogeneous, h1_upper_bound, shell_piece
 from localfield.operators import (TruncationSpec, apply_atom_operator, apply_truncated,
                                   resolution_spec, tail_cutoff, truncation_kernel)
-from localfield.verify import _first_atoms, _reading_b_operator
+from localfield.verify import _first_atoms, _reading_b_operator, generate_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,6 +32,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_ADDRESS_SPACE = 2**30
 
 CONFIGS = [FieldConfig("padic", 2), FieldConfig("padic", 3), FieldConfig("laurent", 2), FieldConfig("laurent", 3)]
+
+
+def seed42_corpus(config: FieldConfig, count: int = 10):
+    """The seed-42 corpus at verify's default kernel resolutions, on window -3:3
+    when q = 2 and -2:2 when q = 3."""
+    window = (-3, 3) if config.q == 2 else (-2, 2)
+    return generate_corpus(config, 42, count, window, (2, 3, 4))
 
 
 def random_element(rng: np.random.Generator, config: FieldConfig,
@@ -115,6 +122,33 @@ def naive_truncated(f, kern, spec):
             for j in range(spec.k, jmax + 1)
         )
     return TestFunction(config, spec.out_a, spec.out_l, out)
+
+
+def one_shot_coarsen(f: TestFunction, l_new: int) -> TestFunction:
+    """E_{l_new} f as one mean over the q^(l - l_new) cells of each coset: the
+    differential reference for coarsen_resolution, which chains one-level means
+    down functions.coset_tree."""
+    p = f.config.p
+    split = (p ** (f.l - l_new), p ** (l_new - f.a))
+    vals = f.values.reshape(f.values.shape[:-1] + split).mean(axis=-2)
+    return TestFunction(f.config, f.a, l_new, vals)
+
+
+def kernel_order_haar_differences(k: AngularKernel) -> list:
+    """The Haar martingale differences of k computed in kernel cell order: the
+    depth-d level averages the (q - 1, q^d, q^(m-1-d)) cube of k.values over its
+    last axis, which holds c_(d+1)..c_(m-1) in dictionary order.  The
+    differential reference for kernels._haar_differences."""
+    q = k.config.p
+    prev = np.zeros_like(k.values)
+    out = []
+    for depth in range(k.m):
+        cube = k.values.reshape(q - 1, q**depth, q ** (k.m - 1 - depth))
+        level = np.broadcast_to(cube.mean(axis=2, keepdims=True), cube.shape)
+        level = level.reshape(k.values.shape)
+        out.append(level - prev)
+        prev = level
+    return out
 
 
 def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
