@@ -407,6 +407,10 @@ def _cmd_cz(cfg: RunConfig, args) -> tuple[dict, list]:
 
 def _cmd_norms(cfg: RunConfig, args) -> tuple[dict, list]:
     f = _load(args.input, cfg.field, TestFunction, "function")
+    if not args.override_window_cap:
+        a, q = min(f.a, 0), f.config.q  # the blocks pad the window to reach scale 0
+        _checked("input", f.l - a, lambda e: _check_cap(
+            q, e, f"norms pads the window to ({a}, {f.l}): q^(l-a) = {q}^{e}"))
     table = norm_columns(f, cfg.srt_list)
     reports = []
     checks = []
@@ -528,8 +532,9 @@ def main(argv=None) -> int:
                 [("space", "s", "r", "t", "value"), *map(dict.values, artifact["reports"])]))
         _print_checks(checks)
         return _exit_code(checks)
-    except (ConfigError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, RuntimeError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make; Python's is blank
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -2,15 +2,16 @@
 
 Both halves read one tree, functions.coset_tree: the nested cosets c + P^j
 of the window.  The CZ stopping time walks its exact integer subtree sums
-below a starting ball and selects the maximal cosets whose average exceeds
-the threshold, and the Littlewood-Paley blocks are differences of its coset
-averages.  The split and check_cz_clauses work on the cell values as
-integers over a common power of two, so sums, deviations, squares and
-comparisons are exact.  Ball averages, which floats almost never represent,
-are one Fraction per ball, kept next to the float TestFunction views of the
-good and bad parts; the views are correctly rounded per cell, and the audit
-evaluates every lemma clause exactly, with no float comparisons except for
-the stored-view rounding identities.
+below a starting ball and selects, as tree nodes (residue, depth), the
+maximal cosets whose average exceeds the threshold, and the
+Littlewood-Paley blocks are differences of its coset averages.  The split
+and check_cz_clauses work on the cell values as integers over a common
+power of two, so sums, deviations, squares and comparisons are exact.  Ball
+averages, which floats almost never represent, are one Fraction per ball,
+kept next to the float TestFunction views of the good and bad parts; the
+views are correctly rounded per cell, and the audit evaluates every lemma
+clause exactly, with no float comparisons except for the stored-view
+rounding identities.
 
 Littlewood-Paley block 0 keeps every frequency of absolute value at most 1,
 block j >= 1 keeps the shell of absolute value q^j.  The average E_j f of f
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import Ball, Window, expect, q_power
+from .field import Window, expect, q_power
 from .fourier import apply_multiplier
 from .functions import (TestFunction, _is_real, check_level, check_norm_exponent, coset_tree,
                         dyadic_ints, lr_norm, lr_norms, refine)
@@ -49,10 +50,13 @@ from .functions import (TestFunction, _is_real, check_level, check_norm_exponent
 class CZDecomposition:
     """Stopping-time split f = bad_part + good_part at threshold lam.
 
-    balls are the selected cosets; ball_averages are their exact rational
-    cell averages (the good part's value there).  The float parts are
-    correctly rounded views of the exact split; exceptional_measure is the
-    exact total Haar measure of the selected balls.
+    balls are the selected cosets as coset-tree nodes (residue, depth) of
+    the window (a, l) of the parts: the cells = residue mod q^depth, a coset
+    of P^(a + depth).  to_dict writes each as its center, the window's
+    element at cell residue, and its scale a + depth.  ball_averages are
+    their exact rational cell averages (the good part's value there).  The
+    float parts are correctly rounded views of the exact split;
+    exceptional_measure is the exact total Haar measure of the balls.
     """
 
     lam: float
@@ -63,9 +67,10 @@ class CZDecomposition:
     exceptional_measure: Fraction
 
     def to_dict(self) -> dict:
+        w = self.bad_part.window
         return {
             "lambda": self.lam,
-            "balls": [{"center": b.center.to_dict(), "scale": b.scale} for b in self.balls],
+            "balls": [{"center": w.element(t).to_dict(), "scale": w.a + d} for t, d in self.balls],
             "ball_averages": [[a.numerator, a.denominator] for a in self.ball_averages],
             "bad_part": self.bad_part.to_dict(),
             "good_part": self.good_part.to_dict(),
@@ -89,18 +94,6 @@ def _node_cells(total: int, q: int, depth: int, residue: int) -> np.ndarray:
     # cells of the coset fixing the first `depth` digits: indices = residue mod q^depth
     step = q**depth
     return residue + step * np.arange(total // step)
-
-
-def _ball_cells(w: Window, ball: Ball) -> np.ndarray:
-    # the window cells of a ball; two such balls meet iff they share a cell
-    n = w.index_of(ball.center)
-    if n is None or not w.a < ball.scale <= w.l:
-        raise ValueError(
-            f"ball at scale {ball.scale} is not a proper coset of the window ({w.a}, {w.l}): "
-            f"it needs {w.a} < scale <= {w.l} and a center inside P^{w.a}"
-        )
-    depth = ball.scale - w.a
-    return _node_cells(w.size, w.config.q, depth, n % w.config.q**depth)
 
 
 def _over_common_denominator(ints, den: int, averages, ball_cells) -> tuple:
@@ -158,7 +151,6 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
         covered |= chosen
     nodes.sort()
 
-    w = Window(f.config, g.a, g.l)
     averages = tuple(Fraction(sums[d][t], den * q ** (depth_total - d)) for t, d in nodes)
     cells = [_node_cells(vals.size, q, d, t) for t, d in nodes]
     m, nums, cat, avg_nums = _over_common_denominator(ints, den, averages, cells)
@@ -166,14 +158,13 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     good[cat] = avg_nums / m
     bad = np.zeros(vals.size, dtype=np.complex128)
     bad[cat] = (nums[cat] - avg_nums) / m
-    balls = tuple(Ball(w.element(t), g.a + d) for t, d in nodes)
     return CZDecomposition(
         lam=float(lam),
-        balls=balls,
+        balls=tuple(nodes),
         ball_averages=averages,
         bad_part=TestFunction(f.config, g.a, g.l, bad),
         good_part=TestFunction(f.config, g.a, g.l, good),
-        exceptional_measure=sum((b.measure for b in balls), Fraction(0)),
+        exceptional_measure=cat.size * g.cell_measure,  # the disjoint balls' cells
     )
 
 
@@ -184,7 +175,8 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
     one common denominator.  Returns (clauses, metrics): clauses maps clause
     names to exact booleans, metrics carries the measured quantities (as
     floats) behind them.  Raises ValueError for a ball that is not a proper
-    coset of the decomposition's window.
+    coset of the decomposition's window: a node outside 0 < depth <= l - a,
+    0 <= residue < q^depth.
     """
     if f.config != dec.bad_part.config:
         raise ValueError("decomposition belongs to a different field configuration")
@@ -192,8 +184,11 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
     vals = _real_nonneg_values(g)
     q = f.config.q
     lam_fr = Fraction(dec.lam)
-    w = Window(f.config, g.a, g.l)
-    cells = [_ball_cells(w, b) for b in dec.balls]
+    for t, d in dec.balls:  # two proper cosets meet iff they share a cell
+        expect(0 < d <= g.l - g.a and 0 <= t < q**d,
+               f"a proper coset of the window ({g.a}, {g.l}): a node (residue, depth) with "
+               f"0 < depth <= {g.l - g.a} and 0 <= residue < q^depth", (t, d))
+    cells = [_node_cells(vals.size, q, d, t) for t, d in dec.balls]
     m, nums, cat, avg_nums = _over_common_denominator(
         *dyadic_ints(vals), dec.ball_averages, cells
     )

@@ -43,13 +43,12 @@ from operator import itemgetter
 import numpy as np
 
 from .decomp import check_triple, norm_columns
-from .field import Ball, FieldConfig, FieldElement, check_window, expect, is_int, q_power
+from .field import FieldConfig, check_window, expect, is_int, q_power
 from .functions import (
     TestFunction,
     _is_real,
     check_level,
     convolve,
-    from_indicator_combo,
     lr_norms,
     refine,
     weak_level_measures,
@@ -157,11 +156,8 @@ def generate_corpus(config: FieldConfig, seed: int, count: int, window: tuple,
     check_corpus_window(window)
     a, l = window
     rng = np.random.default_rng(seed)
-    zero = FieldElement.zero(config)
-    fixtures = [
-        refine(from_indicator_combo(config, [(1.0, Ball(zero, 0))]), a, l),
-        refine(from_indicator_combo(config, [(1.0, Ball(zero, 1))]), a, l),
-    ]
+    # the indicator of P^s is the one-cell function 1 on the window (s, s)
+    fixtures = [refine(TestFunction(config, s, s, np.ones(1)), a, l) for s in (0, 1)]
     functions = fixtures[:count]
     size = config.q ** (l - a)
     while len(functions) < count:

@@ -4,7 +4,9 @@ These are the Fraction-per-cell implementations that localfield.decomp
 replaced with an integer core: every cell value becomes a Fraction, subtree
 sums are Fraction sums, and disjointness compares every pair of balls with
 Ball.intersects.  They are quadratic in the ball count, so the differential
-tests run them on small windows only.
+tests run them on small windows only.  The split selects field.Balls and
+returns them as the coset-tree nodes (residue, depth) that CZDecomposition
+holds; the audit turns each node back into a Ball with node_ball.
 """
 
 from fractions import Fraction
@@ -29,6 +31,18 @@ def _node_cells(total: int, q: int, depth: int, residue: int) -> np.ndarray:
     # cells of the coset fixing the first `depth` digits: indices = residue mod q^depth
     step = q**depth
     return residue + step * np.arange(total // step)
+
+
+def node_ball(w: Window, node: tuple) -> Ball:
+    """The Ball of the coset-tree node (residue, depth) of window w: center cell residue."""
+    residue, depth = node
+    return Ball(w.element(residue), w.a + depth)
+
+
+def _ball_node(w: Window, ball: Ball) -> tuple:
+    # the tree node of a ball: its cell index modulo q^depth, and its depth below w.a
+    depth = ball.scale - w.a
+    return w.index_of(ball.center) % w.config.q**depth, depth
 
 
 def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
@@ -87,7 +101,8 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     bad = np.zeros(n_cells, dtype=np.complex128)
     good = np.array(g.values, dtype=np.complex128)
     for ball, avg in zip(balls, averages):
-        cells = _node_cells(n_cells, q, ball.scale - g.a, _node_residue(w, ball))
+        residue, depth = _ball_node(w, ball)
+        cells = _node_cells(n_cells, q, depth, residue)
         good[cells] = float(avg)
         bad[cells] = [float(Fraction(vals[n]) - avg) for n in cells]
 
@@ -96,17 +111,12 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     averages = tuple(averages[i] for i in order)
     return CZDecomposition(
         lam=float(lam),
-        balls=balls,
+        balls=tuple(_ball_node(w, b) for b in balls),
         ball_averages=averages,
         bad_part=TestFunction(f.config, g.a, g.l, bad),
         good_part=TestFunction(f.config, g.a, g.l, good),
         exceptional_measure=sum((b.measure for b in balls), Fraction(0)),
     )
-
-
-def _node_residue(w: Window, ball: Ball) -> int:
-    # the tree node of a selected ball: its cell index modulo q^depth
-    return w.index_of(ball.center) % w.config.q ** (ball.scale - w.a)
 
 
 def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
@@ -126,9 +136,8 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
     n_cells = vals.size
     measure = Fraction(q) ** (-g.l)
 
-    ball_cells = [
-        _node_cells(n_cells, q, b.scale - g.a, _node_residue(w, b)) for b in dec.balls
-    ]
+    balls = [node_ball(w, node) for node in dec.balls]
+    ball_cells = [_node_cells(n_cells, q, d, t) for t, d in (_ball_node(w, b) for b in balls)]
     on_union = np.zeros(n_cells, dtype=bool)
     for cells in ball_cells:
         on_union[cells] = True
@@ -166,8 +175,8 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
     clauses = {
         "balls_disjoint": all(
             not a.intersects(b)
-            for i, a in enumerate(dec.balls)
-            for b in dec.balls[i + 1 :]
+            for i, a in enumerate(balls)
+            for b in balls[i + 1 :]
         ),
         "measure_bound": not dec.balls or dec.exceptional_measure < f_l1 / lam_fr,
         "small_off_union": all(abs(frs[n]) <= lam_fr for n in off),

@@ -13,7 +13,9 @@ a CLI change that breaks cli.parse_config or cli.main as the benchmark calls
 them fails here, and their oracle samples, so a change that breaks
 apply_truncated on a window finer than f fails here too.  One large-windows
 unit runs here as well, so the 16,384-cell windows of the transform, the
-Littlewood-Paley blocks and the CZ split and its audit are in the suite.
+Littlewood-Paley blocks and the CZ split and its audit are in the suite.  The
+tracer's CZ ball counter reads ``len(result.balls)``, so it is fed a real
+split and must agree with the audit's ball count.
 """
 
 import ast
@@ -22,10 +24,12 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from localfield import verify
+from localfield import decomp, verify
 from localfield.field import FieldConfig
+from localfield.functions import TestFunction
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -110,3 +114,13 @@ def test_large_windows_workload_runs_one_unit(tmp_path):
 @pytest.mark.parametrize("name", ["verify-padic2", "verify-laurent3"])
 def test_verify_workload_oracle_samples_pass(tmp_path, name):
     assert workloads.WORKLOADS[name](42, tmp_path).check_run() == (8, 0)
+
+
+# the tracer's decomp.cz.balls counter is len(result.balls) of a real split
+def test_cz_ball_counter_counts_the_audited_balls():
+    f = TestFunction(FieldConfig("padic", 2), -2, 4, np.random.default_rng(17).random(64))
+    dec = decomp.cz_decompose(f, 0.9, -2)
+    _, metrics = decomp.check_cz_clauses(f, dec)
+    stub = SimpleNamespace(counts=Counter())
+    tracer._cz_balls(stub, "decomp.cz_decompose", (f, 0.9, -2), {}, dec)
+    assert stub.counts["decomp.cz.balls"] == metrics["ball_count"] > 1

@@ -426,6 +426,46 @@ def test_norms_csv_write_error_exits_2(tmp_path, capsys):
     assert err.startswith("error: could not write") and "Traceback" not in err
 
 
+def far_function_file(tmp_path, a):
+    # two cells on (a, a + 1): the norms pad them to the 2^(a + 1) cells of (0, a + 1)
+    return write_json(tmp_path / f"far{a}.json", {"config": Q2.to_dict(), "a": a, "l": a + 1,
+                                                 "values": [[1.0, 0.0], [0.5, 0.0]]})
+
+
+@pytest.mark.parametrize("a", [20, 40])
+def test_norms_refuses_a_padded_window_over_the_cap(tmp_path, capsys, a):
+    out = tmp_path / "out"
+    assert main(["norms", far_function_file(tmp_path, a), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: input: norms pads the window to (0, {a + 1}): q^(l-a) = 2^{a + 1} cells, "
+        "more than the 65536-cell cap; pass --override-window-cap to proceed\n")
+    assert not out.exists()
+
+
+def test_norms_padded_window_at_the_cap_and_override(tmp_path, monkeypatch):
+    args = ["norms", far_function_file(tmp_path, 15), "--out", str(tmp_path / "out")]
+    assert main(args) == 0  # 2^16 padded cells sit exactly at the cap
+    monkeypatch.setattr(cli, "WINDOW_CELL_CAP", 2**15)
+    assert main(args) == 2
+    assert main(args + ["--override-window-cap"]) == 0
+
+
+# numpy's message names the allocation; a bare MemoryError still gives one line
+@pytest.mark.parametrize("says, line", [
+    ("Unable to allocate 16.0 TiB for an array with shape (2199023255552,)", None),
+    ("", "out of memory"),
+])
+def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, says, line):
+    def exhausted(cfg, args):
+        raise MemoryError(says)
+
+    monkeypatch.setitem(cli._COMMANDS, "norms", exhausted)
+    out = tmp_path / "out"
+    assert main(["norms", str(DATA / "fn_q2.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {line or says}\n"
+    assert not out.exists()
+
+
 def test_norms_match_stored_golden_bytes(tmp_path):
     # off-theorem triples (s <= 0, r = 1) exercise the norms domain
     out = tmp_path / "out"
@@ -452,6 +492,15 @@ def test_verify_matches_stored_golden_bytes(tmp_path):
     for ext in ("json", "csv"):
         golden = (DATA / f"golden_verify_q2.{ext}").read_bytes()
         assert (out / f"report.{ext}").read_bytes() == golden
+
+
+def test_cz_decompose_matches_stored_golden_bytes(tmp_path):
+    # lambda 0.9 selects balls at scales 1 and 2, lambda 1.1 one ball at scale 2
+    out = tmp_path / "out"
+    assert main(["cz-decompose", real_function_file(tmp_path), "--lambda", "0.9,1.1",
+                 "--out", str(out)]) == 0
+    golden = (DATA / "golden_cz_q2.json").read_bytes()
+    assert (out / "cz_decompose.json").read_bytes() == golden
 
 
 def test_apply_tk_matches_stored_golden(tmp_path):

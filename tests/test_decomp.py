@@ -35,6 +35,7 @@ from localfield.functions import (
 from localfield.verify import DEFAULT_SRT_LIST
 
 import cz_oracle
+from cz_oracle import node_ball
 from util import (CONFIGS, add_functions, integral, linf_norm, scalar_multiple, seed42_corpus,
                   spectral_valuation_levels)
 
@@ -87,8 +88,8 @@ def test_cz_concentrated_mass_hand_walk():
         q = config.q
         f = from_indicator_combo(config, [(float(q), Ball(FieldElement.zero(config), 1))])
         dec = cz_decompose(f, 1.0, 0)
-        assert len(dec.balls) == 1
-        assert dec.balls[0] == Ball(FieldElement.zero(config), 1)
+        assert dec.balls == ((0, 1),)
+        assert node_ball(dec.bad_part.window, dec.balls[0]) == Ball(FieldElement.zero(config), 1)
         assert dec.ball_averages == (Fraction(q),)
         assert dec.exceptional_measure == Fraction(1, q)
         g = refine(f, 0, dec.good_part.l)
@@ -136,7 +137,7 @@ def test_cz_random_clause_sweep():
                 assert all(clauses.values()), {k: v for k, v in clauses.items() if not v}
                 assert metrics["float_view_max_dev"] <= 1e-14
                 assert dec.exceptional_measure == sum(
-                    (b.measure for b in dec.balls), Fraction(0)
+                    (Fraction(config.q) ** -(a + d) for _, d in dec.balls), Fraction(0)
                 )
                 checked += 1
                 selections += len(dec.balls)
@@ -155,7 +156,8 @@ def test_cz_selected_balls_are_maximal():
         dec = cz_decompose(f, lam, 0)
         assert dec.balls, "sweep needs at least one selection to be meaningful"
         g = refine(f, 0, f.l)
-        for ball in dec.balls:
+        for node in dec.balls:
+            ball = node_ball(g.window, node)
             assert exact_ball_average(g, ball) > Fraction(lam)
             parent = Ball(ball.center, ball.scale - 1)
             assert exact_ball_average(g, parent) <= Fraction(lam)
@@ -180,7 +182,7 @@ def test_cz_spike_breaks_strong_l1_remark_only():
     vals[0] = 1.0
     f = TestFunction(config, 0, 3, vals.astype(np.complex128))
     dec = cz_decompose(f, 0.2, 0)
-    assert len(dec.balls) == 1 and dec.balls[0].scale == 1
+    assert len(dec.balls) == 1 and dec.balls[0][1] == 1  # depth 1 below P^0: scale 1
     clauses, metrics = check_cz_clauses(f, dec)
     assert clauses["remark_bad_l1_within_f_l1"] is False
     assert clauses["remark_bad_l1_at_most_double"]
@@ -221,6 +223,7 @@ def test_cz_serialization_is_json_ready():
 def assert_same_split(new: CZDecomposition, old: CZDecomposition):
     assert new.lam == old.lam
     assert new.balls == old.balls
+    assert all(type(t) is int and type(d) is int for t, d in new.balls)
     assert new.ball_averages == old.ball_averages
     assert all(type(avg) is Fraction for avg in new.ball_averages)
     assert new.exceptional_measure == old.exceptional_measure
@@ -341,7 +344,8 @@ def test_cz_balls_are_the_level_set_of_the_maximal_function(config):
                 bound = math.floor(Fraction(lam) * den * q**e)
                 level_set |= sums[cells % q ** (depth - e)] > bound
             union = np.zeros(cells.size, dtype=bool)
-            for ball in dec.balls:
+            for node in dec.balls:
+                ball = node_ball(f.window, node)
                 d = ball.scale - f.a
                 union |= cells % q**d == f.window.index_of(ball.center) % q**d
             assert np.array_equal(level_set, union)
@@ -353,8 +357,9 @@ def test_cz_balls_are_the_level_set_of_the_maximal_function(config):
 def test_cz_audit_flags_duplicated_and_nested_balls():
     f, dec, _ = audited_split()
     first, avg = dec.balls[0], dec.ball_averages[0]
-    assert first.scale > f.a + 1
-    parent = Ball(first.center, first.scale - 1)
+    t, d = first
+    assert d > 1
+    parent = (t % f.config.q ** (d - 1), d - 1)
     for extra in (first, parent):
         bad = replace(dec, balls=dec.balls + (extra,), ball_averages=dec.ball_averages + (avg,))
         got, _ = check_cz_clauses(f, bad)
@@ -374,7 +379,7 @@ def test_cz_audit_flags_tampered_ball_average():
 def test_cz_audit_flags_good_view_one_ulp_off():
     f, dec, clauses = audited_split()
     w = Window(f.config, dec.good_part.a, dec.good_part.l)
-    cell = w.index_of(dec.balls[0].center)
+    cell, _ = dec.balls[0]  # the residue is a cell of its ball
     good = np.array(dec.good_part.values)
     good[cell] = np.nextafter(good[cell].real, np.inf)
     tampered = replace(dec, good_part=TestFunction(f.config, w.a, w.l, good))
@@ -383,11 +388,13 @@ def test_cz_audit_flags_good_view_one_ulp_off():
     assert got == {**clauses, "sum_identity": False}
 
 
-def random_balls(rng: np.random.Generator, w: Window, count: int) -> tuple:
-    return tuple(
-        Ball(w.element(int(rng.integers(w.size))), int(rng.integers(w.a + 1, w.l + 1)))
-        for _ in range(count)
-    )
+def random_nodes(rng: np.random.Generator, w: Window, count: int) -> tuple:
+    # a random cell and scale a < s <= l name the node of the coset of P^s through that cell
+    nodes = []
+    for _ in range(count):
+        cell, depth = int(rng.integers(w.size)), int(rng.integers(w.a + 1, w.l + 1)) - w.a
+        nodes.append((cell % w.config.q**depth, depth))
+    return tuple(nodes)
 
 
 def test_cz_coverage_count_matches_pairwise_intersects():
@@ -399,11 +406,12 @@ def test_cz_coverage_count_matches_pairwise_intersects():
         f = TestFunction(config, a, l, rng.random(w.size))
         dec = cz_decompose(f, 1.0, a)  # selects nothing; the balls come from the sweep
         for _ in range(60):
-            balls = random_balls(rng, w, int(rng.integers(1, 6)))
+            nodes = random_nodes(rng, w, int(rng.integers(1, 6)))
+            balls = [node_ball(w, node) for node in nodes]
             pairwise = all(
                 not b1.intersects(b2) for i, b1 in enumerate(balls) for b2 in balls[i + 1:]
             )
-            fake = replace(dec, balls=balls, ball_averages=(Fraction(1, 2),) * len(balls))
+            fake = replace(dec, balls=nodes, ball_averages=(Fraction(1, 2),) * len(nodes))
             got, _ = check_cz_clauses(f, fake)
             assert got["balls_disjoint"] is pairwise
             outcomes.add(pairwise)
@@ -411,10 +419,14 @@ def test_cz_coverage_count_matches_pairwise_intersects():
 
 
 def test_cz_audit_never_compares_ball_pairs(monkeypatch):
-    def refuse(self, other):
-        raise AssertionError("the audit compared a pair of balls")
+    # nor builds a field element: the split and the audit stay on tree nodes
+    def refuse(*args):
+        raise AssertionError("the CZ split or audit left the coset tree")
 
     monkeypatch.setattr(Ball, "intersects", refuse)
+    monkeypatch.setattr(Window, "element", refuse)
+    monkeypatch.setattr(Window, "index_of", refuse)
+    monkeypatch.setattr(FieldElement, "__post_init__", refuse)
     config = CONFIGS[0]
     f = TestFunction(config, -7, 7, np.random.default_rng(0).random(16384))
     dec = cz_decompose(f, 0.9, -7)
@@ -423,12 +435,11 @@ def test_cz_audit_never_compares_ball_pairs(monkeypatch):
 
 
 def test_cz_audit_rejects_balls_the_window_cannot_represent():
-    f, dec, _ = audited_split()  # window (-2, 4)
-    zero = FieldElement.zero(f.config)
-    outside = FieldElement.make(f.config, -3, [1])  # center outside P^-2
-    for ball in (Ball(outside, 0), Ball(zero, 5), Ball(zero, -2)):
+    f, dec, _ = audited_split()  # window (-2, 4): depths 1..6
+    # the whole window, a depth past l, a residue past q^depth, a negative residue
+    for node in ((0, 0), (0, 7), (2**3, 3), (-1, 1)):
         with pytest.raises(ValueError, match="proper coset"):
-            check_cz_clauses(f, replace(dec, balls=(ball,), ball_averages=(Fraction(1),)))
+            check_cz_clauses(f, replace(dec, balls=(node,), ball_averages=(Fraction(1),)))
 
 
 # ---------------------------------------------------------------------------
