@@ -24,7 +24,9 @@ blocks.  Besov norms aggregate block r-norms in j; the Triebel-Lizorkin
 norms aggregate pointwise in x first.  The two families coincide when
 r = t.  norm_columns builds the blocks once and serves every (s, r, t)
 triple in B, F or both through the same two formulas, one value per row of
-a stack; besov_norm and triebel_lizorkin_norm are its one-row case.
+a stack; besov_norm and triebel_lizorkin_norm are its one-row case.  Every
+sum is functions.exact_sums, bit for bit math.fsum: the B norms put every
+block of the stack through one call per r, the F norms one call per triple.
 check_norm_srt states the triple's domain: a finite s, and r and t norm
 exponents.
 """
@@ -39,7 +41,7 @@ import numpy as np
 from .field import Window, expect, q_power
 from .fourier import apply_multiplier
 from .functions import (TestFunction, _is_real, check_level, check_norm_exponent, coset_tree,
-                        dyadic_ints, lr_norm, lr_norms, refine)
+                        dyadic_ints, exact_sums, lr_norm, lr_norms_each, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +338,9 @@ def _triebel_lizorkin_values(f: TestFunction, moduli, weights, r: float, t: floa
     pointwise = np.zeros(moduli[0].shape[:-1] + (1,))
     for w, m in zip(weights, moduli):
         pointwise = np.tile(pointwise, m.size // pointwise.size) + w * m ** t
-    return [(math.fsum(row.data) * q_power(f.config.q, -f.l)) ** (1.0 / r)
-            for row in np.atleast_2d(pointwise ** (r / t))]
+    rows = np.atleast_2d(pointwise ** (r / t))
+    sums = exact_sums(rows.ravel(), np.arange(rows.size, step=rows.shape[-1]))
+    return [(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in sums.tolist()]
 
 
 def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
@@ -352,7 +355,7 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
     blocks = _all_blocks(f)
     if "B" in spaces:
         # norms[r][row] holds that row's r-norm of every block
-        norms = {r: list(zip(*(lr_norms(b, r) for b in blocks)))
+        norms = {r: list(zip(*lr_norms_each(blocks, r)))
                  for r in {r for _, r, _ in srt_list}}
     if "F" in spaces:
         moduli = [np.hypot(b.values.real, b.values.imag) for b in blocks]

@@ -12,6 +12,8 @@ group DFT, because the pairing couples digit i of the point with digit
 n-1-i of the frequency.  The O(N^2) definition sums (forward_naive /
 inverse_naive) are kept as an independent route, the oracle for the fast
 path.  apply_multiplier is the one forward -> symbol -> inverse route.
+spectral_l2_norm sums the squares with functions.exact_sums, so it is
+correctly rounded like lr_norm on the function side.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldConfig, Window, digit_reversal, q_power
-from .functions import TestFunction, _frozen, _value_pairs
+from .functions import TestFunction, _frozen, _value_pairs, exact_sums
 
 _TWO_PI = 2.0 * math.pi
 
@@ -116,5 +118,6 @@ def apply_multiplier(f: TestFunction, symbol) -> TestFunction:
 
 def spectral_l2_norm(F: SpectralFunction) -> float:
     """L^2 norm of the spectral data under dual Haar measure |Gamma^a| = q^a."""
-    s = math.fsum(F.values.real**2) + math.fsum(F.values.imag**2)
-    return (s * q_power(F.config.q, F.a)) ** 0.5
+    re2, im2 = exact_sums(np.concatenate([F.values.real**2, F.values.imag**2]),
+                          np.array([0, F.values.size])).tolist()
+    return ((re2 + im2) * q_power(F.config.q, F.a)) ** 0.5

@@ -6,7 +6,10 @@ of field.enumerate_cosets(a, l).  All window bookkeeping is exact; values
 are complex doubles: one row, or a (rows, cells) stack of functions on one
 window, every operation acting along the last axis; lr_norms and
 weak_level_measures give one value per row, each bit for bit its function's.
-coset_tree walks the nested cosets c + P^j of a window: the one tree that
+exact_sums gives the correctly rounded sum (math.fsum's, bit for bit) of
+every segment of a flat array in one numpy pass; lr_norms_each puts the rows
+of several stacks through one such call, and decomp and fourier sum their
+norms with it too.  coset_tree walks the nested cosets c + P^j of a window: the one tree that
 coarsen_resolution, decomp's blocks and CZ split and the Haar atoms read.
 check_norm_exponent and check_level state the domains of the exponent r and
 the threshold lambda once, for every caller.
@@ -19,6 +22,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -168,9 +172,12 @@ def refine(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
         raise ValueError("refine can only extend the window")
     if (a_new, l_new) == (f.a, f.l):
         return f
-    p = f.config.p
+    p, e = f.config.p, l_new - a_new
+    if e >= 63 or p**e >= 2**63:  # np.arange past int64 is a float array, no index
+        raise ValueError(f"window ({a_new}, {l_new}) has {p}^{e} cells, "
+                         "more than an int64 index reaches")
     pad, sup = p ** (f.a - a_new), p ** (f.l - f.a)
-    idx = np.arange(p ** (l_new - a_new))
+    idx = np.arange(p**e)
     inside = idx % pad == 0
     vals = np.where(inside, f.values[..., (idx // pad) % sup], 0)
     return TestFunction(f.config, a_new, l_new, vals)
@@ -202,17 +209,79 @@ def coarsen_resolution(f: TestFunction, l_new: int) -> TestFunction:
     return TestFunction(f.config, f.a, l_new, vals)
 
 
-def lr_norms(f: TestFunction, r: float) -> list:
-    """(sum_cells |v|^r q^{-l})^{1/r} of each row; fsum of the row buffer is exact, in any order."""
+@np.errstate(over="ignore", invalid="ignore")  # segments that take fsum compute garbage first
+def exact_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """math.fsum of each segment values[starts[i]:starts[i + 1]], bit for bit.
+
+    values is a flat array of nonnegative doubles and starts the increasing
+    offsets of its nonempty segments, starts[0] = 0.  A correctly rounded sum
+    is unique, so an exact one in numpy is fsum's.  Each segment is scaled by
+    2^k so that its float sum estimate lies in [2^60, 2^61); its integer parts,
+    then its fractions on the grid 2^-g (g = 62 - bit length of values.size),
+    are summed exactly in int64, and whatever lies below that grid
+    is ORed into bit 0.  The 53-bit rounding point lies at least 7 bits
+    higher, so the one int64 -> float64 conversion rounds the exact sum to
+    nearest even, and 2^-k rescales it exactly.  A segment with a negative
+    or non-finite value, a nonzero estimate outside [2^-899, 2^1020) (|k| >=
+    960: near the ends of the float range) or a carry out of the fractions
+    that the bound cannot rule out takes math.fsum; an all-zero one is 0.0.
+    """
+    if not starts.size:
+        return np.zeros(0)
+    ends = np.concatenate((starts[1:], [values.size]))
+    lengths = ends - starts
+    est = np.add.reduceat(values, starts)
+    k = 61 - np.frexp(est)[1]
+    y = np.repeat(np.ldexp(1.0, k), lengths)
+    y *= values  # values 2^k, exact but for values scaled below 2^-1022
+    # such a value may round to 0; it is still a tail
+    tail = np.logical_or.reduceat((y == 0) & (values != 0), starts) if k.min() < 0 else False
+    whole = y.astype(np.int64)
+    total = np.add.reduceat(whole, starts)
+    g = 62 - values.size.bit_length()
+    y -= whole
+    y *= 2.0**g  # the fractions on the grid 2^-g, then their parts below it
+    np.copyto(whole, y, casting="unsafe")
+    low = np.add.reduceat(whole, starts)
+    y -= whole
+    tail |= np.add.reduceat(y, starts) > 0  # a sum of nonnegative doubles is 0 only if all are
+    below = low & ((1 << g) - 1)
+    total += low >> g
+    total |= tail | (below != 0)
+    out = np.ldexp(total.astype(np.float64), -k)
+    # certified: no negative or NaN value, a finite estimate in range, and no carry
+    # (each of the n tails is under one grid unit, so below <= 2^g - n cannot carry)
+    live = ((np.minimum.reduceat(values, starts) >= 0) & (est < 2.0**1020) & (k < 960)
+            & (below <= (1 << g) - lengths))
+    if not live.all():
+        for i in np.flatnonzero(~live):
+            out[i] = math.fsum(values[starts[i]:ends[i]])
+    return out
+
+
+def lr_norms_each(fs: list, r: float) -> list:
+    """lr_norms of every stack in fs, all their rows summed in one exact_sums call.
+
+    For r = 2 the re^2 and the im^2 of a row are two segments, and its sum is
+    the float sum of their two correctly rounded sums."""
     check_norm_exponent(r)
-    vals = np.atleast_2d(f.values)
+    vals = [np.atleast_2d(f.values) for f in fs]
+    parts = ([x**2 for v in vals for x in (v.real, v.imag)] if r == 2
+             else [np.hypot(v.real, v.imag) ** r for v in vals])
+    widths = np.repeat([p.shape[-1] for p in parts], [len(p) for p in parts])
+    sums = exact_sums(np.concatenate([p.ravel() for p in parts]), np.cumsum(widths) - widths)
+    rows = list(accumulate(map(len, parts), initial=0))
+    sums = [sums[a:b] for a, b in zip(rows, rows[1:])]
     if r == 2:
-        sums = [math.fsum(re.data) + math.fsum(im.data)
-                for re, im in zip(vals.real**2, vals.imag**2)]
-    else:
-        moduli = np.hypot(vals.real, vals.imag)
-        sums = [math.fsum(row.data) for row in (moduli if r == 1 else moduli**r)]
-    return [(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in sums]
+        sums = [re + im for re, im in zip(sums[::2], sums[1::2])]
+    return [[(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in row_sums.tolist()]
+            for f, row_sums in zip(fs, sums)]
+
+
+def lr_norms(f: TestFunction, r: float) -> list:
+    """(sum_cells |v|^r q^{-l})^{1/r} of each row; each sum is exact_sums', math.fsum's bits."""
+    (norms,) = lr_norms_each([f], r)
+    return norms
 
 
 def lr_norm(f: TestFunction, r: float) -> float:

@@ -450,6 +450,18 @@ def test_norms_padded_window_at_the_cap_and_override(tmp_path, monkeypatch):
     assert main(args + ["--override-window-cap"]) == 0
 
 
+# with the cap overridden, a padded window of 2^63 cells is past what np.arange
+# can index (it gave a float array and an IndexError traceback); it is refused
+# before any index is built
+def test_norms_refuses_a_padded_window_past_int64_indices(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["norms", far_function_file(tmp_path, 62), "--override-window-cap",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: window (0, 63) has 2^63 cells, more than an int64 index reaches\n")
+    assert not out.exists()
+
+
 # numpy's message names the allocation; a bare MemoryError still gives one line
 @pytest.mark.parametrize("says, line", [
     ("Unable to allocate 16.0 TiB for an array with shape (2199023255552,)", None),

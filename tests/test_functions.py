@@ -112,6 +112,13 @@ class TestWindowing:
         assert max_difference(f, g) == 0
 
 
+def test_refine_refuses_a_window_past_int64_indices():
+    # 2^63 and 3^40 cells: refused before np.arange turns to floats or allocates
+    for config, e in ((Q2, 63), (Q3, 40), (Q2, 10**6)):
+        with pytest.raises(ValueError, match=f"has {config.p}\\^{e} cells"):
+            refine(TestFunction(config, 0, 1, np.ones(config.p)), 1 - e, 1)
+
+
 class TestTranslate:
     def test_translate_by_zero(self):
         rng = np.random.default_rng(25)

@@ -124,6 +124,13 @@ def naive_truncated(f, kern, spec):
     return TestFunction(config, spec.out_a, spec.out_l, out)
 
 
+def fsum_segments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """math.fsum of each segment, one Python call per segment: the route that
+    functions.exact_sums replaces, and its differential reference."""
+    ends = [*starts[1:].tolist(), values.size]
+    return np.array([math.fsum(values[a:b]) for a, b in zip(starts.tolist(), ends)])
+
+
 def one_shot_coarsen(f: TestFunction, l_new: int) -> TestFunction:
     """E_{l_new} f as one mean over the q^(l - l_new) cells of each coset: the
     differential reference for coarsen_resolution, which chains one-level means
