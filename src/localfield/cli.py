@@ -532,7 +532,7 @@ def main(argv=None) -> int:
                 [("space", "s", "r", "t", "value"), *map(dict.values, artifact["reports"])]))
         _print_checks(checks)
         return _exit_code(checks)
-    except (ConfigError, ValueError, RuntimeError, MemoryError) as exc:
+    except (ConfigError, ValueError, OverflowError, RuntimeError, MemoryError) as exc:
         # numpy's MemoryError names the allocation it could not make; Python's is blank
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -1,10 +1,13 @@
 """Calderon-Zygmund decomposition, Littlewood-Paley blocks, and B/F norms.
 
 Both halves read one tree, functions.coset_tree: the nested cosets c + P^j
-of the window.  The CZ stopping time walks its exact integer subtree sums
-below a starting ball and selects, as tree nodes (residue, depth), the
-maximal cosets whose average exceeds the threshold, and the
-Littlewood-Paley blocks are differences of its coset averages.  The split
+of the window, read upward by functions.lift.  The CZ stopping time walks
+its exact integer subtree sums below a starting ball and selects, as tree
+nodes (residue, depth), the maximal cosets whose average exceeds the
+threshold, lifting the mask of covered cells one level at a time; node
+(residue, depth) holds the cells residue mod q^depth.  The
+Littlewood-Paley blocks are differences of its coset averages, each level
+minus the lift of the level above it.  The split
 and check_cz_clauses work on the cell values as integers over a common
 power of two, so sums, deviations, squares and comparisons are exact.  Ball
 averages, which floats almost never represent, are one Fraction per ball,
@@ -26,9 +29,10 @@ r = t.  norm_columns builds the blocks once and serves every (s, r, t)
 triple in B, F or both through the same two formulas, one value per row of
 a stack; besov_norm and triebel_lizorkin_norm are its one-row case.  Every
 sum is functions.exact_sums, bit for bit math.fsum: the B norms put every
-block of the stack through one call per r, the F norms one call per triple.
-check_norm_srt states the triple's domain: a finite s, and r and t norm
-exponents.
+block of the stack through one call per r, the F norms one call per triple
+(their pointwise sum lifted one level per block).  A sum past the float
+range reads inf and the triple is refused.  check_norm_srt states the
+triple's domain: a finite s, and r and t norm exponents.
 """
 
 import math
@@ -41,7 +45,7 @@ import numpy as np
 from .field import Window, expect, q_power
 from .fourier import apply_multiplier
 from .functions import (TestFunction, _is_real, check_level, check_norm_exponent, coset_tree,
-                        dyadic_ints, exact_sums, lr_norm, lr_norms_each, refine)
+                        dyadic_ints, exact_sums, lift, lr_norms, lr_norms_each, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +94,6 @@ def _real_nonneg_values(f: TestFunction) -> np.ndarray:
     if np.any(vals < 0):
         raise ValueError("decomposition requires nonnegative values")
     return vals
-
-
-def _node_cells(total: int, q: int, depth: int, residue: int) -> np.ndarray:
-    # cells of the coset fixing the first `depth` digits: indices = residue mod q^depth
-    step = q**depth
-    return residue + step * np.arange(total // step)
 
 
 def _over_common_denominator(ints, den: int, averages, ball_cells) -> tuple:
@@ -147,14 +145,14 @@ def cz_decompose(f: TestFunction, lam, start_scale: int) -> CZDecomposition:
     nodes = []
     covered = np.zeros(1, dtype=bool)
     for d in range(1, depth_total + 1):
-        covered = np.tile(covered, q)
+        covered = lift(covered, q**d)
         chosen = above[d] & ~covered
         nodes.extend((int(t), d) for t in np.flatnonzero(chosen))
         covered |= chosen
     nodes.sort()
 
     averages = tuple(Fraction(sums[d][t], den * q ** (depth_total - d)) for t, d in nodes)
-    cells = [_node_cells(vals.size, q, d, t) for t, d in nodes]
+    cells = [np.arange(t, vals.size, q**d) for t, d in nodes]  # the cells = t mod q^d
     m, nums, cat, avg_nums = _over_common_denominator(ints, den, averages, cells)
     good = np.array(g.values, dtype=np.complex128)
     good[cat] = avg_nums / m
@@ -190,7 +188,7 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
         expect(0 < d <= g.l - g.a and 0 <= t < q**d,
                f"a proper coset of the window ({g.a}, {g.l}): a node (residue, depth) with "
                f"0 < depth <= {g.l - g.a} and 0 <= residue < q^depth", (t, d))
-    cells = [_node_cells(vals.size, q, d, t) for t, d in dec.balls]
+    cells = [np.arange(t, vals.size, q**d) for t, d in dec.balls]
     m, nums, cat, avg_nums = _over_common_denominator(
         *dyadic_ints(vals), dec.ball_averages, cells
     )
@@ -238,16 +236,24 @@ def check_cz_clauses(f: TestFunction, dec: CZDecomposition) -> tuple:
         else 0.0
     )
     metrics = {
-        "f_l1": float(f_l1),
-        "bad_l1": float(bad_l1),
-        "good_l1": float(good_l1),
-        "good_sup": float(good_sup),
-        "good_sq_integral": float(good_sq),
-        "exceptional_measure": float(dec.exceptional_measure),
+        "f_l1": _float_metric(f_l1),
+        "bad_l1": _float_metric(bad_l1),
+        "good_l1": _float_metric(good_l1),
+        "good_sup": _float_metric(good_sup),
+        "good_sq_integral": _float_metric(good_sq),
+        "exceptional_measure": _float_metric(dec.exceptional_measure),
         "ball_count": len(dec.balls),
         "float_view_max_dev": float_dev,
     }
     return clauses, metrics
+
+
+def _float_metric(x: Fraction):
+    # a nonnegative metric past the float range reads "inf", as check_record writes it
+    try:
+        return float(x)
+    except OverflowError:
+        return "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +290,8 @@ def _all_blocks(f: TestFunction) -> list:
     both read off g's coset_tree.
     """
     g = _padded(f)
-    p = g.config.p
-    e = coset_tree(g.values, p, max(g.l, 0))[::-1]  # e[j] = E_j g on window (a, j)
-    blocks = [TestFunction(g.config, g.a, j, e[j] - np.tile(e[j - 1], p))
+    e = coset_tree(g.values, g.config.p, max(g.l, 0))[::-1]  # e[j] = E_j g on window (a, j)
+    blocks = [TestFunction(g.config, g.a, j, e[j] - lift(e[j - 1], e[j].shape[-1]))
               for j in range(1, len(e))]
     return [TestFunction(g.config, g.a, min(g.l, 0), e[0]), *blocks]
 
@@ -326,10 +331,9 @@ def check_norm_srt(srt) -> None:
 def _besov_value(weights, norms, t: float) -> float:
     # norms[j] is ||block j of f||_r
     try:
-        terms = [w * n ** t for w, n in zip(weights, norms)]
-    except OverflowError:  # n^t past the float range: inf, as numpy's power gives the F norms
+        return math.fsum([w * n ** t for w, n in zip(weights, norms)]) ** (1.0 / t)
+    except OverflowError:  # n^t or its sum past the float range: inf, as the F norms read
         return math.inf
-    return math.fsum(terms) ** (1.0 / t)
 
 
 def _triebel_lizorkin_values(f: TestFunction, moduli, weights, r: float, t: float) -> list:
@@ -337,9 +341,12 @@ def _triebel_lizorkin_values(f: TestFunction, moduli, weights, r: float, t: floa
     # finer than block j, so the sum over j lifts the running total one level per block
     pointwise = np.zeros(moduli[0].shape[:-1] + (1,))
     for w, m in zip(weights, moduli):
-        pointwise = np.tile(pointwise, m.size // pointwise.size) + w * m ** t
+        pointwise = lift(pointwise, m.shape[-1]) + w * m ** t
     rows = np.atleast_2d(pointwise ** (r / t))
-    sums = exact_sums(rows.ravel(), np.arange(rows.size, step=rows.shape[-1]))
+    try:
+        sums = exact_sums(rows.ravel(), np.arange(rows.size, step=rows.shape[-1]))
+    except OverflowError:  # a sum past the float range, where fsum raises: norm_columns refuses
+        return [math.inf] * len(rows)
     return [(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in sums.tolist()]
 
 
@@ -391,5 +398,5 @@ def triebel_lizorkin_norm(f: TestFunction, s: float, r: float, t: float) -> Norm
 
 def lebesgue_norm_report(f: TestFunction, r: float) -> NormReport:
     """L^r norm wrapped in the same report type; s is vacuously 0 and t mirrors r."""
-    value = lr_norm(f, r)  # checks r before float(r) can overflow
+    (value,) = lr_norms(f, r)  # checks r before float(r) can overflow, and refuses inf
     return NormReport("L", 0.0, float(r), float(r), value)

@@ -9,8 +9,12 @@ weak_level_measures give one value per row, each bit for bit its function's.
 exact_sums gives the correctly rounded sum (math.fsum's, bit for bit) of
 every segment of a flat array in one numpy pass; lr_norms_each puts the rows
 of several stacks through one such call, and decomp and fourier sum their
-norms with it too.  coset_tree walks the nested cosets c + P^j of a window: the one tree that
+norms with it too; a sum past the float range, where it raises fsum's
+OverflowError, reads inf, and the norm layer refuses it.  coset_tree walks
+the nested cosets c + P^j of a window down: the one tree that
 coarsen_resolution, decomp's blocks and CZ split and the Haar atoms read.
+lift reads it upward, spreading each coarse cell over its descendants, and
+refine is one strided write that pads f onto the larger support, then lift.
 check_norm_exponent and check_level state the domains of the exponent r and
 the threshold lambda once, for every caller.
 """
@@ -144,7 +148,6 @@ def from_indicator_combo(config: FieldConfig, terms: list) -> TestFunction:
     l = max(a, max(term[1].scale for term in terms))
     w = Window(config, a, l)
     vals = np.zeros(w.size, dtype=np.complex128)
-    idx = np.arange(w.size)
     for coeff, ball in terms:
         if ball.config != config:
             raise ValueError("ball does not belong to the given field configuration")
@@ -157,7 +160,7 @@ def from_indicator_combo(config: FieldConfig, terms: list) -> TestFunction:
         if ic is None:
             # ball lies outside P^a; impossible given how a was chosen
             raise AssertionError("indicator ball escaped the window")
-        vals[idx % config.p ** (ball.scale - a) == ic] += coeff
+        vals[ic::config.p ** (ball.scale - a)] += coeff  # the cells = ic mod q^(scale - a)
     return TestFunction(config, a, l, vals)
 
 
@@ -173,14 +176,22 @@ def refine(f: TestFunction, a_new: int, l_new: int) -> TestFunction:
     if (a_new, l_new) == (f.a, f.l):
         return f
     p, e = f.config.p, l_new - a_new
-    if e >= 63 or p**e >= 2**63:  # np.arange past int64 is a float array, no index
+    if e >= 63 or p**e >= 2**63:  # numpy indexes no array of that many cells
         raise ValueError(f"window ({a_new}, {l_new}) has {p}^{e} cells, "
                          "more than an int64 index reaches")
-    pad, sup = p ** (f.a - a_new), p ** (f.l - f.a)
-    idx = np.arange(p**e)
-    inside = idx % pad == 0
-    vals = np.where(inside, f.values[..., (idx // pad) % sup], 0)
-    return TestFunction(f.config, a_new, l_new, vals)
+    padded = np.zeros(f.values.shape + (p ** (f.a - a_new),), dtype=np.complex128)
+    padded[..., 0] = f.values  # cell i0 + pad i1 of (a_new, l) is f's cell i1 if i0 = 0, else 0
+    vals = padded.reshape(f.values.shape[:-1] + (-1,))
+    return TestFunction(f.config, a_new, l_new, lift(vals, p**e) if l_new > f.l else vals)
+
+
+def lift(values: np.ndarray, size: int) -> np.ndarray:
+    """A fresh array of size cells along the last axis, cell i reading values[..., i mod n]:
+    coset_tree read upward, each of the n coarse cells spread over its descendants."""
+    *rows, n = values.shape
+    out = np.empty((*rows, size // n, n), values.dtype)
+    out[...] = values[..., None, :]
+    return out.reshape(*rows, size)
 
 
 def coset_tree(values: np.ndarray, q: int, depth: int, reduce=np.mean) -> list:
@@ -260,16 +271,20 @@ def exact_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def lr_norms_each(fs: list, r: float) -> list:
-    """lr_norms of every stack in fs, all their rows summed in one exact_sums call.
+    """The L^r norms of every row of every stack in fs, all summed in one exact_sums call.
 
     For r = 2 the re^2 and the im^2 of a row are two segments, and its sum is
-    the float sum of their two correctly rounded sums."""
+    the float sum of their two correctly rounded sums.  When a sum is past the
+    float range, where exact_sums raises fsum's OverflowError, every norm reads inf."""
     check_norm_exponent(r)
     vals = [np.atleast_2d(f.values) for f in fs]
     parts = ([x**2 for v in vals for x in (v.real, v.imag)] if r == 2
              else [np.hypot(v.real, v.imag) ** r for v in vals])
     widths = np.repeat([p.shape[-1] for p in parts], [len(p) for p in parts])
-    sums = exact_sums(np.concatenate([p.ravel() for p in parts]), np.cumsum(widths) - widths)
+    try:
+        sums = exact_sums(np.concatenate([p.ravel() for p in parts]), np.cumsum(widths) - widths)
+    except OverflowError:
+        sums = np.full(widths.size, math.inf)
     rows = list(accumulate(map(len, parts), initial=0))
     sums = [sums[a:b] for a, b in zip(rows, rows[1:])]
     if r == 2:
@@ -279,14 +294,18 @@ def lr_norms_each(fs: list, r: float) -> list:
 
 
 def lr_norms(f: TestFunction, r: float) -> list:
-    """(sum_cells |v|^r q^{-l})^{1/r} of each row; each sum is exact_sums', math.fsum's bits."""
+    """(sum_cells |v|^r q^{-l})^{1/r} of each row; each sum is exact_sums', math.fsum's bits.
+
+    A norm past the float range is refused."""
     (norms,) = lr_norms_each([f], r)
+    if not all(map(math.isfinite, norms)):
+        raise ValueError(f"r = {r}: an L^r norm is not a finite float")
     return norms
 
 
 def lr_norm(f: TestFunction, r: float) -> float:
-    """The L^r norm of one function: lr_norms of a one-row stack."""
-    (norm,) = lr_norms(f, r)
+    """The L^r norm of one function, inf past the float range: lr_norms_each of one row."""
+    ((norm,),) = lr_norms_each([f], r)
     return norm
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .field import (FieldConfig, FieldElement, Window, angular_part, digit_reversal, expect,
                     is_int, q_power)
 from .functions import (TestFunction, _finite_values, _frozen, _value_pairs, check_cell_count,
-                        coarsen_resolution, coset_tree, dyadic_ints, refine)
+                        coarsen_resolution, coset_tree, dyadic_ints, lift, refine)
 
 _ATOM_LAMBDA_MARGIN = 1.0 + 2.0**-40
 _GRID_BITS = 48
@@ -226,14 +226,14 @@ def _haar_differences(k: AngularKernel) -> list[np.ndarray]:
 
     Depth d is E_(d+1), which fixes (c_0, ..., c_d) and averages the rest: a
     level of the functions.coset_tree of kernel_as_test_function(k), lifted
-    onto (0, m) and read at the kernel's cells (the sphere is a union of cosets
-    of P^1).  The differences telescope from the exactly-zero global average
+    onto (0, m) by functions.lift and read at the kernel's cells (the sphere
+    is a union of cosets of P^1).  The differences telescope from the exactly-zero global average
     up to the resolution-m values in m levels.
     """
     p = k.config.p
     cells = kernel_window_indices(k.config, k.m)
     tree = coset_tree(kernel_as_test_function(k).values, p, k.m - 1)[::-1]  # E_1 .. E_m
-    levels = [np.tile(e, p ** (k.m - 1 - d))[cells] for d, e in enumerate(tree)]
+    levels = [lift(e, p**k.m)[cells] for e in tree]
     return [level - prev for prev, level in zip([0, *levels], levels)]
 
 

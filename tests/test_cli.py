@@ -478,6 +478,54 @@ def test_memory_error_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def padic2_function_file(tmp_path, a, l, cells):
+    fn = {"config": Q2.to_dict(), "a": a, "l": l, "values": [[v, 0.0] for v in cells]}
+    return write_json(tmp_path / "fn.json", fn)
+
+
+# finite inputs whose norm-layer sums leave the float range: fsum's OverflowError,
+# or an inf sum, is refused with the norm's own message
+@pytest.mark.parametrize("cells, argv, says", [
+    ((-3, 1, [6e307] * 16), ["--srt", "0:1:1"],
+     "(s, r, t) = (0.0, 1.0, 1.0): a B or F norm is not a finite float"),
+    ((0, 1, [1e308] * 2), ["--srt=,", "--r", "1"], "r = 1.0: an L^r norm is not a finite float"),
+    (None, ["--r", "1e300"], "r = 1e+300: an L^r norm is not a finite float"),
+], ids=["16x6e307-srt-0:1:1", "2x1e308-r-1", "fn_q2-r-1e300"])
+def test_norms_refuses_a_sum_past_the_float_range(tmp_path, capsys, cells, argv, says):
+    fn = str(DATA / "fn_q2.json") if cells is None else padic2_function_file(tmp_path, *cells)
+    out = tmp_path / "out"
+    assert main(["norms", fn, *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+    assert not out.exists()
+
+
+def test_verify_refuses_a_lebesgue_norm_past_the_float_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "--checks", "lebesgue", "--r", "1e308", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: r = 1e+308: an L^r norm is not a finite float\n"
+    assert not out.exists()
+
+
+def test_cz_audit_writes_a_metric_past_the_float_range_as_inf(tmp_path, capsys):
+    # good_sq_integral = 2 (1e200)^2 is past the float range; the clauses stay exact
+    out = tmp_path / "out"
+    fn = padic2_function_file(tmp_path, 0, 1, [1e200, 1e200])
+    assert main(["cz-decompose", fn, "--lambda", "1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (run,) = json.loads((out / "cz_decompose.json").read_text())["runs"]
+    assert run["metrics"]["good_sq_integral"] == "inf"
+    assert run["metrics"]["f_l1"] == 1e200 and all(run["clauses"].values())
+
+
+def test_overflow_error_exits_2_with_one_error_line(tmp_path, capsys):
+    # the squares of the spectral values sum past the float range, where fsum raises
+    out = tmp_path / "out"
+    fn = padic2_function_file(tmp_path, 0, 1, [2.2e154, 0.0])
+    assert main(["transform", fn, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: intermediate overflow in fsum\n"
+    assert not out.exists()
+
+
 def test_norms_match_stored_golden_bytes(tmp_path):
     # off-theorem triples (s <= 0, r = 1) exercise the norms domain
     out = tmp_path / "out"
@@ -528,6 +576,42 @@ def test_apply_tk_matches_stored_golden(tmp_path):
         diff = np.abs(complexes(got["result"]["values"])
                       - complexes(want["result"]["values"]))
         assert float(np.max(diff)) < 1e-12
+
+
+def modulus_function_file(tmp_path):
+    # |f| of the laurent p = 3 input, a real nonnegative function for the CZ split
+    fn = json.loads((DATA / "fn_laurent3.json").read_text())
+    fn["values"] = [[abs(complex(re, im)), 0.0] for re, im in fn["values"]]
+    return write_json(tmp_path / "modulus.json", fn)
+
+
+def test_norms_q3_match_stored_golden_bytes(tmp_path):
+    # the laurent p = 3 input lives on (1, 4), so the blocks pad it onto (0, 4) through refine
+    out = tmp_path / "out"
+    assert main(["norms", str(DATA / "fn_laurent3.json"), "--format", "both",
+                 "--srt", "0.5:2:2,1:1.5:3,0:1:1,-1:2:1", "--r", "1,2,3", "--out", str(out)]) == 0
+    for ext in ("json", "csv"):
+        assert (out / f"norms.{ext}").read_bytes() == (DATA / f"golden_norms_q3.{ext}").read_bytes()
+
+
+def test_cz_decompose_q3_matches_stored_golden_bytes(tmp_path):
+    # lambda 0.8 selects balls at depths 1 and 3 and covers depth-3 cosets above it,
+    # 0.85 at depths 2 and 3, 1.0 at depth 3 only
+    out = tmp_path / "out"
+    assert main(["cz-decompose", modulus_function_file(tmp_path), "--lambda", "0.8,0.85,1.0",
+                 "--out", str(out)]) == 0
+    golden = (DATA / "golden_cz_q3.json").read_bytes()
+    assert (out / "cz_decompose.json").read_bytes() == golden
+
+
+def test_apply_tk_q3_matches_stored_golden_bytes(tmp_path):
+    # padic: its transforms are numpy's FFT, whose bits do not depend on the BLAS threads
+    out = tmp_path / "out"
+    assert main(["apply-tk", str(DATA / "fn_padic3.json"),
+                 "--kernel", str(DATA / "kern_padic3.json"),
+                 "--k=-2,-1,0,1", "--out", str(out)]) == 0
+    golden = (DATA / "golden_apply_tk_q3.json").read_bytes()
+    assert (out / "apply_tk.json").read_bytes() == golden
 
 
 def test_apply_tk_non_mean_zero_kernel_fails(tmp_path):

@@ -20,7 +20,7 @@ import pytest
 from localfield import decomp, fourier, functions
 from localfield.decomp import besov_norm, lebesgue_norm_report, norm_columns, triebel_lizorkin_norm
 from localfield.field import FieldConfig
-from localfield.functions import TestFunction, exact_sums, lr_norms
+from localfield.functions import TestFunction, exact_sums, lr_norm, lr_norms
 from localfield.verify import DEFAULT_SRT_LIST, run_verification
 from util import CONFIGS, fsum_segments
 
@@ -167,6 +167,29 @@ def test_a_finite_row_past_the_float_range_raises_overflow_like_fsum():
         sums_of([[1.0], row])
     with pytest.raises(OverflowError):
         sums_of([[1e308] * 3, [1.0]])
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+def test_lr_norms_refuses_a_sum_past_the_float_range_and_lr_norm_reads_inf(r):
+    # finite cells whose |v|^r sum is past the float range, in the second row
+    big = 1.5e308 ** (1 / r)
+    f = TestFunction(FieldConfig("padic", 2), 0, 1, np.array([[1.0, 0.5], [big, big]]))
+    with pytest.raises(ValueError, match=f"^r = {r}: an L\\^r norm is not a finite float$"):
+        lr_norms(f, r)
+    assert lr_norm(TestFunction(f.config, 0, 1, f.values[1]), r) == math.inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"\(s, r, t\) = .*: a B or F norm is not a finite float"):
+        norm_columns(f, [(0.0, r, r)])
+
+
+@pytest.mark.parametrize("space", ["B", "F"])
+def test_norm_columns_refuses_a_finite_row_whose_sum_raises_in_fsum(space):
+    # every cell, block value and pointwise sum is finite; only the row sums overflow
+    f = TestFunction(FieldConfig("padic", 2), -3, 1, np.full(16, 6e307))
+    with pytest.raises(OverflowError):
+        exact_sums(np.full(16, 6e307), np.zeros(1, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^\(s, r, t\) = \(0.0, 1.0, 1.0\): a B or F norm"):
+        norm_columns(f, [(0.0, 1.0, 1.0)], space)
 
 
 def test_a_carry_the_bound_cannot_rule_out_takes_fsum(fallbacks):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from localfield.decomp import check_cz_clauses, cz_decompose, norm_columns
 from localfield.field import Ball, FieldConfig, FieldElement, add, enumerate_cosets, negate
 from localfield.functions import (
     TestFunction,
@@ -15,6 +16,7 @@ from localfield.functions import (
     dyadic_ints,
     evaluate,
     from_indicator_combo,
+    lift,
     lr_norm,
     lr_norms,
     common_refinement,
@@ -22,8 +24,10 @@ from localfield.functions import (
     refine,
     weak_level_measures,
 )
-from util import (CONFIGS, add_functions, one, one_shot_coarsen, random_element, scalar_multiple,
-                  translate)
+from localfield.kernels import atomic_decompose, make_kernel, mean_zero_project, sphere_cell_count
+from localfield.verify import run_verification
+from util import (CONFIGS, add_functions, index_refine, one, one_shot_coarsen, random_element,
+                  scalar_multiple, translate)
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -117,6 +121,63 @@ def test_refine_refuses_a_window_past_int64_indices():
     for config, e in ((Q2, 63), (Q3, 40), (Q2, 10**6)):
         with pytest.raises(ValueError, match=f"has {config.p}\\^{e} cells"):
             refine(TestFunction(config, 0, 1, np.ones(config.p)), 1 - e, 1)
+
+
+def with_signed_zeros(rng, shape):
+    # complex values whose parts include +0.0 and -0.0, so a copy must keep the sign of zero
+    parts = rng.uniform(-1, 1, (2, *shape))
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[rng.random(parts.shape) < 0.5] *= -1
+    return parts[0] + 1j * parts[1]
+
+
+def same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=str)
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["one-row", "stacked"])
+@pytest.mark.parametrize("a_new, l_new", [(-3, 1), (-1, 3), (-3, 2), (-1, 1)],
+                         ids=["pad", "lift", "both", "no-op"])
+def test_refine_equals_the_index_route_bit_for_bit(config, rows, a_new, l_new):
+    rng = np.random.default_rng(2500 + config.p)
+    f = TestFunction(config, -1, 1, with_signed_zeros(rng, (*rows, config.p**2)))
+    got, want = refine(f, a_new, l_new), index_refine(f, a_new, l_new)
+    assert (got.a, got.l) == (want.a, want.l) == (a_new, l_new)
+    assert same_bits(got.values, want.values)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=str)
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.bool_])
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["one-row", "stacked"])
+def test_lift_equals_np_tile_bit_for_bit(config, dtype, rows):
+    rng = np.random.default_rng(2510 + config.p)
+    values = with_signed_zeros(rng, (*rows, config.p**2))
+    values = {np.complex128: values, np.float64: values.real, np.bool_: values.real > 0}[dtype]
+    for levels in range(4):
+        size = config.p ** (2 + levels)
+        got = lift(values, size)
+        assert same_bits(got, np.tile(values, size // config.p**2))
+        assert got.flags.writeable and not np.shares_memory(got, values)
+
+
+def test_no_production_path_calls_np_tile(monkeypatch):
+    # every upward step of the coset tree is functions.lift
+    def refused(*args, **kwargs):
+        raise AssertionError("np.tile called")
+
+    monkeypatch.setattr(np, "tile", refused)
+    rng = np.random.default_rng(2520)
+    for config in CONFIGS:
+        f = TestFunction(config, 1, 3, rng.uniform(-1, 1, (2, config.p**2)))
+        norm_columns(f, [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)])
+        g = TestFunction(config, -1, 2, rng.uniform(0, 1, config.p**3))
+        dec = cz_decompose(g, 1.5 * float(np.mean(g.values.real)), g.a)
+        clauses, _ = check_cz_clauses(g, dec)
+        assert dec.balls and all(clauses.values())
+        kern = make_kernel(config, rng.uniform(-1, 1, sphere_cell_count(config, 3)), 3)
+        atomic_decompose(mean_zero_project(kern), strategy="haar")
+    run_verification()
 
 
 class TestTranslate:
