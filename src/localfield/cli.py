@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -359,6 +360,11 @@ def _cmd_transform(cfg: RunConfig, args) -> tuple[dict, list]:
     g = inverse(F)
     roundtrip = max_difference(f, g)
     nf, nF = lr_norm(f, 2.0), spectral_l2_norm(F)
+    # finite values whose L^2 norm is not: no plancherel reading; a non-finite
+    # transform is refused by the strict writer instead
+    if np.isfinite(F.values).all() and not (math.isfinite(nf) and math.isfinite(nF)):
+        raise ValueError(f"input: {args.input}: the L^2 norm of f ({nf}) or of its "
+                         f"transform ({nF}) is not a finite float")
     plancherel = abs(nf - nF) / nf if nf > 0 else abs(nF)
     checks = [
         check_record("fourier_roundtrip", 1e-12, roundtrip, roundtrip < 1e-12),

@@ -13,7 +13,8 @@ n-1-i of the frequency.  The O(N^2) definition sums (forward_naive /
 inverse_naive) are kept as an independent route, the oracle for the fast
 path.  apply_multiplier is the one forward -> symbol -> inverse route.
 spectral_l2_norm sums the squares with functions.exact_sums, so it is
-correctly rounded like lr_norm on the function side.
+correctly rounded like lr_norm on the function side, and like it reads inf
+past the float range.
 """
 
 from __future__ import annotations
@@ -117,7 +118,11 @@ def apply_multiplier(f: TestFunction, symbol) -> TestFunction:
 
 
 def spectral_l2_norm(F: SpectralFunction) -> float:
-    """L^2 norm of the spectral data under dual Haar measure |Gamma^a| = q^a."""
-    re2, im2 = exact_sums(np.concatenate([F.values.real**2, F.values.imag**2]),
-                          np.array([0, F.values.size])).tolist()
+    """L^2 norm of the spectral data under dual Haar measure |Gamma^a| = q^a; inf past
+    the float range, where exact_sums raises fsum's OverflowError, as lr_norm reads."""
+    try:
+        re2, im2 = exact_sums(np.concatenate([F.values.real**2, F.values.imag**2]),
+                              np.array([0, F.values.size])).tolist()
+    except OverflowError:
+        return math.inf
     return ((re2 + im2) * q_power(F.config.q, F.a)) ** 0.5

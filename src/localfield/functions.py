@@ -329,15 +329,24 @@ def convolve(f: TestFunction, g: TestFunction) -> TestFunction:
 
     Both factors are supported in P^{min(a_f, a_g)}, a subgroup, so the
     quotient-group convolution at the common refinement needs no wraparound
-    correction.  The quotient-group sum runs through the group DFT: pointwise
-    product of the transforms, then the inverse.  Either factor may be a
-    stack; the other is then transformed once for all its rows.
+    correction.  The quotient-group sum runs through the group DFT: both
+    factors are transformed on that window and convolve_spectra takes the
+    product and the inverse.  Either factor may be a stack; the other is then
+    transformed once for all its rows.  operators.apply_truncated calls
+    convolve_spectra with a cached transform of its kernel instead, so T_k f
+    is this convolution bit for bit.
     """
     rf, rg = common_refinement(f, g)
     w = rf.window
-    vals = w.dft(w.dft(rf.values) * w.dft(rg.values), inverse=True)
+    return convolve_spectra(w, w.dft(rf.values), w.dft(rg.values))
+
+
+def convolve_spectra(w: Window, fhat: np.ndarray, ghat: np.ndarray) -> TestFunction:
+    """f * g on window w from the window DFTs fhat and ghat of f and g refined onto it:
+    the inverse DFT of fhat * ghat, in that operand order, times q^(a - 2l)."""
+    vals = w.dft(fhat * ghat, inverse=True)
     # cell measure q^{-l} times the 1/N = q^{a-l} the unnormalised inverse omits
-    return TestFunction(f.config, rf.a, rf.l, vals * q_power(f.config.q, rf.a - 2 * rf.l))
+    return TestFunction(w.config, w.a, w.l, vals * q_power(w.config.q, w.a - 2 * w.l))
 
 
 def max_difference(f: TestFunction, g: TestFunction) -> float:

@@ -25,13 +25,24 @@ resolution of f with one scale of spill room.  A declared window finer than
 f gets the exact refinement of that result; one coarser than f, or narrower
 than its support, is refused.
 
-truncation_kernel is memoized: the harness applies every corpus kernel to
-every corpus function at each k, so without a cache the same (kernel, k,
-jmax, l) kernel would be rebuilt once per function.  The cache is keyed on
-the kernel object itself (AngularKernel compares by identity, and the cache
-keeps the key alive, so an id is never reused) and holds at most 32
-entries, enough for one run's distinct keys (20 in the default verify
-run); the cached values are read-only, so sharing them is safe.
+T_k f is f * K_k on the window (-(jmax+1), l), K_k = truncation_kernel(kernel,
+k, jmax, l), so its multiplier, the window DFT of K_k, depends on (kernel,
+k, jmax, l) alone.  apply_truncated multiplies the input's spectrum by the
+cached multiplier and takes one inverse (functions.convolve_spectra, the
+product and scale of functions.convolve, so T_k f is that convolution bit
+for bit).  Two caches
+serve it, both keyed on objects (AngularKernel and TestFunction compare by
+identity, and a cache keeps its keys alive, so an id is never reused), both
+holding read-only arrays that are safe to share:
+- truncation_multiplier is memoized on (kernel, k, jmax, l), at most 32
+  entries, enough for one run's distinct keys (20 in the default verify
+  run, 12 in a pass of 96 large-window calls), so truncation_kernel, which
+  only a multiplier reads, runs once per key.  A multiplier takes 16 bytes
+  per window cell: 512 KiB on a 32,768-cell window.
+- _input_spectrum keeps the spectrum of the last input only, keyed on the
+  TestFunction and the window's a, so apply-tk's loop over k transforms its
+  input once; the harness passes a new stack per (kernel, k), so there it
+  holds one small array and never hits.
 """
 
 from __future__ import annotations
@@ -42,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldElement, add, negate, q_power
-from .functions import TestFunction, convolve, evaluate, refine
+from .field import FieldElement, Window, add, negate, q_power
+from .functions import TestFunction, _frozen, convolve_spectra, evaluate, refine
 from .kernels import AngularKernel, shell_piece, validate_atom
 
 
@@ -99,7 +110,6 @@ def sphere_integral(f: TestFunction, kernel: AngularKernel, j: int, x: FieldElem
     return complex(math.fsum(re), math.fsum(im)) * meas
 
 
-@functools.lru_cache(maxsize=32)
 def truncation_kernel(kernel: AngularKernel, k: int, jmax: int, l: int) -> TestFunction:
     """The windowed convolution kernel |y|^{-1} ext(y) on q^{k+1} <= |y| <= q^{jmax+1},
     built at res = min(m - (k+1), l), never finer than an f on the cosets of P^l
@@ -116,13 +126,30 @@ def truncation_kernel(kernel: AngularKernel, k: int, jmax: int, l: int) -> TestF
     return TestFunction(kernel.config, a, res, total)
 
 
+@functools.lru_cache(maxsize=32)
+def truncation_multiplier(kernel: AngularKernel, k: int, jmax: int, l: int) -> np.ndarray:
+    """The window DFT of truncation_kernel(kernel, k, jmax, l) refined onto (-(jmax+1), l),
+    the window T_k f is convolved on for an f on the cosets of P^l; read-only."""
+    a = -(jmax + 1)
+    tk = refine(truncation_kernel(kernel, k, jmax, l), a, l)
+    return _frozen(Window(kernel.config, a, l).dft(tk.values))
+
+
+@functools.lru_cache(maxsize=1)
+def _input_spectrum(f: TestFunction, a: int) -> np.ndarray:
+    """The window DFT of f refined onto (a, f.l); read-only, kept for the last f only."""
+    return _frozen(Window(f.config, a, f.l).dft(refine(f, a, f.l).values))
+
+
 def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec) -> TestFunction:
     """The truncated operator on the declared output window.
 
     Dyadic sum over shells j = spec.k .. tail_cutoff, realized as one group
-    convolution at the resolution of f, then refined onto the window; linear
-    in f and in the kernel.  The window must hold f's cells, out_a <= f.a and
-    out_l >= f.l, or refine raises ValueError.
+    convolution at the resolution of f, on (-(jmax+1), f.l): the product of
+    f's spectrum and the truncation multiplier (both cached, module
+    docstring), then one inverse, refined onto the window; linear in f and in
+    the kernel.  The window must hold f's cells, out_a <= f.a and out_l >= f.l,
+    or refine raises ValueError.
     """
     if f.config != kernel.config:
         raise ValueError("function and kernel live on different fields")
@@ -132,7 +159,9 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
     if spec.k > jmax:
         shape = f.values.shape[:-1] + (f.config.p ** (spec.out_l - spec.out_a),)
         return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(shape, dtype=np.complex128))
-    conv = convolve(f, truncation_kernel(kernel, spec.k, jmax, f.l))
+    w = Window(f.config, -(jmax + 1), f.l)
+    conv = convolve_spectra(w, _input_spectrum(f, w.a),
+                            truncation_multiplier(kernel, spec.k, jmax, f.l))
     return refine(conv, spec.out_a, spec.out_l)
 
 

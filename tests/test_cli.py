@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localfield import cli, verify
+from localfield import cli, operators, verify
 from localfield.cli import ConfigError, main, parse_config
 from localfield.field import Ball, FieldConfig, FieldElement, Window
 from localfield.functions import TestFunction, from_indicator_combo, refine
@@ -517,11 +517,27 @@ def test_cz_audit_writes_a_metric_past_the_float_range_as_inf(tmp_path, capsys):
     assert run["metrics"]["f_l1"] == 1e200 and all(run["clauses"].values())
 
 
-def test_overflow_error_exits_2_with_one_error_line(tmp_path, capsys):
-    # the squares of the spectral values sum past the float range, where fsum raises
+@pytest.mark.parametrize("cells, norms", [([2.2e154, 0.0], ("inf", "inf")),
+                                          ([1e154, 1e154], ("inf", "1e+154"))],
+                         ids=["2.2e154-0", "1e154-1e154"])
+def test_overflow_error_exits_2_with_one_error_line(tmp_path, capsys, cells, norms):
+    # finite values and transform whose squares sum past the float range, where fsum
+    # raises: both L^2 norms read inf, or the function's alone
     out = tmp_path / "out"
-    fn = padic2_function_file(tmp_path, 0, 1, [2.2e154, 0.0])
+    fn = padic2_function_file(tmp_path, 0, 1, cells)
     assert main(["transform", fn, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: input: {fn}: the L^2 norm of f ({norms[0]}) "
+                                       f"or of its transform ({norms[1]}) is not a finite float\n")
+    assert not out.exists()
+
+
+def test_main_turns_an_overflow_error_into_one_error_line(tmp_path, capsys, monkeypatch):
+    def overflow(cfg, args):
+        raise OverflowError("intermediate overflow in fsum")
+
+    monkeypatch.setitem(cli._COMMANDS, "transform", overflow)
+    out = tmp_path / "out"
+    assert main(["transform", str(DATA / "fn_q2.json"), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: intermediate overflow in fsum\n"
     assert not out.exists()
 
@@ -554,6 +570,19 @@ def test_verify_matches_stored_golden_bytes(tmp_path):
         assert (out / f"report.{ext}").read_bytes() == golden
 
 
+def test_verify_q3_matches_stored_golden_bytes(tmp_path):
+    # padic p = 3: numpy's FFT, whose bits do not depend on the BLAS threads; the powers
+    # of 3 are inexact, so a reordered scale or product moves the last bits
+    cfg = write_json(tmp_path / "cfg.json", {"corpus": {"count": 4, "kernel_resolutions": [2]}})
+    out = tmp_path / "out"
+    assert main(["verify", "--mode", "padic", "--p", "3", "--config", cfg, "--window=-2:2",
+                 "--k=-1,0", "--srt", "0.5:2:2,1:1.5:3", "--r", "1.5,3", "--lambda", "0.25",
+                 "--out", str(out)]) == 0
+    for ext in ("json", "csv"):
+        golden = (DATA / f"golden_verify_q3.{ext}").read_bytes()
+        assert (out / f"report.{ext}").read_bytes() == golden
+
+
 def test_cz_decompose_matches_stored_golden_bytes(tmp_path):
     # lambda 0.9 selects balls at scales 1 and 2, lambda 1.1 one ball at scale 2
     out = tmp_path / "out"
@@ -576,6 +605,28 @@ def test_apply_tk_matches_stored_golden(tmp_path):
         diff = np.abs(complexes(got["result"]["values"])
                       - complexes(want["result"]["values"]))
         assert float(np.max(diff)) < 1e-12
+
+
+def test_apply_tk_transforms_its_input_once(tmp_path, monkeypatch):
+    # four k: one forward DFT of the input, one of each new truncation multiplier, and
+    # one inverse per k
+    calls = []
+    dft = Window.dft
+
+    def counted(w, values, inverse=False):
+        calls.append((inverse, np.array(values)))
+        return dft(w, values, inverse)
+
+    monkeypatch.setattr(Window, "dft", counted)
+    built = operators.truncation_multiplier.cache_info().misses
+    assert main(["apply-tk", str(DATA / "fn_q2.json"), "--kernel", str(DATA / "kern_q2.json"),
+                 "--k=-2,-1,0,1", "--out", str(tmp_path / "out")]) == 0
+    assert operators.truncation_multiplier.cache_info().misses - built == 4
+    forwards = [values for inverse, values in calls if not inverse]
+    assert len(forwards) == 1 + 4 and sum(inverse for inverse, _ in calls) == 4
+    f = TestFunction.from_dict(Q2, json.loads((DATA / "fn_q2.json").read_text()))
+    spec = resolution_spec(f, 0)  # every k's transform window, (a - 1, l)
+    assert sum(np.array_equal(v, refine(f, spec.out_a, spec.out_l).values) for v in forwards) == 1
 
 
 def modulus_function_file(tmp_path):

@@ -17,6 +17,7 @@ from localfield.functions import (
     from_indicator_combo,
     lr_norm,
     max_difference,
+    refine,
 )
 from localfield.kernels import (
     atomic_decompose,
@@ -35,10 +36,11 @@ from localfield.operators import (
     sphere_integral,
     tail_cutoff,
     truncation_kernel,
+    truncation_multiplier,
 )
 from localfield.verify import generate_corpus
-from util import (CONFIGS, integral, kernel_resolution_spec, naive_sphere_sum, naive_truncated,
-                  random_element, translate)
+from util import (CONFIGS, convolution_truncated, integral, kernel_resolution_spec,
+                  naive_sphere_sum, naive_truncated, random_element, translate)
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -408,7 +410,7 @@ def test_spectral_sup_against_naive_transform():
     assert np.isclose(spectral_sup(shell_piece(atom, 0)), want, rtol=1e-12)
 
 
-# -- the truncation-kernel cache
+# -- the truncation-kernel cache: each kernel is cached as its multiplier
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
@@ -417,24 +419,30 @@ def test_cached_truncation_kernel_equals_uncached(config):
     kern, other = random_kernel(rng, config, 2), random_kernel(rng, config, 2)
     # l = 3 is never finer than the kernel's own resolution, l = 0 is finer at every k
     for (k, jmax), l in itertools.product(((-2, 1), (-1, 1), (0, 2)), (3, 0)):
-        cached = truncation_kernel(kern, k, jmax, l)
-        assert truncation_kernel(kern, k, jmax, l) is cached
-        direct = truncation_kernel.__wrapped__(kern, k, jmax, l)
-        assert (cached.a, cached.l) == (direct.a, direct.l) == (-(jmax + 1), min(1 - k, l))
-        assert cached.values.tobytes() == direct.values.tobytes()
+        cached = truncation_multiplier(kern, k, jmax, l)
+        assert truncation_multiplier(kern, k, jmax, l) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0
+        assert cached.tobytes() == truncation_multiplier.__wrapped__(kern, k, jmax, l).tobytes()
+        # the window DFT of the kernel refined onto T_k f's window (-(jmax + 1), l)
+        tk = truncation_kernel(kern, k, jmax, l)
+        assert (tk.a, tk.l) == (-(jmax + 1), min(1 - k, l))
+        want = Window(config, tk.a, l).dft(refine(tk, tk.a, l).values)
+        assert cached.shape == (config.p ** (l - tk.a),) and cached.tobytes() == want.tobytes()
         # same resolution, different values: a different cache entry
-        assert not np.array_equal(truncation_kernel(other, k, jmax, l).values, cached.values)
+        assert not np.array_equal(truncation_multiplier(other, k, jmax, l), cached)
         # the input's resolution is part of the key: the averaged kernel is its own entry
         full = truncation_kernel(kern, k, jmax, 3)
         if l < full.l:
-            assert cached is not full
+            assert truncation_multiplier(kern, k, jmax, 3) is not cached
             # the sum of averaged shell pieces is the average of the full kernel: bit
             # for bit at q = 2 here, otherwise up to the rounding of the sum order
             avg = coarsen_resolution(full, l)
             if config.q == 2:
-                assert np.array_equal(cached.values, avg.values)
+                assert np.array_equal(tk.values, avg.values)
             else:
-                assert max_difference(cached, avg) <= 1e-12 * np.max(np.abs(full.values))
+                assert max_difference(tk, avg) <= 1e-12 * np.max(np.abs(full.values))
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
@@ -451,3 +459,31 @@ def test_stacked_operators_equal_one_function_route_bit_for_bit(config):
             assert out.values.shape == (len(rows), Window(config, spec.out_a, spec.out_l).size)
             for i, f in enumerate(rows):
                 assert out.values[i].tobytes() == op(f, kernel, spec).values.tobytes()
+
+
+# -- T_k f from the cached multiplier and input spectrum
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_apply_truncated_equals_convolution_route_bit_for_bit(config):
+    # one row and stacks, on windows with a < 0 and a > 0; k from below the saturation
+    # level (T_k f = T_(k_sat) f) to past the tail cutoff (all zeros); T_k f on
+    # resolution_spec's window, on a finer declared one and on a wider one
+    rng = np.random.default_rng(57)
+    kernels = [random_kernel(rng, config, m) for m in (2, 3)]
+    for a, l in ((-1, 2), (1, 3)):
+        rows = [random_fn(rng, config, a, l) for _ in range(3)]
+        stack = TestFunction(config, a, l, np.stack([f.values for f in rows]))
+        jmax = tail_cutoff(a - 1, a)
+        for f, kern, k in itertools.product(rows[:1] + [stack], kernels, range(-l - 3, jmax + 2)):
+            for spec in (resolution_spec(f, k), kernel_resolution_spec(f, kern.m, k),
+                         TruncationSpec(k, a - 2, l + 1)):
+                got, want = apply_truncated(f, kern, spec), convolution_truncated(f, kern, spec)
+                assert (got.a, got.l) == (want.a, want.l) == (spec.out_a, spec.out_l)
+                assert got.values.shape == want.values.shape
+                assert got.values.tobytes() == want.values.tobytes()
+        # the last stack's T_k f row by row is its rows' T_k f, also past the memo
+        spec = resolution_spec(stack, -1)
+        out = apply_truncated(stack, kernels[0], spec)
+        for i, f in enumerate(rows):
+            assert out.values[i].tobytes() == apply_truncated(f, kernels[0], spec).values.tobytes()

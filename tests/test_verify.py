@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localfield import cli, decomp, kernels, verify
+from localfield import cli, decomp, kernels, operators, verify
 from localfield.field import Ball, FieldConfig, FieldElement, Window
 from localfield.functions import (
     TestFunction,
@@ -33,6 +33,7 @@ from localfield.operators import (
     resolution_spec,
     tail_cutoff,
     truncation_kernel,
+    truncation_multiplier,
 )
 from localfield.verify import (
     Corpus,
@@ -511,7 +512,7 @@ def test_truncation_kernel_builds_nothing_finer_than_its_functions(monkeypatch):
     spec = resolution_spec(f, 0)
     jmax = tail_cutoff(spec.out_a, f.a)
     for kern, k in itertools.product(corpus.kernels, range(-3, 1)):
-        truncation_kernel.__wrapped__(kern, k, jmax, f.l)
+        truncation_kernel(kern, k, jmax, f.l)
     assert max(kern.m for kern in corpus.kernels) == 4
     assert widths and max(widths) <= L3.q ** (f.l - f.a + 1)
 
@@ -656,16 +657,26 @@ def test_report_schema_and_exit_semantics():
     assert by_name["piece_bound_reading_b"]["pass"] is True
 
 
-def test_run_builds_one_truncation_kernel_per_kernel_and_k():
+def test_run_builds_one_truncation_kernel_per_kernel_and_k(monkeypatch):
     k_list = (-3, -2, -1, 0)
-    truncation_kernel.cache_clear()
+    builds = []
+    build = operators.truncation_kernel
+
+    def counted(*key):
+        builds.append(key)
+        return build(*key)
+
+    monkeypatch.setattr(operators, "truncation_kernel", counted)
+    truncation_multiplier.cache_clear()
     run_verification(config=Q2, count=3, window=(-3, 3), kernel_resolutions=(2, 3, 4),
                      k_list=k_list)
-    info = truncation_kernel.cache_info()
+    info = truncation_multiplier.cache_info()
     corpus = generate_corpus(Q2, 42, 3, (-3, 3), (2, 3, 4))
     # each corpus kernel is already an atom, so l2_weak applies the kernels themselves
     assert all(atomic_decompose(kern).terms[0][1] is kern for kern in corpus.kernels)
-    assert info.misses == len(corpus.kernels) * len(k_list)
+    # one multiplier per (kernel, k), read again by every later protocol, and one
+    # kernel built for each
+    assert info.misses == len(builds) == len(set(builds)) == len(corpus.kernels) * len(k_list)
     assert info.hits > 0
 
 

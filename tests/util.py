@@ -96,6 +96,18 @@ def kernel_resolution_spec(f: TestFunction, m: int, k: int) -> TruncationSpec:
     return TruncationSpec(k, f.a - 1, max(f.l, m - (k + 1)))
 
 
+def convolution_truncated(f: TestFunction, kern: AngularKernel, spec: TruncationSpec) -> TestFunction:
+    """T_k f as refine(convolve(f, truncation_kernel(...)), out_a, out_l), all zeros when
+    no shell reaches the window: the route that apply_truncated's cached truncation
+    multiplier and input spectrum replace, and its differential reference."""
+    jmax = tail_cutoff(spec.out_a, f.a)
+    if spec.k > jmax:
+        shape = f.values.shape[:-1] + (f.config.p ** (spec.out_l - spec.out_a),)
+        return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(shape))
+    conv = convolve(f, truncation_kernel(kern, spec.k, jmax, f.l))
+    return refine(conv, spec.out_a, spec.out_l)
+
+
 def naive_sphere_sum(f, kern, j, x):
     # direct summation over sphere cosets, field arithmetic only
     config = f.config
