@@ -310,11 +310,13 @@ def lr_norm(f: TestFunction, r: float) -> float:
 
 
 def weak_level_measures(f: TestFunction, lam: float) -> list:
-    """Exact Haar measure of {x : |f(x)| > lam}, row by row."""
+    """Exact Haar measure of {x : |f(x)| > lam}, row by row; one Fraction per distinct count."""
     check_level(lam)
     vals = np.atleast_2d(f.values)
     counts = np.count_nonzero(np.hypot(vals.real, vals.imag) > lam, axis=-1)
-    return [int(c) * Fraction(f.config.q) ** (-f.l) for c in counts]
+    cell = Fraction(f.config.q) ** -f.l
+    measures = {c: c * cell for c in set(counts.tolist())}
+    return [measures[c] for c in counts.tolist()]
 
 
 def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:

@@ -41,8 +41,7 @@ holding read-only arrays that are safe to share:
   per window cell: 512 KiB on a 32,768-cell window.
 - _input_spectrum keeps the spectrum of the last input only, keyed on the
   TestFunction and the window's a, so apply-tk's loop over k transforms its
-  input once; the harness passes a new stack per (kernel, k), so there it
-  holds one small array and never hits.
+  input once, and each verify protocol each stack of its corpus.
 """
 
 from __future__ import annotations

@@ -19,16 +19,17 @@ All randomness flows through one seeded generator, so a (seed, config)
 pair reproduces every table byte for byte; timings are reported but live
 outside the canonical byte-compared form.
 
-The protocols loop over kernel and k and take the corpus, which shares one
-window, as stacks of functions: each T_k f, piece convolution and norm runs
-once per stack.  Every T_k f is measured on operators.resolution_spec's
-window, and every shell piece is taken at the corpus resolution
-(kernels.shell_piece averages a finer one), so no row is finer than the
-corpus.  A stack's widest array holds at most STACK_CELLS cells,
-which bounds peak memory; rows are emitted function by function as before.
+Each protocol is one pass of one engine, _stack_columns, over the corpus cut
+into stacks of functions on its one window: per stack it builds every operator
+output, each T_k f on operators.resolution_spec's window (the same for every
+k, so apply_truncated transforms the stack once) and each shell piece at the
+corpus resolution, and takes their norm columns.  Every ratio follows one rule,
+_ratios, on those columns.  A stack's widest array holds at most STACK_CELLS
+cells, which bounds peak memory; rows are emitted function by function.
 """
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -64,8 +65,7 @@ from .kernels import (
     taibleson_modulus,
     taibleson_terms,
 )
-from .operators import (TruncationSpec, apply_atom_operator, apply_truncated, resolution_spec,
-                        tail_cutoff)
+from .operators import apply_atom_operator, apply_truncated, resolution_spec, tail_cutoff
 
 log = logging.getLogger(__name__)
 
@@ -211,10 +211,6 @@ def k_stability(estimate: OperatorNormEstimate, factor: float = STABILITY_FACTOR
     }
 
 
-def _entry_id(fi: int, ki: int) -> str:
-    return f"f{fi}.w{ki}"
-
-
 def _estimate(rows) -> OperatorNormEstimate:
     return OperatorNormEstimate(tuple(rows), max((row[3] for row in rows), default=0.0))
 
@@ -245,53 +241,52 @@ def check_truncation_level(q: int, k) -> None:
     raise ValueError(f"k = {k} makes q^-k = {q}^{-k} overflow or round to 0 as a float")
 
 
-def _by_row(corpus: Corpus, window: tuple, columns_of) -> dict:
-    """columns_of(stack), {key: one value per row}, joined over the corpus stacks.
-
-    window (a, l), padded to (0, l) if a > 0, bounds every array columns_of
-    builds per row; a stack has as many rows as fit STACK_CELLS cells, or one.
-    """
-    a, l = window
+def _stack_columns(corpus: Corpus, a: int, columns_of) -> dict:
+    """{(key, param): one value per corpus function}, from columns_of(stack), which yields
+    (key, {param: one value per row}) for the stack (key None) and each operator output
+    of a protocol.  Outputs lie on windows (a', l) with a' >= a (padded to (0, l) if
+    a > 0), and a stack has as many rows as fit STACK_CELLS such cells, or one."""
+    l = corpus.window[1]
     rows = max(1, STACK_CELLS // corpus.config.q ** (l - min(a, 0)))
     out = {}
     for i in range(0, len(corpus.functions), rows):
         stack = np.stack([f.values for f in corpus.functions[i:i + rows]])
-        for key, column in columns_of(TestFunction(corpus.config, *corpus.window, stack)).items():
-            out.setdefault(key, []).extend(column)
-    return out
+        for key, columns in columns_of(TestFunction(corpus.config, *corpus.window, stack)):
+            for param, column in columns.items():
+                out.setdefault((key, param), []).extend(column)
+    cols = {key: np.array(column) for key, column in out.items()}
+    for (key, param), column in cols.items():
+        if key is None and not column.all():  # those functions get no row in any table
+            log.info("norm %s is 0 on corpus functions %s", param, np.flatnonzero(column == 0))
+    return cols
 
 
-def _ratio_rows(corpus: Corpus, k_list, params, norms_f, norms_of) -> list:
-    """Ratio-table rows (entry_id, k, param, ratio) over function x kernel x k.
+def _ratios(num: np.ndarray, den: np.ndarray, scale=1.0) -> np.ndarray:
+    """num / (scale * den) entrywise, the one ratio rule of every protocol: 0.0 where
+    num is 0, even if scale underflows, and where den is 0, an entry no table emits."""
+    return np.divide(num, scale * den, out=np.zeros(num.shape), where=(num != 0) & (den != 0))
 
-    ratio = N(T_k f) / (q^{-k} h1(kernel) N(f)) for each norm N named in
-    params, in that order: norms_f maps each param to N(f) of every corpus
-    function, and norms_of(stack) maps it to N(T_k f) of every row.
-    Entries with N(f) = 0 are skipped.
-    """
-    q = corpus.config.q
-    h1s = [h1_upper_bound(kern) for kern in corpus.kernels]
-    norms_tkf = {}
+
+def _truncations(corpus: Corpus, k_list, g: TestFunction, norms_of):
+    """columns_of for the theorem protocols: N(g), then N(T_k g) for every corpus
+    kernel and k, all on resolution_spec's window, which does not depend on k."""
+    yield None, norms_of(g)
     for ki, kern in enumerate(corpus.kernels):
         for k in k_list:
-            spec = resolution_spec(corpus.functions[0], k)
-            norms_tkf[ki, k] = _by_row(corpus, (spec.out_a, spec.out_l),
-                                       lambda g: norms_of(apply_truncated(g, kern, spec)))
-    rows = []
-    for fi in range(len(corpus.functions)):
-        for ki in range(len(corpus.kernels)):
-            for k in k_list:
-                scale = q_power(q, -k) * h1s[ki]
-                for param in params:
-                    nf = norms_f[param][fi]
-                    if nf == 0:
-                        log.info("skipping degenerate entry %s: norm %s of f is 0",
-                                 _entry_id(fi, ki), param)
-                        continue
-                    num = norms_tkf[ki, k][param][fi]
-                    ratio = 0.0 if num == 0 else num / (scale * nf)
-                    rows.append((_entry_id(fi, ki), k, param, ratio))
-    return rows
+            yield (ki, k), norms_of(apply_truncated(g, kern, resolution_spec(g, k)))
+
+
+def _theorem_rows(corpus: Corpus, k_list, params, cols: dict) -> list:
+    """Ratio-table rows (entry_id, k, param, ratio) over function x kernel x k x param:
+    ratio = N(T_k f) / (q^{-k} h1(kernel) N(f)) for each norm N named in params,
+    from the columns of _truncations; no row where N(f) = 0."""
+    q = corpus.config.q
+    columns = [((ki, k, p), _ratios(cols[(ki, k), p], cols[None, p], q_power(q, -k) * h1).tolist(),
+                cols[None, p])
+               for ki, h1 in enumerate(map(h1_upper_bound, corpus.kernels))
+               for k in k_list for p in params]
+    return [(f"f{fi}.w{ki}", k, p, ratios[fi]) for fi in range(len(corpus.functions))
+            for (ki, k, p), ratios, den in columns if den[fi] != 0]
 
 
 def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstimate:
@@ -302,8 +297,9 @@ def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstima
     def norms_of(g):
         return {r: lr_norms(g, r) for r in r_list}
 
-    norms_f = _by_row(corpus, corpus.window, norms_of)
-    return _estimate(_ratio_rows(corpus, k_list, r_list, norms_f, norms_of))
+    cols = _stack_columns(corpus, corpus.window[0] - 1,
+                          lambda g: _truncations(corpus, k_list, g, norms_of))
+    return _estimate(_theorem_rows(corpus, k_list, r_list, cols))
 
 
 def _first_atoms(corpus: Corpus) -> list:
@@ -335,39 +331,30 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
         return {(space,) + srt: column
                 for (space, srt), column in norm_columns(g, srt_list, spaces).items()}
 
-    norms_f = _by_row(corpus, corpus.window, norms_of)
-    params = [(space,) + srt for srt in srt_list for space in ("B", "F")]
-    rows = _ratio_rows(corpus, k_list, params, norms_f, norms_of)
+    pieces = [(atom_id, j, shell_piece(atom, j, corpus.window[1]))
+              for atom_id, atom in _first_atoms(corpus) for j in (-1, 0, 1)]
 
-    f_keys = [("F",) + srt for srt in srt_list]
-    a, l = corpus.window
+    def columns_of(g):
+        yield from _truncations(corpus, k_list, g, norms_of)
+        for atom_id, j, piece in pieces:
+            yield (atom_id, j), norms_of(convolve(piece, g), "F")
+
+    cols = _stack_columns(corpus, min([corpus.window[0] - 1] + [p.a for *_, p in pieces]),
+                          columns_of)
+    params = [(space,) + srt for srt in srt_list for space in ("B", "F")]
     piece_rows = []
-    for atom_id, atom in _first_atoms(corpus):
-        for j in (-1, 0, 1):
-            reading, piece = "B" if j == -1 else "A", shell_piece(atom, j, l)
-            ng = _by_row(corpus, (min(piece.a, a), l),
-                         lambda g: norms_of(convolve(piece, g), "F"))
-            worst = [max([0.0] + [num / nf for num, nf in zip(ng[key], norms_f[key]) if nf != 0])
-                     for key in f_keys]
-            piece_rows.extend(
-                {"atom": atom_id, "reading": reading, "j": j,
-                 "s": s, "r": r, "t": t, "ratio": ratio}
-                for (s, r, t), ratio in zip(srt_list, worst)
-            )
-    return _estimate(rows), piece_rows
+    for atom_id, j, _ in pieces:
+        for s, r, t in srt_list:
+            ratios = _ratios(cols[(atom_id, j), ("F", s, r, t)], cols[None, ("F", s, r, t)])
+            piece_rows.append({"atom": atom_id, "reading": "B" if j == -1 else "A", "j": j,
+                               "s": s, "r": r, "t": t, "ratio": float(ratios.max(initial=0.0))})
+    return _estimate(_theorem_rows(corpus, k_list, params, cols)), piece_rows
 
 
 def _reading_b_weight(q: int, k: int, jmax: int) -> Fraction:
     """The sum of q^-(j+1) over j = k .. jmax, exactly; 0 when k > jmax."""
     q = Fraction(q)
     return (q ** -k - q ** -(jmax + 1)) / (q - 1) if k <= jmax else Fraction(0)
-
-
-def _reading_b_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSpec) -> TestFunction:
-    # literal unit-sphere pieces make the dyadic sum a geometric scalar
-    weight = _reading_b_weight(f.config.q, spec.k, tail_cutoff(spec.out_a, f.a))
-    out = convolve(shell_piece(atom, -1, f.l), f)
-    return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
 
 
 def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
@@ -378,48 +365,59 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
     lam * |{|Bf| > lam}| / ||f||_1 by (1 + 4q); both under reading A
     (homogeneous shells, the operator actually applied) and reading B
     (literal unit-sphere pieces, the reading that matches the constant's
-    derivation).  Values above 1 are excesses, reported as such.
+    derivation).  Values above 1 are excesses, reported as such.  Reading B
+    is the unit-sphere piece's convolution times the geometric weight of k,
+    so that convolution is built once per atom and stack.
     """
     for lam in lambda_list:
         check_level(lam)
-    q = corpus.config.q
-    norms_f = _by_row(corpus, corpus.window, lambda g: {r: lr_norms(g, r) for r in (1, 2)})
+    q, (a, l) = corpus.config.q, corpus.window
+    atoms = _first_atoms(corpus)
+    # the shells k .. tail_cutoff that reach resolution_spec's window (a - 1, l)
+    weights = {k: complex(float(_reading_b_weight(q, k, tail_cutoff(a - 1, a)))) for k in k_list}
+    levels = {lam: Fraction(lam) for lam in lambda_list}
+    labels = [("l2", 2.0)] + [("weak11", lam) for lam in lambda_list]
+
+    @functools.cache
+    def weak11(measure, lam):  # one float per distinct (measure, lam)
+        return float(measure * levels[lam])
+
+    def norms_of(bf):
+        return {("l2", 2.0): lr_norms(bf, 2),
+                **{("weak11", lam): [weak11(m, lam) for m in weak_level_measures(bf, lam)]
+                   for lam in lambda_list}}
+
+    def columns_of(g):
+        yield None, {1: lr_norms(g, 1), 2: lr_norms(g, 2)}
+        for atom_id, atom in atoms:
+            b = convolve(shell_piece(atom, -1, l), g)
+            for k in k_list:
+                a_k = apply_atom_operator(g, atom, resolution_spec(g, k))
+                b_k = TestFunction(b.config, b.a, b.l, b.values * weights[k])
+                yield (atom_id, k, "A"), norms_of(a_k)
+                yield (atom_id, k, "B"), norms_of(b_k)
+
+    cols = _stack_columns(corpus, a - 1, columns_of)
+    l1, l2 = cols[None, 1], cols[None, 2]
+    # a function whose L1 or L2 norm is 0 has no row
+    dens = {"l2": np.where(l1 != 0, l2, 0.0), "weak11": np.where(l2 != 0, l1, 0.0)}
     rows = []
     worst = {("l2", "A"): 0.0, ("l2", "B"): 0.0, ("weak11", "A"): 0.0, ("weak11", "B"): 0.0}
-    for atom_id, atom in _first_atoms(corpus):
-        def columns_of(g, spec):
-            # key (reading, None) holds the L2 norms, (reading, lam) the level measures
-            bfs = {"A": apply_atom_operator(g, atom, spec), "B": _reading_b_operator(g, atom, spec)}
-            return {(reading, lam): lr_norms(bf, 2) if lam is None else weak_level_measures(bf, lam)
-                    for reading, bf in bfs.items() for lam in (None, *lambda_list)}
-
-        by_k = {}
-        for k in k_list:
-            spec = resolution_spec(corpus.functions[0], k)
-            # the window covers T_k f and the reading-B convolution on (min(a, 0), l)
-            by_k[k] = _by_row(corpus, (spec.out_a, spec.out_l), lambda g: columns_of(g, spec))
-        for fi, (l1_f, l2_f) in enumerate(zip(norms_f[1], norms_f[2])):
-            if l2_f == 0 or l1_f == 0:
-                log.info("skipping zero corpus function %d", fi)
-                continue
-            for k in k_list:
-                cols = by_k[k]
-                for reading in ("A", "B"):
-                    # a zero numerator gives 0.0, as in _ratio_rows, even if q^-k underflows
-                    l2 = cols[reading, None][fi]
-                    claimed_l2 = q_power(q, -k) / (q - 1)
-                    measured = [("l2", 2.0, 0.0 if l2 == 0 else l2 / (claimed_l2 * l2_f))] + [
-                        ("weak11", lam,
-                         float(cols[reading, lam][fi] * Fraction(lam)) / (l1_f * (1 + 4 * q)))
-                        for lam in lambda_list
-                    ]
-                    for check, param, ratio in measured:
-                        worst[(check, reading)] = max(worst[(check, reading)], ratio)
-                        rows.append({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
-                                     "reading": reading, "param": param, "ratio": ratio})
+    for atom_id, _ in atoms:
+        columns = [((k, reading, check, param),
+                    _ratios(cols[(atom_id, k, reading), (check, param)], dens[check],
+                            q_power(q, -k) / (q - 1) if check == "l2" else 1 + 4 * q).tolist(),
+                    dens[check])
+                   for k in k_list for reading in ("A", "B") for check, param in labels]
+        for (_, reading, check, _), ratios, _ in columns:
+            worst[check, reading] = max(worst[check, reading], max(ratios, default=0.0))
+        rows.extend({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
+                     "reading": reading, "param": param, "ratio": ratios[fi]}
+                    for fi in range(len(corpus.functions))
+                    for (k, reading, check, param), ratios, den in columns if den[fi] != 0)
     records = [
         check_record(f"{check}_bound_reading_{reading.lower()}", 1.0, value, value <= 1 + 1e-10)
-        for (check, reading), value in sorted(worst.items())
+        for (check, reading), value in worst.items()
     ]
     return {"records": records, "rows": rows}
 
@@ -436,7 +434,8 @@ def check_taibleson_class(corpus: Corpus) -> dict:
     """
     rows = []
     all_stable = True
-    norms_f = _by_row(corpus, corpus.window, lambda g: {2: lr_norms(g, 2)})
+    cols = _stack_columns(corpus, corpus.window[0] - 1,
+                          lambda g: _truncations(corpus, [0], g, lambda h: {2: lr_norms(h, 2)}))
     for ki, kern in enumerate(corpus.kernels):
         j_stable = max(kern.m - 1, 1)
         modulus = taibleson_modulus(kern, j_stable)
@@ -444,10 +443,6 @@ def check_taibleson_class(corpus: Corpus) -> dict:
         # for m = 1 it is the whole modulus
         stabilized = not taibleson_terms(kern, kern.m)[:, -1].any()
         all_stable = all_stable and stabilized
-        spec = resolution_spec(corpus.functions[0], 0)
-        norms_tkf = _by_row(corpus, (spec.out_a, spec.out_l),
-                            lambda g: {2: lr_norms(apply_truncated(g, kern, spec), 2)})
-        sup_l2 = max([0.0] + [num / nf for num, nf in zip(norms_tkf[2], norms_f[2]) if nf != 0])
         rows.append(
             {
                 "kernel": f"w{ki}",
@@ -456,7 +451,7 @@ def check_taibleson_class(corpus: Corpus) -> dict:
                 "stabilizes_at": j_stable,
                 "stabilized": stabilized,
                 "h1_upper_bound": h1_upper_bound(kern),
-                "sup_l2_ratio_k0": sup_l2,
+                "sup_l2_ratio_k0": float(_ratios(cols[(ki, 0), 2], cols[None, 2]).max(initial=0.0)),
             }
         )
     stable_share = sum(r["stabilized"] for r in rows) / max(len(rows), 1)

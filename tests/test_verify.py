@@ -1,5 +1,6 @@
 """Verification harness: corpus determinism, ratio protocols, report plumbing."""
 
+import collections
 import itertools
 import json
 import math
@@ -260,19 +261,29 @@ def test_piece_bound_reading_a_can_exceed_one():
 # corpora whose protocols the stacked route must reproduce bit for bit: the
 # generated one (plus a zero function), one on a window with a > 0, whose
 # blocks are padded to scale 0, and one on a window with l = 0, whose
-# functions have a single Littlewood-Paley block
-STACK_WINDOWS = {"generated": None, "padded": (1, 3), "single_block": (-2, 0)}
+# functions have a single Littlewood-Paley block; then three edge cases on
+# the generated window: an empty k list, kernels that yield no atom (all
+# zero), and functions that are all zero
+STACK_WINDOWS = {"generated": None, "padded": (1, 3), "single_block": (-2, 0),
+                 "no_k": None, "no_atoms": None, "all_zero": None}
+
+# the cases whose l2_weak table has no row
+NO_L2_WEAK_ROWS = ("no_k", "no_atoms", "all_zero")
 
 
 def stack_corpus(config, case):
     corpus = small_corpus(config, count=3, window=(-1, 2) if config.q == 3 else (-2, 2))
     window = STACK_WINDOWS[case] or corpus.window
+    if case == "all_zero":
+        return with_functions(corpus, [TestFunction.zero(config, *window)] * 5)
     rng = np.random.default_rng(7)
-    functions = list(corpus.functions) if case == "generated" else [
+    functions = list(corpus.functions) if STACK_WINDOWS[case] is None else [
         random_function(rng, config, *window) for _ in range(3)]
     functions.append(TestFunction.zero(config, *window))
     functions.append(random_function(rng, config, *window))
-    return Corpus(config, window, tuple(functions), corpus.kernels)
+    kernels = corpus.kernels if case != "no_atoms" else [
+        make_kernel(config, np.zeros_like(kern.values), kern.m) for kern in corpus.kernels]
+    return Corpus(config, window, tuple(functions), tuple(kernels))
 
 
 def random_function(rng, config, a, l):
@@ -286,12 +297,13 @@ def random_function(rng, config, a, l):
 STACK_BOUNDS = [verify.STACK_CELLS, 1, 40, 200]
 
 
-def stacked_corpora(config, monkeypatch):
-    """Each STACK_WINDOWS corpus under each STACK_BOUNDS value."""
+def stacked_corpora(config, monkeypatch, k_list=()):
+    """(case, corpus, k list) for each STACK_WINDOWS corpus under each STACK_BOUNDS
+    value; the k list is k_list, or empty in the no_k case."""
     for stack_cells in STACK_BOUNDS:
         monkeypatch.setattr(verify, "STACK_CELLS", stack_cells)
         for case in STACK_WINDOWS:
-            yield stack_corpus(config, case)
+            yield case, stack_corpus(config, case), [] if case == "no_k" else k_list
 
 
 CONFIG_PARAMS = pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
@@ -300,9 +312,9 @@ CONFIG_PARAMS = pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mo
 @CONFIG_PARAMS
 def test_besov_tl_equals_single_norm_route_bit_for_bit(config, monkeypatch):
     srt_list = [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0), (0.5, 3.0, 1.5)]
-    for corpus in stacked_corpora(config, monkeypatch):
-        est, pieces = check_besov_tl_theorem(corpus, [-1, 0], srt_list)
-        rows, want_pieces = single_norm_besov_tl(corpus, [-1, 0], srt_list)
+    for _, corpus, k_list in stacked_corpora(config, monkeypatch, [-1, 0]):
+        est, pieces = check_besov_tl_theorem(corpus, k_list, srt_list)
+        rows, want_pieces = single_norm_besov_tl(corpus, k_list, srt_list)
         assert list(est.ratio_table) == rows
         assert pieces == want_pieces
         assert not any(row[0].startswith("f3.") for row in rows)  # zero function skipped
@@ -311,23 +323,24 @@ def test_besov_tl_equals_single_norm_route_bit_for_bit(config, monkeypatch):
 @CONFIG_PARAMS
 def test_lebesgue_equals_per_function_route_bit_for_bit(config, monkeypatch):
     r_list = [1.5, 2.0, 3.0]
-    for corpus in stacked_corpora(config, monkeypatch):
-        est = check_lebesgue_theorem(corpus, [-2, -1, 0], r_list)
-        assert list(est.ratio_table) == per_function_lebesgue(corpus, [-2, -1, 0], r_list)
+    for _, corpus, k_list in stacked_corpora(config, monkeypatch, [-2, -1, 0]):
+        est = check_lebesgue_theorem(corpus, k_list, r_list)
+        assert list(est.ratio_table) == per_function_lebesgue(corpus, k_list, r_list)
 
 
 @CONFIG_PARAMS
 def test_l2_weak_equals_per_function_route_bit_for_bit(config, monkeypatch):
     lambda_list = [0.05, 0.5, 4.0]
-    for corpus in stacked_corpora(config, monkeypatch):
-        rows = check_l2_and_weak11(corpus, [-1, 0], lambda_list)["rows"]
-        assert rows == per_function_l2_weak(corpus, [-1, 0], lambda_list)
-        assert rows and not any(row["entry"].endswith(".f3") for row in rows)
+    for case, corpus, k_list in stacked_corpora(config, monkeypatch, [-1, 0]):
+        rows = check_l2_and_weak11(corpus, k_list, lambda_list)["rows"]
+        assert rows == per_function_l2_weak(corpus, k_list, lambda_list)
+        assert bool(rows) != (case in NO_L2_WEAK_ROWS)
+        assert not any(row["entry"].endswith(".f3") for row in rows)
 
 
 @CONFIG_PARAMS
 def test_taibleson_equals_per_function_route_bit_for_bit(config, monkeypatch):
-    for corpus in stacked_corpora(config, monkeypatch):
+    for _, corpus, _ in stacked_corpora(config, monkeypatch):
         rows = check_taibleson_class(corpus)["rows"]
         assert [row["sup_l2_ratio_k0"] for row in rows] == per_function_taibleson_l2(corpus)
 
@@ -421,7 +434,7 @@ def _stack_count(corpus, window):
 def test_besov_tl_builds_each_block_stack_once(monkeypatch):
     corpus = small_corpus(count=5)
     k_list, srt_list = [-1, 0], [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)]
-    f0, (a, l) = corpus.functions[0], corpus.window
+    f0, l = corpus.functions[0], corpus.window[1]
     atoms = [atom for _, atom in verify._first_atoms(corpus)]
     assert atoms
     counts = {"blocks": 0, "convolve": 0}
@@ -438,15 +451,13 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
         monkeypatch.setattr(verify, "STACK_CELLS", stack_cells)
         counts.update(blocks=0, convolve=0)
         check_besov_tl_theorem(corpus, k_list, srt_list)
-        # one block stack per stack of f, of T_k f and of piece convolutions
-        tkf_stacks = sum(_stack_count(corpus, (spec.out_a, spec.out_l))
-                         for kern in corpus.kernels for k in k_list
-                         for spec in [resolution_spec(f0, k)])
-        piece_stacks = sum(_stack_count(corpus, (min(piece.a, a), max(piece.l, l)))
-                           for atom in atoms
-                           for piece in [shell_piece(atom, j, l) for j in (-1, 0, 1)])
-        assert counts["blocks"] == _stack_count(corpus, corpus.window) + tkf_stacks + piece_stacks
-        assert counts["convolve"] == piece_stacks
+        # the corpus is cut once, by the widest window of T_k f and of the pieces, and
+        # each stack builds one block stack of itself, of each T_k f and of each g_j * f
+        pieces = [shell_piece(atom, j, l) for atom in atoms for j in (-1, 0, 1)]
+        a = min([resolution_spec(f0, 0).out_a] + [piece.a for piece in pieces])
+        stacks = _stack_count(corpus, (a, l))
+        assert counts["blocks"] == stacks * (1 + len(corpus.kernels) * len(k_list) + len(pieces))
+        assert counts["convolve"] == stacks * len(pieces)
     # the default bound holds each of these stacks in one piece
     monkeypatch.setattr(verify, "STACK_CELLS", STACK_BOUNDS[0])
     counts.update(blocks=0, convolve=0)
@@ -678,6 +689,60 @@ def test_run_builds_one_truncation_kernel_per_kernel_and_k(monkeypatch):
     # kernel built for each
     assert info.misses == len(builds) == len(set(builds)) == len(corpus.kernels) * len(k_list)
     assert info.hits > 0
+
+
+# the default run (run_verification's default corpus), and a small corpus cut
+# into one-row stacks (40 cells hold one 32-cell row of T_k f): (corpus, STACK_CELLS)
+WORK_RUNS = {"default": ({}, verify.STACK_CELLS),
+             "one_row_stacks": ({"count": 5, "window": (-2, 2), "kernel_resolutions": (2,)}, 40)}
+
+
+@pytest.mark.parametrize("case", WORK_RUNS)
+def test_each_protocol_transforms_each_corpus_stack_once(case, monkeypatch):
+    kwargs, stack_cells = WORK_RUNS[case]
+    monkeypatch.setattr(verify, "STACK_CELLS", stack_cells)
+    args = {"config": Q2, "seed": 42, "count": 50, "window": (-3, 3),
+            "kernel_resolutions": (2, 3, 4), **kwargs}
+    corpus = generate_corpus(**args)
+    a, l = corpus.window
+    stacks, atoms = _stack_count(corpus, (a - 1, l)), verify._first_atoms(corpus)
+    assert stacks == (1 if case == "default" else len(corpus.functions))
+    counts = collections.Counter()
+    dft, convolve, l2_weak = Window.dft, verify.convolve, verify.check_l2_and_weak11
+    new = Fraction.__new__
+
+    def counted_dft(self, values, inverse=False):
+        # a stack of corpus functions, transformed on T_k f's window (a - 1, l)
+        counts["corpus"] += not inverse and np.ndim(values) == 2 and (self.a, self.l) == (a - 1, l)
+        return dft(self, values, inverse)
+
+    def counted_convolve(*args):
+        counts["convolve"] += 1
+        return convolve(*args)
+
+    def counted_l2_weak(*args):
+        before = counts["convolve"]
+        out = l2_weak(*args)
+        counts["l2_weak_convolve"] = counts["convolve"] - before
+        return out
+
+    def counted_fraction(cls, *args, **kwargs):
+        counts["fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Window, "dft", counted_dft)
+    monkeypatch.setattr(verify, "convolve", counted_convolve)
+    monkeypatch.setattr(verify, "check_l2_and_weak11", counted_l2_weak)
+    monkeypatch.setattr(Fraction, "__new__", counted_fraction)
+    run_verification(**args)
+    monkeypatch.undo()
+    # once per protocol and stack: 4 in the default run, where each (kernel, k) took 65
+    assert counts["corpus"] == len(verify.CHECK_NAMES) * stacks
+    # reading B convolves once per atom and stack, not once per atom, k and stack
+    assert counts["l2_weak_convolve"] == len(atoms) * stacks
+    if case == "default":
+        # each weak11 float is taken once per distinct (measure, lambda): 30,122 before
+        assert counts["fraction"] < 1000
 
 
 def test_report_empty_check_selection_is_valid_skeleton():

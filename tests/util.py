@@ -23,7 +23,7 @@ from localfield.functions import (TestFunction, common_refinement, convolve, eva
 from localfield.kernels import AngularKernel, evaluate_homogeneous, h1_upper_bound, shell_piece
 from localfield.operators import (TruncationSpec, apply_atom_operator, apply_truncated,
                                   resolution_spec, tail_cutoff, truncation_kernel)
-from localfield.verify import _first_atoms, _reading_b_operator, generate_corpus
+from localfield.verify import _first_atoms, _reading_b_weight, generate_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -136,6 +136,15 @@ def naive_truncated(f, kern, spec):
     return TestFunction(config, spec.out_a, spec.out_l, out)
 
 
+def reading_b_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSpec) -> TestFunction:
+    """Reading B of the per-atom operator for one f and k: the convolution with the
+    unit-sphere piece times the geometric weight of the shells j = k .. tail_cutoff.
+    The per-(f, k) route that verify's once-per-stack convolution replaces."""
+    weight = _reading_b_weight(f.config.q, spec.k, tail_cutoff(spec.out_a, f.a))
+    out = convolve(shell_piece(atom, -1, f.l), f)
+    return TestFunction(out.config, out.a, out.l, out.values * complex(float(weight)))
+
+
 def fsum_segments(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """math.fsum of each segment, one Python call per segment: the route that
     functions.exact_sums replaces, and its differential reference."""
@@ -208,7 +217,7 @@ class HarnessRoute:
 
     @staticmethod
     def reading_b(f, atom, k):
-        return _reading_b_operator(f, atom, resolution_spec(f, k))
+        return reading_b_operator(f, atom, resolution_spec(f, k))
 
     @staticmethod
     def piece(atom, j, l):
