@@ -37,9 +37,10 @@ from .fourier import forward, forward_naive, inverse, spectral_l2_norm
 from .functions import TestFunction, check_level, check_norm_exponent, lr_norm, max_difference
 from .kernels import AngularKernel, atomic_decompose, check_resolution, validate_atom
 from .operators import apply_truncated, resolution_spec
-from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, _ms, canonical_dumps, check_corpus_window,
-                     check_count, check_lebesgue_exponent, check_record, check_srt,
-                     check_truncation_level, csv_text, exact_checks_pass, run_verification)
+from .verify import (CHECK_NAMES, DEFAULT_SRT_LIST, ReportWriter, _ms, canonical_dumps,
+                     check_corpus_window, check_count, check_lebesgue_exponent, check_record,
+                     check_srt, check_truncation_level, csv_text, exact_checks_pass,
+                     run_verification)
 
 WINDOW_CELL_CAP = 65536
 
@@ -325,13 +326,15 @@ def _load(path, fallback: FieldConfig, cls, noun: str):
         raise ConfigError(f"input: {path} is not a serialized {noun}: {exc}") from exc
 
 
-def _write_artifact(cfg: RunConfig, filename: str, text: str):
-    """Write text to filename under the output directory and say so on stdout."""
+def _write_artifact(cfg: RunConfig, filename: str, chunks):
+    """Write the text chunks, one after another as they come, to filename under the
+    output directory and say so on stdout."""
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / filename
-        path.write_text(text)
+        with path.open("w") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise RuntimeError(f"could not write artifact under {out_dir}: {exc}") from exc
     print(f"wrote {path}")
@@ -498,12 +501,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     )
     # report.json is the canonical, timing-free form, so a rerun is byte-identical
     t0 = time.perf_counter()
+    writer = ReportWriter(report, cfg.formats)  # refuses a non-finite value before writing
     if "json" in cfg.formats:
-        _write_artifact(cfg, "report.json", report.canonical_json())
-    else:  # its strict encoder refuses a non-finite value before the csv is written
-        report.canonical_json()
+        _write_artifact(cfg, "report.json", writer.json_chunks())
     if "csv" in cfg.formats:
-        _write_artifact(cfg, "report.csv", report.to_csv())
+        _write_artifact(cfg, "report.csv", writer.csv_chunks())
     timing_ms = {**report.timing_ms, "emit": _ms(t0)}
     print(f"timing_ms: {json.dumps(timing_ms, sort_keys=True)}")
     _print_checks(list(report.checks))
@@ -532,10 +534,10 @@ def main(argv=None) -> int:
             return _cmd_verify(cfg)
         artifact, checks = _COMMANDS[args.command](cfg, args)
         name = args.command.replace("-", "_") + ".json"
-        _write_artifact(cfg, name, canonical_dumps(artifact) + "\n")
+        _write_artifact(cfg, name, [canonical_dumps(artifact), "\n"])
         if args.command == "norms" and "csv" in cfg.formats:
-            _write_artifact(cfg, "norms.csv", csv_text(  # each report's keys, in this order
-                [("space", "s", "r", "t", "value"), *map(dict.values, artifact["reports"])]))
+            _write_artifact(cfg, "norms.csv", [csv_text(  # each report's keys, in this order
+                [("space", "s", "r", "t", "value"), *map(dict.values, artifact["reports"])])])
         _print_checks(checks)
         return _exit_code(checks)
     except (ConfigError, ValueError, OverflowError, RuntimeError, MemoryError) as exc:

@@ -4,9 +4,9 @@ A TestFunction lives on a window (a, l): support inside the ball P^a,
 constant on cosets of P^l.  Its q^{l-a} cell values follow the coset order
 of field.enumerate_cosets(a, l).  All window bookkeeping is exact; values
 are complex doubles: one row, or a (rows, cells) stack of functions on one
-window, every operation acting along the last axis; lr_norms and
-weak_level_measures give one value per row, each bit for bit its function's.
-exact_sums gives the correctly rounded sum (math.fsum's, bit for bit) of
+window, every operation acting along the last axis; lr_norms gives one value
+per row, each bit for bit its function's, and weak_level_measures one cell
+count.  exact_sums gives the correctly rounded sum (math.fsum's, bit for bit) of
 every segment of a flat array in one numpy pass; lr_norms_each puts the rows
 of several stacks through one such call, and decomp and fourier sum their
 norms with it too; a sum past the float range, where it raises fsum's
@@ -26,7 +26,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -274,8 +274,10 @@ def lr_norms_each(fs: list, r: float) -> list:
     """The L^r norms of every row of every stack in fs, all summed in one exact_sums call.
 
     For r = 2 the re^2 and the im^2 of a row are two segments, and its sum is
-    the float sum of their two correctly rounded sums.  When a sum is past the
-    float range, where exact_sums raises fsum's OverflowError, every norm reads inf."""
+    the float sum of their two correctly rounded sums; each norm is that sum
+    times q^-l to the power 1/r, by float.__pow__ as Python's ** takes it.  When
+    a sum is past the float range, where exact_sums raises fsum's OverflowError,
+    every norm reads inf."""
     check_norm_exponent(r)
     vals = [np.atleast_2d(f.values) for f in fs]
     parts = ([x**2 for v in vals for x in (v.real, v.imag)] if r == 2
@@ -289,7 +291,8 @@ def lr_norms_each(fs: list, r: float) -> list:
     sums = [sums[a:b] for a, b in zip(rows, rows[1:])]
     if r == 2:
         sums = [re + im for re, im in zip(sums[::2], sums[1::2])]
-    return [[(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in row_sums.tolist()]
+    return [list(map(float.__pow__, (row_sums * q_power(f.config.q, -f.l)).tolist(),
+                     repeat(1.0 / r)))
             for f, row_sums in zip(fs, sums)]
 
 
@@ -298,7 +301,7 @@ def lr_norms(f: TestFunction, r: float) -> list:
 
     A norm past the float range is refused."""
     (norms,) = lr_norms_each([f], r)
-    if not all(map(math.isfinite, norms)):
+    if not np.isfinite(norms).all():
         raise ValueError(f"r = {r}: an L^r norm is not a finite float")
     return norms
 
@@ -310,13 +313,11 @@ def lr_norm(f: TestFunction, r: float) -> float:
 
 
 def weak_level_measures(f: TestFunction, lam: float) -> list:
-    """Exact Haar measure of {x : |f(x)| > lam}, row by row; one Fraction per distinct count."""
+    """The Haar measure of {x : |f(x)| > lam} row by row, as an int: the number of
+    cells there, each of measure q^-l."""
     check_level(lam)
     vals = np.atleast_2d(f.values)
-    counts = np.count_nonzero(np.hypot(vals.real, vals.imag) > lam, axis=-1)
-    cell = Fraction(f.config.q) ** -f.l
-    measures = {c: c * cell for c in set(counts.tolist())}
-    return [measures[c] for c in counts.tolist()]
+    return np.count_nonzero(np.hypot(vals.real, vals.imag) > lam, axis=-1).tolist()
 
 
 def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:

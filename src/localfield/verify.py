@@ -25,12 +25,16 @@ output, each T_k f on operators.resolution_spec's window (the same for every
 k, so apply_truncated transforms the stack once) and each shell piece at the
 corpus resolution, and takes their norm columns.  Every ratio follows one rule,
 _ratios, on those columns.  A stack's widest array holds at most STACK_CELLS
-cells, which bounds peak memory; rows are emitted function by function.
+cells, which bounds peak memory; rows are emitted function by function, each
+table row built once, from index arrays over the ratio columns, and the per-k
+sups and fitted constants are numpy reductions over those columns.
+
+ReportWriter turns a report into report.json and report.csv in one pass that
+formats each ratio once: canonical_dumps of the payload and the rows a
+csv.writer writes, byte for byte, each file written as it is produced.
 """
 
-import csv
 import functools
-import io
 import json
 import logging
 import math
@@ -38,7 +42,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat, starmap
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -179,23 +183,26 @@ def generate_corpus(config: FieldConfig, seed: int, count: int, window: tuple,
 class OperatorNormEstimate:
     """Measured ratios for one theorem protocol.
 
-    ratio_table rows are (entry_id, k, param, ratio) where entry_id names
+    ratio_table rows are [entry_id, k, param, ratio] where entry_id names
     the (function, kernel) pair and param is the integrability exponent or
-    the (space, s, r, t) tuple.  Ratios are already normalized by the
+    the [space, s, r, t] list.  Ratios are already normalized by the
     claimed q^{-k} h1 growth, so fitted_constant is the largest ratio.
+    sups holds (k, param, sup) for each (k, param) that has rows: the largest
+    ratio of those rows.
     """
 
-    ratio_table: tuple
+    ratio_table: list
     fitted_constant: float
+    sups: tuple
 
 
 def k_stability(estimate: OperatorNormEstimate, factor: float = STABILITY_FACTOR,
                 param_filter=None) -> dict:
     """Spread of per-k fitted constants; pass iff max/min < factor."""
     sups = {}
-    for _, k, param, ratio in estimate.ratio_table:
+    for k, param, sup in estimate.sups:
         if param_filter is None or param_filter(param):
-            sups[k] = max(sups.get(k, 0.0), ratio)
+            sups[k] = max(sups.get(k, 0.0), sup)
     positive = [v for v in sups.values() if v > 0]
     if positive and len(positive) < len(sups):
         spread = math.inf  # some k saw only zero ratios while others did not
@@ -209,10 +216,6 @@ def k_stability(estimate: OperatorNormEstimate, factor: float = STABILITY_FACTOR
         "factor": factor,
         "pass": spread < factor,
     }
-
-
-def _estimate(rows) -> OperatorNormEstimate:
-    return OperatorNormEstimate(tuple(rows), max((row[3] for row in rows), default=0.0))
 
 
 def check_lebesgue_exponent(r) -> None:
@@ -276,17 +279,37 @@ def _truncations(corpus: Corpus, k_list, g: TestFunction, norms_of):
             yield (ki, k), norms_of(apply_truncated(g, kern, resolution_spec(g, k)))
 
 
-def _theorem_rows(corpus: Corpus, k_list, params, cols: dict) -> list:
-    """Ratio-table rows (entry_id, k, param, ratio) over function x kernel x k x param:
+def _pick(values: list, index: np.ndarray):
+    """values[i] for each i in index, as an iterator."""
+    return map(values.__getitem__, index.tolist())
+
+
+def _theorem_rows(corpus: Corpus, k_list, params, cols: dict) -> OperatorNormEstimate:
+    """Ratio-table rows [entry_id, k, param, ratio] over function x kernel x k x param:
     ratio = N(T_k f) / (q^{-k} h1(kernel) N(f)) for each norm N named in params,
-    from the columns of _truncations; no row where N(f) = 0."""
-    q = corpus.config.q
-    columns = [((ki, k, p), _ratios(cols[(ki, k), p], cols[None, p], q_power(q, -k) * h1).tolist(),
-                cols[None, p])
-               for ki, h1 in enumerate(map(h1_upper_bound, corpus.kernels))
-               for k in k_list for p in params]
-    return [(f"f{fi}.w{ki}", k, p, ratios[fi]) for fi in range(len(corpus.functions))
-            for (ki, k, p), ratios, den in columns if den[fi] != 0]
+    from the columns of _truncations; no row where N(f) = 0.  A tuple param is
+    written as a list, one list per param for all its rows."""
+    q, n, nk = corpus.config.q, len(corpus.functions), len(corpus.kernels)
+    keys = [(ki, h1, k, p) for ki, h1 in enumerate(map(h1_upper_bound, corpus.kernels))
+            for k in k_list for p in params]
+    ratios = np.array([_ratios(cols[(ki, k), p], cols[None, p], q_power(q, -k) * h1)
+                       for ki, h1, k, p in keys]).reshape(len(keys), n)
+    live = np.array([cols[None, p] != 0 for *_, p in keys], dtype=bool).reshape(len(keys), n)
+    cells = {p: list(p) if isinstance(p, tuple) else p for p in params}
+    sups = {}
+    for (_, _, k, p), sup, has_rows in zip(keys, ratios.max(axis=1, initial=0.0).tolist(),
+                                          live.any(axis=1).tolist()):
+        if has_rows:
+            sups[k, p] = max(sups.get((k, p), 0.0), sup)
+    fi, ci = np.nonzero(live.T)  # the rows, function-major
+    names = [f"f{i}.w{ki}" for i in range(n) for ki in range(nk)]
+    kernel = np.array([ki for ki, *_ in keys], dtype=np.int64)
+    rows = list(map(list, zip(_pick(names, fi * nk + kernel[ci]),
+                              _pick([k for _, _, k, _ in keys], ci),
+                              _pick([cells[p] for *_, p in keys], ci),
+                              ratios[ci, fi].tolist())))
+    return OperatorNormEstimate(rows, max(sups.values(), default=0.0),
+                                tuple((k, cells[p], sup) for (k, p), sup in sups.items()))
 
 
 def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstimate:
@@ -299,7 +322,7 @@ def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstima
 
     cols = _stack_columns(corpus, corpus.window[0] - 1,
                           lambda g: _truncations(corpus, k_list, g, norms_of))
-    return _estimate(_theorem_rows(corpus, k_list, r_list, cols))
+    return _theorem_rows(corpus, k_list, r_list, cols)
 
 
 def _first_atoms(corpus: Corpus) -> list:
@@ -348,7 +371,7 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
             ratios = _ratios(cols[(atom_id, j), ("F", s, r, t)], cols[None, ("F", s, r, t)])
             piece_rows.append({"atom": atom_id, "reading": "B" if j == -1 else "A", "j": j,
                                "s": s, "r": r, "t": t, "ratio": float(ratios.max(initial=0.0))})
-    return _estimate(_theorem_rows(corpus, k_list, params, cols)), piece_rows
+    return _theorem_rows(corpus, k_list, params, cols), piece_rows
 
 
 def _reading_b_weight(q: int, k: int, jmax: int) -> Fraction:
@@ -376,15 +399,16 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
     # the shells k .. tail_cutoff that reach resolution_spec's window (a - 1, l)
     weights = {k: complex(float(_reading_b_weight(q, k, tail_cutoff(a - 1, a)))) for k in k_list}
     levels = {lam: Fraction(lam) for lam in lambda_list}
+    cell = Fraction(q) ** -l  # every output has resolution l
     labels = [("l2", 2.0)] + [("weak11", lam) for lam in lambda_list]
 
     @functools.cache
-    def weak11(measure, lam):  # one float per distinct (measure, lam)
-        return float(measure * levels[lam])
+    def weak11(count, lam):  # one float per distinct (cell count, lam)
+        return float(count * cell * levels[lam])
 
     def norms_of(bf):
         return {("l2", 2.0): lr_norms(bf, 2),
-                **{("weak11", lam): [weak11(m, lam) for m in weak_level_measures(bf, lam)]
+                **{("weak11", lam): list(map(weak11, weak_level_measures(bf, lam), repeat(lam)))
                    for lam in lambda_list}}
 
     def columns_of(g):
@@ -399,22 +423,28 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
 
     cols = _stack_columns(corpus, a - 1, columns_of)
     l1, l2 = cols[None, 1], cols[None, 2]
+    n = len(corpus.functions)
     # a function whose L1 or L2 norm is 0 has no row
     dens = {"l2": np.where(l1 != 0, l2, 0.0), "weak11": np.where(l2 != 0, l1, 0.0)}
-    rows = []
+    columns = [(k, reading, check, param) for k in k_list for reading in ("A", "B")
+               for check, param in labels]
+    ratios = np.array([_ratios(cols[(atom_id, k, reading), (check, param)], dens[check],
+                               q_power(q, -k) / (q - 1) if check == "l2" else 1 + 4 * q)
+                       for atom_id, _ in atoms for k, reading, check, param in columns]
+                      ).reshape(len(atoms), len(columns), n)
     worst = {("l2", "A"): 0.0, ("l2", "B"): 0.0, ("weak11", "A"): 0.0, ("weak11", "B"): 0.0}
-    for atom_id, _ in atoms:
-        columns = [((k, reading, check, param),
-                    _ratios(cols[(atom_id, k, reading), (check, param)], dens[check],
-                            q_power(q, -k) / (q - 1) if check == "l2" else 1 + 4 * q).tolist(),
-                    dens[check])
-                   for k in k_list for reading in ("A", "B") for check, param in labels]
-        for (_, reading, check, _), ratios, _ in columns:
-            worst[check, reading] = max(worst[check, reading], max(ratios, default=0.0))
-        rows.extend({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
-                     "reading": reading, "param": param, "ratio": ratios[fi]}
-                    for fi in range(len(corpus.functions))
-                    for (k, reading, check, param), ratios, den in columns if den[fi] != 0)
+    for (_, reading, check, _), sup in zip(columns, ratios.max(axis=(0, 2), initial=0.0).tolist()):
+        worst[check, reading] = max(worst[check, reading], sup)
+    live = np.array([dens[check] != 0 for _, _, check, _ in columns], dtype=bool)
+    # atom-major, then function-major, as the tables take them
+    ai, fi, ci = np.nonzero(np.broadcast_to(live.T, (len(atoms), n, len(columns))))
+    entries = [f"{atom_id}.f{i}" for atom_id, _ in atoms for i in range(n)]
+    rows = [{"check": check, "entry": entry, "k": k, "reading": reading, "param": param,
+             "ratio": ratio}
+            for check, entry, k, reading, param, ratio in zip(
+                _pick([c for _, _, c, _ in columns], ci), _pick(entries, ai * n + fi),
+                _pick([k for k, *_ in columns], ci), _pick([r for _, r, _, _ in columns], ci),
+                _pick([p for *_, p in columns], ci), ratios[ai, ci, fi].tolist())]
     records = [
         check_record(f"{check}_bound_reading_{reading.lower()}", 1.0, value, value <= 1 + 1e-10)
         for (check, reading), value in worst.items()
@@ -467,11 +497,197 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+_float_repr = float.__repr__  # the one float formatter of the report tokens
+
+
+def _json_token(x) -> str:
+    """x as canonical_dumps writes it, a finite float by _float_repr."""
+    if isinstance(x, float) and math.isfinite(x):
+        return _float_repr(x)
+    return canonical_dumps(x)  # refuses a non-finite float with the stdlib's message
+
+
+def _csv_quoted(text: str) -> str:
+    # a csv.writer field is quoted, its quotes doubled, iff it holds a comma, a quote or a newline
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_field(x) -> str:
+    """x as a csv.writer field: None empty, a float by its repr, anything else by str."""
+    return _csv_quoted("" if x is None else _float_repr(x) if isinstance(x, float) else str(x))
+
+
 def csv_text(rows) -> str:
-    """The CSV of every artifact: one line per row, each ended by a newline."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """The CSV of every artifact, as csv.writer writes it: each row of two or more
+    fields one line, ended by a newline."""
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
+
+
+def _part(x):
+    # x as "{}".format writes it: a float by _float_repr, anything else left to format
+    return _float_repr(x) if type(x) is float else x
+
+
+def _csv_srt(param) -> str:
+    """The param field of a besov_tl row: its [space, s, r, t] list joined by colons."""
+    return _csv_quoted("{}:{}:{}:{}".format(*map(_part, param)))
+
+
+def _csv_reading(reading, param) -> str:
+    """The param field of an l2_weak row: its reading and param joined by a colon."""
+    return _csv_quoted("{}:{}".format(_part(reading), _part(param)))
+
+
+def _tokens(columns: list, fmt) -> list:
+    """fmt(*cells) for each row of the columns, called once per distinct tuple of cell
+    objects, such as an entry, a k or a param that many rows share."""
+    if len(columns) == 1 and set(map(type, columns[0])) in ({str}, {int}):
+        keys = columns[0]  # equal strs, or equal ints, have one token
+        distinct = {cell: (cell,) for cell in set(keys)}
+    elif len(columns) == 1:
+        keys = list(map(id, columns[0]))
+        distinct = {key: (cell,) for key, cell in dict(zip(keys, columns[0])).items()}
+    else:
+        keys = list(zip(*[map(id, column) for column in columns]))
+        distinct = dict(zip(keys, zip(*columns)))
+    return list(map({key: fmt(*cells) for key, cells in distinct.items()}.__getitem__, keys))
+
+
+def _ratio_tokens(cells: list) -> tuple:
+    """(JSON tokens, CSV tokens) of a ratio column: a column of floats is formatted once,
+    cell by cell, by _float_repr, one token for both files."""
+    if set(map(type, cells)) <= {float}:
+        if not all(map(math.isfinite, cells)):
+            canonical_dumps(cells)  # raises the stdlib's error
+        tokens = list(map(_float_repr, cells))
+        return tokens, tokens
+    return list(map(_json_token, cells)), list(map(_csv_field, cells))
+
+
+# the tables of many rows of one shape: name -> (whether a row is a dict, its keys in
+# the order canonical_dumps writes them, the key of its ratio, the text that starts its
+# CSV row, the CSV fields between that and the ratio as (format, keys))
+_ROW_TABLES = {
+    "lebesgue": (False, (0, 1, 2, 3), 3, "lebesgue,",
+                 ((_csv_field, (0,)), (_csv_field, (1,)), (_csv_field, (2,)))),
+    "besov_tl": (False, (0, 1, 2, 3), 3, "besov_tl,",
+                 ((_csv_field, (0,)), (_csv_field, (1,)), (_csv_srt, (2,)))),
+    "l2_weak": (True, ("check", "entry", "k", "param", "ratio", "reading"), "ratio", "",
+                ((_csv_field, ("check",)), (_csv_field, ("entry",)), (_csv_field, ("k",)),
+                 (_csv_reading, ("reading", "param")))),
+}
+
+
+def _table_tokens(rows, dicts: bool, keys: tuple, ratio, prefix: str, fields: tuple,
+                  with_csv: bool) -> tuple:
+    """(JSON part, CSV part) of a _ROW_TABLES table, each (row seps, token columns) or
+    None; rows of another length or kind leave the JSON part to canonical_dumps."""
+    json_part = csv_part = None
+    shaped = (set(map(len, rows)) <= {len(keys)}
+              and set(map(type, rows)) <= ({dict} if dicts else {list, tuple}))
+    if not shaped:
+        json_part = canonical_dumps(rows)
+        if not with_csv:
+            return json_part, None
+    column = {key: list(map(itemgetter(key), rows)) for key in keys}
+    json_ratio, csv_ratio = _ratio_tokens(column[ratio])
+    if shaped:
+        seps = ([f',{{"{keys[0]}":', *(f',"{key}":' for key in keys[1:]), "}"] if dicts
+                else [",[", *[","] * (len(keys) - 1), "]"])
+        json_part = (seps, [json_ratio if key == ratio else _tokens([column[key]], _json_token)
+                            for key in keys])
+    if with_csv:
+        csv_part = ([prefix, *[","] * len(fields), "\n"],
+                    [*(_tokens([column[key] for key in on], fmt) for fmt, on in fields),
+                     csv_ratio])
+    return json_part, csv_part
+
+
+# the rows joined into one string before it is written
+_WRITE_ROWS = 4096
+
+
+def _row_blocks(seps: tuple, columns: list, first: str = None):
+    """Each row of the token columns with seps around and between its cells, a block
+    of rows joined at a time; first, if given, replaces the first row's first sep."""
+    width = len(seps) + len(columns)
+    for start in range(0, len(columns[0]), _WRITE_ROWS):
+        n = min(_WRITE_ROWS, len(columns[0]) - start)
+        flat = [None] * (width * n)
+        for i, sep in enumerate(seps):
+            flat[2 * i::width] = [sep] * n
+        for i, column in enumerate(columns):
+            flat[2 * i + 1::width] = column[start:start + n]
+        if start == 0 and first is not None:
+            flat[0] = first
+        yield "".join(flat)
+
+
+class ReportWriter:
+    """The one pass from a VerificationReport to report.json and report.csv.
+
+    The row tables (lebesgue, besov_tl, l2_weak) are read column by column
+    into tokens: each ratio is formatted once, by _float_repr, for both
+    files, and each distinct entry, k and param object once per file.
+    json_chunks joins the JSON tokens into canonical_dumps of the report's
+    payload and csv_chunks joins the CSV tokens into the rows a csv.writer
+    writes, byte for byte; every other part goes through canonical_dumps or
+    csv_text.  Both yield their text a block of rows at a time, so a file is
+    written as it is produced.  The tokens are made here, so a non-finite
+    value is refused, with the stdlib's message, before either file is begun.
+    formats names the files ("json", "csv") the writer is asked for.
+    """
+
+    def __init__(self, report: "VerificationReport", formats=("json", "csv")):
+        self._tables = tables = report.tables
+        head = {"checks": list(report.checks), "config": report.config.to_dict(),
+                "seed": report.seed}
+        self._json_head = "{" + "".join(f'"{key}":{canonical_dumps(value)},'
+                                        for key, value in head.items()) + '"tables":{'
+        self._json_tables = {}  # name -> its JSON text, or (row seps, token columns)
+        self._csv_tables = {}   # name -> (row seps, token columns)
+        for name in sorted(tables):
+            if name in _ROW_TABLES:
+                self._json_tables[name], self._csv_tables[name] = _table_tokens(
+                    tables[name], *_ROW_TABLES[name], "csv" in formats)
+            else:
+                self._json_tables[name] = canonical_dumps(tables[name])
+
+    def json_chunks(self):
+        """report.json: canonical_dumps of the report's timing-free payload, in pieces."""
+        yield self._json_head
+        for i, (name, part) in enumerate(self._json_tables.items()):
+            yield ("," if i else "") + canonical_dumps(name) + ":"
+            if isinstance(part, str):
+                yield part
+            else:
+                seps, columns = part
+                yield "["
+                yield from _row_blocks(seps, columns, seps[0][1:])
+                yield "]"
+        yield "}}"
+
+    def _csv_rows(self, name: str):
+        if self._csv_tables.get(name):
+            yield from _row_blocks(*self._csv_tables[name])
+
+    def csv_chunks(self):
+        """report.csv: one csv.writer row per table row, in pieces."""
+        def column(name, *keys):
+            return [map(itemgetter(key), self._tables.get(name, [])) for key in keys]
+
+        atom, j, reading, s, r, t, ratio = column(
+            "pieces", "atom", "j", "reading", "s", "r", "t", "ratio")
+        yield csv_text([("check", "entry", "k", "param", "ratio")])
+        yield from self._csv_rows("lebesgue")
+        yield from self._csv_rows("besov_tl")
+        yield csv_text(zip(repeat("piece"), atom, j, map("{}:{}:{}:{}".format, reading, s, r, t),
+                           ratio))
+        yield from self._csv_rows("l2_weak")
+        yield csv_text(zip(repeat("taibleson"), *column("taibleson", "kernel", "m"),
+                           repeat("modulus"), *column("taibleson", "modulus")))
 
 
 @dataclass(frozen=True)
@@ -479,7 +695,8 @@ class VerificationReport:
     """Everything one run measured, in deterministic order.
 
     canonical_json omits timings, which are the only nondeterministic
-    content; byte-level reproducibility claims refer to that form.
+    content; byte-level reproducibility claims refer to that form.  Both
+    it and to_csv are the text of one ReportWriter pass.
     """
 
     config: FieldConfig
@@ -489,37 +706,10 @@ class VerificationReport:
     timing_ms: dict
 
     def canonical_json(self) -> str:
-        payload = {
-            "config": self.config.to_dict(),
-            "seed": self.seed,
-            "checks": list(self.checks),
-            "tables": self.tables,
-        }
-        return canonical_dumps(payload)
-
-    def csv_rows(self) -> list:
-        def columns(name, *keys):
-            table = self.tables.get(name, [])
-            return [map(itemgetter(key), table) for key in keys]
-
-        entry, k, param, ratio = columns("besov_tl", 0, 1, 2, 3)
-        atom, j, reading, s, r, t, piece_ratio = columns(
-            "pieces", "atom", "j", "reading", "s", "r", "t", "ratio")
-        return [
-            ("check", "entry", "k", "param", "ratio"),
-            *zip(repeat("lebesgue"), *columns("lebesgue", 0, 1, 2, 3)),
-            *zip(repeat("besov_tl"), entry, k, starmap("{}:{}:{}:{}".format, param), ratio),
-            *zip(repeat("piece"), atom, j, map("{}:{}:{}:{}".format, reading, s, r, t),
-                 piece_ratio),
-            *zip(*columns("l2_weak", "check", "entry", "k"),
-                 map("{}:{}".format, *columns("l2_weak", "reading", "param")),
-                 *columns("l2_weak", "ratio")),
-            *zip(repeat("taibleson"), *columns("taibleson", "kernel", "m"), repeat("modulus"),
-                 *columns("taibleson", "modulus")),
-        ]
+        return "".join(ReportWriter(self, ("json",)).json_chunks())
 
     def to_csv(self) -> str:
-        return csv_text(self.csv_rows())
+        return "".join(ReportWriter(self, ("csv",)).csv_chunks())
 
 
 def _ms(t0: float) -> float:
@@ -552,7 +742,7 @@ def run_verification(config: FieldConfig = FieldConfig("padic", 2), seed: int = 
         lebesgue = check_lebesgue_theorem(corpus, k_list, r_list)
         stability = k_stability(lebesgue)
         timing["lebesgue"] = _ms(t0)
-        tables["lebesgue"] = [list(row) for row in lebesgue.ratio_table]
+        tables["lebesgue"] = lebesgue.ratio_table
         tables["lebesgue_per_k"] = stability["per_k"]
         records.append(check_record("lebesgue_fitted_constant", None,
                                     lebesgue.fitted_constant, None))
@@ -563,9 +753,7 @@ def run_verification(config: FieldConfig = FieldConfig("padic", 2), seed: int = 
         t0 = time.perf_counter()
         besov_tl, piece_rows = check_besov_tl_theorem(corpus, k_list, srt_list)
         timing["besov_tl"] = _ms(t0)
-        tables["besov_tl"] = [
-            [entry, k, list(param), ratio] for entry, k, param, ratio in besov_tl.ratio_table
-        ]
+        tables["besov_tl"] = besov_tl.ratio_table
         tables["pieces"] = piece_rows
         for space, name in (("B", "besov"), ("F", "triebel")):
             stability = k_stability(besov_tl, param_filter=lambda p, s=space: p[0] == s)

@@ -1,5 +1,6 @@
 """CLI: config assembly with precedence, subcommand artifacts, exit policy."""
 
+import copy
 import inspect
 import json
 import math
@@ -1004,6 +1005,41 @@ def test_verify_report_is_strict_json_with_an_infinite_spread(tmp_path, capsys):
     assert by_name["lebesgue_k_stability"]["measured"] == "inf"
     assert by_name["lebesgue_k_stability"]["pass"] is False
     assert "FAIL lebesgue_k_stability: measured=inf" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    return verify.run_verification(
+        config=Q2, count=3, window=(-2, 2), kernel_resolutions=(2,), k_list=(-1, 0),
+        r_list=(2.0,), srt_list=((0.5, 2.0, 2.0),), lambda_list=(1.0,))
+
+
+# a path to every column of the tables: (table, row, key, then an index into a param list)
+TABLE_COLUMNS = [("lebesgue", 0, i) for i in range(4)] + [
+    ("besov_tl", 0, 1), ("besov_tl", 0, 2, 1), ("besov_tl", 0, 2, 3), ("besov_tl", 0, 3),
+    *(("l2_weak", 1, key) for key in ("check", "entry", "k", "reading", "param", "ratio")),
+    *(("pieces", 2, key) for key in ("atom", "j", "s", "r", "t", "ratio")),
+    *(("taibleson", 1, key) for key in ("m", "modulus", "h1_upper_bound", "sup_l2_ratio_k0")),
+    ("lebesgue_per_k", "0"), ("besov_per_k", "-1")]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+@pytest.mark.parametrize("path", TABLE_COLUMNS, ids=lambda p: ".".join(map(str, p)))
+def test_verify_refuses_a_non_finite_value_in_any_table_column(
+        tmp_path, capsys, monkeypatch, small_report, path, fmt):
+    tables = copy.deepcopy(small_report.tables)
+    *at, key = path
+    node = tables
+    for part in at:
+        node = node[part]
+    node[key] = math.nan if len(path) % 2 else -math.inf
+    report = verify.VerificationReport(Q2, 42, small_report.checks, tables, {})
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: report)
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_verify_refuses_to_write_a_non_finite_table_value(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from localfield.functions import (
     dyadic_ints,
     from_indicator_combo,
     lr_norm,
+    lr_norms_each,
     max_difference,
     refine,
     weak_level_measures,
@@ -36,8 +38,8 @@ from localfield.verify import DEFAULT_SRT_LIST
 
 import cz_oracle
 from cz_oracle import node_ball
-from util import (CONFIGS, add_functions, integral, linf_norm, scalar_multiple, seed42_corpus,
-                  spectral_valuation_levels)
+from util import (CONFIGS, add_functions, fsum_lr_norms, integral, linf_norm,
+                  per_row_norm_columns, scalar_multiple, seed42_corpus, spectral_valuation_levels)
 
 
 def unit_ball(config: FieldConfig) -> TestFunction:
@@ -723,6 +725,65 @@ def test_norm_columns_rows_equal_one_row_tables_bit_for_bit(config):
             assert set(columns) == {(space, srt) for space in spaces for srt in TABLE_SRT}
             for key, column in columns.items():
                 assert column == [table[key][0] for table in tables]
+
+
+def hexes(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+# triples with r = t, r != t on either side, and r = 1 or t = 1
+DIFFERENTIAL_SRT = [(0.5, 2.0, 2.0), (0.25, 1.5, 3.0), (1.0, 3.0, 1.5), (-0.5, 1.0, 2.5),
+                    (2.0, 2.0, 1.0)]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+@pytest.mark.parametrize("window", [(-2, 2), (1, 3)], ids=["a<0", "a>0"])
+@pytest.mark.parametrize("rows", [1, 5], ids=["one_row", "stacked"])
+def test_norm_layer_equals_the_per_row_route_bit_for_bit(config, window, rows):
+    rng = np.random.default_rng([45, rows])
+    fs = [random_fn(rng, config, *window) for _ in range(rows)]
+    f = fs[0] if rows == 1 else TestFunction(config, *window, np.stack([g.values for g in fs]))
+    want = per_row_norm_columns(f, DIFFERENTIAL_SRT)
+    for spaces in ("BF", "B", "F"):
+        got = norm_columns(f, DIFFERENTIAL_SRT, spaces)
+        assert set(got) == {(space, srt) for space in spaces for srt in DIFFERENTIAL_SRT}
+        for key, column in got.items():
+            assert hexes(column) == hexes(want[key]), key
+    other = random_fn(rng, config, window[0] - 1, window[1])
+    for r in (1, 1.5, 2, 3, 7.25):
+        assert [hexes(norms) for norms in lr_norms_each([f, other], r)] == \
+            [hexes(fsum_lr_norms(g, r)) for g in (f, other)]
+
+
+def overflowing_case(route):
+    """(f, spaces, srt_list) whose second triple alone leaves the float range, by route:
+    a B sum of finite powers, an F sum of finite terms, or a power of a finite norm."""
+    q2 = FieldConfig("padic", 2)
+    if route == "b_sum":  # both block norms are 2e200, and each 2e200^1.5375 is finite
+        vals = np.zeros(16)
+        vals[:2] = 1e200, 3e200
+        return TestFunction(q2, -3, 1, vals), "B", [(0.5, 1.0, 1.0), (0.0, 1.0, 1.5375)]
+    if route == "f_sum":  # 16 cells of 1e200^1.537, each finite
+        return TestFunction(q2, -3, 1, np.full(16, 1e200)), "F", [(0.5, 1.0, 1.0),
+                                                                   (0.0, 1.537, 1.537)]
+    # block 0 has norm above 1, so its power to t = 1e300 is past the float range
+    return TestFunction(q2, -1, 2, np.full(8, 3.0)), "BF", [(0.5, 2.0, 2.0), (1e-300, 1.5, 1e300)]
+
+
+@pytest.mark.parametrize("route", ["b_sum", "f_sum", "power"])
+@np.errstate(over="ignore", invalid="ignore")  # the per-row route's numpy powers overflow too
+def test_norm_columns_name_an_overflowing_triple_that_is_not_first(route):
+    f, spaces, srt_list = overflowing_case(route)
+    want = per_row_norm_columns(f, srt_list, spaces)
+    assert all(math.isfinite(v) for space in spaces for v in want[space, srt_list[0]])
+    assert not all(math.isfinite(v) for space in spaces for v in want[space, srt_list[1]])
+    with pytest.raises(ValueError,
+                       match=rf"^\(s, r, t\) = {re.escape(str(srt_list[1]))}: a B or F norm"):
+        norm_columns(f, srt_list, spaces)
+    # alone, the first triple reads its per-row values
+    got = norm_columns(f, srt_list[:1], spaces)
+    assert {key: hexes(v) for key, v in got.items()} == \
+        {(space, srt_list[0]): hexes(want[space, srt_list[0]]) for space in spaces}
 
 
 # every entry point of the norm layer refuses the same values: each takes the

@@ -240,6 +240,9 @@ class TestNorms:
         f = unit_ball_indicator(Q2)
         assert weak_level_measures(f, 0.5) == [1]
         assert weak_level_measures(f, 2) == [0]
+        # the measure is a count of cells of measure q^-l: all 8 of (0, 3), 4 of the 8 of (-1, 2)
+        assert weak_level_measures(refine(f, 0, 3), 0.5) == [8]
+        assert weak_level_measures(refine(f, -1, 2), 0.5) == [4]
 
     def test_weak_measure_rejects_bad_level(self):
         with pytest.raises(ValueError):
@@ -251,8 +254,8 @@ class TestNorms:
             for _ in range(25):
                 f = random_function(rng, config)
                 lam = rng.uniform(0.05, 2)
-                (measure,) = weak_level_measures(f, lam)
-                assert float(measure) <= lr_norm(f, 2) ** 2 / lam**2 + 1e-15
+                (count,) = weak_level_measures(f, lam)
+                assert float(count * f.cell_measure) <= lr_norm(f, 2) ** 2 / lam**2 + 1e-15
 
 
 class TestConvolve:

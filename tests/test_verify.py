@@ -39,6 +39,8 @@ from localfield.operators import (
 from localfield.verify import (
     Corpus,
     OperatorNormEstimate,
+    ReportWriter,
+    VerificationReport,
     _reading_b_weight,
     canonical_dumps,
     check_besov_tl_theorem,
@@ -61,6 +63,7 @@ from util import (
     per_function_lebesgue,
     per_function_taibleson_l2,
     per_row_csv,
+    row_sups,
     scalar_multiple,
     single_norm_besov_tl,
 )
@@ -180,16 +183,19 @@ def test_lebesgue_ratio_invariant_under_scaling():
         assert row5[3] == pytest.approx(row[3], rel=1e-12)
 
 
+def estimate_of(rows):
+    return OperatorNormEstimate(rows, max(row[3] for row in rows), row_sups(rows))
+
+
 def test_k_stability_summaries():
-    rows = [("f0.w0", -1, 2.0, 0.5), ("f0.w0", 0, 2.0, 1.0), ("f1.w0", 0, 2.0, 0.9)]
-    est = OperatorNormEstimate(tuple(rows), 1.0)
+    est = estimate_of([["f0.w0", -1, 2.0, 0.5], ["f0.w0", 0, 2.0, 1.0], ["f1.w0", 0, 2.0, 0.9]])
     stab = k_stability(est, 4.0)
     assert stab["per_k"] == {"-1": 0.5, "0": 1.0}
     assert stab["spread"] == 2.0 and stab["pass"]
     assert not k_stability(est, 2.0)["pass"]
-    single = OperatorNormEstimate((("f0.w0", 0, 2.0, 0.7),), 0.7)
+    single = estimate_of([["f0.w0", 0, 2.0, 0.7]])
     assert k_stability(single)["spread"] == 1.0
-    dead_k = OperatorNormEstimate((("f0.w0", 0, 2.0, 0.7), ("f0.w0", 1, 2.0, 0.0)), 0.7)
+    dead_k = estimate_of([["f0.w0", 0, 2.0, 0.7], ["f0.w0", 1, 2.0, 0.0]])
     assert k_stability(dead_k)["spread"] == math.inf
 
 
@@ -228,7 +234,7 @@ def test_besov_tl_f_equals_b_at_matching_exponents():
     est, _ = check_besov_tl_theorem(corpus, [-1, 0], [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)])
     by_key = {}
     for entry, k, param, ratio in est.ratio_table:
-        by_key[(entry, k, param)] = ratio
+        by_key[(entry, k, tuple(param))] = ratio
     for (entry, k, param), ratio in by_key.items():
         space, s, r, t = param
         if space == "B" and r == t:
@@ -343,6 +349,16 @@ def test_taibleson_equals_per_function_route_bit_for_bit(config, monkeypatch):
     for _, corpus, _ in stacked_corpora(config, monkeypatch):
         rows = check_taibleson_class(corpus)["rows"]
         assert [row["sup_l2_ratio_k0"] for row in rows] == per_function_taibleson_l2(corpus)
+
+
+@CONFIG_PARAMS
+def test_estimate_sups_are_the_largest_ratio_of_each_k_and_param(config, monkeypatch):
+    # the column reductions against a loop over the rows, on every stacked corpus
+    for _, corpus, k_list in stacked_corpora(config, monkeypatch, [-1, 0]):
+        for est in (check_lebesgue_theorem(corpus, k_list, [1.5, 2.0]),
+                    check_besov_tl_theorem(corpus, k_list, [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)])[0]):
+            assert sorted(est.sups, key=repr) == sorted(row_sups(est.ratio_table), key=repr)
+            assert est.fitted_constant == max((row[3] for row in est.ratio_table), default=0.0)
 
 
 # the harness route against the unaveraged route it replaced, on corpora whose
@@ -469,15 +485,21 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
 def test_piece_rows_take_no_besov_norm(monkeypatch):
     corpus = small_corpus(count=4)
     k_list, srt_list = [-1, 0], [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)]
-    calls = []
-    besov_value = decomp._besov_value
-    monkeypatch.setattr(decomp, "_besov_value",
-                        lambda *args: calls.append(args) or besov_value(*args))
+    b_values = []
+    norm_columns = verify.norm_columns
+
+    def counted(f, srts, spaces="BF"):
+        out = norm_columns(f, srts, spaces)
+        b_values.extend(value for (space, _), column in out.items() if space == "B"
+                        for value in column)
+        return out
+
+    monkeypatch.setattr(verify, "norm_columns", counted)
     _, pieces = check_besov_tl_theorem(corpus, k_list, srt_list)
     assert pieces
     # one B value per row of f and of T_k f and per triple; none for g_j * f
     n = len(corpus.functions)
-    assert len(calls) == n * (1 + len(corpus.kernels) * len(k_list)) * len(srt_list)
+    assert len(b_values) == n * (1 + len(corpus.kernels) * len(k_list)) * len(srt_list)
 
 
 @pytest.fixture(scope="module")
@@ -741,8 +763,29 @@ def test_each_protocol_transforms_each_corpus_stack_once(case, monkeypatch):
     # reading B convolves once per atom and stack, not once per atom, k and stack
     assert counts["l2_weak_convolve"] == len(atoms) * stacks
     if case == "default":
-        # each weak11 float is taken once per distinct (measure, lambda): 30,122 before
+        # each weak11 float is taken once per distinct (count, lambda): 30,122 before
         assert counts["fraction"] < 1000
+
+
+def test_fractions_do_not_grow_with_the_stack_count(monkeypatch):
+    # the one-row-stacks corpus at its bound, one row per stack, and at the default one
+    kwargs, stack_cells = WORK_RUNS["one_row_stacks"]
+    args = {"config": Q2, "seed": 42, **kwargs}
+    new = Fraction.__new__
+    counts = []
+
+    def counted(cls, *a, **kw):
+        counts[-1] += 1
+        return new(cls, *a, **kw)
+
+    run_verification(**args)  # warm the caches that outlive a run
+    for cells in (stack_cells, verify.STACK_CELLS):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "STACK_CELLS", cells)
+            counts.append(0)
+            m.setattr(Fraction, "__new__", counted)
+            run_verification(**args)
+    assert counts[0] == counts[1]
 
 
 def test_report_empty_check_selection_is_valid_skeleton():
@@ -772,11 +815,103 @@ def report_payload(report) -> dict:
             "checks": list(report.checks), "tables": report.tables}
 
 
+def one_pass(report, formats=("json", "csv")) -> tuple:
+    """The texts of one ReportWriter pass, report.json's and report.csv's."""
+    writer = ReportWriter(report, formats)
+    return ("".join(writer.json_chunks()) if "json" in formats else None,
+            "".join(writer.csv_chunks()) if "csv" in formats else None)
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=str)
 def test_report_writers_equal_the_stdlib_and_per_row_references(config):
     report = run_small(config=config)
+    assert one_pass(report) == (canonical_dumps(report_payload(report)), per_row_csv(report))
+    assert (report.canonical_json(), report.to_csv()) == one_pass(report)
     assert reindented(report.canonical_json()) == stdlib_dumps(report_payload(report))
-    assert report.to_csv() == per_row_csv(report)
+
+
+# table cells no verify run writes: strings that need escaping in JSON or quoting in
+# CSV, bools, None, ints where floats stand, both zeros, the smallest subnormal, a
+# numpy float64, and values that compare equal across types (1, True, 1.0)
+HOSTILE_CELLS = ['"\\{}{0}}{é€\u2028😀', "a,b", 'say "hi"', "line\nbreak", "cr\rhere", "{}",
+                 "", "é", True, False, None, 0, 1, 1.0, -3, 0.0, -0.0, 5e-324, 1e16, 2**70,
+                 np.float64(0.1), np.float64(-0.0), 0.1]
+
+
+def hostile_report(float_ratios: bool = False) -> VerificationReport:
+    """Every table column, param parts too, cycles through HOSTILE_CELLS, each cell object
+    shared by several rows; float_ratios keeps the ratio columns exact floats."""
+    n = len(HOSTILE_CELLS)
+
+    def cell(i):
+        return HOSTILE_CELLS[i % n]
+
+    def ratio(i):
+        return [0.25, -0.0, 5e-324, 1e16, 0.0, 1.7976931348623157e308][i % 6] if float_ratios \
+            else cell(i)
+
+    rows = range(3 * n)
+    tables = {
+        "lebesgue": [[cell(i), cell(i + 1), cell(i + 2), ratio(i)] for i in rows],
+        "besov_tl": [[cell(i + 3), cell(i + 5), [cell(i), cell(i + 7), cell(i + 2), cell(i + 9)],
+                      ratio(i + 1)] for i in rows],
+        "l2_weak": [{"check": cell(i), "entry": cell(i + 4), "k": cell(i + 1),
+                     "reading": cell(i + 6), "param": cell(i + 8), "ratio": ratio(i + 2)}
+                    for i in rows],
+        "pieces": [{"atom": cell(i), "reading": cell(i + 1), "j": cell(i + 2), "s": cell(i + 3),
+                    "r": cell(i + 4), "t": cell(i + 5), "ratio": cell(i + 6)} for i in rows],
+        "taibleson": [{"kernel": cell(i), "m": cell(i + 3), "modulus": cell(i + 5),
+                       "stabilized": cell(i + 7)} for i in rows],
+        "lebesgue_per_k": {"-1": 0.5, NASTY: cell(5)},
+        "": [],
+    }
+    return VerificationReport(Q2, 42, ({"name": NASTY, "measured": -0.0, "pass": None},),
+                              tables, {})
+
+
+@pytest.mark.parametrize("float_ratios", [False, True], ids=["mixed_ratios", "float_ratios"])
+def test_report_writers_equal_both_references_on_hostile_cells(float_ratios):
+    report = hostile_report(float_ratios)
+    assert one_pass(report) == (canonical_dumps(report_payload(report)), per_row_csv(report))
+    assert one_pass(report, ("json",))[0] == canonical_dumps(report_payload(report))
+    assert one_pass(report, ("csv",))[1] == per_row_csv(report)
+
+
+def test_report_writers_take_rows_of_another_shape_as_the_references_do():
+    report = hostile_report()
+    report.tables["lebesgue"].append(["f9", 0, 2.0, 0.5, "a fifth cell"])
+    report.tables["l2_weak"].append({"check": "l2", "entry": "e", "k": 0, "reading": "A",
+                                     "param": 2.0, "ratio": 0.5, "extra": NASTY})
+    report.tables["besov_tl"].append(("f9", 0, ("B", 0.5, 2.0, 2.0, "x"), 0.5))
+    assert one_pass(report) == (canonical_dumps(report_payload(report)), per_row_csv(report))
+
+
+def test_report_writers_format_each_ratio_once(monkeypatch):
+    formatted = collections.Counter()
+    float_repr = verify._float_repr
+
+    def counted(x):
+        formatted[id(x)] += 1
+        return float_repr(x)
+
+    others = []
+    for count in (6, 12):
+        report = run_verification(config=Q2, count=count, window=(-2, 2), kernel_resolutions=(2,),
+                                  k_list=(-1, 0), r_list=(1.5, 2.0),
+                                  srt_list=((0.5, 2.0, 2.0), (1.0, 1.5, 3.0)),
+                                  lambda_list=(0.5, 1.0))
+        ratios = [row[3] for row in report.tables["lebesgue"] + report.tables["besov_tl"]]
+        ratios += [row["ratio"] for row in report.tables["l2_weak"]]
+        formatted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_float_repr", counted)
+            texts = one_pass(report)
+        assert texts == (canonical_dumps(report_payload(report)), per_row_csv(report))
+        # each ratio once, for both files
+        assert [formatted[id(x)] for x in ratios] == [1] * len(ratios)
+        others.append(sum(formatted.values()) - len(ratios))
+    # the params, piece ratios and moduli as often whatever the number of rows
+    assert others[0] == others[1]
 
 
 NASTY = '"\\{}{0}}{é€\u2028😀'

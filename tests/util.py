@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from localfield.decomp import besov_norm, triebel_lizorkin_norm
+from localfield.decomp import _all_blocks, besov_norm, triebel_lizorkin_norm
 from localfield.field import FieldConfig, FieldElement, Window, add, negate, q_power
 from localfield.fourier import SpectralFunction
 from localfield.functions import (TestFunction, common_refinement, convolve, evaluate, lr_norm,
@@ -268,7 +268,7 @@ def per_function_lebesgue(corpus, k_list, r_list, route=HarnessRoute) -> list:
                     if nf == 0:
                         continue
                     num = lr_norm(tkf, r)
-                    rows.append((f"f{fi}.w{ki}", k, r, 0.0 if num == 0 else num / (scale * nf)))
+                    rows.append([f"f{fi}.w{ki}", k, r, 0.0 if num == 0 else num / (scale * nf)])
     return rows
 
 
@@ -290,7 +290,7 @@ def single_norm_besov_tl(corpus, k_list, srt_list, route=HarnessRoute) -> tuple:
                             continue
                         num = norm_of[space](tkf, *srt).value
                         ratio = 0.0 if num == 0 else num / (scale * nf)
-                        rows.append((f"f{fi}.w{ki}", k, (space,) + srt, ratio))
+                        rows.append([f"f{fi}.w{ki}", k, [space, *srt], ratio])
     piece_rows = []
     for atom_id, atom in _first_atoms(corpus):
         for reading, j in (("B", -1), ("A", 0), ("A", 1)):
@@ -322,7 +322,8 @@ def per_function_l2_weak(corpus, k_list, lambda_list, route=HarnessRoute) -> lis
                     claimed_l2 = q_power(q, -k) / (q - 1)
                     measured = [("l2", 2.0, lr_norm(bf, 2) / (claimed_l2 * l2_f))] + [
                         ("weak11", lam,
-                         float(weak_level_measures(bf, lam)[0] * Fraction(lam)) / (l1_f * (1 + 4 * q)))
+                         float(weak_level_measures(bf, lam)[0] * bf.cell_measure * Fraction(lam))
+                         / (l1_f * (1 + 4 * q)))
                         for lam in lambda_list]
                     rows.extend({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
                                  "reading": reading, "param": param, "ratio": ratio}
@@ -345,26 +346,90 @@ def per_function_taibleson_l2(corpus, route=HarnessRoute) -> list:
     return sups
 
 
+def row_sups(rows) -> list:
+    """(k, param, sup) for each (k, param) of ratio-table rows, sup the largest ratio of
+    its rows, one row at a time: the loop that verify's column reductions replace."""
+    sups = {}
+    for _, k, param, ratio in rows:
+        key = (k, repr(param))
+        sups[key] = (k, param, max(sups[key][2], ratio) if key in sups else ratio)
+    return list(sups.values())
+
+
 def per_row_csv(report) -> str:
-    """report.to_csv() as one csv.writer row per table row, the reference for its columns."""
+    """report.to_csv() as the csv_rows route that verify.ReportWriter replaces wrote it:
+    one csv.writer row per table row, cells as the tables hold them.  The reference
+    for report.csv."""
+    tables = report.tables
     rows = [("check", "entry", "k", "param", "ratio")]
-    for name in ("lebesgue", "besov_tl"):
-        for entry, k, param, ratio in report.tables.get(name, []):
-            tag = param if isinstance(param, (int, float)) else ":".join(str(x) for x in param)
-            rows.append((name, entry, k, tag, ratio))
-    for row in report.tables.get("pieces", []):
-        rows.append(("piece", row["atom"], row["j"],
-                     f"{row['reading']}:{row['s']}:{row['r']}:{row['t']}", row["ratio"]))
-    for row in report.tables.get("l2_weak", []):
-        rows.append((row["check"], row["entry"], row["k"],
-                     f"{row['reading']}:{row['param']}", row["ratio"]))
-    for row in report.tables.get("taibleson", []):
-        rows.append(("taibleson", row["kernel"], row["m"], "modulus", row["modulus"]))
+    rows += [("lebesgue", row[0], row[1], row[2], row[3]) for row in tables.get("lebesgue", [])]
+    rows += [("besov_tl", row[0], row[1], "{}:{}:{}:{}".format(*row[2]), row[3])
+             for row in tables.get("besov_tl", [])]
+    rows += [("piece", row["atom"], row["j"],
+              "{}:{}:{}:{}".format(row["reading"], row["s"], row["r"], row["t"]), row["ratio"])
+             for row in tables.get("pieces", [])]
+    rows += [(row["check"], row["entry"], row["k"], "{}:{}".format(row["reading"], row["param"]),
+              row["ratio"]) for row in tables.get("l2_weak", [])]
+    rows += [("taibleson", row["kernel"], row["m"], "modulus", row["modulus"])
+             for row in tables.get("taibleson", [])]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def fsum_lr_norms(f: TestFunction, r: float) -> list:
+    """The L^r norm of each row of f, one math.fsum per row (r = 2: one for the re^2 and
+    one for the im^2), inf where it overflows: the per-row route that
+    functions.lr_norms_each replaces, and its differential reference."""
+    norms = []
+    for row in np.atleast_2d(f.values):
+        try:
+            total = (math.fsum(row.real**2) + math.fsum(row.imag**2) if r == 2
+                     else math.fsum(np.hypot(row.real, row.imag) ** r))
+        except OverflowError:
+            total = math.inf
+        norms.append((total * q_power(f.config.q, -f.l)) ** (1.0 / r))
+    return norms
+
+
+def besov_value(weights, norms, t: float) -> float:
+    """One row's B norm (sum_j w_j n_j^t)^(1/t) from its block norms n_j, one math.fsum
+    per row, inf where a power or the sum overflows: the per-row route that
+    decomp.norm_columns replaces."""
+    try:
+        return math.fsum([w * n ** t for w, n in zip(weights, norms)]) ** (1.0 / t)
+    except OverflowError:
+        return math.inf
+
+
+def per_row_norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
+    """decomp.norm_columns one triple and one row at a time, with no refusal: block norms
+    by fsum_lr_norms, B values by besov_value, F values by one math.fsum of the pointwise
+    sum per row.  Its differential reference."""
+    blocks = _all_blocks(f)
+    q = f.config.q
+    table = {}
+    for s, r, t in srt_list:
+        weights = [float(q) ** (s * j * t) for j in range(len(blocks))]
+        if "B" in spaces:
+            norms = zip(*[fsum_lr_norms(b, r) for b in blocks])
+            table["B", (s, r, t)] = [besov_value(weights, row, t) for row in norms]
+        if "F" in spaces:
+            moduli = [np.atleast_2d(np.hypot(b.values.real, b.values.imag)) for b in blocks]
+            values = []
+            for i in range(len(moduli[0])):
+                pointwise = np.zeros(1)
+                for w, m in zip(weights, moduli):
+                    pointwise = np.tile(pointwise, m.shape[-1] // pointwise.size) + w * m[i] ** t
+                try:
+                    total = math.fsum(pointwise ** (r / t))
+                except OverflowError:
+                    total = math.inf
+                values.append((total * q_power(q, -f.l)) ** (1.0 / r))
+            table["F", (s, r, t)] = values
+    return table
 
 
 def run_child(code: str, args, cwd, timeout: float) -> subprocess.CompletedProcess:
