@@ -501,7 +501,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     )
     # report.json is the canonical, timing-free form, so a rerun is byte-identical
     t0 = time.perf_counter()
-    writer = ReportWriter(report, cfg.formats)  # refuses a non-finite value before writing
+    writer = ReportWriter(report)  # refuses a non-finite value before either file is begun
     if "json" in cfg.formats:
         _write_artifact(cfg, "report.json", writer.json_chunks())
     if "csv" in cfg.formats:

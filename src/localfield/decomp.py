@@ -28,20 +28,17 @@ norms aggregate pointwise in x first.  The two families coincide when
 r = t.  norm_columns builds the blocks once and serves every (s, r, t)
 triple in B, F or both through the same two formulas, one value per row of
 a stack; besov_norm and triebel_lizorkin_norm are its one-row case.  Every
-sum is functions.exact_sums, bit for bit math.fsum: the block norms take
-one call per r, the B sums of every triple and row one call, and the F sums
-(each pointwise sum lifted one level per block) one call.  The powers n^t
-of the block norms and the final 1/t and 1/r roots are Python's float **,
-taken by a C-level map.  A sum or power past the float range reads inf and
-the triple is refused.  check_norm_srt states the triple's domain: a
-finite s, and r and t norm exponents.
+sum is functions.exact_sums, bit for bit math.fsum: the B norms put every
+block of the stack through one call per r, the F norms one call per triple
+(their pointwise sum lifted one level per block).  A sum past the float
+range reads inf and the triple is refused.  check_norm_srt states the
+triple's domain: a finite s, and r and t norm exponents.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -331,82 +328,60 @@ def check_norm_srt(srt) -> None:
     check_norm_exponent(srt[2])
 
 
-def _row_sums(groups: list) -> list:
-    """exact_sums of every row of each (rows, cells) array in groups, all of one shape, in
-    one call; a group with a row whose sum is past the float range, where exact_sums raises
-    fsum's OverflowError, reads inf in every row, and the other groups keep their sums."""
-    rows, width = groups[0].shape
-    flat = groups[0].ravel() if len(groups) == 1 else np.concatenate([g.ravel() for g in groups])
+def _besov_value(weights, norms, t: float) -> float:
+    # norms[j] is ||block j of f||_r
     try:
-        sums = exact_sums(flat, np.arange(0, flat.size, width))
-    except OverflowError:
-        if len(groups) == 1:
-            return [np.full(rows, math.inf)]
-        return [sums for g in groups for sums in _row_sums([g])]
-    return list(sums.reshape(len(groups), rows))
+        return math.fsum([w * n ** t for w, n in zip(weights, norms)]) ** (1.0 / t)
+    except OverflowError:  # n^t or its sum past the float range: inf, as the F norms read
+        return math.inf
 
 
-def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
-    """values ** exponent entrywise by float.__pow__, Python's ** on floats; all read inf
-    when one power is past the float range, where float.__pow__ raises."""
-    try:
-        out = map(float.__pow__, values.ravel().tolist(), repeat(exponent))
-        return np.fromiter(out, np.float64, values.size).reshape(values.shape)
-    except OverflowError:
-        return np.full(values.shape, math.inf)
-
-
-def _block_weights(q: int, srt: tuple, blocks: int):
-    """The weights q^(s j t) of blocks 0 .. blocks - 1, or None if one is not a finite float."""
-    s, _, t = srt
-    try:
-        weights = np.array([float(q) ** (s * j * t) for j in range(blocks)])
-    except OverflowError:
-        return None
-    return weights if np.isfinite(weights).all() else None
-
-
-def _triebel_lizorkin_terms(moduli, weights, r: float, t: float) -> np.ndarray:
+def _triebel_lizorkin_values(f: TestFunction, moduli, weights, r: float, t: float) -> list:
     # moduli[j] is |block j of f| per cell and row; block j + 1 is one level
     # finer than block j, so the sum over j lifts the running total one level per block
     pointwise = np.zeros(moduli[0].shape[:-1] + (1,))
-    for w, m in zip(weights.tolist(), moduli):
+    for w, m in zip(weights, moduli):
         pointwise = lift(pointwise, m.shape[-1]) + w * m ** t
-    return np.atleast_2d(pointwise ** (r / t))
+    rows = np.atleast_2d(pointwise ** (r / t))
+    try:
+        sums = exact_sums(rows.ravel(), np.arange(rows.size, step=rows.shape[-1]))
+    except OverflowError:  # a sum past the float range, where fsum raises: norm_columns refuses
+        return [math.inf] * len(rows)
+    return [(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in sums.tolist()]
 
 
 def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
     """Each row's norms in spaces ("B", "F" or "BF") for every triple in srt_list.
 
-    Maps (space, (s, r, t)) to one value per row of f, all from one block stack:
-    the B sums of every triple and row go through one exact_sums call, and so do
-    the F sums.  The first triple in srt_list whose block weight q^(s j t) or
-    whose norm is not a finite float is refused.
+    Maps (space, (s, r, t)) to one value per row of f, all from one block stack.
+    A triple whose block weight q^(s j t) or whose norm is not a finite float is refused.
     """
     for srt in srt_list:
         check_norm_srt(srt)
     srt_list = [tuple(srt) for srt in srt_list]
     blocks = _all_blocks(f)
-    weights = {srt: _block_weights(f.config.q, srt, len(blocks)) for srt in srt_list}
-    live = [srt for srt, w in weights.items() if w is not None]
-    values = {}
     if "B" in spaces:
-        # norms[r][row, j] is that row's r-norm of block j
-        norms = {r: np.array(lr_norms_each(blocks, r)).T for r in {r for _, r, _ in live}}
-        terms = [weights[srt] * _powers(norms[srt[1]], float(srt[2])) for srt in live]
-        for srt, sums in zip(live, _row_sums(terms) if live else []):
-            values["B", srt] = _powers(sums, 1.0 / srt[2])
+        # norms[r][row] holds that row's r-norm of every block
+        norms = {r: list(zip(*lr_norms_each(blocks, r)))
+                 for r in {r for _, r, _ in srt_list}}
     if "F" in spaces:
         moduli = [np.hypot(b.values.real, b.values.imag) for b in blocks]
-        terms = [_triebel_lizorkin_terms(moduli, weights[srt], srt[1], srt[2]) for srt in live]
-        for srt, sums in zip(live, _row_sums(terms) if live else []):
-            values["F", srt] = _powers(sums * q_power(f.config.q, -f.l), 1.0 / srt[1])
+    table = {}
     for srt in srt_list:
-        if weights[srt] is None:
+        s, r, t = srt
+        try:
+            weights = [float(f.config.q) ** (s * j * t) for j in range(len(blocks))]
+        except OverflowError:
+            weights = [math.inf]
+        if not all(map(math.isfinite, weights)):
             raise ValueError(f"(s, r, t) = {srt}: a block weight q^(s j t) is not a finite float")
-        if not all(np.isfinite(values[space, srt]).all() for space in spaces):
+        if "B" in spaces:
+            table[("B", srt)] = [_besov_value(weights, row, t) for row in norms[r]]
+        if "F" in spaces:
+            table[("F", srt)] = _triebel_lizorkin_values(f, moduli, weights, r, t)
+        if not all(math.isfinite(v) for space in spaces for v in table[(space, srt)]):
             raise ValueError(f"(s, r, t) = {srt}: a B or F norm is not a finite float")
-    return {(space, srt): values[space, srt].tolist() for srt in srt_list for space in spaces}
+    return table
 
 
 def besov_norm(f: TestFunction, s: float, r: float, t: float) -> NormReport:

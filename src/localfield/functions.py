@@ -26,7 +26,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -274,10 +274,8 @@ def lr_norms_each(fs: list, r: float) -> list:
     """The L^r norms of every row of every stack in fs, all summed in one exact_sums call.
 
     For r = 2 the re^2 and the im^2 of a row are two segments, and its sum is
-    the float sum of their two correctly rounded sums; each norm is that sum
-    times q^-l to the power 1/r, by float.__pow__ as Python's ** takes it.  When
-    a sum is past the float range, where exact_sums raises fsum's OverflowError,
-    every norm reads inf."""
+    the float sum of their two correctly rounded sums.  When a sum is past the
+    float range, where exact_sums raises fsum's OverflowError, every norm reads inf."""
     check_norm_exponent(r)
     vals = [np.atleast_2d(f.values) for f in fs]
     parts = ([x**2 for v in vals for x in (v.real, v.imag)] if r == 2
@@ -291,8 +289,7 @@ def lr_norms_each(fs: list, r: float) -> list:
     sums = [sums[a:b] for a, b in zip(rows, rows[1:])]
     if r == 2:
         sums = [re + im for re, im in zip(sums[::2], sums[1::2])]
-    return [list(map(float.__pow__, (row_sums * q_power(f.config.q, -f.l)).tolist(),
-                     repeat(1.0 / r)))
+    return [[(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in row_sums.tolist()]
             for f, row_sums in zip(fs, sums)]
 
 
@@ -301,7 +298,7 @@ def lr_norms(f: TestFunction, r: float) -> list:
 
     A norm past the float range is refused."""
     (norms,) = lr_norms_each([f], r)
-    if not np.isfinite(norms).all():
+    if not all(map(math.isfinite, norms)):
         raise ValueError(f"r = {r}: an L^r norm is not a finite float")
     return norms
 
@@ -313,8 +310,8 @@ def lr_norm(f: TestFunction, r: float) -> float:
 
 
 def weak_level_measures(f: TestFunction, lam: float) -> list:
-    """The Haar measure of {x : |f(x)| > lam} row by row, as an int: the number of
-    cells there, each of measure q^-l."""
+    """Row by row, the number of cells where |f(x)| > lam; each cell has Haar
+    measure q^-l (cell_measure), so the count times it is the exact measure."""
     check_level(lam)
     vals = np.atleast_2d(f.values)
     return np.count_nonzero(np.hypot(vals.real, vals.imag) > lam, axis=-1).tolist()

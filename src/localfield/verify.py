@@ -497,14 +497,7 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-_float_repr = float.__repr__  # the one float formatter of the report tokens
-
-
-def _json_token(x) -> str:
-    """x as canonical_dumps writes it, a finite float by _float_repr."""
-    if isinstance(x, float) and math.isfinite(x):
-        return _float_repr(x)
-    return canonical_dumps(x)  # refuses a non-finite float with the stdlib's message
+_float_repr = float.__repr__  # the one float formatter of the row tables' ratios
 
 
 def _csv_quoted(text: str) -> str:
@@ -525,169 +518,134 @@ def csv_text(rows) -> str:
     return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-def _part(x):
-    # x as "{}".format writes it: a float by _float_repr, anything else left to format
-    return _float_repr(x) if type(x) is float else x
-
-
 def _csv_srt(param) -> str:
     """The param field of a besov_tl row: its [space, s, r, t] list joined by colons."""
-    return _csv_quoted("{}:{}:{}:{}".format(*map(_part, param)))
+    return _csv_quoted("{}:{}:{}:{}".format(*param))
 
 
 def _csv_reading(reading, param) -> str:
     """The param field of an l2_weak row: its reading and param joined by a colon."""
-    return _csv_quoted("{}:{}".format(_part(reading), _part(param)))
+    return _csv_quoted("{}:{}".format(reading, param))
 
 
-def _tokens(columns: list, fmt) -> list:
-    """fmt(*cells) for each row of the columns, called once per distinct tuple of cell
-    objects, such as an entry, a k or a param that many rows share."""
+def _tokens(fmt, *columns) -> list:
+    """fmt(*cells) for each row of the columns, called once per distinct cell, or tuple
+    of cells, that rows share: equal strs, or equal ints, are one cell, and any other
+    object is a cell of its own, such as the one param list of many rows."""
+    ids = [map(id, column) for column in columns]
     if len(columns) == 1 and set(map(type, columns[0])) in ({str}, {int}):
-        keys = columns[0]  # equal strs, or equal ints, have one token
-        distinct = {cell: (cell,) for cell in set(keys)}
-    elif len(columns) == 1:
-        keys = list(map(id, columns[0]))
-        distinct = {key: (cell,) for key, cell in dict(zip(keys, columns[0])).items()}
+        keys = columns[0]  # written alike whatever the object
     else:
-        keys = list(zip(*[map(id, column) for column in columns]))
-        distinct = dict(zip(keys, zip(*columns)))
-    return list(map({key: fmt(*cells) for key, cells in distinct.items()}.__getitem__, keys))
+        keys = list(ids[0] if len(columns) == 1 else zip(*ids))
+    row = dict(zip(keys, range(len(keys))))  # a row of each distinct key
+    formatted = {key: fmt(*(column[i] for column in columns)) for key, i in row.items()}
+    return list(map(formatted.__getitem__, keys))
 
 
-def _ratio_tokens(cells: list) -> tuple:
-    """(JSON tokens, CSV tokens) of a ratio column: a column of floats is formatted once,
-    cell by cell, by _float_repr, one token for both files."""
-    if set(map(type, cells)) <= {float}:
-        if not all(map(math.isfinite, cells)):
-            canonical_dumps(cells)  # raises the stdlib's error
-        tokens = list(map(_float_repr, cells))
+def _ratio_tokens(ratios: list) -> tuple:
+    """(JSON tokens, CSV tokens) of a ratio column.  A column of finite floats takes one
+    _float_repr per cell, one token for both files; canonical_dumps refuses a non-finite
+    float with the stdlib's message."""
+    if set(map(type, ratios)) <= {float} and all(map(math.isfinite, ratios)):
+        tokens = list(map(_float_repr, ratios))
         return tokens, tokens
-    return list(map(_json_token, cells)), list(map(_csv_field, cells))
-
-
-# the tables of many rows of one shape: name -> (whether a row is a dict, its keys in
-# the order canonical_dumps writes them, the key of its ratio, the text that starts its
-# CSV row, the CSV fields between that and the ratio as (format, keys))
-_ROW_TABLES = {
-    "lebesgue": (False, (0, 1, 2, 3), 3, "lebesgue,",
-                 ((_csv_field, (0,)), (_csv_field, (1,)), (_csv_field, (2,)))),
-    "besov_tl": (False, (0, 1, 2, 3), 3, "besov_tl,",
-                 ((_csv_field, (0,)), (_csv_field, (1,)), (_csv_srt, (2,)))),
-    "l2_weak": (True, ("check", "entry", "k", "param", "ratio", "reading"), "ratio", "",
-                ((_csv_field, ("check",)), (_csv_field, ("entry",)), (_csv_field, ("k",)),
-                 (_csv_reading, ("reading", "param")))),
-}
-
-
-def _table_tokens(rows, dicts: bool, keys: tuple, ratio, prefix: str, fields: tuple,
-                  with_csv: bool) -> tuple:
-    """(JSON part, CSV part) of a _ROW_TABLES table, each (row seps, token columns) or
-    None; rows of another length or kind leave the JSON part to canonical_dumps."""
-    json_part = csv_part = None
-    shaped = (set(map(len, rows)) <= {len(keys)}
-              and set(map(type, rows)) <= ({dict} if dicts else {list, tuple}))
-    if not shaped:
-        json_part = canonical_dumps(rows)
-        if not with_csv:
-            return json_part, None
-    column = {key: list(map(itemgetter(key), rows)) for key in keys}
-    json_ratio, csv_ratio = _ratio_tokens(column[ratio])
-    if shaped:
-        seps = ([f',{{"{keys[0]}":', *(f',"{key}":' for key in keys[1:]), "}"] if dicts
-                else [",[", *[","] * (len(keys) - 1), "]"])
-        json_part = (seps, [json_ratio if key == ratio else _tokens([column[key]], _json_token)
-                            for key in keys])
-    if with_csv:
-        csv_part = ([prefix, *[","] * len(fields), "\n"],
-                    [*(_tokens([column[key] for key in on], fmt) for fmt, on in fields),
-                     csv_ratio])
-    return json_part, csv_part
+    return list(map(canonical_dumps, ratios)), list(map(_csv_field, ratios))
 
 
 # the rows joined into one string before it is written
-_WRITE_ROWS = 4096
+_BLOCK = 4096
 
 
-def _row_blocks(seps: tuple, columns: list, first: str = None):
-    """Each row of the token columns with seps around and between its cells, a block
-    of rows joined at a time; first, if given, replaces the first row's first sep."""
-    width = len(seps) + len(columns)
-    for start in range(0, len(columns[0]), _WRITE_ROWS):
-        n = min(_WRITE_ROWS, len(columns[0]) - start)
-        flat = [None] * (width * n)
-        for i, sep in enumerate(seps):
-            flat[2 * i::width] = [sep] * n
-        for i, column in enumerate(columns):
-            flat[2 * i + 1::width] = column[start:start + n]
-        if start == 0 and first is not None:
-            flat[0] = first
-        yield "".join(flat)
+def _joined(columns: list, before: str, after: str, sep: str = ""):
+    """Each row of the token columns, its tokens joined by commas between before and
+    after, rows joined by sep, a block of rows at a time."""
+    between = after + sep + before
+    for start in range(0, len(columns[0]), _BLOCK):
+        rows = map(",".join, zip(*(column[start:start + _BLOCK] for column in columns)))
+        yield (sep if start else "") + before + between.join(rows) + after
+
+
+# an l2_weak row's keys, in the order canonical_dumps writes them
+_L2_WEAK_KEYS = ("check", "entry", "k", "param", "ratio", "reading")
 
 
 class ReportWriter:
     """The one pass from a VerificationReport to report.json and report.csv.
 
-    The row tables (lebesgue, besov_tl, l2_weak) are read column by column
-    into tokens: each ratio is formatted once, by _float_repr, for both
-    files, and each distinct entry, k and param object once per file.
-    json_chunks joins the JSON tokens into canonical_dumps of the report's
-    payload and csv_chunks joins the CSV tokens into the rows a csv.writer
-    writes, byte for byte; every other part goes through canonical_dumps or
-    csv_text.  Both yield their text a block of rows at a time, so a file is
-    written as it is produced.  The tokens are made here, so a non-finite
-    value is refused, with the stdlib's message, before either file is begun.
-    formats names the files ("json", "csv") the writer is asked for.
+    The lebesgue, besov_tl and l2_weak rows are read column by column into
+    tokens, and each row is its tokens joined by commas: each ratio is
+    formatted once, by _float_repr, for both files, and each entry, k and
+    param that rows share once per file.  Everything else goes through
+    canonical_dumps or csv_text.  json_chunks is canonical_dumps of the
+    report's payload and csv_chunks the rows a csv.writer writes, byte for
+    byte, both a block of rows at a time, so a file is written as it is
+    produced.  Every token is made here, so a non-finite value is refused,
+    with the stdlib's message, before either file is begun.  The row tables
+    are read in the shapes run_verification builds.
     """
 
-    def __init__(self, report: "VerificationReport", formats=("json", "csv")):
+    def __init__(self, report: "VerificationReport"):
         self._tables = tables = report.tables
         head = {"checks": list(report.checks), "config": report.config.to_dict(),
                 "seed": report.seed}
         self._json_head = "{" + "".join(f'"{key}":{canonical_dumps(value)},'
                                         for key, value in head.items()) + '"tables":{'
-        self._json_tables = {}  # name -> its JSON text, or (row seps, token columns)
-        self._csv_tables = {}   # name -> (row seps, token columns)
+        self._json = {}  # name -> its JSON text, or _joined's arguments for its rows
+        self._csv = {}   # name -> _joined's arguments for its rows
         for name in sorted(tables):
-            if name in _ROW_TABLES:
-                self._json_tables[name], self._csv_tables[name] = _table_tokens(
-                    tables[name], *_ROW_TABLES[name], "csv" in formats)
+            rows = tables[name]
+            if name in ("lebesgue", "besov_tl"):  # rows [entry, k, param, ratio]
+                entry, k, param, ratio = (list(map(itemgetter(i), rows)) for i in range(4))
+                json_ratio, csv_ratio = _ratio_tokens(ratio)
+                self._json[name] = ([*(_tokens(canonical_dumps, cells)
+                                       for cells in (entry, k, param)), json_ratio], "[", "]")
+                csv_param = _csv_field if name == "lebesgue" else _csv_srt
+                self._csv[name] = ([_tokens(_csv_field, entry), _tokens(_csv_field, k),
+                                    _tokens(csv_param, param), csv_ratio], name + ",", "\n")
+            elif name == "l2_weak":  # each JSON token led by its key
+                cells = {key: list(map(itemgetter(key), rows)) for key in _L2_WEAK_KEYS}
+                json_ratio, csv_ratio = _ratio_tokens(cells["ratio"])
+                self._json[name] = ([list(map(f'"{key}":'.__add__, json_ratio if key == "ratio"
+                                              else _tokens(canonical_dumps, cells[key])))
+                                     for key in _L2_WEAK_KEYS], "{", "}")
+                self._csv[name] = ([*(_tokens(_csv_field, cells[key])
+                                      for key in ("check", "entry", "k")),
+                                    _tokens(_csv_reading, cells["reading"], cells["param"]),
+                                    csv_ratio], "", "\n")
             else:
-                self._json_tables[name] = canonical_dumps(tables[name])
+                self._json[name] = canonical_dumps(rows)
 
     def json_chunks(self):
         """report.json: canonical_dumps of the report's timing-free payload, in pieces."""
         yield self._json_head
-        for i, (name, part) in enumerate(self._json_tables.items()):
+        for i, (name, part) in enumerate(self._json.items()):
             yield ("," if i else "") + canonical_dumps(name) + ":"
             if isinstance(part, str):
                 yield part
             else:
-                seps, columns = part
                 yield "["
-                yield from _row_blocks(seps, columns, seps[0][1:])
+                yield from _joined(*part, sep=",")
                 yield "]"
         yield "}}"
 
-    def _csv_rows(self, name: str):
-        if self._csv_tables.get(name):
-            yield from _row_blocks(*self._csv_tables[name])
-
     def csv_chunks(self):
         """report.csv: one csv.writer row per table row, in pieces."""
-        def column(name, *keys):
+        def columns(name, *keys):
             return [map(itemgetter(key), self._tables.get(name, [])) for key in keys]
 
-        atom, j, reading, s, r, t, ratio = column(
+        def joined(name):
+            return _joined(*self._csv[name]) if name in self._csv else ()
+
+        atom, j, reading, s, r, t, ratio = columns(
             "pieces", "atom", "j", "reading", "s", "r", "t", "ratio")
         yield csv_text([("check", "entry", "k", "param", "ratio")])
-        yield from self._csv_rows("lebesgue")
-        yield from self._csv_rows("besov_tl")
+        yield from joined("lebesgue")
+        yield from joined("besov_tl")
         yield csv_text(zip(repeat("piece"), atom, j, map("{}:{}:{}:{}".format, reading, s, r, t),
                            ratio))
-        yield from self._csv_rows("l2_weak")
-        yield csv_text(zip(repeat("taibleson"), *column("taibleson", "kernel", "m"),
-                           repeat("modulus"), *column("taibleson", "modulus")))
+        yield from joined("l2_weak")
+        yield csv_text(zip(repeat("taibleson"), *columns("taibleson", "kernel", "m"),
+                           repeat("modulus"), *columns("taibleson", "modulus")))
 
 
 @dataclass(frozen=True)
@@ -696,7 +654,7 @@ class VerificationReport:
 
     canonical_json omits timings, which are the only nondeterministic
     content; byte-level reproducibility claims refer to that form.  Both
-    it and to_csv are the text of one ReportWriter pass.
+    it and to_csv are texts of one ReportWriter pass.
     """
 
     config: FieldConfig
@@ -706,10 +664,10 @@ class VerificationReport:
     timing_ms: dict
 
     def canonical_json(self) -> str:
-        return "".join(ReportWriter(self, ("json",)).json_chunks())
+        return "".join(ReportWriter(self).json_chunks())
 
     def to_csv(self) -> str:
-        return "".join(ReportWriter(self, ("csv",)).csv_chunks())
+        return "".join(ReportWriter(self).csv_chunks())
 
 
 def _ms(t0: float) -> float:

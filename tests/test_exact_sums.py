@@ -6,9 +6,9 @@ math.fsum of that segment bit for bit, with fsum's results for inf and nan
 and its OverflowError for a finite segment whose sum leaves the float range.
 The norm layer (lr_norms, norm_columns, spectral_l2_norm) must read the same
 floats as the per-row fsum route it replaces (tests/util.fsum_segments), batch
-its sums into one kernel call per r for the block norms, one for the Besov sums
-of every triple and one for the Triebel-Lizorkin sums of every triple, and
-never fall back to fsum on the default corpus or on a 16,384-cell function.
+its sums into one kernel call per r for the Besov blocks and one per triple
+for the Triebel-Lizorkin rows, and never fall back to fsum on the default
+corpus or on a 16,384-cell function.
 """
 
 import math
@@ -206,21 +206,19 @@ def test_a_negative_value_takes_fsum(fallbacks):
     assert fallbacks == [3]
 
 
-def test_norm_columns_batches_one_call_per_r_for_blocks_and_one_per_space(kernel_calls):
+def test_norm_columns_batches_one_call_per_r_for_b_and_per_triple_for_f(kernel_calls):
     stack = random_stack(np.random.default_rng(244), FieldConfig("laurent", 3), 5, -1, 2)
     blocks = len(decomp._all_blocks(stack))
     srt_list = [(0.5, 2.0, 2.0), (0.25, 2.0, 3.0), (1.0, 1.5, 1.0), (0.5, 3.0, 3.0)]
     norm_columns(stack, srt_list, "B")
-    # distinct r: 2, 1.5, 3; r = 2 puts re^2 and im^2 of each row in two segments;
-    # then one B sum per triple and row
-    assert sorted(kernel_calls[:3]) == [5 * blocks, 5 * blocks, 2 * 5 * blocks]
-    assert kernel_calls[3:] == [5 * len(srt_list)]
+    # distinct r: 2, 1.5, 3; r = 2 puts re^2 and im^2 of each row in two segments
+    assert sorted(kernel_calls) == [5 * blocks, 5 * blocks, 2 * 5 * blocks]
     kernel_calls.clear()
     norm_columns(stack, srt_list, "F")
-    assert kernel_calls == [5 * len(srt_list)]  # one F sum per triple and row
+    assert kernel_calls == [5] * len(srt_list)
     kernel_calls.clear()
     norm_columns(stack, srt_list)
-    assert len(kernel_calls) == 3 + 2
+    assert len(kernel_calls) == 3 + len(srt_list)
     kernel_calls.clear()
     lr_norms(stack, 2)
     fourier.spectral_l2_norm(fourier.forward(TestFunction(stack.config, -1, 2, stack.values[0])))

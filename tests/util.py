@@ -381,8 +381,8 @@ def per_row_csv(report) -> str:
 
 def fsum_lr_norms(f: TestFunction, r: float) -> list:
     """The L^r norm of each row of f, one math.fsum per row (r = 2: one for the re^2 and
-    one for the im^2), inf where it overflows: the per-row route that
-    functions.lr_norms_each replaces, and its differential reference."""
+    one for the im^2), inf where it overflows: the differential reference of
+    functions.lr_norms_each, which sums every row in one exact_sums call."""
     norms = []
     for row in np.atleast_2d(f.values):
         try:
@@ -396,8 +396,7 @@ def fsum_lr_norms(f: TestFunction, r: float) -> list:
 
 def besov_value(weights, norms, t: float) -> float:
     """One row's B norm (sum_j w_j n_j^t)^(1/t) from its block norms n_j, one math.fsum
-    per row, inf where a power or the sum overflows: the per-row route that
-    decomp.norm_columns replaces."""
+    per row, inf where a power or the sum overflows."""
     try:
         return math.fsum([w * n ** t for w, n in zip(weights, norms)]) ** (1.0 / t)
     except OverflowError:
