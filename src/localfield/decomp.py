@@ -25,16 +25,26 @@ min(j, l), with no transform.  littlewood_paley keeps the multiplier form,
 apply_multiplier with the shell mask as symbol, as the oracle for those
 blocks.  Besov norms aggregate block r-norms in j; the Triebel-Lizorkin
 norms aggregate pointwise in x first.  The two families coincide when
-r = t.  norm_columns builds the blocks once and serves every (s, r, t)
-triple in B, F or both through the same two formulas, one value per row of
-a stack; besov_norm and triebel_lizorkin_norm are its one-row case.  Every
-sum is functions.exact_sums, bit for bit math.fsum: the B norms put every
-block of the stack through one call per r, the F norms one call per triple
-(their pointwise sum lifted one level per block).  A sum past the float
-range reads inf and the triple is refused.  check_norm_srt states the
-triple's domain: a finite s, and r and t norm exponents.
+r = t.  norm_columns serves every (s, r, t) triple in B, F or both through
+the same two formulas, one value per row of a stack; besov_norm and
+triebel_lizorkin_norm are its one-row case.  Every norm of an input reads
+its block table (_block_table, memoized on the TestFunction by identity,
+for the last input only): the blocks, their moduli from one np.hypot pass,
+and the moduli to each power e asked for, one per distinct e, all
+read-only.  The F norms read |block|^t, the B norms with r != 2 sum
+|block|^r; a B norm with r = 2 sums re^2 + im^2, whose bits differ from
+|block|^2, so it shares no power.  The table takes 16 bytes per block cell
+for the blocks, 8 for the moduli and 8 per power: about 1.3-1.6 MB for a
+16,384-cell input.  So B and F norms called in turn on one input build its
+blocks and moduli once.  Every sum is functions.exact_sums, bit for bit
+math.fsum: the B norms put every block of the stack through one call per r,
+the F norms one call per triple (their pointwise sum lifted one level per
+block).  A sum past the float range reads inf and the triple is refused.
+check_norm_srt states the triple's domain: a finite s, and r and t norm
+exponents.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -44,8 +54,9 @@ import numpy as np
 
 from .field import Window, expect, q_power
 from .fourier import apply_multiplier
-from .functions import (TestFunction, _is_real, check_level, check_norm_exponent, coset_tree,
-                        dyadic_ints, exact_sums, lift, lr_norms, lr_norms_each, refine)
+from .functions import (TestFunction, _frozen, _is_real, check_level, check_norm_exponent,
+                        coset_tree, dyadic_ints, exact_sums, lift, lr_norms, lr_norms_each,
+                        lr_norms_of_parts, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +347,13 @@ def _besov_value(weights, norms, t: float) -> float:
         return math.inf
 
 
-def _triebel_lizorkin_values(f: TestFunction, moduli, weights, r: float, t: float) -> list:
-    # moduli[j] is |block j of f| per cell and row; block j + 1 is one level
+def _triebel_lizorkin_values(f: TestFunction, powers, weights, r: float, t: float) -> list:
+    # powers[j] is |block j of f|^t per row and cell; block j + 1 is one level
     # finer than block j, so the sum over j lifts the running total one level per block
-    pointwise = np.zeros(moduli[0].shape[:-1] + (1,))
-    for w, m in zip(weights, moduli):
-        pointwise = lift(pointwise, m.shape[-1]) + w * m ** t
-    rows = np.atleast_2d(pointwise ** (r / t))
+    pointwise = np.zeros(powers[0].shape[:-1] + (1,))
+    for w, m in zip(weights, powers):
+        pointwise = lift(pointwise, m.shape[-1]) + w * m
+    rows = pointwise ** (r / t)
     try:
         sums = exact_sums(rows.ravel(), np.arange(rows.size, step=rows.shape[-1]))
     except OverflowError:  # a sum past the float range, where fsum raises: norm_columns refuses
@@ -350,23 +361,50 @@ def _triebel_lizorkin_values(f: TestFunction, moduli, weights, r: float, t: floa
     return [(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in sums.tolist()]
 
 
+class _BlockTable:
+    """The Littlewood-Paley blocks of one input, as _all_blocks builds them, their
+    moduli (one np.hypot pass, made when first asked for) and the moduli to each
+    power e asked for, each made once; every array read-only, (rows, cells) per block."""
+
+    def __init__(self, f: TestFunction):
+        self.blocks = _all_blocks(f)
+        self._powers = {}
+
+    @functools.cached_property
+    def moduli(self) -> list:
+        return [_frozen(np.hypot(v.real, v.imag), np.float64)
+                for v in (np.atleast_2d(b.values) for b in self.blocks)]
+
+    def powers(self, e: float) -> list:
+        """moduli ** e, block by block."""
+        if e not in self._powers:
+            self._powers[e] = [_frozen(m ** e, np.float64) for m in self.moduli]
+        return self._powers[e]
+
+
+@functools.lru_cache(maxsize=1)
+def _block_table(f: TestFunction) -> _BlockTable:
+    """f's _BlockTable, kept for the last f only (keyed by identity)."""
+    return _BlockTable(f)
+
+
 def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
     """Each row's norms in spaces ("B", "F" or "BF") for every triple in srt_list.
 
-    Maps (space, (s, r, t)) to one value per row of f, all from one block stack.
+    Maps (space, (s, r, t)) to one value per row of f, all from f's block table.
     A triple whose block weight q^(s j t) or whose norm is not a finite float is refused.
     """
     for srt in srt_list:
         check_norm_srt(srt)
     srt_list = [tuple(srt) for srt in srt_list]
-    blocks = _all_blocks(f)
+    table = _block_table(f)
+    blocks = table.blocks
     if "B" in spaces:
-        # norms[r][row] holds that row's r-norm of every block
-        norms = {r: list(zip(*lr_norms_each(blocks, r)))
+        # norms[r][row] holds that row's r-norm of every block; r = 2 sums re^2 + im^2
+        norms = {r: list(zip(*(lr_norms_each(blocks, r) if r == 2
+                               else lr_norms_of_parts(blocks, table.powers(r), r))))
                  for r in {r for _, r, _ in srt_list}}
-    if "F" in spaces:
-        moduli = [np.hypot(b.values.real, b.values.imag) for b in blocks]
-    table = {}
+    columns = {}
     for srt in srt_list:
         s, r, t = srt
         try:
@@ -376,12 +414,12 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
         if not all(map(math.isfinite, weights)):
             raise ValueError(f"(s, r, t) = {srt}: a block weight q^(s j t) is not a finite float")
         if "B" in spaces:
-            table[("B", srt)] = [_besov_value(weights, row, t) for row in norms[r]]
+            columns[("B", srt)] = [_besov_value(weights, row, t) for row in norms[r]]
         if "F" in spaces:
-            table[("F", srt)] = _triebel_lizorkin_values(f, moduli, weights, r, t)
-        if not all(math.isfinite(v) for space in spaces for v in table[(space, srt)]):
+            columns[("F", srt)] = _triebel_lizorkin_values(f, table.powers(t), weights, r, t)
+        if not all(math.isfinite(v) for space in spaces for v in columns[(space, srt)]):
             raise ValueError(f"(s, r, t) = {srt}: a B or F norm is not a finite float")
-    return table
+    return columns
 
 
 def besov_norm(f: TestFunction, s: float, r: float, t: float) -> NormReport:

@@ -6,21 +6,26 @@ of field.enumerate_cosets(a, l).  All window bookkeeping is exact; values
 are complex doubles: one row, or a (rows, cells) stack of functions on one
 window, every operation acting along the last axis; lr_norms gives one value
 per row, each bit for bit its function's, and weak_level_measures one cell
-count.  exact_sums gives the correctly rounded sum (math.fsum's, bit for bit) of
-every segment of a flat array in one numpy pass; lr_norms_each puts the rows
-of several stacks through one such call, and decomp and fourier sum their
-norms with it too; a sum past the float range, where it raises fsum's
-OverflowError, reads inf, and the norm layer refuses it.  coset_tree walks
-the nested cosets c + P^j of a window down: the one tree that
-coarsen_resolution, decomp's blocks and CZ split and the Haar atoms read.
-lift reads it upward, spreading each coarse cell over its descendants, and
-refine is one strided write that pads f onto the larger support, then lift.
+count per row and level, all levels from one modulus pass.  exact_sums gives
+the correctly rounded sum (math.fsum's, bit for bit) of every segment of a
+flat array in one numpy pass; lr_norms_each puts the rows of several stacks
+through one such call (lr_norms_of_parts, which decomp's block norms call
+with ready |v|^r), and fourier sums its norms with it too; a sum past the
+float range, where it raises fsum's OverflowError, reads inf, and the norm
+layer refuses it.  convolve transforms its second factor through
+_input_spectrum, a memo of the last two (input, window) spectra that
+operators.apply_truncated reads too.  coset_tree walks the nested cosets
+c + P^j of a window down: the one tree that coarsen_resolution, decomp's
+blocks and CZ split and the Haar atoms read.  lift reads it upward,
+spreading each coarse cell over its descendants, and refine is one strided
+write that pads f onto the larger support, then lift.
 check_norm_exponent and check_level state the domains of the exponent r and
 the threshold lambda once, for every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -50,8 +55,8 @@ def check_level(lam) -> None:
         raise ValueError(f"threshold lambda = {lam!r} must be a finite float > 0")
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+def _frozen(values, dtype=np.complex128) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -271,15 +276,23 @@ def exact_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def lr_norms_each(fs: list, r: float) -> list:
-    """The L^r norms of every row of every stack in fs, all summed in one exact_sums call.
-
-    For r = 2 the re^2 and the im^2 of a row are two segments, and its sum is
-    the float sum of their two correctly rounded sums.  When a sum is past the
-    float range, where exact_sums raises fsum's OverflowError, every norm reads inf."""
+    """The L^r norms of every row of every stack in fs: lr_norms_of_parts of |v|^r, or of
+    re^2 and im^2 for r = 2."""
     check_norm_exponent(r)
     vals = [np.atleast_2d(f.values) for f in fs]
     parts = ([x**2 for v in vals for x in (v.real, v.imag)] if r == 2
              else [np.hypot(v.real, v.imag) ** r for v in vals])
+    return lr_norms_of_parts(fs, parts, r)
+
+
+def lr_norms_of_parts(fs: list, parts: list, r: float) -> list:
+    """The L^r norms of every row of every stack in fs, all summed in one exact_sums call.
+
+    parts are 2-D, one (rows, cells) array per stack: |v|^r, or for r = 2 two
+    arrays, re^2 and im^2, whose sums are two segments per row; a row's sum is
+    then the float sum of their two correctly rounded sums.  When a sum is past
+    the float range, where exact_sums raises fsum's OverflowError, every norm
+    reads inf."""
     widths = np.repeat([p.shape[-1] for p in parts], [len(p) for p in parts])
     try:
         sums = exact_sums(np.concatenate([p.ravel() for p in parts]), np.cumsum(widths) - widths)
@@ -309,19 +322,33 @@ def lr_norm(f: TestFunction, r: float) -> float:
     return norm
 
 
-def weak_level_measures(f: TestFunction, lam: float) -> list:
-    """Row by row, the number of cells where |f(x)| > lam; each cell has Haar
-    measure q^-l (cell_measure), so the count times it is the exact measure."""
-    check_level(lam)
+def weak_level_measures(f: TestFunction, lambdas) -> list:
+    """For each level lam in lambdas, row by row, the number of cells where |f(x)| > lam,
+    all from one modulus pass; each cell has Haar measure q^-l (cell_measure), so the
+    count times it is the exact measure."""
+    for lam in lambdas:
+        check_level(lam)
     vals = np.atleast_2d(f.values)
-    return np.count_nonzero(np.hypot(vals.real, vals.imag) > lam, axis=-1).tolist()
+    moduli = np.hypot(vals.real, vals.imag)
+    return [np.count_nonzero(moduli > lam, axis=-1).tolist() for lam in lambdas]
+
+
+def _common_window(f: TestFunction, g: TestFunction) -> tuple:
+    if f.config != g.config:
+        raise ValueError("functions live over different field configurations")
+    return min(f.a, g.a), max(f.l, g.l)
 
 
 def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:
-    if f.config != g.config:
-        raise ValueError("functions live over different field configurations")
-    a, l = min(f.a, g.a), max(f.l, g.l)
+    a, l = _common_window(f, g)
     return refine(f, a, l), refine(g, a, l)
+
+
+@functools.lru_cache(maxsize=2)
+def _input_spectrum(f: TestFunction, a: int, l: int) -> np.ndarray:
+    """The window DFT of f refined onto (a, l); read-only, kept for the last two (f, a, l)
+    only: a verify stack's spectra on T_k f's window and on its piece convolutions'."""
+    return _frozen(Window(f.config, a, l).dft(refine(f, a, l).values))
 
 
 def convolve(f: TestFunction, g: TestFunction) -> TestFunction:
@@ -332,13 +359,15 @@ def convolve(f: TestFunction, g: TestFunction) -> TestFunction:
     correction.  The quotient-group sum runs through the group DFT: both
     factors are transformed on that window and convolve_spectra takes the
     product and the inverse.  Either factor may be a stack; the other is then
-    transformed once for all its rows.  operators.apply_truncated calls
-    convolve_spectra with a cached transform of its kernel instead, so T_k f
-    is this convolution bit for bit.
+    transformed once for all its rows.  The transform of g is _input_spectrum's,
+    so convolving many f with one g transforms g once per window.
+    operators.apply_truncated calls convolve_spectra with a cached transform of
+    its kernel and _input_spectrum of its input, so T_k f is this convolution
+    bit for bit.
     """
-    rf, rg = common_refinement(f, g)
-    w = rf.window
-    return convolve_spectra(w, w.dft(rf.values), w.dft(rg.values))
+    a, l = _common_window(f, g)
+    w = Window(f.config, a, l)
+    return convolve_spectra(w, w.dft(refine(f, a, l).values), _input_spectrum(g, a, l))
 
 
 def convolve_spectra(w: Window, fhat: np.ndarray, ghat: np.ndarray) -> TestFunction:

@@ -39,9 +39,10 @@ holding read-only arrays that are safe to share:
   run, 12 in a pass of 96 large-window calls), so truncation_kernel, which
   only a multiplier reads, runs once per key.  A multiplier takes 16 bytes
   per window cell: 512 KiB on a 32,768-cell window.
-- _input_spectrum keeps the spectrum of the last input only, keyed on the
-  TestFunction and the window's a, so apply-tk's loop over k transforms its
-  input once, and each verify protocol each stack of its corpus.
+- functions._input_spectrum keeps the last two spectra only, keyed on the
+  TestFunction and the window, so apply-tk's loop over k transforms its
+  input once, and each verify protocol each stack of its corpus once per
+  window (T_k f's and, through functions.convolve, the piece convolutions').
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldElement, Window, add, negate, q_power
-from .functions import TestFunction, _frozen, convolve_spectra, evaluate, refine
+from .functions import TestFunction, _frozen, _input_spectrum, convolve_spectra, evaluate, refine
 from .kernels import AngularKernel, shell_piece, validate_atom
 
 
@@ -134,12 +135,6 @@ def truncation_multiplier(kernel: AngularKernel, k: int, jmax: int, l: int) -> n
     return _frozen(Window(kernel.config, a, l).dft(tk.values))
 
 
-@functools.lru_cache(maxsize=1)
-def _input_spectrum(f: TestFunction, a: int) -> np.ndarray:
-    """The window DFT of f refined onto (a, f.l); read-only, kept for the last f only."""
-    return _frozen(Window(f.config, a, f.l).dft(refine(f, a, f.l).values))
-
-
 def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec) -> TestFunction:
     """The truncated operator on the declared output window.
 
@@ -159,7 +154,7 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
         shape = f.values.shape[:-1] + (f.config.p ** (spec.out_l - spec.out_a),)
         return TestFunction(f.config, spec.out_a, spec.out_l, np.zeros(shape, dtype=np.complex128))
     w = Window(f.config, -(jmax + 1), f.l)
-    conv = convolve_spectra(w, _input_spectrum(f, w.a),
+    conv = convolve_spectra(w, _input_spectrum(f, w.a, w.l),
                             truncation_multiplier(kernel, spec.k, jmax, f.l))
     return refine(conv, spec.out_a, spec.out_l)
 

@@ -408,8 +408,8 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
 
     def norms_of(bf):
         return {("l2", 2.0): lr_norms(bf, 2),
-                **{("weak11", lam): list(map(weak11, weak_level_measures(bf, lam), repeat(lam)))
-                   for lam in lambda_list}}
+                **{("weak11", lam): list(map(weak11, counts, repeat(lam)))
+                   for lam, counts in zip(lambda_list, weak_level_measures(bf, lambda_list))}}
 
     def columns_of(g):
         yield None, {1: lr_norms(g, 1), 2: lr_norms(g, 2)}

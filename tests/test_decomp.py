@@ -1,5 +1,6 @@
 """Decomposition layer: CZ stopping time, LP blocks, B/F norms."""
 
+import collections
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from localfield import decomp
 from localfield.decomp import (
     CZDecomposition,
     NormReport,
@@ -786,6 +788,122 @@ def test_norm_columns_name_an_overflowing_triple_that_is_not_first(route):
         {(space, srt_list[0]): hexes(want[space, srt_list[0]]) for space in spaces}
 
 
+# ---------------------------------------------------------------------------
+# the block table: one per input, kept for the last input only
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+@pytest.mark.parametrize("rows", [1, 5], ids=["one_row", "stacked"])
+def test_cold_and_warm_block_tables_give_the_per_row_bits(config, rows):
+    rng = np.random.default_rng([46, rows])
+    fs = [random_fn(rng, config, -2, 2) for _ in range(rows)]
+    f = fs[0] if rows == 1 else TestFunction(config, -2, 2, np.stack([g.values for g in fs]))
+    want = {key: hexes(column) for key, column in per_row_norm_columns(f, DIFFERENTIAL_SRT).items()}
+    for spaces in ("BF", "B", "F"):
+        decomp._block_table.cache_clear()
+        cold = norm_columns(f, DIFFERENTIAL_SRT, spaces)
+        warm = norm_columns(f, DIFFERENTIAL_SRT, spaces)
+        for got in (cold, warm):
+            assert {key: hexes(column) for key, column in got.items()} == \
+                {key: want[key] for key in got}
+    # F's powers |block|^t serve B's r = t, one triple at a time, in either order
+    for first, second in ("FB", "BF"):
+        decomp._block_table.cache_clear()
+        for space in (first, second):
+            for srt in DIFFERENTIAL_SRT:
+                assert hexes(norm_columns(f, [srt], space)[space, srt]) == want[space, srt]
+
+
+def counting(monkeypatch) -> collections.Counter:
+    """Calls of decomp._all_blocks and of np.hypot from here on, on a cold block table."""
+    counts = collections.Counter()
+    blocks, hypot = decomp._all_blocks, np.hypot
+
+    def counted_blocks(f):
+        counts["blocks"] += 1
+        return blocks(f)
+
+    def counted_hypot(*args, **kwargs):
+        counts["hypot"] += 1
+        return hypot(*args, **kwargs)
+
+    monkeypatch.setattr(decomp, "_all_blocks", counted_blocks)
+    monkeypatch.setattr(np, "hypot", counted_hypot)
+    decomp._block_table.cache_clear()
+    return counts
+
+
+def test_a_second_norm_of_one_input_builds_no_blocks_and_no_moduli(monkeypatch):
+    counts = counting(monkeypatch)
+    f = random_fn(np.random.default_rng(47), CONFIGS[1], -2, 3)
+    triebel_lizorkin_norm(f, 0.5, 1.5, 3.0)
+    assert counts == {"blocks": 1, "hypot": len(decomp._block_table(f).blocks)}
+    counts.clear()
+    for s, r, t in DEFAULT_SRT_LIST:
+        besov_norm(f, s, r, t)
+        triebel_lizorkin_norm(f, s, r, t)
+    assert norm_columns(f, DEFAULT_SRT_LIST)
+    assert counts == {}
+
+
+def test_a_large_windows_pass_builds_one_block_stack_per_function(monkeypatch):
+    # the norms calls of perfbench's large-windows unit on smaller windows: 16 functions,
+    # a B and an F norm of each for every default triple, 12 calls that built 192 stacks
+    rng = np.random.default_rng(48)
+    fs = [random_fn(rng, FieldConfig(mode, 2), -3, 3) for mode in ("padic", "laurent")
+          for _ in range(8)]
+    blocks = len(_all_blocks(fs[0]))
+    counts = counting(monkeypatch)
+    for f in fs:
+        for s, r, t in DEFAULT_SRT_LIST:
+            besov_norm(f, s, r, t)
+            triebel_lizorkin_norm(f, s, r, t)
+        for r in (1.5, 2.0, 3.0):
+            lebesgue_norm_report(f, r)
+    assert counts["blocks"] == len(fs) == 16
+    # one modulus pass per block of each table, and one per Lebesgue r != 2
+    assert counts["hypot"] == len(fs) * (blocks + 2)
+
+
+def test_an_equal_input_gets_a_table_of_its_own(monkeypatch):
+    f = random_fn(np.random.default_rng(49), CONFIGS[2], -1, 2)
+    twin = TestFunction(f.config, f.a, f.l, f.values.copy())
+    counts = counting(monkeypatch)
+    table = decomp._block_table(f)
+    assert decomp._block_table(f) is table
+    assert decomp._block_table(twin) is not table
+    assert counts["blocks"] == 2
+    assert norm_columns(twin, DIFFERENTIAL_SRT) == norm_columns(f, DIFFERENTIAL_SRT)
+    # the memo keeps the last input only: twin's table evicted f's, which is built again
+    assert decomp._block_table.cache_info().currsize == 1 and counts["blocks"] == 3
+
+
+def test_block_table_arrays_refuse_writes():
+    f = TestFunction(CONFIGS[0], -1, 2, np.random.default_rng(50).random((3, 8)))
+    decomp._block_table.cache_clear()
+    norm_columns(f, DIFFERENTIAL_SRT)
+    table = decomp._block_table(f)
+    arrays = [b.values for b in table.blocks] + table.moduli
+    arrays += [m for t in (1.0, 1.5, 2.0, 2.5, 3.0) for m in table.powers(t)]
+    assert len(arrays) == 7 * len(table.blocks)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[..., 0] = 1.0
+
+
+@pytest.mark.parametrize("route", ["b_sum", "f_sum", "power"])
+@np.errstate(over="ignore", invalid="ignore")
+def test_a_warm_block_table_still_names_an_overflowing_triple(route):
+    f, spaces, srt_list = overflowing_case(route)
+    decomp._block_table.cache_clear()
+    first = norm_columns(f, srt_list[:1], spaces)
+    for _ in range(2):  # warm, then with the overflowing triple's powers in the table too
+        with pytest.raises(ValueError,
+                           match=rf"^\(s, r, t\) = {re.escape(str(srt_list[1]))}: a B or F norm"):
+            norm_columns(f, srt_list, spaces)
+        assert norm_columns(f, srt_list[:1], spaces) == first
+
+
 # every entry point of the norm layer refuses the same values: each takes the
 # shared list after its value below the domain (0.5 for an exponent, 0 for a level)
 BAD_VALUES = [math.inf, math.nan, True, "2", 10**400]
@@ -804,7 +922,7 @@ ENTRY_POINTS = {
     "triebel_lizorkin_norm.t": lambda f, x: triebel_lizorkin_norm(f, 1.0, 2.0, x),
     "norm_columns.r": lambda f, x: norm_columns(f, [(1.0, 2.0, 2.0), (0.0, x, 2.0)]),
     "norm_columns.t": lambda f, x: norm_columns(f, [(1.0, 2.0, 2.0), (0.0, 2.0, x)]),
-    "weak_level_measures": weak_level_measures,
+    "weak_level_measures": lambda f, x: weak_level_measures(f, [x]),
 }
 
 

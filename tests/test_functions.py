@@ -238,15 +238,27 @@ class TestNorms:
 
     def test_weak_measure_unit_ball(self):
         f = unit_ball_indicator(Q2)
-        assert weak_level_measures(f, 0.5) == [1]
-        assert weak_level_measures(f, 2) == [0]
+        assert weak_level_measures(f, [0.5, 2]) == [[1], [0]]
         # the measure is a count of cells of measure q^-l: all 8 of (0, 3), 4 of the 8 of (-1, 2)
-        assert weak_level_measures(refine(f, 0, 3), 0.5) == [8]
-        assert weak_level_measures(refine(f, -1, 2), 0.5) == [4]
+        assert weak_level_measures(refine(f, 0, 3), [0.5]) == [[8]]
+        assert weak_level_measures(refine(f, -1, 2), [0.5]) == [[4]]
+        assert weak_level_measures(f, []) == []
 
     def test_weak_measure_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            weak_level_measures(unit_ball_indicator(Q2), 0)
+        for levels in ([0], [0.5, 0]):
+            with pytest.raises(ValueError):
+                weak_level_measures(unit_ball_indicator(Q2), levels)
+
+    def test_weak_measures_of_all_levels_take_one_modulus_pass(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        stack = TestFunction(Q2, -1, 2, rng.random((4, 8)) + 1j * rng.random((4, 8)))
+        levels = [0.25, 0.5, 1.0, 1.25, 4.0]
+        moduli = np.hypot(stack.values.real, stack.values.imag)
+        want = [[int(np.count_nonzero(row > lam)) for row in moduli] for lam in levels]
+        hypot, calls = np.hypot, []
+        monkeypatch.setattr(np, "hypot", lambda *args: calls.append(1) or hypot(*args))
+        assert weak_level_measures(stack, levels) == want
+        assert calls == [1]
 
     def test_chebyshev(self):
         rng = np.random.default_rng(30)
@@ -254,7 +266,7 @@ class TestNorms:
             for _ in range(25):
                 f = random_function(rng, config)
                 lam = rng.uniform(0.05, 2)
-                (count,) = weak_level_measures(f, lam)
+                ((count,),) = weak_level_measures(f, [lam])
                 assert float(count * f.cell_measure) <= lr_norm(f, 2) ** 2 / lam**2 + 1e-15
 
 
@@ -377,8 +389,9 @@ class TestStacks:
             assert w.dft(stack.values, inverse).tobytes() == want.tobytes()
         for r in (1, 1.5, 2, 3):
             assert lr_norms(stack, r) == [lr_norm(f, r) for f in rows]
-        for lam in (0.1, 0.5, 2.0):
-            assert weak_level_measures(stack, lam) == [weak_level_measures(f, lam)[0] for f in rows]
+        levels = (0.1, 0.5, 2.0)
+        assert weak_level_measures(stack, levels) == \
+            [[weak_level_measures(f, [lam])[0][0] for f in rows] for lam in levels]
 
     def test_shapes_and_one_function_forms(self):
         with pytest.raises(ValueError):

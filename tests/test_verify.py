@@ -728,8 +728,11 @@ def test_each_protocol_transforms_each_corpus_stack_once(case, monkeypatch):
     new = Fraction.__new__
 
     def counted_dft(self, values, inverse=False):
-        # a stack of corpus functions, transformed on T_k f's window (a - 1, l)
-        counts["corpus"] += not inverse and np.ndim(values) == 2 and (self.a, self.l) == (a - 1, l)
+        # a stack of corpus functions, transformed on T_k f's window (a - 1, l) or on
+        # the piece convolutions' window (a, l)
+        stack = not inverse and np.ndim(values) == 2
+        counts["corpus"] += stack and (self.a, self.l) == (a - 1, l)
+        counts["piece_window"] += stack and (self.a, self.l) == (a, l)
         return dft(self, values, inverse)
 
     def counted_convolve(*args):
@@ -756,6 +759,10 @@ def test_each_protocol_transforms_each_corpus_stack_once(case, monkeypatch):
     assert counts["corpus"] == len(verify.CHECK_NAMES) * stacks
     # reading B convolves once per atom and stack, not once per atom, k and stack
     assert counts["l2_weak_convolve"] == len(atoms) * stacks
+    # besov_tl's and l2_weak's piece convolutions transform each stack once on their window:
+    # 2 per stack, where each of the 4 * len(atoms) convolutions took one (20 by default)
+    assert counts["convolve"] == 4 * len(atoms) * stacks
+    assert counts["piece_window"] == 2 * stacks
     if case == "default":
         # each weak11 float is taken once per distinct (count, lambda): 30,122 before
         assert counts["fraction"] < 1000

@@ -322,8 +322,8 @@ def per_function_l2_weak(corpus, k_list, lambda_list, route=HarnessRoute) -> lis
                     claimed_l2 = q_power(q, -k) / (q - 1)
                     measured = [("l2", 2.0, lr_norm(bf, 2) / (claimed_l2 * l2_f))] + [
                         ("weak11", lam,
-                         float(weak_level_measures(bf, lam)[0] * bf.cell_measure * Fraction(lam))
-                         / (l1_f * (1 + 4 * q)))
+                         float(weak_level_measures(bf, [lam])[0][0] * bf.cell_measure
+                               * Fraction(lam)) / (l1_f * (1 + 4 * q)))
                         for lam in lambda_list]
                     rows.extend({"check": check, "entry": f"{atom_id}.f{fi}", "k": k,
                                  "reading": reading, "param": param, "ratio": ratio}
