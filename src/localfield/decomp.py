@@ -30,18 +30,19 @@ the same two formulas, one value per row of a stack; besov_norm and
 triebel_lizorkin_norm are its one-row case.  Every norm of an input reads
 its block table (_block_table, memoized on the TestFunction by identity,
 for the last input only): the blocks, their moduli from one np.hypot pass,
-and the moduli to each power e asked for, one per distinct e, all
-read-only.  The F norms read |block|^t, the B norms with r != 2 sum
-|block|^r; a B norm with r = 2 sums re^2 + im^2, whose bits differ from
-|block|^2, so it shares no power.  The table takes 16 bytes per block cell
-for the blocks, 8 for the moduli and 8 per power: about 1.3-1.6 MB for a
-16,384-cell input.  So B and F norms called in turn on one input build its
-blocks and moduli once.  Every sum is functions.exact_sums, bit for bit
-math.fsum: the B norms put every block of the stack through one call per r,
-the F norms one call per triple (their pointwise sum lifted one level per
-block).  A sum past the float range reads inf and the triple is refused.
-check_norm_srt states the triple's domain: a finite s, and r and t norm
-exponents.
+the moduli to each power e asked for, one per distinct e, and each row's
+block r-norms, one per distinct r, all read-only.  The F norms read
+|block|^t, the B norms with r != 2 sum |block|^r; a B norm with r = 2 sums
+re^2 + im^2, whose bits differ from |block|^2, so it shares no power.  The
+table takes 16 bytes per block cell for the blocks, 8 for the moduli and 8
+per power: about 1.3-1.6 MB for a 16,384-cell input.  So B and F norms
+called in turn on one input build its blocks, moduli and block r-norms
+once.  Every sum is functions.exact_sums, bit for bit math.fsum: the B
+norms put every block of the stack through one call per distinct r,
+whichever triples or calls ask for it, the F norms one call per triple
+(their pointwise sum lifted one level per block).  A sum past the float
+range reads inf and the triple is refused.  check_norm_srt states the
+triple's domain: a finite s, and r and t norm exponents.
 """
 
 import functools
@@ -358,17 +359,20 @@ def _triebel_lizorkin_values(f: TestFunction, powers, weights, r: float, t: floa
         sums = exact_sums(rows.ravel(), np.arange(rows.size, step=rows.shape[-1]))
     except OverflowError:  # a sum past the float range, where fsum raises: norm_columns refuses
         return [math.inf] * len(rows)
-    return [(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in sums.tolist()]
+    cell = q_power(f.config.q, -f.l)
+    return [(s * cell) ** (1.0 / r) for s in sums.tolist()]
 
 
 class _BlockTable:
     """The Littlewood-Paley blocks of one input, as _all_blocks builds them, their
-    moduli (one np.hypot pass, made when first asked for) and the moduli to each
-    power e asked for, each made once; every array read-only, (rows, cells) per block."""
+    moduli (one np.hypot pass, made when first asked for), the moduli to each
+    power e asked for and each row's block r-norms for each r asked for, each made
+    once; every array read-only, (rows, cells) per block."""
 
     def __init__(self, f: TestFunction):
         self.blocks = _all_blocks(f)
         self._powers = {}
+        self._norms = {}
 
     @functools.cached_property
     def moduli(self) -> list:
@@ -380,6 +384,13 @@ class _BlockTable:
         if e not in self._powers:
             self._powers[e] = [_frozen(m ** e, np.float64) for m in self.moduli]
         return self._powers[e]
+
+    def norms(self, r: float) -> tuple:
+        """One tuple per row: its r-norm of every block; r = 2 sums re^2 + im^2."""
+        if r not in self._norms:
+            self._norms[r] = tuple(zip(*(lr_norms_each(self.blocks, r) if r == 2
+                                         else lr_norms_of_parts(self.blocks, self.powers(r), r))))
+        return self._norms[r]
 
 
 @functools.lru_cache(maxsize=1)
@@ -399,11 +410,6 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
     srt_list = [tuple(srt) for srt in srt_list]
     table = _block_table(f)
     blocks = table.blocks
-    if "B" in spaces:
-        # norms[r][row] holds that row's r-norm of every block; r = 2 sums re^2 + im^2
-        norms = {r: list(zip(*(lr_norms_each(blocks, r) if r == 2
-                               else lr_norms_of_parts(blocks, table.powers(r), r))))
-                 for r in {r for _, r, _ in srt_list}}
     columns = {}
     for srt in srt_list:
         s, r, t = srt
@@ -414,7 +420,7 @@ def norm_columns(f: TestFunction, srt_list, spaces: str = "BF") -> dict:
         if not all(map(math.isfinite, weights)):
             raise ValueError(f"(s, r, t) = {srt}: a block weight q^(s j t) is not a finite float")
         if "B" in spaces:
-            columns[("B", srt)] = [_besov_value(weights, row, t) for row in norms[r]]
+            columns[("B", srt)] = [_besov_value(weights, row, t) for row in table.norms(r)]
         if "F" in spaces:
             columns[("F", srt)] = _triebel_lizorkin_values(f, table.powers(t), weights, r, t)
         if not all(math.isfinite(v) for space in spaces for v in columns[(space, srt)]):

@@ -302,8 +302,9 @@ def lr_norms_of_parts(fs: list, parts: list, r: float) -> list:
     sums = [sums[a:b] for a, b in zip(rows, rows[1:])]
     if r == 2:
         sums = [re + im for re, im in zip(sums[::2], sums[1::2])]
-    return [[(s * q_power(f.config.q, -f.l)) ** (1.0 / r) for s in row_sums.tolist()]
-            for f, row_sums in zip(fs, sums)]
+    cells = [q_power(f.config.q, -f.l) for f in fs]
+    return [[(s * cell) ** (1.0 / r) for s in row_sums.tolist()]
+            for cell, row_sums in zip(cells, sums)]
 
 
 def lr_norms(f: TestFunction, r: float) -> list:

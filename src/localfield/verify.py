@@ -25,13 +25,15 @@ output, each T_k f on operators.resolution_spec's window (the same for every
 k, so apply_truncated transforms the stack once) and each shell piece at the
 corpus resolution, and takes their norm columns.  Every ratio follows one rule,
 _ratios, on those columns.  A stack's widest array holds at most STACK_CELLS
-cells, which bounds peak memory; rows are emitted function by function, each
-table row built once, from index arrays over the ratio columns, and the per-k
-sups and fitted constants are numpy reductions over those columns.
+cells, which bounds peak memory.  The per-k sups and fitted constants are
+numpy reductions over the ratio columns, and the lebesgue, besov_tl and
+l2_weak tables RowTables of index arrays over them, with no row object.
 
-ReportWriter turns a report into report.json and report.csv in one pass that
-formats each ratio once: canonical_dumps of the payload and the rows a
-csv.writer writes, byte for byte, each file written as it is produced.
+ReportWriter turns a report into report.json and report.csv: canonical_dumps
+of the payload, each RowTable as its rows, and the rows a csv.writer writes,
+byte for byte, each file written as it is produced.  Per file it formats each
+distinct entry and key of a RowTable once, and each ratio once for both files;
+a block of rows is one join of those texts.
 """
 
 import functools
@@ -40,10 +42,11 @@ import logging
 import math
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
+from operator import index
 
 import numpy as np
 
@@ -51,6 +54,7 @@ from .decomp import check_triple, norm_columns
 from .field import FieldConfig, check_window, expect, is_int, q_power
 from .functions import (
     TestFunction,
+    _frozen,
     _is_real,
     check_level,
     convolve,
@@ -66,7 +70,6 @@ from .kernels import (
     mean_zero_project,
     shell_piece,
     sphere_cell_count,
-    taibleson_modulus,
     taibleson_terms,
 )
 from .operators import apply_atom_operator, apply_truncated, resolution_spec, tail_cutoff
@@ -179,19 +182,63 @@ def generate_corpus(config: FieldConfig, seed: int, count: int, window: tuple,
 # Ratio protocols
 
 
+@dataclass(frozen=True, eq=False)
+class RowTable(Sequence):
+    """A ratio table by column: row i is entries[entry[i]], keys[key[i]] and ratio[i].
+
+    entries and keys (tuples of cells) are the distinct entry ids and column keys;
+    entry, key (int64) and ratio (float64) are read-only, one value per row.  A row
+    is [entry, *key, ratio], or with names a dict of those fields in that order,
+    "entry" and "ratio" among them.  Rows are built on demand from the same cell
+    objects, and a table equals the list of its rows.
+    """
+
+    entries: tuple
+    keys: tuple
+    entry: np.ndarray
+    key: np.ndarray
+    ratio: np.ndarray
+    names: tuple = None
+
+    def __post_init__(self):
+        for name, dtype in (("entry", np.int64), ("key", np.int64), ("ratio", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    def _row(self, entry, key, ratio):
+        if self.names is None:
+            return [entry, *key, ratio]
+        cells = iter(key)
+        return {name: entry if name == "entry" else ratio if name == "ratio" else next(cells)
+                for name in self.names}
+
+    def __len__(self) -> int:
+        return self.ratio.size
+
+    def __getitem__(self, i: int):
+        i = index(i)
+        return self._row(self.entries[self.entry[i]], self.keys[self.key[i]], float(self.ratio[i]))
+
+    def __iter__(self):
+        return map(self._row, map(self.entries.__getitem__, self.entry.tolist()),
+                   map(self.keys.__getitem__, self.key.tolist()), self.ratio.tolist())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, RowTable)) else NotImplemented
+
+
 @dataclass(frozen=True)
 class OperatorNormEstimate:
     """Measured ratios for one theorem protocol.
 
-    ratio_table rows are [entry_id, k, param, ratio] where entry_id names
-    the (function, kernel) pair and param is the integrability exponent or
-    the [space, s, r, t] list.  Ratios are already normalized by the
-    claimed q^{-k} h1 growth, so fitted_constant is the largest ratio.
+    ratio_table is a RowTable whose rows are [entry_id, k, param, ratio]:
+    entry_id names the (function, kernel) pair and param is the integrability
+    exponent or the [space, s, r, t] list.  Ratios are already normalized by
+    the claimed q^{-k} h1 growth, so fitted_constant is the largest ratio.
     sups holds (k, param, sup) for each (k, param) that has rows: the largest
     ratio of those rows.
     """
 
-    ratio_table: list
+    ratio_table: RowTable
     fitted_constant: float
     sups: tuple
 
@@ -279,37 +326,32 @@ def _truncations(corpus: Corpus, k_list, g: TestFunction, norms_of):
             yield (ki, k), norms_of(apply_truncated(g, kern, resolution_spec(g, k)))
 
 
-def _pick(values: list, index: np.ndarray):
-    """values[i] for each i in index, as an iterator."""
-    return map(values.__getitem__, index.tolist())
-
-
 def _theorem_rows(corpus: Corpus, k_list, params, cols: dict) -> OperatorNormEstimate:
     """Ratio-table rows [entry_id, k, param, ratio] over function x kernel x k x param:
     ratio = N(T_k f) / (q^{-k} h1(kernel) N(f)) for each norm N named in params,
     from the columns of _truncations; no row where N(f) = 0.  A tuple param is
     written as a list, one list per param for all its rows."""
     q, n, nk = corpus.config.q, len(corpus.functions), len(corpus.kernels)
-    keys = [(ki, h1, k, p) for ki, h1 in enumerate(map(h1_upper_bound, corpus.kernels))
-            for k in k_list for p in params]
-    ratios = np.array([_ratios(cols[(ki, k), p], cols[None, p], q_power(q, -k) * h1)
-                       for ki, h1, k, p in keys]).reshape(len(keys), n)
-    live = np.array([cols[None, p] != 0 for *_, p in keys], dtype=bool).reshape(len(keys), n)
-    cells = {p: list(p) if isinstance(p, tuple) else p for p in params}
+    # one ratio column per (kernel, k, param), kernel-major: column ci has key ci % len(keys)
+    keys = [(k, pi) for k in k_list for pi in range(len(params))]
+    ratios = np.array([_ratios(cols[(ki, k), params[pi]], cols[None, params[pi]],
+                               q_power(q, -k) * h1)
+                       for ki, h1 in enumerate(map(h1_upper_bound, corpus.kernels))
+                       for k, pi in keys]).reshape(nk * len(keys), n)
+    live = np.array([cols[None, params[pi]] != 0 for _, pi in keys] * nk,
+                    dtype=bool).reshape(nk * len(keys), n)
+    cells = [list(p) if isinstance(p, tuple) else p for p in params]
     sups = {}
-    for (_, _, k, p), sup, has_rows in zip(keys, ratios.max(axis=1, initial=0.0).tolist(),
-                                          live.any(axis=1).tolist()):
+    for (k, pi), sup, has_rows in zip(keys * nk, ratios.max(axis=1, initial=0.0).tolist(),
+                                      live.any(axis=1).tolist()):
         if has_rows:
-            sups[k, p] = max(sups.get((k, p), 0.0), sup)
+            sups[k, pi] = max(sups.get((k, pi), 0.0), sup)
     fi, ci = np.nonzero(live.T)  # the rows, function-major
-    names = [f"f{i}.w{ki}" for i in range(n) for ki in range(nk)]
-    kernel = np.array([ki for ki, *_ in keys], dtype=np.int64)
-    rows = list(map(list, zip(_pick(names, fi * nk + kernel[ci]),
-                              _pick([k for _, _, k, _ in keys], ci),
-                              _pick([cells[p] for *_, p in keys], ci),
-                              ratios[ci, fi].tolist())))
-    return OperatorNormEstimate(rows, max(sups.values(), default=0.0),
-                                tuple((k, cells[p], sup) for (k, p), sup in sups.items()))
+    table = RowTable(tuple(f"f{i}.w{ki}" for i in range(n) for ki in range(nk)),
+                     tuple((k, cells[pi]) for k, pi in keys),
+                     fi * nk + ci // len(keys), ci % len(keys), ratios[ci, fi])
+    return OperatorNormEstimate(table, max(sups.values(), default=0.0),
+                                tuple((k, cells[pi], sup) for (k, pi), sup in sups.items()))
 
 
 def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstimate:
@@ -438,17 +480,12 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
     live = np.array([dens[check] != 0 for _, _, check, _ in columns], dtype=bool)
     # atom-major, then function-major, as the tables take them
     ai, fi, ci = np.nonzero(np.broadcast_to(live.T, (len(atoms), n, len(columns))))
-    entries = [f"{atom_id}.f{i}" for atom_id, _ in atoms for i in range(n)]
-    rows = [{"check": check, "entry": entry, "k": k, "reading": reading, "param": param,
-             "ratio": ratio}
-            for check, entry, k, reading, param, ratio in zip(
-                _pick([c for _, _, c, _ in columns], ci), _pick(entries, ai * n + fi),
-                _pick([k for k, *_ in columns], ci), _pick([r for _, r, _, _ in columns], ci),
-                _pick([p for *_, p in columns], ci), ratios[ai, ci, fi].tolist())]
-    records = [
-        check_record(f"{check}_bound_reading_{reading.lower()}", 1.0, value, value <= 1 + 1e-10)
-        for (check, reading), value in worst.items()
-    ]
+    rows = RowTable(tuple(f"{atom_id}.f{i}" for atom_id, _ in atoms for i in range(n)),
+                    tuple((check, k, reading, param) for k, reading, check, param in columns),
+                    ai * n + fi, ci, ratios[ai, ci, fi],
+                    ("check", "entry", "k", "reading", "param", "ratio"))
+    records = [check_record(f"{check}_bound_reading_{reading.lower()}", 1.0, value,
+                            value <= 1 + 1e-10) for (check, reading), value in worst.items()]
     return {"records": records, "rows": rows}
 
 
@@ -463,29 +500,23 @@ def check_taibleson_class(corpus: Corpus) -> dict:
     k = 0 to document that the corpus satisfies both boundedness routes.
     """
     rows = []
-    all_stable = True
     cols = _stack_columns(corpus, corpus.window[0] - 1,
                           lambda g: _truncations(corpus, [0], g, lambda h: {2: lr_norms(h, 2)}))
     for ki, kern in enumerate(corpus.kernels):
         j_stable = max(kern.m - 1, 1)
-        modulus = taibleson_modulus(kern, j_stable)
-        # the first vanishing term, j = m, must be exactly 0.0 for every unit shift;
-        # for m = 1 it is the whole modulus
-        stabilized = not taibleson_terms(kern, kern.m)[:, -1].any()
-        all_stable = all_stable and stabilized
-        rows.append(
-            {
-                "kernel": f"w{ki}",
-                "m": kern.m,
-                "modulus": modulus,
-                "stabilizes_at": j_stable,
-                "stabilized": stabilized,
-                "h1_upper_bound": h1_upper_bound(kern),
-                "sup_l2_ratio_k0": float(_ratios(cols[(ki, 0), 2], cols[None, 2]).max(initial=0.0)),
-            }
-        )
-    stable_share = sum(r["stabilized"] for r in rows) / max(len(rows), 1)
-    records = [check_record("taibleson_stabilization", 1.0, stable_share, all_stable)]
+        # one pass to j = m, whose first j_stable columns are taibleson_modulus(kern,
+        # j_stable)'s terms, bit for bit; the first vanishing term, j = m, must be
+        # exactly 0.0 for every unit shift (for m = 1 it is the whole modulus)
+        terms = taibleson_terms(kern, kern.m)
+        rows.append({"kernel": f"w{ki}", "m": kern.m,
+                     "modulus": max(math.fsum(row[:j_stable]) for row in terms),
+                     "stabilizes_at": j_stable, "stabilized": not terms[:, -1].any(),
+                     "h1_upper_bound": h1_upper_bound(kern),
+                     "sup_l2_ratio_k0": float(_ratios(cols[(ki, 0), 2], cols[None, 2])
+                                              .max(initial=0.0))})
+    stable = [row["stabilized"] for row in rows]
+    records = [check_record("taibleson_stabilization", 1.0, sum(stable) / max(len(rows), 1),
+                            all(stable))]
     return {"records": records, "rows": rows}
 
 
@@ -497,7 +528,7 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-_float_repr = float.__repr__  # the one float formatter of the row tables' ratios
+_float_repr = float.__repr__  # the one formatter of the row tables' ratios
 
 
 def _csv_quoted(text: str) -> str:
@@ -509,7 +540,7 @@ def _csv_quoted(text: str) -> str:
 
 def _csv_field(x) -> str:
     """x as a csv.writer field: None empty, a float by its repr, anything else by str."""
-    return _csv_quoted("" if x is None else _float_repr(x) if isinstance(x, float) else str(x))
+    return _csv_quoted("" if x is None else float.__repr__(x) if isinstance(x, float) else str(x))
 
 
 def csv_text(rows) -> str:
@@ -518,70 +549,55 @@ def csv_text(rows) -> str:
     return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-def _csv_srt(param) -> str:
-    """The param field of a besov_tl row: its [space, s, r, t] list joined by colons."""
-    return _csv_quoted("{}:{}:{}:{}".format(*param))
+# the report's RowTables
+ROW_TABLES = ("lebesgue", "besov_tl", "l2_weak")
 
 
-def _csv_reading(reading, param) -> str:
-    """The param field of an l2_weak row: its reading and param joined by a colon."""
-    return _csv_quoted("{}:{}".format(reading, param))
-
-
-def _tokens(fmt, *columns) -> list:
-    """fmt(*cells) for each row of the columns, called once per distinct cell, or tuple
-    of cells, that rows share: equal strs, or equal ints, are one cell, and any other
-    object is a cell of its own, such as the one param list of many rows."""
-    ids = [map(id, column) for column in columns]
-    if len(columns) == 1 and set(map(type, columns[0])) in ({str}, {int}):
-        keys = columns[0]  # written alike whatever the object
-    else:
-        keys = list(ids[0] if len(columns) == 1 else zip(*ids))
-    row = dict(zip(keys, range(len(keys))))  # a row of each distinct key
-    formatted = {key: fmt(*(column[i] for column in columns)) for key, i in row.items()}
-    return list(map(formatted.__getitem__, keys))
-
-
-def _ratio_tokens(ratios: list) -> tuple:
-    """(JSON tokens, CSV tokens) of a ratio column.  A column of finite floats takes one
-    _float_repr per cell, one token for both files; canonical_dumps refuses a non-finite
-    float with the stdlib's message."""
-    if set(map(type, ratios)) <= {float} and all(map(math.isfinite, ratios)):
-        tokens = list(map(_float_repr, ratios))
-        return tokens, tokens
-    return list(map(canonical_dumps, ratios)), list(map(_csv_field, ratios))
+def _key_text(name: str, key: tuple) -> tuple:
+    """The JSON and the CSV (head, middle, tail) of a row of RowTable name with this key:
+    row = head + entry + middle + ratio + tail.  A JSON head starts with the comma
+    between rows, which the table's first row drops."""
+    j, c = canonical_dumps, _csv_field
+    if name == "l2_weak":  # the JSON keys sorted; the CSV param is reading:param
+        check, k, reading, param = key
+        return ((f',{{"check":{j(check)},"entry":', f',"k":{j(k)},"param":{j(param)},"ratio":',
+                 f',"reading":{j(reading)}}}'),
+                (c(check) + ",", f",{c(k)},{_csv_quoted(f'{reading}:{param}')},", "\n"))
+    k, param = key  # the CSV of a besov_tl param [space, s, r, t] is space:s:r:t
+    csv_param = _csv_quoted("{}:{}:{}:{}".format(*param)) if name == "besov_tl" else c(param)
+    return (",[", f",{j(k)},{j(param)},", "]"), (name + ",", f",{c(k)},{csv_param},", "\n")
 
 
 # the rows joined into one string before it is written
 _BLOCK = 4096
 
 
-def _joined(columns: list, before: str, after: str, sep: str = ""):
-    """Each row of the token columns, its tokens joined by commas between before and
-    after, rows joined by sep, a block of rows at a time."""
-    between = after + sep + before
-    for start in range(0, len(columns[0]), _BLOCK):
-        rows = map(",".join, zip(*(column[start:start + _BLOCK] for column in columns)))
-        yield (sep if start else "") + before + between.join(rows) + after
-
-
-# an l2_weak row's keys, in the order canonical_dumps writes them
-_L2_WEAK_KEYS = ("check", "entry", "k", "param", "ratio", "reading")
+def _rows_text(table: RowTable, entries: list, keys: list, ratios: list, skip: int):
+    """The table's rows in one file, head + entry + middle + ratio + tail, from the texts
+    of its distinct entries and keys (head, middle, tail) and of its ratios, taken by
+    index and joined once per block of rows; the first block drops skip characters."""
+    entries = np.array(entries, dtype=object)
+    head, middle, tail = np.array(keys, dtype=object).reshape(-1, 3).T
+    for start in range(0, len(table), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        key = table.key[rows]
+        flat = [""] * (5 * key.size)
+        flat[0::5], flat[2::5], flat[4::5] = (part[key].tolist() for part in (head, middle, tail))
+        flat[1::5] = entries[table.entry[rows]].tolist()
+        flat[3::5] = ratios[rows]
+        yield "".join(flat)[skip if start == 0 else 0:]
 
 
 class ReportWriter:
     """The one pass from a VerificationReport to report.json and report.csv.
 
-    The lebesgue, besov_tl and l2_weak rows are read column by column into
-    tokens, and each row is its tokens joined by commas: each ratio is
-    formatted once, by _float_repr, for both files, and each entry, k and
-    param that rows share once per file.  Everything else goes through
-    canonical_dumps or csv_text.  json_chunks is canonical_dumps of the
-    report's payload and csv_chunks the rows a csv.writer writes, byte for
-    byte, both a block of rows at a time, so a file is written as it is
-    produced.  Every token is made here, so a non-finite value is refused,
-    with the stdlib's message, before either file is begun.  The row tables
-    are read in the shapes run_verification builds.
+    The ROW_TABLES are RowTables, written by _rows_text from the texts of their
+    distinct entries and keys (_key_text) and of their ratios (_float_repr, one
+    text for both files); the other tables by canonical_dumps and csv_text.
+    json_chunks is canonical_dumps of the payload, each RowTable as its rows, and
+    csv_chunks the rows a csv.writer writes, byte for byte.  Every text is made
+    here, so a non-finite value is refused, with the stdlib's message, before
+    either file is begun.
     """
 
     def __init__(self, report: "VerificationReport"):
@@ -590,30 +606,21 @@ class ReportWriter:
                 "seed": report.seed}
         self._json_head = "{" + "".join(f'"{key}":{canonical_dumps(value)},'
                                         for key, value in head.items()) + '"tables":{'
-        self._json = {}  # name -> its JSON text, or _joined's arguments for its rows
-        self._csv = {}   # name -> _joined's arguments for its rows
+        self._json = {}  # name -> its JSON text, or _rows_text's arguments for a RowTable
+        self._csv = {}   # name -> _rows_text's arguments
         for name in sorted(tables):
-            rows = tables[name]
-            if name in ("lebesgue", "besov_tl"):  # rows [entry, k, param, ratio]
-                entry, k, param, ratio = (list(map(itemgetter(i), rows)) for i in range(4))
-                json_ratio, csv_ratio = _ratio_tokens(ratio)
-                self._json[name] = ([*(_tokens(canonical_dumps, cells)
-                                       for cells in (entry, k, param)), json_ratio], "[", "]")
-                csv_param = _csv_field if name == "lebesgue" else _csv_srt
-                self._csv[name] = ([_tokens(_csv_field, entry), _tokens(_csv_field, k),
-                                    _tokens(csv_param, param), csv_ratio], name + ",", "\n")
-            elif name == "l2_weak":  # each JSON token led by its key
-                cells = {key: list(map(itemgetter(key), rows)) for key in _L2_WEAK_KEYS}
-                json_ratio, csv_ratio = _ratio_tokens(cells["ratio"])
-                self._json[name] = ([list(map(f'"{key}":'.__add__, json_ratio if key == "ratio"
-                                              else _tokens(canonical_dumps, cells[key])))
-                                     for key in _L2_WEAK_KEYS], "{", "}")
-                self._csv[name] = ([*(_tokens(_csv_field, cells[key])
-                                      for key in ("check", "entry", "k")),
-                                    _tokens(_csv_reading, cells["reading"], cells["param"]),
-                                    csv_ratio], "", "\n")
-            else:
-                self._json[name] = canonical_dumps(rows)
+            table = tables[name]
+            if name not in ROW_TABLES:
+                self._json[name] = canonical_dumps(table)
+                continue
+            if not np.isfinite(table.ratio).all():  # refused with the stdlib's message
+                canonical_dumps(table.ratio[~np.isfinite(table.ratio)].tolist())
+            ratios = list(map(_float_repr, table.ratio.tolist()))
+            texts = [_key_text(name, key) for key in table.keys]
+            self._json[name] = (table, list(map(canonical_dumps, table.entries)),
+                                [text for text, _ in texts], ratios, 1)
+            self._csv[name] = (table, list(map(_csv_field, table.entries)),
+                               [text for _, text in texts], ratios, 0)
 
     def json_chunks(self):
         """report.json: canonical_dumps of the report's timing-free payload, in pieces."""
@@ -624,28 +631,23 @@ class ReportWriter:
                 yield part
             else:
                 yield "["
-                yield from _joined(*part, sep=",")
+                yield from _rows_text(*part)
                 yield "]"
         yield "}}"
 
     def csv_chunks(self):
         """report.csv: one csv.writer row per table row, in pieces."""
-        def columns(name, *keys):
-            return [map(itemgetter(key), self._tables.get(name, [])) for key in keys]
+        def rows(name):
+            return _rows_text(*self._csv[name]) if name in self._csv else ()
 
-        def joined(name):
-            return _joined(*self._csv[name]) if name in self._csv else ()
-
-        atom, j, reading, s, r, t, ratio = columns(
-            "pieces", "atom", "j", "reading", "s", "r", "t", "ratio")
         yield csv_text([("check", "entry", "k", "param", "ratio")])
-        yield from joined("lebesgue")
-        yield from joined("besov_tl")
-        yield csv_text(zip(repeat("piece"), atom, j, map("{}:{}:{}:{}".format, reading, s, r, t),
-                           ratio))
-        yield from joined("l2_weak")
-        yield csv_text(zip(repeat("taibleson"), *columns("taibleson", "kernel", "m"),
-                           repeat("modulus"), *columns("taibleson", "modulus")))
+        yield from rows("lebesgue")
+        yield from rows("besov_tl")
+        yield csv_text(("piece", row["atom"], row["j"], "{reading}:{s}:{r}:{t}".format(**row),
+                        row["ratio"]) for row in self._tables.get("pieces", []))
+        yield from rows("l2_weak")
+        yield csv_text(("taibleson", row["kernel"], row["m"], "modulus", row["modulus"])
+                       for row in self._tables.get("taibleson", []))
 
 
 @dataclass(frozen=True)
@@ -745,6 +747,4 @@ def run_verification(config: FieldConfig = FieldConfig("padic", 2), seed: int = 
 
 def exact_checks_pass(report: VerificationReport) -> bool:
     by_name = {c["name"]: c for c in report.checks}
-    return all(
-        by_name[name]["pass"] for name in EXACT_CHECK_NAMES if name in by_name
-    )
+    return all(by_name[name]["pass"] for name in EXACT_CHECK_NAMES if name in by_name)

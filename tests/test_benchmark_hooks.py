@@ -20,6 +20,7 @@ split and must agree with the audit's ball count.
 
 import ast
 import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -93,6 +94,22 @@ def test_row_hook_counts_a_protocol_result(attr, name, hook):
     stub = SimpleNamespace(counts=Counter())
     hook(stub, name, (), {}, result)
     assert stub.counts[f"{name}.rows"] > 0
+
+
+def test_row_hooks_count_the_rows_of_the_default_run():
+    # the protocols as run_verification calls them with its defaults
+    defaults = {name: p.default
+                for name, p in inspect.signature(verify.run_verification).parameters.items()}
+    corpus = verify.generate_corpus(*(defaults[name] for name in (
+        "config", "seed", "count", "window", "kernel_resolutions")))
+    params = {"check_lebesgue_theorem": "r_list", "check_besov_tl_theorem": "srt_list",
+              "check_l2_and_weak11": "lambda_list"}
+    stub = SimpleNamespace(counts=Counter())
+    for attr, name, hook in _ROW_TARGETS:
+        result = getattr(verify, attr)(corpus, defaults["k_list"], defaults[params[attr]])
+        hook(stub, name, (), {}, result)
+    assert stub.counts == {"verify.lebesgue.rows": 3000, "verify.besov_tl.rows": 12000,
+                           "verify.l2_weak.rows": 8000}
 
 
 # the benchmark drives the CLI through cli.parse_config and cli.main

@@ -17,7 +17,7 @@ from localfield.functions import TestFunction, from_indicator_combo, refine
 from localfield.kernels import make_kernel, mean_zero_project, sphere_cell_count
 from localfield.operators import apply_truncated, resolution_spec
 from localfield.verify import DEFAULT_SRT_LIST
-from util import CONFIGS, kernel_resolution_spec, run_child
+from util import CONFIGS, kernel_resolution_spec, row_table, run_child, with_row_tables
 
 Q2 = FieldConfig("padic", 2)
 DATA = Path(__file__).parent / "data"
@@ -1014,7 +1014,8 @@ def small_report():
         r_list=(2.0,), srt_list=((0.5, 2.0, 2.0),), lambda_list=(1.0,))
 
 
-# a path to every column of the tables: (table, row, key, then an index into a param list)
+# a path to every column of the tables, the row tables' through their rows:
+# (table, row, key, then an index into a param list)
 TABLE_COLUMNS = [("lebesgue", 0, i) for i in range(4)] + [
     ("besov_tl", 0, 1), ("besov_tl", 0, 2, 1), ("besov_tl", 0, 2, 3), ("besov_tl", 0, 3),
     *(("l2_weak", 1, key) for key in ("check", "entry", "k", "reading", "param", "ratio")),
@@ -1027,13 +1028,14 @@ TABLE_COLUMNS = [("lebesgue", 0, i) for i in range(4)] + [
 @pytest.mark.parametrize("path", TABLE_COLUMNS, ids=lambda p: ".".join(map(str, p)))
 def test_verify_refuses_a_non_finite_value_in_any_table_column(
         tmp_path, capsys, monkeypatch, small_report, path, fmt):
-    tables = copy.deepcopy(small_report.tables)
+    tables = copy.deepcopy({name: list(table) if isinstance(table, verify.RowTable) else table
+                            for name, table in small_report.tables.items()})
     *at, key = path
     node = tables
     for part in at:
         node = node[part]
     node[key] = math.nan if len(path) % 2 else -math.inf
-    report = verify.VerificationReport(Q2, 42, small_report.checks, tables, {})
+    report = verify.VerificationReport(Q2, 42, small_report.checks, with_row_tables(tables), {})
     monkeypatch.setattr(cli, "run_verification", lambda **kwargs: report)
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out), "--format", fmt]) == 2
@@ -1043,7 +1045,8 @@ def test_verify_refuses_a_non_finite_value_in_any_table_column(
 
 
 def test_verify_refuses_to_write_a_non_finite_table_value(tmp_path, capsys, monkeypatch):
-    report = verify.VerificationReport(Q2, 0, (), {"lebesgue": [["f0.w0", 0, 2.0, math.nan]]}, {})
+    report = verify.VerificationReport(Q2, 0, (), {"lebesgue": row_table([["f0.w0", 0, 2.0,
+                                                                          math.nan]])}, {})
     monkeypatch.setattr(cli, "run_verification", lambda **kwargs: report)
     assert main(["verify", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

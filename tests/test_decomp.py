@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localfield import decomp
+from localfield import decomp, functions
 from localfield.decomp import (
     CZDecomposition,
     NormReport,
@@ -863,6 +863,32 @@ def test_a_large_windows_pass_builds_one_block_stack_per_function(monkeypatch):
     assert counts["blocks"] == len(fs) == 16
     # one modulus pass per block of each table, and one per Lebesgue r != 2
     assert counts["hypot"] == len(fs) * (blocks + 2)
+
+
+def test_a_large_windows_pass_sums_the_blocks_once_per_distinct_r(monkeypatch):
+    # the 12 norm calls of one large-windows function: 6 B norms over 3 distinct r
+    f = random_fn(np.random.default_rng(51), FieldConfig("laurent", 2), -3, 3)
+    cold = []
+    for s, r, t in DEFAULT_SRT_LIST:
+        for norm in (besov_norm, triebel_lizorkin_norm):
+            decomp._block_table.cache_clear()
+            cold.append(norm(f, s, r, t).value)
+    calls = []
+    parts = decomp.lr_norms_of_parts
+
+    def counted(fs, *args):
+        calls.append(len(fs))
+        return parts(fs, *args)
+
+    # lr_norms_each, the r = 2 route, calls it by its name in functions
+    monkeypatch.setattr(decomp, "lr_norms_of_parts", counted)
+    monkeypatch.setattr(functions, "lr_norms_of_parts", counted)
+    decomp._block_table.cache_clear()
+    warm = [norm(f, s, r, t).value for s, r, t in DEFAULT_SRT_LIST
+            for norm in (besov_norm, triebel_lizorkin_norm)]
+    assert calls == [len(decomp._block_table(f).blocks)] * len({r for _, r, _ in DEFAULT_SRT_LIST})
+    assert len(calls) == 3
+    assert hexes(warm) == hexes(cold)
 
 
 def test_an_equal_input_gets_a_table_of_its_own(monkeypatch):

@@ -217,6 +217,10 @@ def test_norm_columns_batches_one_call_per_r_for_b_and_per_triple_for_f(kernel_c
     norm_columns(stack, srt_list, "F")
     assert kernel_calls == [5] * len(srt_list)
     kernel_calls.clear()
+    norm_columns(stack, srt_list)  # the block table holds each r's B sums already
+    assert kernel_calls == [5] * len(srt_list)
+    kernel_calls.clear()
+    decomp._block_table.cache_clear()
     norm_columns(stack, srt_list)
     assert len(kernel_calls) == 3 + len(srt_list)
     kernel_calls.clear()

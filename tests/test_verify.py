@@ -63,9 +63,12 @@ from util import (
     per_function_lebesgue,
     per_function_taibleson_l2,
     per_row_csv,
+    report_payload,
     row_sups,
     scalar_multiple,
+    seed42_corpus,
     single_norm_besov_tl,
+    with_row_tables,
 )
 
 Q2 = FieldConfig("padic", 2)
@@ -649,6 +652,19 @@ def test_taibleson_rows_stabilize_and_cross_tabulate():
     assert report["records"][0]["pass"] is True
 
 
+@CONFIG_PARAMS
+def test_taibleson_rows_take_the_modulus_from_their_one_pass_of_terms(config, monkeypatch):
+    corpus = seed42_corpus(config, count=2)
+    terms = []
+    monkeypatch.setattr(verify, "taibleson_terms",
+                        lambda kern, J: terms.append(J) or kernels.taibleson_terms(kern, J))
+    rows = check_taibleson_class(corpus)["rows"]
+    assert terms == [kern.m for kern in corpus.kernels]
+    for row, kern in zip(rows, corpus.kernels):
+        assert row["stabilizes_at"] == max(kern.m - 1, 1)
+        assert row["modulus"] == kernels.taibleson_modulus(kern, row["stabilizes_at"])
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -811,23 +827,84 @@ def reindented(text: str) -> str:
     return stdlib_dumps(json.loads(text))
 
 
-def report_payload(report) -> dict:
-    return {"config": report.config.to_dict(), "seed": report.seed,
-            "checks": list(report.checks), "tables": report.tables}
-
-
 def one_pass(report) -> tuple:
     """The texts of one ReportWriter pass, report.json's and report.csv's."""
     writer = ReportWriter(report)
     return "".join(writer.json_chunks()), "".join(writer.csv_chunks())
 
 
+def references(report) -> tuple:
+    """report.json's and report.csv's texts by the stdlib: canonical_dumps of the payload
+    with every row of each RowTable built, and a csv.writer row per table row."""
+    return canonical_dumps(report_payload(report)), per_row_csv(report)
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=str)
 def test_report_writers_equal_the_stdlib_and_per_row_references(config):
     report = run_small(config=config)
-    assert one_pass(report) == (canonical_dumps(report_payload(report)), per_row_csv(report))
+    assert one_pass(report) == references(report)
     assert (report.canonical_json(), report.to_csv()) == one_pass(report)
     assert reindented(report.canonical_json()) == stdlib_dumps(report_payload(report))
+
+
+CHECK_SUBSETS = [checks for n in range(len(verify.CHECK_NAMES) + 1)
+                 for checks in itertools.combinations(verify.CHECK_NAMES, n)]
+
+
+@CONFIG_PARAMS
+def test_report_writers_equal_the_references_under_every_check_subset(config):
+    for checks in CHECK_SUBSETS:
+        report = run_verification(config=config, count=3, window=(-1, 2), kernel_resolutions=(2,),
+                                  k_list=(-1, 0), r_list=(1.5, 2.0), srt_list=((0.5, 2.0, 3.0),),
+                                  lambda_list=(0.5, 4.0), checks=checks)
+        assert one_pass(report) == references(report), checks
+
+
+@CONFIG_PARAMS
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+def test_verify_writes_the_reference_bytes_under_each_format(config, fmt, tmp_path, monkeypatch):
+    report = run_small(config=config)
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: report)
+    assert cli.main(["verify", "--out", str(tmp_path), "--format", fmt]) in (0, 1)
+    texts = dict(zip(("json", "csv"), references(report)))
+    assert sorted(path.name for path in tmp_path.iterdir()) == \
+        sorted(f"report.{ext}" for ext in texts if fmt in (ext, "both"))
+    for ext, text in texts.items():
+        if fmt in (ext, "both"):
+            assert (tmp_path / f"report.{ext}").read_bytes() == text.encode()
+
+
+# row-table edge cases: tables with no row, a k whose ratios all vanish, a grid with no
+# k and one with no atom, and an r_list whose 2 and 2.0 must keep their own text
+@pytest.mark.parametrize("case", ["no_rows", "k_0_5", "no_k", "no_atoms", "int_and_float_r"])
+def test_report_writers_equal_the_references_on_row_table_edges(case):
+    args = {"config": Q2, "count": 3, "window": (-2, 2), "kernel_resolutions": (2,),
+            "k_list": (-1, 0), "r_list": (1.5,), "srt_list": ((0.5, 2.0, 2.0),),
+            "lambda_list": (1.0,)}
+    if case == "no_rows":  # two zero functions: no function has a row
+        corpus = stack_corpus(Q2, "all_zero")
+        tables = {"lebesgue": check_lebesgue_theorem(corpus, [0], [2.0]).ratio_table,
+                  "besov_tl": check_besov_tl_theorem(corpus, [0], [(0.5, 2.0, 2.0)])[0].ratio_table,
+                  "l2_weak": check_l2_and_weak11(corpus, [0], [1.0])["rows"]}
+        assert [len(table) for table in tables.values()] == [0, 0, 0]
+        report = VerificationReport(Q2, 42, (), tables, {})
+    elif case in ("no_k", "no_atoms"):
+        corpus = stack_corpus(Q2, case)
+        k_list = [] if case == "no_k" else [-1, 0]
+        tables = {"lebesgue": check_lebesgue_theorem(corpus, k_list, [1.5, 2.0]).ratio_table,
+                  "besov_tl": check_besov_tl_theorem(corpus, k_list, [(0.5, 2.0, 2.0)])[0]
+                  .ratio_table,
+                  "l2_weak": check_l2_and_weak11(corpus, k_list, [1.0])["rows"]}
+        report = VerificationReport(Q2, 42, (), tables, {})
+    else:
+        report = run_verification(**{**args, **({"k_list": (0, 5)} if case == "k_0_5" else
+                                                {"r_list": (2, 2.0)})})
+    assert one_pass(report) == references(report)
+    if case == "int_and_float_r":
+        rows = json.loads(one_pass(report)[0])["tables"]["lebesgue"]
+        assert {repr(row[2]) for row in rows} == {"2", "2.0"}
+        assert {row.split(",")[3] for row in one_pass(report)[1].splitlines()
+                if row.startswith("lebesgue,")} == {"2", "2.0"}
 
 
 # table cells no verify run writes: strings that need escaping in JSON or quoting in
@@ -837,34 +914,38 @@ HOSTILE_CELLS = ['"\\{}{0}}{é€\u2028😀', "a,b", 'say "hi"', "line\nbreak", 
                  "", "é", True, False, None, 0, 1, 1.0, -3, 0.0, -0.0, 5e-324, 1e16, 2**70,
                  np.float64(0.1), np.float64(-0.0), 0.1]
 
+# the float edges a ratio column holds: both zeros, the smallest subnormal, the largest float
+FLOAT_RATIOS = [0.25, -0.0, 5e-324, 1e16, 0.0, 1.7976931348623157e308]
+
 
 def hostile_report(float_ratios: bool = False) -> VerificationReport:
-    """Every table column, param parts too, cycles through HOSTILE_CELLS, each cell object
-    shared by several rows; float_ratios keeps the ratio columns exact floats."""
+    """Every table column, param parts and the row tables' entries and keys too, cycles
+    through HOSTILE_CELLS, each cell object shared by several rows.  The row tables'
+    ratios, a float64 column, cycle through FLOAT_RATIOS; float_ratios keeps the piece
+    ratios exact floats too."""
     n = len(HOSTILE_CELLS)
 
     def cell(i):
         return HOSTILE_CELLS[i % n]
 
     def ratio(i):
-        return [0.25, -0.0, 5e-324, 1e16, 0.0, 1.7976931348623157e308][i % 6] if float_ratios \
-            else cell(i)
+        return FLOAT_RATIOS[i % 6] if float_ratios else cell(i)
 
     rows = range(3 * n)
-    tables = {
-        "lebesgue": [[cell(i), cell(i + 1), cell(i + 2), ratio(i)] for i in rows],
+    tables = with_row_tables({
+        "lebesgue": [[cell(i), cell(i + 1), cell(i + 2), FLOAT_RATIOS[i % 6]] for i in rows],
         "besov_tl": [[cell(i + 3), cell(i + 5), [cell(i), cell(i + 7), cell(i + 2), cell(i + 9)],
-                      ratio(i + 1)] for i in rows],
+                      FLOAT_RATIOS[(i + 1) % 6]] for i in rows],
         "l2_weak": [{"check": cell(i), "entry": cell(i + 4), "k": cell(i + 1),
-                     "reading": cell(i + 6), "param": cell(i + 8), "ratio": ratio(i + 2)}
+                     "reading": cell(i + 6), "param": cell(i + 8), "ratio": FLOAT_RATIOS[i % 6]}
                     for i in rows],
         "pieces": [{"atom": cell(i), "reading": cell(i + 1), "j": cell(i + 2), "s": cell(i + 3),
-                    "r": cell(i + 4), "t": cell(i + 5), "ratio": cell(i + 6)} for i in rows],
+                    "r": cell(i + 4), "t": cell(i + 5), "ratio": ratio(i + 6)} for i in rows],
         "taibleson": [{"kernel": cell(i), "m": cell(i + 3), "modulus": cell(i + 5),
                        "stabilized": cell(i + 7)} for i in rows],
         "lebesgue_per_k": {"-1": 0.5, NASTY: cell(5)},
         "": [],
-    }
+    })
     return VerificationReport(Q2, 42, ({"name": NASTY, "measured": -0.0, "pass": None},),
                               tables, {})
 
@@ -872,36 +953,72 @@ def hostile_report(float_ratios: bool = False) -> VerificationReport:
 @pytest.mark.parametrize("float_ratios", [False, True], ids=["mixed_ratios", "float_ratios"])
 def test_report_writers_equal_both_references_on_hostile_cells(float_ratios):
     report = hostile_report(float_ratios)
-    assert one_pass(report) == (canonical_dumps(report_payload(report)), per_row_csv(report))
+    assert one_pass(report) == references(report)
     assert (report.canonical_json(), report.to_csv()) == one_pass(report)
 
 
-def test_report_writers_format_each_ratio_once(monkeypatch):
-    formatted = collections.Counter()
-    float_repr = verify._float_repr
+def test_report_writer_formats_each_ratio_once_and_each_distinct_cell_once(monkeypatch):
+    report = run_verification()
+    tables = [report.tables[name] for name in ("lebesgue", "besov_tl", "l2_weak")]
+    assert [len(table) for table in tables] == [3000, 12000, 8000]
+    calls = collections.Counter()
 
-    def counted(x):
-        formatted[id(x)] += 1
-        return float_repr(x)
+    def counting(name):
+        formatter = getattr(verify, name)
 
-    others = []
-    for count in (6, 12):
-        report = run_verification(config=Q2, count=count, window=(-2, 2), kernel_resolutions=(2,),
-                                  k_list=(-1, 0), r_list=(1.5, 2.0),
-                                  srt_list=((0.5, 2.0, 2.0), (1.0, 1.5, 3.0)),
-                                  lambda_list=(0.5, 1.0))
-        ratios = [row[3] for row in report.tables["lebesgue"] + report.tables["besov_tl"]]
-        ratios += [row["ratio"] for row in report.tables["l2_weak"]]
-        formatted.clear()
-        with monkeypatch.context() as m:
-            m.setattr(verify, "_float_repr", counted)
-            texts = one_pass(report)
-        assert texts == (canonical_dumps(report_payload(report)), per_row_csv(report))
-        # each ratio once, for both files
-        assert [formatted[id(x)] for x in ratios] == [1] * len(ratios)
-        others.append(sum(formatted.values()) - len(ratios))
-    # the params, piece ratios and moduli as often whatever the number of rows
-    assert others[0] == others[1]
+        def counted(*args):
+            calls[name] += 1
+            return formatter(*args)
+        return counted
+
+    # every CSV field is quoted, or not, by _csv_quoted, once
+    for name in ("_float_repr", "canonical_dumps", "_csv_quoted"):
+        monkeypatch.setattr(verify, name, counting(name))
+    texts = one_pass(report)
+    monkeypatch.undo()
+    assert texts == references(report)
+    # each ratio once, its text in both files
+    assert calls["_float_repr"] == sum(map(len, tables)) == 23000
+    # each distinct entry and key cell at most once per file, and otherwise once for
+    # each other table and table name, each head item and each field of the other CSV rows
+    cells = sum(len(table.entries) + len(table.keys) * len(table.keys[0]) for table in tables)
+    assert calls["canonical_dumps"] <= cells + 3 + 2 * len(report.tables)
+    other_csv_fields = 5 * (1 + len(report.tables["pieces"]) + len(report.tables["taibleson"]))
+    assert calls["_csv_quoted"] <= cells + other_csv_fields
+    assert cells < 1000
+
+
+def test_row_tables_read_the_rows_of_the_reference_routes():
+    # list(table) has the reference rows' cells, types included, and indexing reads them too
+    for case in STACK_WINDOWS:
+        corpus = stack_corpus(L3, case)
+        k_list = [] if case == "no_k" else [-1, 0]
+        srt_list = [(0.5, 2.0, 2.0), (1.0, 1.5, 3.0)]
+        pairs = [(check_lebesgue_theorem(corpus, k_list, [1.5, 2.0]).ratio_table,
+                  per_function_lebesgue(corpus, k_list, [1.5, 2.0])),
+                 (check_besov_tl_theorem(corpus, k_list, srt_list)[0].ratio_table,
+                  single_norm_besov_tl(corpus, k_list, srt_list)[0]),
+                 (check_l2_and_weak11(corpus, k_list, [0.5, 4.0])["rows"],
+                  per_function_l2_weak(corpus, k_list, [0.5, 4.0]))]
+        for table, want in pairs:
+            assert isinstance(table, verify.RowTable)
+            assert repr(list(table)) == repr(want) and table == want
+            assert [table[i] for i in range(len(table))] == list(table)
+            if len(table):
+                assert table[-1] == table[len(table) - 1]
+            with pytest.raises(IndexError):
+                table[len(table)]
+
+
+def test_row_table_columns_are_read_only():
+    table = check_lebesgue_theorem(small_corpus(), [0], [2.0]).ratio_table
+    assert (table.entry.dtype, table.key.dtype, table.ratio.dtype) == \
+        (np.int64, np.int64, np.float64)
+    for column in (table.entry, table.key, table.ratio):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    with pytest.raises(AttributeError):
+        table.ratio = np.zeros(len(table))
 
 
 NASTY = '"\\{}{0}}{é€\u2028😀'

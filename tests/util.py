@@ -23,7 +23,7 @@ from localfield.functions import (TestFunction, common_refinement, convolve, eva
 from localfield.kernels import AngularKernel, evaluate_homogeneous, h1_upper_bound, shell_piece
 from localfield.operators import (TruncationSpec, apply_atom_operator, apply_truncated,
                                   resolution_spec, tail_cutoff, truncation_kernel)
-from localfield.verify import _first_atoms, _reading_b_weight, generate_corpus
+from localfield.verify import RowTable, _first_atoms, _reading_b_weight, generate_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -354,6 +354,42 @@ def row_sups(rows) -> list:
         key = (k, repr(param))
         sups[key] = (k, param, max(sups[key][2], ratio) if key in sups else ratio)
     return list(sups.values())
+
+
+# each row table's RowTable.names: the fields of its dict rows, or None for list rows
+ROW_TABLE_NAMES = {"lebesgue": None, "besov_tl": None,
+                   "l2_weak": ("check", "entry", "k", "reading", "param", "ratio")}
+
+
+def row_table(rows, names=None) -> RowTable:
+    """The RowTable whose rows are rows: [entry, *key, ratio] lists, or with names,
+    dicts of those fields.  Each entry object, and each tuple of key objects, is
+    one entry or key, told apart by identity, so cells that compare equal (1, 1.0,
+    True) keep their own text."""
+    entries, keys = {}, {}
+    entry, key = [], []
+    for row in rows:
+        cells = row[:-1] if names is None else [row["entry"]] + [
+            row[name] for name in names if name not in ("entry", "ratio")]
+        entry.append(entries.setdefault(id(cells[0]), (len(entries), cells[0]))[0])
+        key.append(keys.setdefault(tuple(map(id, cells[1:])), (len(keys), tuple(cells[1:])))[0])
+    ratio = [row["ratio"] if names else row[-1] for row in rows]
+    return RowTable(tuple(cell for _, cell in entries.values()),
+                    tuple(cells for _, cells in keys.values()), entry, key, ratio, names)
+
+
+def with_row_tables(tables: dict) -> dict:
+    """tables with each row table given as a list of its rows put back as a RowTable."""
+    return {name: row_table(table, ROW_TABLE_NAMES[name]) if name in ROW_TABLE_NAMES else table
+            for name, table in tables.items()}
+
+
+def report_payload(report) -> dict:
+    """The payload report.json holds, each RowTable as the list of its rows."""
+    tables = {name: list(table) if isinstance(table, RowTable) else table
+              for name, table in report.tables.items()}
+    return {"config": report.config.to_dict(), "seed": report.seed,
+            "checks": list(report.checks), "tables": tables}
 
 
 def per_row_csv(report) -> str:
