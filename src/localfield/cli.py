@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, metavar="INT")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument("--format", choices=sorted(_FORMAT_CHOICES))
-    shared.add_argument("--checks", metavar="LIST", help="comma-separated check names")
+    shared.add_argument("--checks", metavar="LIST",
+                        help=f"comma-separated check names from {', '.join(CHECK_NAMES)}")
     shared.add_argument("--k", metavar="LIST", help="comma-separated truncation scales")
     shared.add_argument("--r", metavar="LIST", help="comma-separated integrability exponents")
     shared.add_argument("--srt", metavar="LIST", help="comma-separated s:r:t triples")

@@ -313,12 +313,12 @@ def taibleson_terms(k: AngularKernel, J: int) -> np.ndarray:
     back[kw] = np.arange(kw.size)
     meas = q_power(k.config.q, -k.m)
     terms = np.zeros((kw.size, min(J, k.m)))
-    for row, y_cell in zip(terms, kw):
-        for j in range(1, row.size + 1):
-            # pi^j y carries the digits of y j levels up: cell y p^j, reduced modulo P^m
-            moved = w.index_add(kw, int(y_cell) * k.config.p**j % w.size)
-            diff = k.values[back[moved]] - k.values
-            row[j - 1] = math.fsum(np.hypot(diff.real, diff.imag)) * meas
+    for j, column in enumerate(terms.T, 1):
+        # pi^j y is cell y p^j mod p^m = (y mod p^(m-j)) p^j: one term per distinct shift
+        step = k.config.p**j
+        shifts, which = np.unique(kw % (w.size // step) * step, return_inverse=True)
+        diffs = (k.values[back[w.index_add(kw, s)]] - k.values for s in shifts.tolist())
+        column[:] = np.array([math.fsum(np.hypot(d.real, d.imag)) * meas for d in diffs])[which]
     return terms
 
 

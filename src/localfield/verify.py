@@ -24,16 +24,16 @@ into stacks of functions on its one window: per stack it builds every operator
 output, each T_k f on operators.resolution_spec's window (the same for every
 k, so apply_truncated transforms the stack once) and each shell piece at the
 corpus resolution, and takes their norm columns.  Every ratio follows one rule,
-_ratios, on those columns.  A stack's widest array holds at most STACK_CELLS
-cells, which bounds peak memory.  The per-k sups and fitted constants are
-numpy reductions over the ratio columns, and the lebesgue, besov_tl and
-l2_weak tables RowTables of index arrays over them, with no row object.
+_ratios, and a stack's widest array holds at most STACK_CELLS cells.  The
+lebesgue, besov_tl and l2_weak tables are RowTables over the live cells of a
+ratio matrix, with no row object.
 
-ReportWriter turns a report into report.json and report.csv: canonical_dumps
-of the payload, each RowTable as its rows, and the rows a csv.writer writes,
-byte for byte, each file written as it is produced.  Per file it formats each
-distinct entry and key of a RowTable once, and each ratio once for both files;
-a block of rows is one join of those texts.
+PROTOCOLS maps each check name to its run, in report order, and CSV_ROWS each
+table of report.csv, in its order, to its rows' cells: a new check is one
+PROTOCOLS entry plus one CSV_ROWS rule per table it puts in report.csv.
+ReportWriter names no table.  A RowTable row's text around its entry and ratio
+is cut from that row itself (_key_texts), so its JSON is canonical_dumps of the
+row; each distinct entry and key is formatted once per file, each ratio once.
 """
 
 import functools
@@ -52,32 +52,13 @@ import numpy as np
 
 from .decomp import check_triple, norm_columns
 from .field import FieldConfig, check_window, expect, is_int, q_power
-from .functions import (
-    TestFunction,
-    _frozen,
-    _is_real,
-    check_level,
-    convolve,
-    lr_norms,
-    refine,
-    weak_level_measures,
-)
-from .kernels import (
-    AngularKernel,
-    atomic_decompose,
-    h1_upper_bound,
-    make_kernel,
-    mean_zero_project,
-    shell_piece,
-    sphere_cell_count,
-    taibleson_terms,
-)
+from .functions import (TestFunction, _frozen, _is_real, check_level, convolve, lr_norms, refine,
+                        weak_level_measures)
+from .kernels import (atomic_decompose, h1_upper_bound, make_kernel, mean_zero_project, shell_piece,
+                      sphere_cell_count, taibleson_terms)
 from .operators import apply_atom_operator, apply_truncated, resolution_spec, tail_cutoff
 
 log = logging.getLogger(__name__)
-
-# the protocols a run may select, in report order
-CHECK_NAMES = ("lebesgue", "besov_tl", "l2_weak", "taibleson")
 
 # exact invariants whose failure should fail a run; measured-constant
 # checks (fitted constants, k-stability, proof-constant excesses) are
@@ -257,12 +238,8 @@ def k_stability(estimate: OperatorNormEstimate, factor: float = STABILITY_FACTOR
         spread = 1.0
     else:
         spread = max(positive) / min(positive)
-    return {
-        "per_k": {str(k): v for k, v in sorted(sups.items())},
-        "spread": spread,
-        "factor": factor,
-        "pass": spread < factor,
-    }
+    return {"per_k": {str(k): v for k, v in sorted(sups.items())}, "spread": spread,
+            "factor": factor, "pass": spread < factor}
 
 
 def check_lebesgue_exponent(r) -> None:
@@ -317,6 +294,13 @@ def _ratios(num: np.ndarray, den: np.ndarray, scale=1.0) -> np.ndarray:
     return np.divide(num, scale * den, out=np.zeros(num.shape), where=(num != 0) & (den != 0))
 
 
+def _row_table(entries, keys, ratios: np.ndarray, live: np.ndarray, names=None) -> RowTable:
+    """The RowTable of the live cells of ratios, a matrix indexed [entry, key]: one row
+    per live cell, entry-major."""
+    entry, key = np.nonzero(live)
+    return RowTable(tuple(entries), tuple(keys), entry, key, ratios[entry, key], names)
+
+
 def _truncations(corpus: Corpus, k_list, g: TestFunction, norms_of):
     """columns_of for the theorem protocols: N(g), then N(T_k g) for every corpus
     kernel and k, all on resolution_spec's window, which does not depend on k."""
@@ -332,24 +316,22 @@ def _theorem_rows(corpus: Corpus, k_list, params, cols: dict) -> OperatorNormEst
     from the columns of _truncations; no row where N(f) = 0.  A tuple param is
     written as a list, one list per param for all its rows."""
     q, n, nk = corpus.config.q, len(corpus.functions), len(corpus.kernels)
-    # one ratio column per (kernel, k, param), kernel-major: column ci has key ci % len(keys)
     keys = [(k, pi) for k in k_list for pi in range(len(params))]
-    ratios = np.array([_ratios(cols[(ki, k), params[pi]], cols[None, params[pi]],
-                               q_power(q, -k) * h1)
-                       for ki, h1 in enumerate(map(h1_upper_bound, corpus.kernels))
-                       for k, pi in keys]).reshape(nk * len(keys), n)
-    live = np.array([cols[None, params[pi]] != 0 for _, pi in keys] * nk,
-                    dtype=bool).reshape(nk * len(keys), n)
+    # indexed [entry, key], entry f{i}.w{ki} at i * nk + ki
+    ratios = np.moveaxis(np.array(
+        [[_ratios(cols[(ki, k), params[pi]], cols[None, params[pi]], q_power(q, -k) * h1)
+          for k, pi in keys] for ki, h1 in enumerate(map(h1_upper_bound, corpus.kernels))]
+    ).reshape(nk, len(keys), n), 2, 0).reshape(n * nk, len(keys))
+    live = np.array([cols[None, params[pi]] != 0 for _, pi in keys],
+                    dtype=bool).reshape(len(keys), n).T[np.arange(n * nk) // nk]
     cells = [list(p) if isinstance(p, tuple) else p for p in params]
     sups = {}
-    for (k, pi), sup, has_rows in zip(keys * nk, ratios.max(axis=1, initial=0.0).tolist(),
-                                      live.any(axis=1).tolist()):
+    for (k, pi), sup, has_rows in zip(keys, ratios.max(axis=0, initial=0.0).tolist(),
+                                      live.any(axis=0).tolist()):
         if has_rows:
             sups[k, pi] = max(sups.get((k, pi), 0.0), sup)
-    fi, ci = np.nonzero(live.T)  # the rows, function-major
-    table = RowTable(tuple(f"f{i}.w{ki}" for i in range(n) for ki in range(nk)),
-                     tuple((k, cells[pi]) for k, pi in keys),
-                     fi * nk + ci // len(keys), ci % len(keys), ratios[ci, fi])
+    table = _row_table([f"f{i}.w{ki}" for i in range(n) for ki in range(nk)],
+                       [(k, cells[pi]) for k, pi in keys], ratios, live)
     return OperatorNormEstimate(table, max(sups.values(), default=0.0),
                                 tuple((k, cells[pi], sup) for (k, pi), sup in sups.items()))
 
@@ -368,12 +350,10 @@ def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstima
 
 
 def _first_atoms(corpus: Corpus) -> list:
-    atoms = []
-    for ki, kern in enumerate(corpus.kernels):
-        terms = atomic_decompose(kern).terms
-        if terms:
-            atoms.append((f"w{ki}.a0", terms[0][1]))
-    return atoms
+    """(w{ki}.a0, its first atom) for each corpus kernel ki with atoms."""
+    return [(f"w{ki}.a0", terms[0][1])
+            for ki, terms in enumerate(atomic_decompose(kern).terms for kern in corpus.kernels)
+            if terms]
 
 
 def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
@@ -470,20 +450,20 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
     dens = {"l2": np.where(l1 != 0, l2, 0.0), "weak11": np.where(l2 != 0, l1, 0.0)}
     columns = [(k, reading, check, param) for k in k_list for reading in ("A", "B")
                for check, param in labels]
-    ratios = np.array([_ratios(cols[(atom_id, k, reading), (check, param)], dens[check],
-                               q_power(q, -k) / (q - 1) if check == "l2" else 1 + 4 * q)
-                       for atom_id, _ in atoms for k, reading, check, param in columns]
-                      ).reshape(len(atoms), len(columns), n)
+    # indexed [entry, key], entry {atom_id}.f{i} at atom * n + i
+    ratios = np.moveaxis(np.array(
+        [_ratios(cols[(atom_id, k, reading), (check, param)], dens[check],
+                 q_power(q, -k) / (q - 1) if check == "l2" else 1 + 4 * q)
+         for atom_id, _ in atoms for k, reading, check, param in columns]
+    ).reshape(len(atoms), len(columns), n), 2, 1).reshape(len(atoms) * n, len(columns))
     worst = {("l2", "A"): 0.0, ("l2", "B"): 0.0, ("weak11", "A"): 0.0, ("weak11", "B"): 0.0}
-    for (_, reading, check, _), sup in zip(columns, ratios.max(axis=(0, 2), initial=0.0).tolist()):
+    for (_, reading, check, _), sup in zip(columns, ratios.max(axis=0, initial=0.0).tolist()):
         worst[check, reading] = max(worst[check, reading], sup)
-    live = np.array([dens[check] != 0 for _, _, check, _ in columns], dtype=bool)
-    # atom-major, then function-major, as the tables take them
-    ai, fi, ci = np.nonzero(np.broadcast_to(live.T, (len(atoms), n, len(columns))))
-    rows = RowTable(tuple(f"{atom_id}.f{i}" for atom_id, _ in atoms for i in range(n)),
-                    tuple((check, k, reading, param) for k, reading, check, param in columns),
-                    ai * n + fi, ci, ratios[ai, ci, fi],
-                    ("check", "entry", "k", "reading", "param", "ratio"))
+    live = np.array([dens[check] != 0 for _, _, check, _ in columns],
+                    dtype=bool).reshape(len(columns), n).T[np.arange(len(atoms) * n) % n]
+    rows = _row_table([f"{atom_id}.f{i}" for atom_id, _ in atoms for i in range(n)],
+                      [(check, k, reading, param) for k, reading, check, param in columns],
+                      ratios, live, ("check", "entry", "k", "reading", "param", "ratio"))
     records = [check_record(f"{check}_bound_reading_{reading.lower()}", 1.0, value,
                             value <= 1 + 1e-10) for (check, reading), value in worst.items()]
     return {"records": records, "rows": rows}
@@ -521,6 +501,51 @@ def check_taibleson_class(corpus: Corpus) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The protocol table: run(corpus, k_list, r_list, srt_list, lambda_list) -> (tables, records)
+
+
+def _run_lebesgue(corpus, k_list, r_list, srt_list, lambda_list):
+    estimate = check_lebesgue_theorem(corpus, k_list, r_list)
+    stability = k_stability(estimate)
+    return ({"lebesgue": estimate.ratio_table, "lebesgue_per_k": stability["per_k"]},
+            [check_record("lebesgue_fitted_constant", None, estimate.fitted_constant, None),
+             check_record("lebesgue_k_stability", STABILITY_FACTOR, stability["spread"],
+                          stability["pass"])])
+
+
+def _run_besov_tl(corpus, k_list, r_list, srt_list, lambda_list):
+    estimate, piece_rows = check_besov_tl_theorem(corpus, k_list, srt_list)
+    tables, records = {"besov_tl": estimate.ratio_table, "pieces": piece_rows}, []
+    for space, name in (("B", "besov"), ("F", "triebel")):
+        stability = k_stability(estimate, param_filter=lambda p, s=space: p[0] == s)
+        tables[f"{name}_per_k"] = stability["per_k"]
+        records.append(check_record(f"{name}_k_stability", STABILITY_FACTOR,
+                                    stability["spread"], stability["pass"]))
+    worst = {reading: max((row["ratio"] for row in piece_rows if row["reading"] == reading),
+                          default=0.0) for reading in "AB"}
+    return tables, records + [
+        check_record("besov_tl_fitted_constant", None, estimate.fitted_constant, None),
+        check_record("piece_bound_reading_b", 1.0, worst["B"], worst["B"] <= 1 + 1e-10),
+        check_record("piece_bound_reading_a", None, worst["A"], None)]
+
+
+def _run_l2_weak(corpus, k_list, r_list, srt_list, lambda_list):
+    result = check_l2_and_weak11(corpus, k_list, lambda_list)
+    return {"l2_weak": result["rows"]}, result["records"]
+
+
+def _run_taibleson(corpus, k_list, r_list, srt_list, lambda_list):
+    result = check_taibleson_class(corpus)
+    return {"taibleson": result["rows"]}, result["records"]
+
+
+# check name -> its run: the protocols a run may select, in report order
+PROTOCOLS = {"lebesgue": _run_lebesgue, "besov_tl": _run_besov_tl, "l2_weak": _run_l2_weak,
+             "taibleson": _run_taibleson}
+CHECK_NAMES = tuple(PROTOCOLS)
+
+
+# ---------------------------------------------------------------------------
 # Report assembly
 
 def canonical_dumps(obj) -> str:
@@ -549,23 +574,39 @@ def csv_text(rows) -> str:
     return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-# the report's RowTables
-ROW_TABLES = ("lebesgue", "besov_tl", "l2_weak")
+# table name -> its row's report.csv cells (check, entry, k, param, ratio), in report.csv
+# order; a table not named here is in report.json only
+CSV_ROWS = {
+    "lebesgue": lambda row: ("lebesgue", *row),
+    "besov_tl": lambda row: ("besov_tl", row[0], row[1], "{}:{}:{}:{}".format(*row[2]), row[3]),
+    "pieces": lambda row: ("piece", row["atom"], row["j"], "{reading}:{s}:{r}:{t}".format(**row),
+                           row["ratio"]),
+    "l2_weak": lambda row: (row["check"], row["entry"], row["k"],
+                            "{reading}:{param}".format(**row), row["ratio"]),
+    "taibleson": lambda row: ("taibleson", row["kernel"], row["m"], "modulus", row["modulus"]),
+}
+
+# what _key_texts puts in a row for its entry and its ratio, and its JSON
+_MARK = "\0"
+_MARK_JSON = json.dumps(_MARK)
 
 
-def _key_text(name: str, key: tuple) -> tuple:
-    """The JSON and the CSV (head, middle, tail) of a row of RowTable name with this key:
-    row = head + entry + middle + ratio + tail.  A JSON head starts with the comma
-    between rows, which the table's first row drops."""
-    j, c = canonical_dumps, _csv_field
-    if name == "l2_weak":  # the JSON keys sorted; the CSV param is reading:param
-        check, k, reading, param = key
-        return ((f',{{"check":{j(check)},"entry":', f',"k":{j(k)},"param":{j(param)},"ratio":',
-                 f',"reading":{j(reading)}}}'),
-                (c(check) + ",", f",{c(k)},{_csv_quoted(f'{reading}:{param}')},", "\n"))
-    k, param = key  # the CSV of a besov_tl param [space, s, r, t] is space:s:r:t
-    csv_param = _csv_quoted("{}:{}:{}:{}".format(*param)) if name == "besov_tl" else c(param)
-    return (",[", f",{j(k)},{j(param)},", "]"), (name + ",", f",{c(k)},{csv_param},", "\n")
+def _key_texts(table: RowTable, rule) -> tuple:
+    """The JSON and the CSV (head, middle, tail) of each key of table, a row with that key
+    being head + entry + middle + ratio + tail, cut from the row with _MARK for its entry
+    and ratio: its canonical_dumps split at _MARK's JSON, the head led by the comma between
+    rows (the first row drops it), and its rule's key cells, each cell object formatted
+    once (no CSV without a rule)."""
+    rows = [table._row(_MARK, key, _MARK) for key in table.keys]
+    cut = [canonical_dumps(row).split(_MARK_JSON) for row in rows]
+    json_texts = [("," + head, middle, tail) for head, middle, tail in cut]
+    if rule is None:
+        return json_texts, None
+    cells = [rule(row) for row in rows]  # holds every cell, so no two of them share an id
+    distinct = {id(cell): cell for check, _, k, param, _ in cells for cell in (check, k, param)}
+    text = {i: _csv_field(cell) for i, cell in distinct.items()}
+    return json_texts, [(text[id(check)] + ",", f",{text[id(k)]},{text[id(param)]},", "\n")
+                        for check, _, k, param, _ in cells]
 
 
 # the rows joined into one string before it is written
@@ -591,13 +632,13 @@ def _rows_text(table: RowTable, entries: list, keys: list, ratios: list, skip: i
 class ReportWriter:
     """The one pass from a VerificationReport to report.json and report.csv.
 
-    The ROW_TABLES are RowTables, written by _rows_text from the texts of their
-    distinct entries and keys (_key_text) and of their ratios (_float_repr, one
-    text for both files); the other tables by canonical_dumps and csv_text.
-    json_chunks is canonical_dumps of the payload, each RowTable as its rows, and
-    csv_chunks the rows a csv.writer writes, byte for byte.  Every text is made
-    here, so a non-finite value is refused, with the stdlib's message, before
-    either file is begun.
+    A RowTable is written by _rows_text from the texts of its distinct entries and
+    keys (_key_texts) and of its ratios (_float_repr, one text for both files); any
+    other table by canonical_dumps and csv_text.  json_chunks is canonical_dumps of
+    the payload, each RowTable as its rows, and csv_chunks the rows a csv.writer
+    writes of the tables CSV_ROWS names, byte for byte.  Every text is made here,
+    so a non-finite value is refused, with the stdlib's message, before either
+    file is begun.
     """
 
     def __init__(self, report: "VerificationReport"):
@@ -607,20 +648,20 @@ class ReportWriter:
         self._json_head = "{" + "".join(f'"{key}":{canonical_dumps(value)},'
                                         for key, value in head.items()) + '"tables":{'
         self._json = {}  # name -> its JSON text, or _rows_text's arguments for a RowTable
-        self._csv = {}   # name -> _rows_text's arguments
+        self._csv = {}   # name -> _rows_text's arguments, for a RowTable with a CSV rule
         for name in sorted(tables):
             table = tables[name]
-            if name not in ROW_TABLES:
+            if not isinstance(table, RowTable):
                 self._json[name] = canonical_dumps(table)
                 continue
             if not np.isfinite(table.ratio).all():  # refused with the stdlib's message
                 canonical_dumps(table.ratio[~np.isfinite(table.ratio)].tolist())
             ratios = list(map(_float_repr, table.ratio.tolist()))
-            texts = [_key_text(name, key) for key in table.keys]
-            self._json[name] = (table, list(map(canonical_dumps, table.entries)),
-                                [text for text, _ in texts], ratios, 1)
-            self._csv[name] = (table, list(map(_csv_field, table.entries)),
-                               [text for _, text in texts], ratios, 0)
+            json_keys, csv_keys = _key_texts(table, CSV_ROWS.get(name))
+            self._json[name] = (table, list(map(canonical_dumps, table.entries)), json_keys,
+                                ratios, 1)
+            if csv_keys is not None:
+                self._csv[name] = (table, list(map(_csv_field, table.entries)), csv_keys, ratios, 0)
 
     def json_chunks(self):
         """report.json: canonical_dumps of the report's timing-free payload, in pieces."""
@@ -636,18 +677,13 @@ class ReportWriter:
         yield "}}"
 
     def csv_chunks(self):
-        """report.csv: one csv.writer row per table row, in pieces."""
-        def rows(name):
-            return _rows_text(*self._csv[name]) if name in self._csv else ()
-
+        """report.csv: one csv.writer row per table row, in CSV_ROWS order, in pieces."""
         yield csv_text([("check", "entry", "k", "param", "ratio")])
-        yield from rows("lebesgue")
-        yield from rows("besov_tl")
-        yield csv_text(("piece", row["atom"], row["j"], "{reading}:{s}:{r}:{t}".format(**row),
-                        row["ratio"]) for row in self._tables.get("pieces", []))
-        yield from rows("l2_weak")
-        yield csv_text(("taibleson", row["kernel"], row["m"], "modulus", row["modulus"])
-                       for row in self._tables.get("taibleson", []))
+        for name, rule in CSV_ROWS.items():
+            if name in self._csv:
+                yield from _rows_text(*self._csv[name])
+            else:
+                yield csv_text(map(rule, self._tables.get(name, ())))
 
 
 @dataclass(frozen=True)
@@ -685,7 +721,7 @@ def run_verification(config: FieldConfig = FieldConfig("padic", 2), seed: int = 
                      k_list=(-3, -2, -1, 0), r_list=(1.5, 2.0, 3.0),
                      srt_list=DEFAULT_SRT_LIST, lambda_list=(0.5, 1.0, 4.0),
                      checks=CHECK_NAMES) -> VerificationReport:
-    """Full harness: corpus, selected protocols, stability verdicts, timings."""
+    """Full harness: the corpus, then each protocol of PROTOCOLS named in checks, timed."""
     timing = {}
     t0 = time.perf_counter()
     corpus = generate_corpus(config, seed, count, window, kernel_resolutions)
@@ -696,52 +732,13 @@ def run_verification(config: FieldConfig = FieldConfig("padic", 2), seed: int = 
         sum(k.is_mean_zero for k in corpus.kernels) / len(corpus.kernels),
         all(k.is_mean_zero for k in corpus.kernels))]
     tables = {}
-
-    if "lebesgue" in checks:
-        t0 = time.perf_counter()
-        lebesgue = check_lebesgue_theorem(corpus, k_list, r_list)
-        stability = k_stability(lebesgue)
-        timing["lebesgue"] = _ms(t0)
-        tables["lebesgue"] = lebesgue.ratio_table
-        tables["lebesgue_per_k"] = stability["per_k"]
-        records.append(check_record("lebesgue_fitted_constant", None,
-                                    lebesgue.fitted_constant, None))
-        records.append(check_record("lebesgue_k_stability", STABILITY_FACTOR,
-                                    stability["spread"], stability["pass"]))
-
-    if "besov_tl" in checks:
-        t0 = time.perf_counter()
-        besov_tl, piece_rows = check_besov_tl_theorem(corpus, k_list, srt_list)
-        timing["besov_tl"] = _ms(t0)
-        tables["besov_tl"] = besov_tl.ratio_table
-        tables["pieces"] = piece_rows
-        for space, name in (("B", "besov"), ("F", "triebel")):
-            stability = k_stability(besov_tl, param_filter=lambda p, s=space: p[0] == s)
-            tables[f"{name}_per_k"] = stability["per_k"]
-            records.append(check_record(f"{name}_k_stability", STABILITY_FACTOR,
-                                        stability["spread"], stability["pass"]))
-        records.append(check_record("besov_tl_fitted_constant", None,
-                                    besov_tl.fitted_constant, None))
-        reading_b = max((r["ratio"] for r in piece_rows if r["reading"] == "B"), default=0.0)
-        reading_a = max((r["ratio"] for r in piece_rows if r["reading"] == "A"), default=0.0)
-        records.append(check_record("piece_bound_reading_b", 1.0, reading_b,
-                                    reading_b <= 1 + 1e-10))
-        records.append(check_record("piece_bound_reading_a", None, reading_a, None))
-
-    if "l2_weak" in checks:
-        t0 = time.perf_counter()
-        l2_weak = check_l2_and_weak11(corpus, k_list, lambda_list)
-        timing["l2_weak"] = _ms(t0)
-        tables["l2_weak"] = l2_weak["rows"]
-        records.extend(l2_weak["records"])
-
-    if "taibleson" in checks:
-        t0 = time.perf_counter()
-        taib = check_taibleson_class(corpus)
-        timing["taibleson"] = _ms(t0)
-        tables["taibleson"] = taib["rows"]
-        records.extend(taib["records"])
-
+    for name, run in PROTOCOLS.items():
+        if name in checks:
+            t0 = time.perf_counter()
+            its_tables, its_records = run(corpus, k_list, r_list, srt_list, lambda_list)
+            timing[name] = _ms(t0)
+            tables.update(its_tables)
+            records += its_records
     return VerificationReport(config, seed, tuple(records), tables, timing)
 
 

@@ -1,5 +1,6 @@
 """CLI: config assembly with precedence, subcommand artifacts, exit policy."""
 
+import argparse
 import copy
 import inspect
 import json
@@ -103,6 +104,15 @@ def test_parse_config_defaults_are_run_verification_defaults():
         "r_list": cfg.r_list, "srt_list": cfg.srt_list, "lambda_list": cfg.lambda_list,
         "checks": cfg.checks,
     }
+
+
+def test_checks_help_lists_the_registered_protocols():
+    # the --checks help of every subcommand names the checks of verify.PROTOCOLS, in order
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for parser in sub.choices.values():
+        (action,) = [a for a in parser._actions if "--checks" in a.option_strings]
+        assert tuple(action.help.split(" from ", 1)[1].split(", ")) == verify.CHECK_NAMES \
+            == tuple(verify.PROTOCOLS)
 
 
 def test_window_cap_and_override():
@@ -581,6 +591,19 @@ def test_verify_q3_matches_stored_golden_bytes(tmp_path):
                  "--out", str(out)]) == 0
     for ext in ("json", "csv"):
         golden = (DATA / f"golden_verify_q3.{ext}").read_bytes()
+        assert (out / f"report.{ext}").read_bytes() == golden
+
+
+def test_verify_q5_matches_stored_golden_bytes(tmp_path):
+    # padic p = 5 on -1:1, the q3 golden's other settings: a harness run at p >= 5, where
+    # each Taibleson column has several unit shifts per distinct shift
+    cfg = write_json(tmp_path / "cfg.json", {"corpus": {"count": 4, "kernel_resolutions": [2]}})
+    out = tmp_path / "out"
+    assert main(["verify", "--mode", "padic", "--p", "5", "--config", cfg, "--window=-1:1",
+                 "--k=-1,0", "--srt", "0.5:2:2,1:1.5:3", "--r", "1.5,3", "--lambda", "0.25",
+                 "--out", str(out)]) == 0
+    for ext in ("json", "csv"):
+        golden = (DATA / f"golden_verify_q5.{ext}").read_bytes()
         assert (out / f"report.{ext}").read_bytes() == golden
 
 

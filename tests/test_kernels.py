@@ -25,10 +25,11 @@ from localfield.kernels import (
     shell_piece,
     sphere_cell_count,
     taibleson_modulus,
+    taibleson_terms,
     validate_atom,
 )
 from util import (CONFIGS, integral, kernel_order_haar_differences, one_shot_coarsen,
-                  random_element, seed42_corpus)
+                  per_shift_taibleson_terms, random_element, seed42_corpus)
 
 Q2 = FieldConfig("padic", 2)
 Q3 = FieldConfig("padic", 3)
@@ -446,6 +447,21 @@ def test_taibleson_stabilizes_at_m_minus_1():
         assert taibleson_modulus(k, k.m) == full
         assert taibleson_modulus(k, k.m + 5) == full
         assert full > 0
+
+
+# every corpus kernel of the four CONFIGS, and random kernels at p = 5 and 7 with m <= 3
+TERM_KERNELS = [kern for config in CONFIGS for kern in seed42_corpus(config).kernels] + [
+    random_kernel(np.random.default_rng(24 + m), FieldConfig(mode, p), m)
+    for mode in ("padic", "laurent") for p in (5, 7) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kern", TERM_KERNELS, ids=[
+    f"{kern.config.mode}{kern.config.p}_m{kern.m}_{i}" for i, kern in enumerate(TERM_KERNELS)])
+def test_taibleson_terms_equal_the_per_shift_loop_bit_for_bit(kern):
+    # one term per distinct shift, gathered into each column: the loop's floats, bit for bit
+    for J in (1, kern.m, kern.m + 1):
+        got, want = taibleson_terms(kern, J), per_shift_taibleson_terms(kern, J)
+        assert got.shape == want.shape and (got.view(np.int64) == want.view(np.int64)).all()
 
 
 def taibleson_oracle(k, J):

@@ -1,6 +1,8 @@
 """Verification harness: corpus determinism, ratio protocols, report plumbing."""
 
 import collections
+import csv
+import io
 import itertools
 import json
 import math
@@ -64,6 +66,7 @@ from util import (
     per_function_taibleson_l2,
     per_row_csv,
     report_payload,
+    row_table,
     row_sups,
     scalar_multiple,
     seed42_corpus,
@@ -858,6 +861,62 @@ def test_report_writers_equal_the_references_under_every_check_subset(config):
                                   k_list=(-1, 0), r_list=(1.5, 2.0), srt_list=((0.5, 2.0, 3.0),),
                                   lambda_list=(0.5, 4.0), checks=checks)
         assert one_pass(report) == references(report), checks
+
+
+# --checks in another order, or with repeats, against the same names in PROTOCOLS order
+@pytest.mark.parametrize("given, ordered", [
+    ("taibleson,lebesgue,lebesgue", "lebesgue,taibleson"),
+    ("taibleson,l2_weak,besov_tl,lebesgue,l2_weak", "lebesgue,besov_tl,l2_weak,taibleson"),
+])
+def test_checks_in_any_order_write_the_bytes_of_the_protocol_order(given, ordered, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"corpus": {"count": 3, "kernel_resolutions": [2]}}))
+    texts = []
+    for checks in (given, ordered):
+        out = tmp_path / checks
+        assert cli.main(["verify", "--config", str(config), "--window=-2:2", "--k=-1,0",
+                         "--checks", checks, "--out", str(out)]) in (0, 1)
+        texts.append([(out / name).read_bytes() for name in ("report.json", "report.csv")])
+    assert texts[0] == texts[1]
+
+
+def toy_protocol(corpus, k_list, r_list, srt_list, lambda_list):
+    """A check no run makes: a row table and a list table with CSV rules, a row table
+    without one, and one record."""
+    rows = [[f"f{i}", k, "toy", 0.5 * i + k] for i in range(len(corpus.functions)) for k in k_list]
+    return ({"toy": row_table(rows), "toy_json_only": row_table(rows[:2]),
+             "toy_notes": [{"kernel": "w0", "m": 2, "note": 1.5}]},
+            [verify.check_record("toy_constant", None, 1.0, None)])
+
+
+def test_a_protocol_and_its_csv_rules_reach_both_files_with_no_writer_edit(monkeypatch):
+    monkeypatch.setitem(verify.PROTOCOLS, "toy", toy_protocol)
+    monkeypatch.setitem(verify.CSV_ROWS, "toy", lambda row: ("toy", *row))
+    monkeypatch.setitem(verify.CSV_ROWS, "toy_notes", lambda row: (
+        "toy_note", row["kernel"], row["m"], "note", row["note"]))
+    report = run_verification(config=Q2, count=3, window=(-2, 2), kernel_resolutions=(2,),
+                              k_list=(-1, 0), r_list=(2.0,), checks=("toy", "lebesgue"))
+    assert list(report.timing_ms) == ["corpus", "lebesgue", "toy"]
+    assert [c["name"] for c in report.checks][-1] == "toy_constant"
+    json_text, csv_text = one_pass(report)
+    assert json_text == canonical_dumps(report_payload(report))
+    assert {"toy", "toy_json_only", "toy_notes"} <= set(json.loads(json_text)["tables"])
+    # report.csv: the known tables, then the toy's two in CSV_ROWS order, and no JSON-only rows
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [("toy", *row) for row in report.tables["toy"]] + [("toy_note", "w0", 2, "note", 1.5)])
+    assert csv_text == per_row_csv(report) + buf.getvalue()
+    assert csv_text.count("\ntoy,") == len(report.tables["toy"]) == 6
+
+
+def test_csv_rows_name_every_row_table_of_a_run_and_only_tables_a_protocol_makes():
+    # no RowTable is silently left out of report.csv, and no CSV_ROWS rule is dead
+    report = run_verification()
+    row_tables = {name for name, table in report.tables.items()
+                  if isinstance(table, verify.RowTable)}
+    assert row_tables == {"lebesgue", "besov_tl", "l2_weak"}
+    assert row_tables <= set(verify.CSV_ROWS) <= set(report.tables)
+    assert verify.CHECK_NAMES == tuple(verify.PROTOCOLS)
 
 
 @CONFIG_PARAMS

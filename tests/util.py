@@ -20,7 +20,8 @@ from localfield.field import FieldConfig, FieldElement, Window, add, negate, q_p
 from localfield.fourier import SpectralFunction
 from localfield.functions import (TestFunction, common_refinement, convolve, evaluate, lr_norm,
                                   refine, weak_level_measures)
-from localfield.kernels import AngularKernel, evaluate_homogeneous, h1_upper_bound, shell_piece
+from localfield.kernels import (AngularKernel, evaluate_homogeneous, h1_upper_bound,
+                                kernel_window_indices, shell_piece)
 from localfield.operators import (TruncationSpec, apply_atom_operator, apply_truncated,
                                   resolution_spec, tail_cutoff, truncation_kernel)
 from localfield.verify import RowTable, _first_atoms, _reading_b_weight, generate_corpus
@@ -188,6 +189,24 @@ def kernel_order_haar_differences(k: AngularKernel) -> list:
         out.append(level - prev)
         prev = level
     return out
+
+
+def per_shift_taibleson_terms(k: AngularKernel, J: int) -> np.ndarray:
+    """kernels.taibleson_terms as one term per unit-sphere cell y and j, the shift
+    y p^j mod p^m taken anew for each: the reference for the one term per distinct
+    shift that taibleson_terms computes."""
+    w = Window(k.config, 0, k.m)
+    kw = kernel_window_indices(k.config, k.m)
+    back = np.full(w.size, -1, dtype=np.int64)
+    back[kw] = np.arange(kw.size)
+    meas = q_power(k.config.q, -k.m)
+    terms = np.zeros((kw.size, min(J, k.m)))
+    for row, y_cell in zip(terms, kw):
+        for j in range(1, row.size + 1):
+            moved = w.index_add(kw, int(y_cell) * k.config.p**j % w.size)
+            diff = k.values[back[moved]] - k.values
+            row[j - 1] = math.fsum(np.hypot(diff.real, diff.imag)) * meas
+    return terms
 
 
 def spectral_valuation_levels(F: SpectralFunction) -> np.ndarray:
