@@ -37,12 +37,13 @@ re^2 + im^2, whose bits differ from |block|^2, so it shares no power.  The
 table takes 16 bytes per block cell for the blocks, 8 for the moduli and 8
 per power: about 1.3-1.6 MB for a 16,384-cell input.  So B and F norms
 called in turn on one input build its blocks, moduli and block r-norms
-once.  Every sum is functions.exact_sums, bit for bit math.fsum: the B
-norms put every block of the stack through one call per distinct r,
-whichever triples or calls ask for it, the F norms one call per triple
-(their pointwise sum lifted one level per block).  A sum past the float
-range reads inf and the triple is refused.  check_norm_srt states the
-triple's domain: a finite s, and r and t norm exponents.
+once.  Every sum goes through functions.lr_norms_of_parts, the one
+summation route: the B norms put every block of the stack through one call
+per distinct r, whichever triples or calls ask for it, its parts as
+functions.lr_parts says, the F norms one call per triple (their pointwise
+sum lifted one level per block).  A sum past the float range reads inf and
+the triple is refused.  check_norm_srt states the triple's domain: a finite
+s, and r and t norm exponents.
 """
 
 import functools
@@ -56,8 +57,8 @@ import numpy as np
 from .field import Window, expect, q_power
 from .fourier import apply_multiplier
 from .functions import (TestFunction, _frozen, _is_real, check_level, check_norm_exponent,
-                        coset_tree, dyadic_ints, exact_sums, lift, lr_norms, lr_norms_each,
-                        lr_norms_of_parts, refine)
+                        coset_tree, dyadic_ints, lift, lr_norms, lr_norms_of_parts, lr_parts,
+                        refine)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +355,7 @@ def _triebel_lizorkin_values(f: TestFunction, powers, weights, r: float, t: floa
     pointwise = np.zeros(powers[0].shape[:-1] + (1,))
     for w, m in zip(weights, powers):
         pointwise = lift(pointwise, m.shape[-1]) + w * m
-    rows = pointwise ** (r / t)
-    try:
-        sums = exact_sums(rows.ravel(), np.arange(rows.size, step=rows.shape[-1]))
-    except OverflowError:  # a sum past the float range, where fsum raises: norm_columns refuses
-        return [math.inf] * len(rows)
-    cell = q_power(f.config.q, -f.l)
-    return [(s * cell) ** (1.0 / r) for s in sums.tolist()]
+    return lr_norms_of_parts([(pointwise ** (r / t),)], [q_power(f.config.q, -f.l)], r)[0]
 
 
 class _BlockTable:
@@ -371,13 +366,13 @@ class _BlockTable:
 
     def __init__(self, f: TestFunction):
         self.blocks = _all_blocks(f)
+        self.values = [np.atleast_2d(b.values) for b in self.blocks]
         self._powers = {}
         self._norms = {}
 
     @functools.cached_property
     def moduli(self) -> list:
-        return [_frozen(np.hypot(v.real, v.imag), np.float64)
-                for v in (np.atleast_2d(b.values) for b in self.blocks)]
+        return [_frozen(np.hypot(v.real, v.imag), np.float64) for v in self.values]
 
     def powers(self, e: float) -> list:
         """moduli ** e, block by block."""
@@ -386,10 +381,11 @@ class _BlockTable:
         return self._powers[e]
 
     def norms(self, r: float) -> tuple:
-        """One tuple per row: its r-norm of every block; r = 2 sums re^2 + im^2."""
+        """One tuple per row: its r-norm of every block, summed as lr_parts says."""
         if r not in self._norms:
-            self._norms[r] = tuple(zip(*(lr_norms_each(self.blocks, r) if r == 2
-                                         else lr_norms_of_parts(self.blocks, self.powers(r), r))))
+            parts = lr_parts(self.values, r, lambda: self.powers(r))
+            cells = [q_power(b.config.q, -b.l) for b in self.blocks]
+            self._norms[r] = tuple(zip(*lr_norms_of_parts(parts, cells, r)))
         return self._norms[r]
 
 

@@ -12,9 +12,9 @@ group DFT, because the pairing couples digit i of the point with digit
 n-1-i of the frequency.  The O(N^2) definition sums (forward_naive /
 inverse_naive) are kept as an independent route, the oracle for the fast
 path.  apply_multiplier is the one forward -> symbol -> inverse route.
-spectral_l2_norm sums the squares with functions.exact_sums, so it is
-correctly rounded like lr_norm on the function side, and like it reads inf
-past the float range.
+spectral_l2_norm is functions.lr_norms_of_parts of lr_parts at r = 2 with
+cell q^a, the route of lr_norm on the function side: correctly rounded, and
+inf past the float range.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldConfig, Window, digit_reversal, q_power
-from .functions import TestFunction, _frozen, _value_pairs, exact_sums
+from .functions import TestFunction, _frozen, _value_pairs, lr_norms_of_parts, lr_parts
 
 _TWO_PI = 2.0 * math.pi
 
@@ -118,11 +118,7 @@ def apply_multiplier(f: TestFunction, symbol) -> TestFunction:
 
 
 def spectral_l2_norm(F: SpectralFunction) -> float:
-    """L^2 norm of the spectral data under dual Haar measure |Gamma^a| = q^a; inf past
-    the float range, where exact_sums raises fsum's OverflowError, as lr_norm reads."""
-    try:
-        re2, im2 = exact_sums(np.concatenate([F.values.real**2, F.values.imag**2]),
-                              np.array([0, F.values.size])).tolist()
-    except OverflowError:
-        return math.inf
-    return ((re2 + im2) * q_power(F.config.q, F.a)) ** 0.5
+    """L^2 norm of the spectral data under dual Haar measure |Gamma^a| = q^a, summed by
+    functions.lr_norms_of_parts as lr_norm is; inf past the float range."""
+    ((norm,),) = lr_norms_of_parts(lr_parts([F.values[None]], 2), [q_power(F.config.q, F.a)], 2)
+    return norm

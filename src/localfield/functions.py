@@ -8,12 +8,14 @@ window, every operation acting along the last axis; lr_norms gives one value
 per row, each bit for bit its function's, and weak_level_measures one cell
 count per row and level, all levels from one modulus pass.  exact_sums gives
 the correctly rounded sum (math.fsum's, bit for bit) of every segment of a
-flat array in one numpy pass; lr_norms_each puts the rows of several stacks
-through one such call (lr_norms_of_parts, which decomp's block norms call
-with ready |v|^r), and fourier sums its norms with it too; a sum past the
-float range, where it raises fsum's OverflowError, reads inf, and the norm
-layer refuses it.  convolve transforms its second factor through
-_input_spectrum, a memo of the last two (input, window) spectra that
+flat array in one numpy pass.  Its one caller, lr_norms_of_parts, is the
+package's one summation route, for lr_norms_each, decomp's B and F norms and
+fourier's spectral_l2_norm: the rows of several stacks in one exact_sums
+call, each row's sum times its cell measure, to the 1/r; lr_parts alone says
+what a row sums, re^2 and im^2 for r = 2 and |v|^r for any other r.  A sum
+past the float range, where exact_sums raises fsum's OverflowError, reads
+inf, and the norm layer refuses it.  convolve transforms its second factor
+through _input_spectrum, a memo of the last two (input, window) spectra that
 operators.apply_truncated reads too.  coset_tree walks the nested cosets
 c + P^j of a window down: the one tree that coarsen_resolution, decomp's
 blocks and CZ split and the Haar atoms read.  lift reads it upward,
@@ -31,7 +33,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -275,34 +277,39 @@ def exact_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
-def lr_norms_each(fs: list, r: float) -> list:
-    """The L^r norms of every row of every stack in fs: lr_norms_of_parts of |v|^r, or of
-    re^2 and im^2 for r = 2."""
-    check_norm_exponent(r)
-    vals = [np.atleast_2d(f.values) for f in fs]
-    parts = ([x**2 for v in vals for x in (v.real, v.imag)] if r == 2
-             else [np.hypot(v.real, v.imag) ** r for v in vals])
-    return lr_norms_of_parts(fs, parts, r)
-
-
-def lr_norms_of_parts(fs: list, parts: list, r: float) -> list:
-    """The L^r norms of every row of every stack in fs, all summed in one exact_sums call.
-
-    parts are 2-D, one (rows, cells) array per stack: |v|^r, or for r = 2 two
-    arrays, re^2 and im^2, whose sums are two segments per row; a row's sum is
-    then the float sum of their two correctly rounded sums.  When a sum is past
-    the float range, where exact_sums raises fsum's OverflowError, every norm
-    reads inf."""
-    widths = np.repeat([p.shape[-1] for p in parts], [len(p) for p in parts])
-    try:
-        sums = exact_sums(np.concatenate([p.ravel() for p in parts]), np.cumsum(widths) - widths)
-    except OverflowError:
-        sums = np.full(widths.size, math.inf)
-    rows = list(accumulate(map(len, parts), initial=0))
-    sums = [sums[a:b] for a, b in zip(rows, rows[1:])]
+def lr_parts(stacks: list, r: float, powers=None) -> list:
+    """The parts lr_norms_of_parts sums for the L^r norms of each (rows, cells) stack:
+    (re^2, im^2) for r = 2, whose bits differ from |v|^2's, else (|v|^r,) or powers()."""
     if r == 2:
-        sums = [re + im for re, im in zip(sums[::2], sums[1::2])]
-    cells = [q_power(f.config.q, -f.l) for f in fs]
+        return [(v.real**2, v.imag**2) for v in stacks]
+    return [(p,) for p in (powers() if powers else
+                           [np.hypot(v.real, v.imag) ** r for v in stacks])]
+
+
+def lr_norms_each(fs: list, r: float) -> list:
+    """The L^r norms of every row of every stack in fs: lr_norms_of_parts of lr_parts."""
+    check_norm_exponent(r)
+    return lr_norms_of_parts(lr_parts([np.atleast_2d(f.values) for f in fs], r),
+                             [q_power(f.config.q, -f.l) for f in fs], r)
+
+
+def lr_norms_of_parts(parts: list, cells: list, r: float) -> list:
+    """(row sum times cell measure)^(1/r) of every row of every stack, from one exact_sums
+    call: the package's one summation route.  parts holds a tuple of 2-D (rows, cells)
+    arrays per stack and cells its cell measure; a row's sum is the float sum, in order,
+    of its correctly rounded sum in each array.  A sum past the float range, where
+    exact_sums raises fsum's OverflowError, makes every norm inf."""
+    arrays = [p for stack in parts for p in stack]
+    flat = arrays[0].ravel() if len(arrays) == 1 else np.concatenate([p.ravel() for p in arrays])
+    offsets = accumulate((p.size for p in arrays), initial=0)  # every row is a segment
+    starts = [np.arange(at, at + p.size, p.shape[-1]) for at, p in zip(offsets, arrays)]
+    try:
+        sums = exact_sums(flat, np.concatenate(starts))
+    except OverflowError:
+        return [[math.inf] * len(stack[0]) for stack in parts]
+    rows = list(accumulate(map(len, arrays), initial=0))
+    sums = iter([sums[a:b] for a, b in zip(rows, rows[1:])])
+    sums = [functools.reduce(np.add, islice(sums, len(stack))) for stack in parts]
     return [[(s * cell) ** (1.0 / r) for s in row_sums.tolist()]
             for cell, row_sums in zip(cells, sums)]
 

@@ -40,7 +40,7 @@ from localfield.verify import DEFAULT_SRT_LIST
 
 import cz_oracle
 from cz_oracle import node_ball
-from util import (CONFIGS, add_functions, fsum_lr_norms, integral, linf_norm,
+from util import (CONFIGS, P5_CONFIGS, add_functions, fsum_lr_norms, integral, linf_norm,
                   per_row_norm_columns, scalar_multiple, seed42_corpus, spectral_valuation_levels)
 
 
@@ -738,8 +738,15 @@ DIFFERENTIAL_SRT = [(0.5, 2.0, 2.0), (0.25, 1.5, 3.0), (1.0, 3.0, 1.5), (-0.5, 1
                     (2.0, 2.0, 1.0)]
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
-@pytest.mark.parametrize("window", [(-2, 2), (1, 3)], ids=["a<0", "a>0"])
+# CONFIGS on windows (-2, 2) and (1, 3); P5_CONFIGS on (-1, 2) and (1, 3), so that no
+# window, the second stack's (a - 1, l) included, has more than 5^4 cells
+NORM_ROUTE_CASES = [pytest.param(config, window, id=f"{side}-{config.mode}{config.p}")
+                    for configs, windows in ((CONFIGS, [(-2, 2), (1, 3)]),
+                                             (P5_CONFIGS, [(-1, 2), (1, 3)]))
+                    for side, window in zip(["a<0", "a>0"], windows) for config in configs]
+
+
+@pytest.mark.parametrize("config, window", NORM_ROUTE_CASES)
 @pytest.mark.parametrize("rows", [1, 5], ids=["one_row", "stacked"])
 def test_norm_layer_equals_the_per_row_route_bit_for_bit(config, window, rows):
     rng = np.random.default_rng([45, rows])
@@ -874,20 +881,21 @@ def test_a_large_windows_pass_sums_the_blocks_once_per_distinct_r(monkeypatch):
             decomp._block_table.cache_clear()
             cold.append(norm(f, s, r, t).value)
     calls = []
-    parts = decomp.lr_norms_of_parts
+    kernel = functions.exact_sums
 
-    def counted(fs, *args):
-        calls.append(len(fs))
-        return parts(fs, *args)
+    def counted(values, starts):
+        calls.append(len(starts))
+        return kernel(values, starts)
 
-    # lr_norms_each, the r = 2 route, calls it by its name in functions
-    monkeypatch.setattr(decomp, "lr_norms_of_parts", counted)
-    monkeypatch.setattr(functions, "lr_norms_of_parts", counted)
+    # every norm sums through lr_norms_of_parts, the one caller of exact_sums
+    monkeypatch.setattr(functions, "exact_sums", counted)
     decomp._block_table.cache_clear()
     warm = [norm(f, s, r, t).value for s, r, t in DEFAULT_SRT_LIST
             for norm in (besov_norm, triebel_lizorkin_norm)]
-    assert calls == [len(decomp._block_table(f).blocks)] * len({r for _, r, _ in DEFAULT_SRT_LIST})
-    assert len(calls) == 3
+    blocks = len(decomp._block_table(f).blocks)
+    # a B norm with a new r sums every block once (r = 2: re^2 and im^2), an F norm its row
+    assert [r for _, r, _ in DEFAULT_SRT_LIST] == [2.0, 1.5, 3.0] * 2
+    assert calls == [2 * blocks, 1, blocks, 1, blocks, 1, 1, 1, 1]
     assert hexes(warm) == hexes(cold)
 
 

@@ -11,6 +11,7 @@ for the Triebel-Lizorkin rows, and never fall back to fsum on the default
 corpus or on a 16,384-cell function.
 """
 
+import ast
 import math
 import types
 
@@ -22,7 +23,7 @@ from localfield.decomp import besov_norm, lebesgue_norm_report, norm_columns, tr
 from localfield.field import FieldConfig
 from localfield.functions import TestFunction, exact_sums, lr_norm, lr_norms
 from localfield.verify import DEFAULT_SRT_LIST, run_verification
-from util import CONFIGS, fsum_segments
+from util import CONFIGS, P5_CONFIGS, SRC, fsum_segments
 
 TINY = 2.0**-1074  # the smallest subnormal
 
@@ -57,15 +58,14 @@ def fallbacks(monkeypatch):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The segment count of each exact_sums call, from every module that makes one."""
+    """The segment count of each exact_sums call; functions.lr_norms_of_parts makes them all."""
     calls = []
 
     def counted(values, starts):
         calls.append(len(starts))
         return exact_sums(values, starts)
 
-    for module in (functions, decomp, fourier):
-        monkeypatch.setattr(module, "exact_sums", counted)
+    monkeypatch.setattr(functions, "exact_sums", counted)
     return calls
 
 
@@ -74,7 +74,7 @@ def random_stack(rng, config, rows=4, a=-2, l=2):
     return TestFunction(config, a, l, rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+@pytest.mark.parametrize("config", CONFIGS + P5_CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
 def test_random_stacks_sum_like_fsum(config):
     rng = np.random.default_rng(240)
     for rows, (a, l) in ((1, (0, 0)), (3, (-1, 2)), (5, (-2, 2))):
@@ -84,7 +84,7 @@ def test_random_stacks_sum_like_fsum(config):
             assert_fsum_bits(list(moduli) + list(v.real**2) + list(v.imag**2))
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+@pytest.mark.parametrize("config", CONFIGS + P5_CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
 def test_norm_layer_reads_the_fsum_route_bit_for_bit(config, monkeypatch):
     rng = np.random.default_rng(241)
     stacks = [random_stack(rng, config, 3, -2, 2), random_stack(rng, config, 2, 1, 3)]
@@ -99,8 +99,7 @@ def test_norm_layer_reads_the_fsum_route_bit_for_bit(config, monkeypatch):
                 for f in stacks]
 
     fast = readings()
-    for module in (functions, decomp, fourier):
-        monkeypatch.setattr(module, "exact_sums", fsum_segments)
+    monkeypatch.setattr(functions, "exact_sums", fsum_segments)
     assert readings() == fast
 
 
@@ -182,6 +181,12 @@ def test_lr_norms_refuses_a_sum_past_the_float_range_and_lr_norm_reads_inf(r):
         norm_columns(f, [(0.0, r, r)])
 
 
+def test_a_sum_past_the_float_range_reads_inf_where_the_cell_measure_underflows():
+    # q^-l is 0.0 at l = 1101, q = 2; the norm reads inf, not inf * 0.0 = nan
+    f = TestFunction(FieldConfig("padic", 2), 1100, 1101, np.array([1e308, 1e308]))
+    assert lr_norm(f, 1.0) == math.inf
+
+
 @pytest.mark.parametrize("space", ["B", "F"])
 def test_norm_columns_refuses_a_finite_row_whose_sum_raises_in_fsum(space):
     # every cell, block value and pointwise sum is finite; only the row sums overflow
@@ -245,3 +250,39 @@ def test_no_row_of_a_large_window_function_falls_back_to_fsum(fallbacks, kernel_
             lebesgue_norm_report(f, r)
         fourier.spectral_l2_norm(fourier.forward(f))
     assert kernel_calls and fallbacks == []
+
+
+class _References(ast.NodeVisitor):
+    """The enclosing function of every reference to exact_sums in one module's source."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Name(self, node):
+        if node.id == "exact_sums":
+            self.found.append(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr == "exact_sums":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_exact_sums_has_one_caller_and_no_importer():
+    # every norm of the package sums through functions.lr_norms_of_parts, so no
+    # second route can round, scale or overflow its sums differently
+    callers, importers = [], []
+    for path in sorted((SRC / "localfield").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        importers += [path.stem for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names if alias.name == "exact_sums"]
+        refs = _References()
+        refs.visit(tree)
+        callers += [(path.stem, scope) for scope in refs.found]
+    assert callers == [("functions", "lr_norms_of_parts")]
+    assert importers == []

@@ -33,6 +33,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_ADDRESS_SPACE = 2**30
 
 CONFIGS = [FieldConfig("padic", 2), FieldConfig("padic", 3), FieldConfig("laurent", 2), FieldConfig("laurent", 3)]
+# p = 5, for tests that reach past the two primes of CONFIGS on windows of at most 5^4 cells
+P5_CONFIGS = [FieldConfig("padic", 5), FieldConfig("laurent", 5)]
 
 
 def seed42_corpus(config: FieldConfig, count: int = 10):
