@@ -13,12 +13,13 @@ package's one summation route, for lr_norms_each, decomp's B and F norms and
 fourier's spectral_l2_norm: the rows of several stacks in one exact_sums
 call, each row's sum times its cell measure, to the 1/r; lr_parts alone says
 what a row sums, re^2 and im^2 for r = 2 and |v|^r for any other r.  A sum
-past the float range, where exact_sums raises fsum's OverflowError, reads
-inf, and the norm layer refuses it.  convolve transforms its second factor
-through _input_spectrum, a memo of the last two (input, window) spectra that
-operators.apply_truncated reads too.  coset_tree walks the nested cosets
-c + P^j of a window down: the one tree that coarsen_resolution, decomp's
-blocks and CZ split and the Haar atoms read.  lift reads it upward,
+past the float range, inf or where exact_sums raises fsum's OverflowError,
+reads inf, and the norm layer refuses it.  window_spectrum is the one window
+DFT of a refined function: convolve, the plain convolution oracle, takes both
+factors' from it, and _input_spectrum, its memo of the last two (input,
+window) spectra, feeds operators' multiplier routes.  coset_tree walks the
+nested cosets c + P^j of a window down: the one tree that coarsen_resolution,
+decomp's blocks and CZ split and the Haar atoms read.  lift reads it upward,
 spreading each coarse cell over its descendants, and refine is one strided
 write that pads f onto the larger support, then lift.
 check_norm_exponent and check_level state the domains of the exponent r and
@@ -297,8 +298,8 @@ def lr_norms_of_parts(parts: list, cells: list, r: float) -> list:
     """(row sum times cell measure)^(1/r) of every row of every stack, from one exact_sums
     call: the package's one summation route.  parts holds a tuple of 2-D (rows, cells)
     arrays per stack and cells its cell measure; a row's sum is the float sum, in order,
-    of its correctly rounded sum in each array.  A sum past the float range, where
-    exact_sums raises fsum's OverflowError, makes every norm inf."""
+    of its correctly rounded sum in each array.  An inf sum reads inf whatever the cell
+    measure, and one where exact_sums raises fsum's OverflowError makes every norm inf."""
     arrays = [p for stack in parts for p in stack]
     flat = arrays[0].ravel() if len(arrays) == 1 else np.concatenate([p.ravel() for p in arrays])
     offsets = accumulate((p.size for p in arrays), initial=0)  # every row is a segment
@@ -310,7 +311,7 @@ def lr_norms_of_parts(parts: list, cells: list, r: float) -> list:
     rows = list(accumulate(map(len, arrays), initial=0))
     sums = iter([sums[a:b] for a, b in zip(rows, rows[1:])])
     sums = [functools.reduce(np.add, islice(sums, len(stack))) for stack in parts]
-    return [[(s * cell) ** (1.0 / r) for s in row_sums.tolist()]
+    return [[(s * cell) ** (1.0 / r) if s < math.inf else s for s in row_sums.tolist()]
             for cell, row_sums in zip(cells, sums)]
 
 
@@ -352,30 +353,22 @@ def common_refinement(f: TestFunction, g: TestFunction) -> tuple[TestFunction, T
     return refine(f, a, l), refine(g, a, l)
 
 
-@functools.lru_cache(maxsize=2)
-def _input_spectrum(f: TestFunction, a: int, l: int) -> np.ndarray:
-    """The window DFT of f refined onto (a, l); read-only, kept for the last two (f, a, l)
-    only: a verify stack's spectra on T_k f's window and on its piece convolutions'."""
+def window_spectrum(f: TestFunction, a: int, l: int) -> np.ndarray:
+    """The window DFT of f refined onto (a, l), read-only: the one forward transform of
+    a function onto a convolution window."""
     return _frozen(Window(f.config, a, l).dft(refine(f, a, l).values))
 
 
-def convolve(f: TestFunction, g: TestFunction) -> TestFunction:
-    """Exact group convolution (f * g)(x) = int f(y) g(x - y) dy.
+_input_spectrum = functools.lru_cache(maxsize=2)(window_spectrum)  # the last two (f, a, l)
 
-    Both factors are supported in P^{min(a_f, a_g)}, a subgroup, so the
-    quotient-group convolution at the common refinement needs no wraparound
-    correction.  The quotient-group sum runs through the group DFT: both
-    factors are transformed on that window and convolve_spectra takes the
-    product and the inverse.  Either factor may be a stack; the other is then
-    transformed once for all its rows.  The transform of g is _input_spectrum's,
-    so convolving many f with one g transforms g once per window.
-    operators.apply_truncated calls convolve_spectra with a cached transform of
-    its kernel and _input_spectrum of its input, so T_k f is this convolution
-    bit for bit.
-    """
+
+def convolve(f: TestFunction, g: TestFunction) -> TestFunction:
+    """Exact group convolution (f * g)(x) = int f(y) g(x - y) dy.  Both factors lie in the
+    subgroup P^{min(a_f, a_g)}, so on their common refinement it is the inverse group DFT
+    of the product of their window DFTs, with no wraparound.  Either may be a stack."""
     a, l = _common_window(f, g)
-    w = Window(f.config, a, l)
-    return convolve_spectra(w, w.dft(refine(f, a, l).values), _input_spectrum(g, a, l))
+    return convolve_spectra(Window(f.config, a, l), window_spectrum(f, a, l),
+                            window_spectrum(g, a, l))
 
 
 def convolve_spectra(w: Window, fhat: np.ndarray, ghat: np.ndarray) -> TestFunction:

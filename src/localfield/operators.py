@@ -1,18 +1,13 @@
-"""Truncated rough convolution operator and its per-atom version.
+"""Truncated rough convolution operator, its per-atom version and shell pieces.
 
 The truncated operator integrates f(x - y) against the homogeneous extension
 of an angular kernel over |y| > q^k, weighted by |y|^{-1}.  On a declared
 output window the dyadic sum over shells is finite: shells larger than both
 the window and the support of f cannot reach any output point, so the tail
-vanishes identically rather than approximately.
-
-The whole operator collapses to a single group convolution with a compactly
-windowed kernel function, which keeps the fast path inside the tested
-convolution machinery; sphere_integral, the definition-level sphere sum, is
-kept as the slow exact route, the oracle for apply_truncated.  The per-atom
-operator takes an AngularKernel and refuses one that validate_atom rejects.
-Both operators also take a stack of functions (a row axis), whose rows
-then share one transform of the truncation kernel.
+vanishes identically rather than approximately.  sphere_integral, the
+definition-level sphere sum, is the slow exact route, the oracle for
+apply_truncated.  The per-atom operator refuses a kernel that validate_atom
+rejects (check_atom).  Every operator also takes a stack of functions.
 
 A convolution keeps the resolution of f: if f is constant on the cosets of
 P^l, then f * g = f * E_l g, where E_l g averages g over those cosets
@@ -25,24 +20,23 @@ resolution of f with one scale of spill room.  A declared window finer than
 f gets the exact refinement of that result; one coarser than f, or narrower
 than its support, is refused.
 
-T_k f is f * K_k on the window (-(jmax+1), l), K_k = truncation_kernel(kernel,
-k, jmax, l), so its multiplier, the window DFT of K_k, depends on (kernel,
-k, jmax, l) alone.  apply_truncated multiplies the input's spectrum by the
-cached multiplier and takes one inverse (functions.convolve_spectra, the
-product and scale of functions.convolve, so T_k f is that convolution bit
-for bit).  Two caches
-serve it, both keyed on objects (AngularKernel and TestFunction compare by
-identity, and a cache keeps its keys alive, so an id is never reused), both
-holding read-only arrays that are safe to share:
-- truncation_multiplier is memoized on (kernel, k, jmax, l), at most 32
-  entries, enough for one run's distinct keys (20 in the default verify
-  run, 12 in a pass of 96 large-window calls), so truncation_kernel, which
-  only a multiplier reads, runs once per key.  A multiplier takes 16 bytes
-  per window cell: 512 KiB on a 32,768-cell window.
-- functions._input_spectrum keeps the last two spectra only, keyed on the
-  TestFunction and the window, so apply-tk's loop over k transforms its
-  input once, and each verify protocol each stack of its corpus once per
-  window (T_k f's and, through functions.convolve, the piece convolutions').
+Every operator output is a convolution on a window: a cached multiplier (the
+window DFT of its kernel factor) times the input's spectrum, then one inverse
+(functions.convolve_spectra), so it is functions.convolve of its factors, in
+the same order (a vectorized complex product need not commute bit for bit),
+bit for bit.  T_k f is f * K_k on (-(jmax+1), l), with K_k =
+truncation_kernel(kernel, k, jmax, l), and apply_shell's g_j * f lies on
+(min(a, -(j+1)), l), with g_j = shell_piece(kernel, j, l).  Both caches are
+keyed on objects (AngularKernel and TestFunction compare by identity, and a
+cache keeps its keys alive, so an id is never reused) and hold read-only
+arrays:
+- the multipliers, truncation_multiplier on (kernel, k, jmax, l) and
+  shell_multiplier on (kernel, j, a, l), at most 32 entries each: the default
+  verify run has 20 and 15 distinct keys, a pass of 96 large-window calls 12
+  and 0.  A multiplier takes 16 bytes per window cell, 512 KiB on 32,768.
+- functions._input_spectrum, the last two (input, window) spectra, so
+  apply-tk's loop over k transforms its input once, and each verify protocol
+  each corpus stack once per window (T_k f's and the pieces').
 """
 
 from __future__ import annotations
@@ -54,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldElement, Window, add, negate, q_power
-from .functions import TestFunction, _frozen, _input_spectrum, convolve_spectra, evaluate, refine
+from .functions import (TestFunction, _input_spectrum, convolve_spectra, evaluate, refine,
+                        window_spectrum)
 from .kernels import AngularKernel, shell_piece, validate_atom
 
 
@@ -130,21 +125,21 @@ def truncation_kernel(kernel: AngularKernel, k: int, jmax: int, l: int) -> TestF
 def truncation_multiplier(kernel: AngularKernel, k: int, jmax: int, l: int) -> np.ndarray:
     """The window DFT of truncation_kernel(kernel, k, jmax, l) refined onto (-(jmax+1), l),
     the window T_k f is convolved on for an f on the cosets of P^l; read-only."""
-    a = -(jmax + 1)
-    tk = refine(truncation_kernel(kernel, k, jmax, l), a, l)
-    return _frozen(Window(kernel.config, a, l).dft(tk.values))
+    return window_spectrum(truncation_kernel(kernel, k, jmax, l), -(jmax + 1), l)
+
+
+@functools.lru_cache(maxsize=32)
+def shell_multiplier(kernel: AngularKernel, j: int, a: int, l: int) -> np.ndarray:
+    """The window DFT of shell_piece(kernel, j, l) refined onto (a, l), a <= -(j+1),
+    the window g_j * f is convolved on for an f on the cosets of P^l; read-only."""
+    return window_spectrum(shell_piece(kernel, j, l), a, l)
 
 
 def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec) -> TestFunction:
-    """The truncated operator on the declared output window.
-
-    Dyadic sum over shells j = spec.k .. tail_cutoff, realized as one group
-    convolution at the resolution of f, on (-(jmax+1), f.l): the product of
-    f's spectrum and the truncation multiplier (both cached, module
-    docstring), then one inverse, refined onto the window; linear in f and in
-    the kernel.  The window must hold f's cells, out_a <= f.a and out_l >= f.l,
-    or refine raises ValueError.
-    """
+    """The truncated operator on the declared output window: the dyadic sum over shells
+    j = spec.k .. tail_cutoff, f * K_k at f's resolution (module docstring), refined onto
+    the window; linear in f and in the kernel.  The window must hold f's cells, out_a <=
+    f.a and out_l >= f.l, or refine raises ValueError."""
     if f.config != kernel.config:
         raise ValueError("function and kernel live on different fields")
     if not kernel.is_mean_zero:
@@ -159,9 +154,23 @@ def apply_truncated(f: TestFunction, kernel: AngularKernel, spec: TruncationSpec
     return refine(conv, spec.out_a, spec.out_l)
 
 
-def apply_atom_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSpec) -> TestFunction:
-    """The per-atom operator: same shell sum, but the kernel must be a valid atom."""
+def apply_shell(f: TestFunction, kernel: AngularKernel, j: int) -> TestFunction:
+    """g_j * f on (min(a, -(j+1)), l), g_j = shell_piece(kernel, j, l) at f's resolution l:
+    shell_multiplier times f's spectrum, then one inverse (module docstring)."""
+    if f.config != kernel.config:
+        raise ValueError("function and kernel live on different fields")
+    w = Window(f.config, min(f.a, -(j + 1)), f.l)
+    return convolve_spectra(w, shell_multiplier(kernel, j, w.a, w.l), _input_spectrum(f, w.a, w.l))
+
+
+def check_atom(atom: AngularKernel) -> AngularKernel:
+    """atom, or ValueError unless validate_atom accepts it."""
     chk = validate_atom(atom)
     if not chk.valid:
         raise ValueError(f"invalid atom: {chk.violation} condition fails")
-    return apply_truncated(f, atom, spec)
+    return atom
+
+
+def apply_atom_operator(f: TestFunction, atom: AngularKernel, spec: TruncationSpec) -> TestFunction:
+    """The per-atom operator: same shell sum, but the kernel must be a valid atom."""
+    return apply_truncated(f, check_atom(atom), spec)

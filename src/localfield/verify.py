@@ -21,9 +21,10 @@ outside the canonical byte-compared form.
 
 Each protocol is one pass of one engine, _stack_columns, over the corpus cut
 into stacks of functions on its one window: per stack it builds every operator
-output, each T_k f on operators.resolution_spec's window (the same for every
-k, so apply_truncated transforms the stack once) and each shell piece at the
-corpus resolution, and takes their norm columns.  Every ratio follows one rule,
+output from operators' cached multipliers, each T_k f and reading A by
+apply_truncated on resolution_spec's window (one for every k, so the stack is
+transformed once) and each g_j * f and reading B by apply_shell at the corpus
+resolution, and takes their norm columns.  Every ratio follows one rule,
 _ratios, and a stack's widest array holds at most STACK_CELLS cells.  The
 lebesgue, besov_tl and l2_weak tables are RowTables over the live cells of a
 ratio matrix, with no row object.
@@ -52,11 +53,11 @@ import numpy as np
 
 from .decomp import check_triple, norm_columns
 from .field import FieldConfig, check_window, expect, is_int, q_power
-from .functions import (TestFunction, _frozen, _is_real, check_level, convolve, lr_norms, refine,
+from .functions import (TestFunction, _frozen, _is_real, check_level, lr_norms, refine,
                         weak_level_measures)
-from .kernels import (atomic_decompose, h1_upper_bound, make_kernel, mean_zero_project, shell_piece,
+from .kernels import (atomic_decompose, h1_upper_bound, make_kernel, mean_zero_project,
                       sphere_cell_count, taibleson_terms)
-from .operators import apply_atom_operator, apply_truncated, resolution_spec, tail_cutoff
+from .operators import apply_shell, apply_truncated, check_atom, resolution_spec, tail_cutoff
 
 log = logging.getLogger(__name__)
 
@@ -350,8 +351,8 @@ def check_lebesgue_theorem(corpus: Corpus, k_list, r_list) -> OperatorNormEstima
 
 
 def _first_atoms(corpus: Corpus) -> list:
-    """(w{ki}.a0, its first atom) for each corpus kernel ki with atoms."""
-    return [(f"w{ki}.a0", terms[0][1])
+    """(w{ki}.a0, its first atom) for each corpus kernel ki with atoms, checked once here."""
+    return [(f"w{ki}.a0", check_atom(terms[0][1]))
             for ki, terms in enumerate(atomic_decompose(kern).terms for kern in corpus.kernels)
             if terms]
 
@@ -376,19 +377,18 @@ def check_besov_tl_theorem(corpus: Corpus, k_list, srt_list):
         return {(space,) + srt: column
                 for (space, srt), column in norm_columns(g, srt_list, spaces).items()}
 
-    pieces = [(atom_id, j, shell_piece(atom, j, corpus.window[1]))
-              for atom_id, atom in _first_atoms(corpus) for j in (-1, 0, 1)]
+    pieces = [(atom_id, atom, j) for atom_id, atom in _first_atoms(corpus) for j in (-1, 0, 1)]
 
     def columns_of(g):
         yield from _truncations(corpus, k_list, g, norms_of)
-        for atom_id, j, piece in pieces:
-            yield (atom_id, j), norms_of(convolve(piece, g), "F")
+        for atom_id, atom, j in pieces:
+            yield (atom_id, j), norms_of(apply_shell(g, atom, j), "F")
 
-    cols = _stack_columns(corpus, min([corpus.window[0] - 1] + [p.a for *_, p in pieces]),
+    cols = _stack_columns(corpus, min([corpus.window[0] - 1] + [-(j + 1) for *_, j in pieces]),
                           columns_of)
     params = [(space,) + srt for srt in srt_list for space in ("B", "F")]
     piece_rows = []
-    for atom_id, j, _ in pieces:
+    for atom_id, _, j in pieces:
         for s, r, t in srt_list:
             ratios = _ratios(cols[(atom_id, j), ("F", s, r, t)], cols[None, ("F", s, r, t)])
             piece_rows.append({"atom": atom_id, "reading": "B" if j == -1 else "A", "j": j,
@@ -436,9 +436,9 @@ def check_l2_and_weak11(corpus: Corpus, k_list, lambda_list) -> dict:
     def columns_of(g):
         yield None, {1: lr_norms(g, 1), 2: lr_norms(g, 2)}
         for atom_id, atom in atoms:
-            b = convolve(shell_piece(atom, -1, l), g)
+            b = apply_shell(g, atom, -1)
             for k in k_list:
-                a_k = apply_atom_operator(g, atom, resolution_spec(g, k))
+                a_k = apply_truncated(g, atom, resolution_spec(g, k))
                 b_k = TestFunction(b.config, b.a, b.l, b.values * weights[k])
                 yield (atom_id, k, "A"), norms_of(a_k)
                 yield (atom_id, k, "B"), norms_of(b_k)

@@ -181,10 +181,13 @@ def test_lr_norms_refuses_a_sum_past_the_float_range_and_lr_norm_reads_inf(r):
         norm_columns(f, [(0.0, r, r)])
 
 
-def test_a_sum_past_the_float_range_reads_inf_where_the_cell_measure_underflows():
-    # q^-l is 0.0 at l = 1101, q = 2; the norm reads inf, not inf * 0.0 = nan
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+def test_a_sum_past_the_float_range_reads_inf_where_the_cell_measure_underflows(r):
+    # q^-l is 0.0 at l = 1101, q = 2; the norm reads inf, not inf * 0.0 = nan, both where
+    # the finite |v| sum raises fsum's OverflowError (r = 1) and where |v|^r is inf
     f = TestFunction(FieldConfig("padic", 2), 1100, 1101, np.array([1e308, 1e308]))
-    assert lr_norm(f, 1.0) == math.inf
+    with np.errstate(over="ignore"):
+        assert lr_norm(f, r) == math.inf
 
 
 @pytest.mark.parametrize("space", ["B", "F"])
@@ -286,3 +289,32 @@ def test_exact_sums_has_one_caller_and_no_importer():
         callers += [(path.stem, scope) for scope in refs.found]
     assert callers == [("functions", "lr_norms_of_parts")]
     assert importers == []
+
+
+def _imported_or_named(tree) -> set:
+    """Every name a module imports, reads or takes as an attribute."""
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+            | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_verify_builds_every_operator_output_through_operators():
+    # every operator output verify measures comes from operators' cached multipliers
+    # (apply_truncated, apply_shell): no convolution of its own, no shell piece to
+    # transform again, and no second atom check
+    tree = ast.parse((SRC / "localfield" / "verify.py").read_text())
+    assert not {"convolve", "shell_piece", "apply_atom_operator"} & _imported_or_named(tree)
+    assert {"apply_truncated", "apply_shell"} <= _imported_or_named(tree)
+
+
+def test_window_spectrum_is_the_one_forward_transform_of_a_refined_function():
+    # a window DFT of refine(...) anywhere in the package is functions.window_spectrum's
+    found = []
+    for path in sorted((SRC / "localfield").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                found += [(path.stem, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                          and node.func.attr == "dft" and "refine(" in ast.unparse(node)]
+    assert found == [("functions", "window_spectrum")]

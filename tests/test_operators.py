@@ -31,15 +31,17 @@ from localfield.kernels import (
 from localfield.operators import (
     TruncationSpec,
     apply_atom_operator,
+    apply_shell,
     apply_truncated,
     resolution_spec,
+    shell_multiplier,
     sphere_integral,
     tail_cutoff,
     truncation_kernel,
     truncation_multiplier,
 )
 from localfield.verify import generate_corpus
-from util import (CONFIGS, convolution_truncated, integral, kernel_resolution_spec,
+from util import (CONFIGS, P5_CONFIGS, convolution_truncated, integral, kernel_resolution_spec,
                   naive_sphere_sum, naive_truncated, random_element, translate)
 
 Q2 = FieldConfig("padic", 2)
@@ -446,6 +448,47 @@ def test_cached_truncation_kernel_equals_uncached(config):
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_cached_shell_multiplier_equals_uncached(config):
+    rng = np.random.default_rng(59)
+    kern, other = random_kernel(rng, config, 2), random_kernel(rng, config, 2)
+    # at l = 0 the pieces j = -1, 0 are averaged, at l = 3 every piece is refined
+    for j, (a, l) in itertools.product((-1, 0, 1), ((-2, 0), (-3, 3))):
+        cached = shell_multiplier(kern, j, a, l)
+        assert shell_multiplier(kern, j, a, l) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0
+        assert cached.tobytes() == shell_multiplier.__wrapped__(kern, j, a, l).tobytes()
+        # the window DFT of the piece at resolution l refined onto (a, l)
+        want = Window(config, a, l).dft(refine(shell_piece(kern, j, l), a, l).values)
+        assert cached.shape == (config.p ** (l - a),) and cached.tobytes() == want.tobytes()
+        # same resolution, different values: a different cache entry, whose values differ
+        # unless both pieces average to the kernels' mean 0 (j = -1 at l = 0: one cell)
+        assert shell_multiplier(other, j, a, l) is not cached
+        assert np.array_equal(shell_multiplier(other, j, a, l), cached) == (not cached.any())
+
+
+@pytest.mark.parametrize("config", CONFIGS + P5_CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
+def test_apply_shell_equals_convolution_of_the_shell_piece_bit_for_bit(config):
+    # one row and a stack, on windows with a < 0 and a > 0, for kernels whose pieces are
+    # averaged onto the resolution of f (m = 3 at l = 1) or refined onto it
+    rng = np.random.default_rng(61)
+    kernels = [random_kernel(rng, config, m) for m in (2, 3)]
+    for a, l in ((-1, 1), (1, 2)):
+        rows = [random_fn(rng, config, a, l) for _ in range(2)]
+        stack = TestFunction(config, a, l, np.stack([f.values for f in rows]))
+        for f, kern, j in itertools.product(rows[:1] + [stack], kernels, (-1, 0, 1)):
+            got, want = apply_shell(f, kern, j), convolve(shell_piece(kern, j, f.l), f)
+            assert (got.a, got.l) == (want.a, want.l) == (min(a, -(j + 1)), l)
+            assert got.values.tobytes() == want.values.tobytes()
+    foreign = random_kernel(rng, Q3 if config == Q2 else Q2, 2)
+    with pytest.raises(ValueError, match="different fields"):
+        apply_shell(rows[0], foreign, 0)
+    with pytest.raises(ValueError, match="resolution coarser"):  # a piece finer than f
+        apply_shell(random_fn(rng, config, -4, -3), kernels[0], 1)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.mode}{c.p}")
 def test_stacked_operators_equal_one_function_route_bit_for_bit(config):
     rng = np.random.default_rng(53)
     rows = [random_fn(rng, config, -1, 2) for _ in range(3)] + [TestFunction.zero(config, -1, 2)]
@@ -459,6 +502,11 @@ def test_stacked_operators_equal_one_function_route_bit_for_bit(config):
             assert out.values.shape == (len(rows), Window(config, spec.out_a, spec.out_l).size)
             for i, f in enumerate(rows):
                 assert out.values[i].tobytes() == op(f, kernel, spec).values.tobytes()
+    for j in (-1, 0, 1):
+        out = apply_shell(stack, kern, j)
+        assert out.values.shape == (len(rows), Window(config, min(-1, -(j + 1)), 2).size)
+        for i, f in enumerate(rows):
+            assert out.values[i].tobytes() == apply_shell(f, kern, j).values.tobytes()
 
 
 # -- T_k f from the cached multiplier and input spectrum

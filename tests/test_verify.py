@@ -34,6 +34,7 @@ from localfield.operators import (
     apply_atom_operator,
     apply_truncated,
     resolution_spec,
+    shell_multiplier,
     tail_cutoff,
     truncation_kernel,
     truncation_multiplier,
@@ -459,7 +460,7 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
     f0, l = corpus.functions[0], corpus.window[1]
     atoms = [atom for _, atom in verify._first_atoms(corpus)]
     assert atoms
-    counts = {"blocks": 0, "convolve": 0}
+    counts = {"blocks": 0, "shell": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -468,10 +469,11 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(decomp, "_all_blocks", counted("blocks", decomp._all_blocks))
-    monkeypatch.setattr(verify, "convolve", counted("convolve", verify.convolve))
+    monkeypatch.setattr(verify, "apply_shell", counted("shell", verify.apply_shell))
     for stack_cells in STACK_BOUNDS:
         monkeypatch.setattr(verify, "STACK_CELLS", stack_cells)
-        counts.update(blocks=0, convolve=0)
+        counts.update(blocks=0, shell=0)
+        shell_multiplier.cache_clear()
         check_besov_tl_theorem(corpus, k_list, srt_list)
         # the corpus is cut once, by the widest window of T_k f and of the pieces, and
         # each stack builds one block stack of itself, of each T_k f and of each g_j * f
@@ -479,13 +481,16 @@ def test_besov_tl_builds_each_block_stack_once(monkeypatch):
         a = min([resolution_spec(f0, 0).out_a] + [piece.a for piece in pieces])
         stacks = _stack_count(corpus, (a, l))
         assert counts["blocks"] == stacks * (1 + len(corpus.kernels) * len(k_list) + len(pieces))
-        assert counts["convolve"] == stacks * len(pieces)
+        assert counts["shell"] == stacks * len(pieces)
+        # each piece is transformed once per (atom, j, window), not once per stack
+        info = shell_multiplier.cache_info()
+        assert (info.misses, info.hits) == (len(pieces), (stacks - 1) * len(pieces))
     # the default bound holds each of these stacks in one piece
     monkeypatch.setattr(verify, "STACK_CELLS", STACK_BOUNDS[0])
-    counts.update(blocks=0, convolve=0)
+    counts.update(blocks=0, shell=0)
     check_besov_tl_theorem(corpus, k_list, srt_list)
     assert counts == {"blocks": 1 + len(corpus.kernels) * len(k_list) + 3 * len(atoms),
-                      "convolve": 3 * len(atoms)}
+                      "shell": 3 * len(atoms)}
 
 
 def test_piece_rows_take_no_besov_norm(monkeypatch):
@@ -726,6 +731,18 @@ def test_run_builds_one_truncation_kernel_per_kernel_and_k(monkeypatch):
     assert info.hits > 0
 
 
+def test_default_run_builds_one_shell_multiplier_per_atom_and_j():
+    shell_multiplier.cache_clear()
+    run_verification()
+    info = shell_multiplier.cache_info()
+    corpus = generate_corpus(Q2, 42, 50, (-3, 3), (2, 3, 4))
+    atoms = [atom for _, atom in verify._first_atoms(corpus)]
+    # besov_tl builds one per (atom, j) on the one piece window (-3, 3); l2_weak's reading
+    # B reads the j = -1 ones again, as each corpus kernel is its own first atom
+    assert all(atom is kern for atom, kern in zip(atoms, corpus.kernels))
+    assert (info.misses, info.hits) == (3 * len(atoms), len(atoms)) == (15, 5)
+
+
 # the default run (run_verification's default corpus), and a small corpus cut
 # into one-row stacks (40 cells hold one 32-cell row of T_k f): (corpus, STACK_CELLS)
 WORK_RUNS = {"default": ({}, verify.STACK_CELLS),
@@ -743,7 +760,7 @@ def test_each_protocol_transforms_each_corpus_stack_once(case, monkeypatch):
     stacks, atoms = _stack_count(corpus, (a - 1, l)), verify._first_atoms(corpus)
     assert stacks == (1 if case == "default" else len(corpus.functions))
     counts = collections.Counter()
-    dft, convolve, l2_weak = Window.dft, verify.convolve, verify.check_l2_and_weak11
+    dft, shell, l2_weak = Window.dft, verify.apply_shell, verify.check_l2_and_weak11
     new = Fraction.__new__
 
     def counted_dft(self, values, inverse=False):
@@ -752,16 +769,19 @@ def test_each_protocol_transforms_each_corpus_stack_once(case, monkeypatch):
         stack = not inverse and np.ndim(values) == 2
         counts["corpus"] += stack and (self.a, self.l) == (a - 1, l)
         counts["piece_window"] += stack and (self.a, self.l) == (a, l)
+        # and a shell piece, transformed on the latter
+        counts["piece_spectra"] += (not inverse and np.ndim(values) == 1
+                                    and (self.a, self.l) == (a, l))
         return dft(self, values, inverse)
 
-    def counted_convolve(*args):
-        counts["convolve"] += 1
-        return convolve(*args)
+    def counted_shell(*args):
+        counts["shell"] += 1
+        return shell(*args)
 
     def counted_l2_weak(*args):
-        before = counts["convolve"]
+        before = counts["shell"]
         out = l2_weak(*args)
-        counts["l2_weak_convolve"] = counts["convolve"] - before
+        counts["l2_weak_shell"] = counts["shell"] - before
         return out
 
     def counted_fraction(cls, *args, **kwargs):
@@ -769,19 +789,25 @@ def test_each_protocol_transforms_each_corpus_stack_once(case, monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Window, "dft", counted_dft)
-    monkeypatch.setattr(verify, "convolve", counted_convolve)
+    monkeypatch.setattr(verify, "apply_shell", counted_shell)
     monkeypatch.setattr(verify, "check_l2_and_weak11", counted_l2_weak)
     monkeypatch.setattr(Fraction, "__new__", counted_fraction)
+    shell_multiplier.cache_clear()
     run_verification(**args)
     monkeypatch.undo()
     # once per protocol and stack: 4 in the default run, where each (kernel, k) took 65
     assert counts["corpus"] == len(verify.CHECK_NAMES) * stacks
     # reading B convolves once per atom and stack, not once per atom, k and stack
-    assert counts["l2_weak_convolve"] == len(atoms) * stacks
+    assert counts["l2_weak_shell"] == len(atoms) * stacks
     # besov_tl's and l2_weak's piece convolutions transform each stack once on their window:
     # 2 per stack, where each of the 4 * len(atoms) convolutions took one (20 by default)
-    assert counts["convolve"] == 4 * len(atoms) * stacks
+    assert counts["shell"] == 4 * len(atoms) * stacks
     assert counts["piece_window"] == 2 * stacks
+    # and each piece once per (atom, j) on that one window, however many stacks there are:
+    # besov_tl's 3 per atom, which l2_weak's reading B reads again at j = -1
+    info = shell_multiplier.cache_info()
+    assert info.misses == 3 * len(atoms) and counts["piece_spectra"] == 3 * len(atoms)
+    assert info.hits == 3 * len(atoms) * (stacks - 1) + len(atoms) * stacks
     if case == "default":
         # each weak11 float is taken once per distinct (count, lambda): 30,122 before
         assert counts["fraction"] < 1000
